@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 configuration/validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -48,7 +49,7 @@ PRESETS = ("fig1", "lyot", "two_crystal", "rotated_crystals")
 
 ENV_SEED = "POLARCHAN_SEED"
 
-#: hard ceiling on feasibility grid size
+#: hard ceiling on feasibility and region grid sizes
 _MAX_GRID_POINTS = 4_000_000
 
 _KNOWN_KEYS = {
@@ -93,6 +94,13 @@ class RunConfig:
     grid_n: int = 451
 
 
+def _finite_float(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
 _ELEMENT_RE = re.compile(r"^(crystal|hwp|qwp)\s*\(([^()]*)\)$")
 
 
@@ -108,11 +116,11 @@ def _parse_element(value: str, lineno: int, errors: list):
         if name == "crystal":
             if len(args) != 2:
                 raise ValueError("crystal takes (length, angle)")
-            return Crystal(Fraction(args[0]), float(args[1]))
+            return Crystal(Fraction(args[0]), _finite_float(args[1]))
         if len(args) != 1:
             raise ValueError(f"{name} takes (angle)")
         kind = "half" if name == "hwp" else "quarter"
-        return Waveplate(kind, float(args[0]))
+        return Waveplate(kind, _finite_float(args[0]))
     except (ValueError, ZeroDivisionError) as exc:
         errors.append(f"line {lineno}: malformed element {value!r} ({exc})")
         return None
@@ -180,13 +188,13 @@ def parse_config(text: str) -> RunConfig:
                       f"(choose from {', '.join(PRESETS)})")
 
     cfg_kwargs = dict(
-        theta1=take("theta1", float, "angle"),
-        theta2=take("theta2", float, "angle"),
-        theta2_start=take("theta2_start", float, "angle"),
-        theta2_stop=take("theta2_stop", float, "angle"),
-        theta2_step=take("theta2_step", float, "angle"),
-        angle=take("angle", float, "angle"),
-        rotation=take("rotation", float, "angle"),
+        theta1=take("theta1", _finite_float, "angle"),
+        theta2=take("theta2", _finite_float, "angle"),
+        theta2_start=take("theta2_start", _finite_float, "angle"),
+        theta2_stop=take("theta2_stop", _finite_float, "angle"),
+        theta2_step=take("theta2_step", _finite_float, "angle"),
+        angle=take("angle", _finite_float, "angle"),
+        rotation=take("rotation", _finite_float, "angle"),
         seed=take("seed", int, "integer"),
         counts_out=take("counts_out", str, "path"),
         out=take("out", str, "path"),
@@ -196,7 +204,7 @@ def parse_config(text: str) -> RunConfig:
     length2 = take("length2", Fraction, "length")
     n = take("n", int, "integer")
     tomo = take("tomo", parse_bool, "boolean")
-    r_step = take("r_step", float, "number")
+    r_step = take("r_step", _finite_float, "number")
     grid_n = take("grid_n", int, "integer")
 
     if mode in MODES:
@@ -260,8 +268,12 @@ def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n):
                               f"{_MAX_GRID_POINTS} limit; increase r_step")
     if mode == "tomo" and n is not None and n < 1:
         errors.append(f"line {seen['n']}: n must be at least 1 for tomography")
-    if mode == "region" and grid_n is not None and grid_n < 2:
-        errors.append(f"line {seen['grid_n']}: grid_n must be at least 2")
+    if mode == "region" and grid_n is not None:
+        if grid_n < 2:
+            errors.append(f"line {seen['grid_n']}: grid_n must be at least 2")
+        elif grid_n ** 2 > _MAX_GRID_POINTS:
+            errors.append(f"line {seen['grid_n']}: region grid of {grid_n ** 2} points exceeds "
+                          f"the {_MAX_GRID_POINTS} limit; decrease grid_n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ matrix, fitting all 4 x 6 preparation/analysis settings at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -333,31 +334,35 @@ class QptMleResult(MleResult):
         return self.matrix
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _num_params(dim: int) -> int:
     return dim * dim
+
+
+@cache
+def _strict_lower(dim: int) -> tuple:
+    """Row and column indices below the diagonal, row-major (np.tril_indices order)."""
+    return tuple(_frozen(idx) for idx in np.tril_indices(dim, -1))
 
 
 def _params_to_tri(params: np.ndarray, dim: int) -> np.ndarray:
     """Lower-triangular T: first the real diagonal, then (re, im) pairs row-major."""
     t = np.zeros((dim, dim), dtype=complex)
     t[np.diag_indices(dim)] = params[:dim]
-    k = dim
-    for i in range(1, dim):
-        for j in range(i):
-            t[i, j] = params[k] + 1j * params[k + 1]
-            k += 2
+    t[_strict_lower(dim)] = params[dim::2] + 1j * params[dim + 1::2]
     return t
 
 
 def _tri_to_params(t: np.ndarray, dim: int) -> np.ndarray:
     params = np.empty(_num_params(dim))
     params[:dim] = np.diag(t).real
-    k = dim
-    for i in range(1, dim):
-        for j in range(i):
-            params[k] = t[i, j].real
-            params[k + 1] = t[i, j].imag
-            k += 2
+    below = t[_strict_lower(dim)]
+    params[dim::2] = below.real
+    params[dim + 1::2] = below.imag
     return params
 
 
@@ -382,12 +387,9 @@ def _nll_and_grad(params, a_tensor, counts, shots, dim):
     g_t = t @ (b.conj() - pbar * np.eye(dim)) / tau
     grad = np.empty_like(params)
     grad[:dim] = 2.0 * np.diag(g_t).real
-    k = dim
-    for i in range(1, dim):
-        for j in range(i):
-            grad[k] = 2.0 * g_t[i, j].real
-            grad[k + 1] = 2.0 * g_t[i, j].imag
-            k += 2
+    below = g_t[_strict_lower(dim)]
+    grad[dim::2] = 2.0 * below.real
+    grad[dim + 1::2] = 2.0 * below.imag
     return nll, grad
 
 
@@ -449,30 +451,38 @@ def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
         raise ValueError("shots must be given when counts is a bare array")
     if settings is None:
         settings = TomoSettings(shots=max(int(shots), 1))
-    a_tensor = np.stack(analysis_projectors())
     x0 = _clip_to_physical(qst_linear(row).rho)
-    matrix, nll, ok, nit = _mle_minimize(a_tensor, row, shots, x0, settings)
+    matrix, nll, ok, nit = _mle_minimize(_qst_a_tensor(), row, shots, x0, settings)
     return MleResult(matrix, nll, ok, nit)
 
 
-def _qpt_a_tensor(inputs=None, projectors=None) -> np.ndarray:
+# Setting-independent tensors are built on first use, once per process, and
+# shared read-only between fits.
+
+@cache
+def _qst_a_tensor() -> np.ndarray:
+    """The six analysis projectors stacked, A[j] = P_j."""
+    return _frozen(np.stack(analysis_projectors()))
+
+
+@cache
+def _qpt_a_tensor() -> np.ndarray:
     """A[(k,j), m, n] = Tr(P_j E_m rho_k E_n^dag) for the standard settings."""
-    if inputs is None:
-        inputs = preparation_states()
-    if projectors is None:
-        projectors = analysis_projectors()
+    projectors = analysis_projectors()
     rows = []
-    for rho in inputs:
+    for rho in preparation_states():
         for proj in projectors:
             a = np.empty((4, 4), dtype=complex)
             for m in range(4):
                 for n in range(4):
                     a[m, n] = np.trace(proj @ PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
             rows.append(a)
-    return np.stack(rows)
+    return _frozen(np.stack(rows))
 
 
-def _hermitian_basis() -> list:
+@cache
+def _hermitian_basis() -> np.ndarray:
+    """The 16 Hermitian 4x4 basis matrices: diagonal units, then symmetric/antisymmetric pairs."""
     basis = []
     for i in range(4):
         h = np.zeros((4, 4), dtype=complex)
@@ -487,7 +497,25 @@ def _hermitian_basis() -> list:
             h[i, j] = -1.0j
             h[j, i] = 1.0j
             basis.append(h)
-    return basis
+    return _frozen(np.stack(basis))
+
+
+@cache
+def _qpt_design() -> np.ndarray:
+    """Linear map from Hermitian-basis coefficients to the stacked (1, Stokes) outputs."""
+    design = np.empty((16, 16))
+    for col, h in enumerate(_hermitian_basis()):
+        row_idx = 0
+        for rho in preparation_states():
+            image = np.zeros((2, 2), dtype=complex)
+            for m in range(4):
+                for n in range(4):
+                    if h[m, n] != 0.0:
+                        image += h[m, n] * (PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
+            for i in range(4):
+                design[row_idx, col] = np.trace(PAULI_BASIS[i] @ image).real
+                row_idx += 1
+    return _frozen(design)
 
 
 def qpt_linear(counts) -> np.ndarray:
@@ -499,38 +527,21 @@ def qpt_linear(counts) -> np.ndarray:
     table = counts.counts if isinstance(counts, CountRecord) else np.asarray(counts, dtype=float)
     if table.shape != (4, 6):
         raise ValueError(f"process tomography needs a (4, 6) table, got {table.shape}")
-    inputs = preparation_states()
     targets = []
     for k in range(4):
         est = qst_linear(table[k])
         targets.append([1.0, *est.stokes])  # Tr(E_i rho') components
     y = np.asarray(targets, dtype=float).ravel()
-
-    basis = _hermitian_basis()
-    design = np.empty((16, 16))
-    col = 0
-    for h in basis:
-        row_idx = 0
-        for rho in inputs:
-            image = np.zeros((2, 2), dtype=complex)
-            for m in range(4):
-                for n in range(4):
-                    if h[m, n] != 0.0:
-                        image += h[m, n] * (PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
-            for i in range(4):
-                design[row_idx, col] = np.trace(PAULI_BASIS[i] @ image).real
-                row_idx += 1
-        col += 1
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(_qpt_design(), y, rcond=None)
     chi = np.zeros((4, 4), dtype=complex)
-    for c, h in zip(coeffs, basis):
+    for c, h in zip(coeffs, _hermitian_basis()):
         chi += c * h
     return chi
 
 
-_EN_EM = np.stack(
+_EN_EM = _frozen(np.stack(
     [np.stack([PAULI_BASIS[n].conj().T @ PAULI_BASIS[m] for n in range(4)]) for m in range(4)]
-)  # indexed [m, n] = E_n^dag E_m
+))  # indexed [m, n] = E_n^dag E_m
 
 
 def trace_preservation_deviation(chi: np.ndarray) -> float:

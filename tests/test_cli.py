@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from polarchan.cli import ConfigError, parse_config, run_sweep
+from polarchan.cli import ConfigError, main, parse_config, run_sweep
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -111,6 +111,41 @@ def test_exit_code_validation_error(tmp_path):
     res = run_cli("sweep", "--config", str(cfg))
     assert res.returncode == 1
     assert "degenerate range" in res.stderr
+
+
+@pytest.mark.parametrize("mode,body,lineno", [
+    ("simulate", "preset = fig1\ntheta2 = nan\n", 3),
+    ("sweep", "preset = fig1\ntheta1 = 10\ntheta2_start = 0\n"
+              "theta2_stop = inf\ntheta2_step = 1\n", 5),
+    ("sweep", "preset = fig1\ntheta1 = -inf\ntheta2_start = 0\n"
+              "theta2_stop = 45\ntheta2_step = 1\n", 3),
+    ("sweep", "preset = fig1\ntheta1 = 10\ntheta2_start = nan\n"
+              "theta2_stop = 45\ntheta2_step = 1\n", 4),
+    ("sweep", "preset = fig1\ntheta1 = 10\ntheta2_start = 0\n"
+              "theta2_stop = 45\ntheta2_step = inf\n", 6),
+    ("simulate", "preset = two_crystal\nangle = nan\n", 3),
+    ("simulate", "preset = rotated_crystals\nrotation = inf\n", 3),
+    ("simulate", "element = crystal(1, nan)\n", 2),
+    ("simulate", "element = crystal(1, 0)\nelement = hwp(inf)\n", 3),
+    ("simulate", "element = crystal(1, 0)\nelement = qwp(-inf)\n", 3),
+    ("feasibility", "r_step = nan\n", 2),
+])
+def test_non_finite_values_rejected(mode, body, lineno, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"mode = {mode}\n{body}")
+    assert main([mode, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"polarchan: line {lineno}: malformed ")
+
+
+def test_region_grid_capped_before_allocation(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("mode = region\ngrid_n = 100000\n")
+    assert main(["region", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("polarchan: line 2: region grid of 10000000000 points exceeds")
+    assert "decrease grid_n" in err
 
 
 def test_exit_code_io_error():

@@ -289,8 +289,8 @@ def test_mle_flags_non_convergence():
 def test_reconstruction_deterministic():
     rec = simulate_counts(fig1_kraus(22.0), TomoSettings(shots=10_000, seed=77))
     fit1 = qpt_mle(rec)
-    fit2 = qpt_mle(rec)
-    assert np.abs(fit1.chi - fit2.chi).max() < 1e-12
+    fit2 = qpt_mle(rec)  # second fit reuses the cached constant tensors
+    assert fit1.chi.tobytes() == fit2.chi.tobytes()
     assert fit1.nll == fit2.nll
 
 
@@ -300,3 +300,63 @@ def test_tp_deviation_diagnostic():
     fit = qpt_mle(table, shots=10**6)
     assert fit.tp_deviation < 1e-4
     assert trace_preservation_deviation(chi_from_kraus(fig1_kraus(15.0))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# parameter packing, objective gradient and cached constants
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_params_tri_round_trip(dim, rng):
+    from polarchan.tomography import _params_to_tri, _tri_to_params
+
+    params = rng.normal(size=dim * dim)
+    t = _params_to_tri(params, dim)
+    # diagonal first, then (re, im) pairs in row-major order below it
+    expected = np.diag(params[:dim]).astype(complex)
+    k = dim
+    for i in range(1, dim):
+        for j in range(i):
+            expected[i, j] = complex(params[k], params[k + 1])
+            k += 2
+    assert np.array_equal(t, expected)
+    assert np.array_equal(_tri_to_params(t, dim), params)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_nll_gradient_matches_central_differences(dim, rng):
+    from polarchan.tomography import _nll_and_grad, _qpt_a_tensor, _qst_a_tensor
+
+    a_tensor = _qst_a_tensor() if dim == 2 else _qpt_a_tensor()
+    shots = 1000.0
+    counts = rng.integers(0, int(shots) + 1, size=a_tensor.shape[0]).astype(float)
+    params = rng.normal(size=dim * dim)
+    params[:dim] = np.abs(params[:dim]) + 0.5  # full-rank T keeps every p_s interior
+    _, grad = _nll_and_grad(params, a_tensor, counts, shots, dim)
+    h = 1e-6
+    numeric = np.empty_like(params)
+    for k in range(params.size):
+        step = np.zeros_like(params)
+        step[k] = h
+        plus, _ = _nll_and_grad(params + step, a_tensor, counts, shots, dim)
+        minus, _ = _nll_and_grad(params - step, a_tensor, counts, shots, dim)
+        numeric[k] = (plus - minus) / (2 * h)
+    assert np.abs(grad - numeric).max() <= 1e-5 * np.abs(grad).max()
+
+
+def test_cached_constants_are_read_only():
+    from polarchan.tomography import (
+        _EN_EM,
+        _hermitian_basis,
+        _qpt_a_tensor,
+        _qpt_design,
+        _qst_a_tensor,
+        _strict_lower,
+    )
+
+    constants = [_EN_EM, _hermitian_basis(), _qpt_a_tensor(), _qpt_design(), _qst_a_tensor()]
+    constants += list(_strict_lower(4))
+    for const in constants:
+        with pytest.raises(ValueError):
+            const.flat[0] = 0
+    assert _qpt_a_tensor() is _qpt_a_tensor()
