@@ -23,8 +23,10 @@ from .bench_sim import (
     Waveplate,
     affine_map,
     apply_channel,
+    delay_bin_bound,
     normalize_delays,
     propagate,
+    propagate_stack,
 )
 from .channel_analysis import (
     EllipsoidReport,

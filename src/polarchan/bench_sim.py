@@ -35,7 +35,10 @@ __all__ = [
     "BenchConfig",
     "KrausSet",
     "AffineMap",
+    "MAX_DELAY_BINS",
     "normalize_delays",
+    "delay_bin_bound",
+    "propagate_stack",
     "propagate",
     "apply_channel",
     "affine_map",
@@ -44,6 +47,9 @@ __all__ = [
 #: transfer matrices with Frobenius norm at or below this are dropped as
 #: numerically-zero path amplitudes (perturbs completeness at the 1e-28 level)
 _ZERO_NORM = 1e-14
+
+#: propagation refuses benches that may produce more delay bins than this
+MAX_DELAY_BINS = 65_536
 
 
 def _as_length(value) -> Fraction:
@@ -117,26 +123,40 @@ class BenchConfig:
         return tuple(el.length for el in self.elements if isinstance(el, Crystal))
 
 
+def _integer_lengths(lengths) -> list:
+    """Crystal lengths rescaled by the smallest common factor making them coprime integers."""
+    if not lengths:
+        return []
+    common_den = math.lcm(*(ln.denominator for ln in lengths))
+    ints = [int(ln * common_den) for ln in lengths]
+    g = math.gcd(*ints)
+    return [i // g for i in ints]
+
+
 def normalize_delays(bench: BenchConfig) -> BenchConfig:
     """Rescale crystal lengths by the smallest common factor making them integers.
 
     Length ratios are preserved exactly; the traced-out channel is invariant
     under this rescaling because delay-bin coincidences are.
     """
-    lengths = bench.crystal_lengths()
-    if not lengths:
-        return bench
-    common_den = math.lcm(*(ln.denominator for ln in lengths))
-    ints = [int(ln * common_den) for ln in lengths]
-    g = math.gcd(*ints)
-    scale = Fraction(common_den, g)
-    elements = []
-    for el in bench.elements:
-        if isinstance(el, Crystal):
-            elements.append(Crystal(el.length * scale, el.fast_axis_deg))
-        else:
-            elements.append(el)
-    return BenchConfig(tuple(elements))
+    shifts = iter(_integer_lengths(bench.crystal_lengths()))
+    return BenchConfig(tuple(
+        Crystal(next(shifts), el.fast_axis_deg) if isinstance(el, Crystal) else el
+        for el in bench.elements
+    ))
+
+
+def _bin_bound(shifts) -> int:
+    # each crystal at most doubles the bins, and no delay exceeds the total length
+    return min(2 ** len(shifts), 1 + sum(shifts))
+
+
+def delay_bin_bound(bench: BenchConfig) -> int:
+    """Upper bound on the delay bins of a bench, known before propagating it.
+
+    ``min(2**n_crystals, 1 + sum of normalized lengths)``.
+    """
+    return _bin_bound(_integer_lengths(bench.crystal_lengths()))
 
 
 @dataclass(frozen=True)
@@ -164,15 +184,29 @@ class KrausSet:
     def __iter__(self) -> Iterator:
         return iter(zip(self.delays, self.operators))
 
+    def as_stack(self) -> np.ndarray:
+        """The operators as a one-bench ``(1, n, 2, 2)`` stack."""
+        return np.asarray(self.operators, dtype=complex).reshape(1, -1, 2, 2)
+
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum_d K_d^dag K_d from the identity."""
-        acc = sum(k.conj().T @ k for k in self.operators)
-        return float(np.abs(acc - np.eye(2)).max())
+        return float(_completeness_defects(self.as_stack())[0])
 
     def require_complete(self, atol: float = 1e-12) -> None:
-        defect = self.completeness_defect()
-        if defect > atol:
-            raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
+        _require_complete(self.as_stack(), atol)
+
+
+def _completeness_defects(ops: np.ndarray) -> np.ndarray:
+    """Per-bench max-norm deviation of sum_d K_d^dag K_d from the identity."""
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    return np.abs(acc - np.eye(2)).max(axis=(-2, -1))
+
+
+def _require_complete(ops: np.ndarray, atol: float = 1e-12) -> None:
+    """Raise unless every bench of a ``(B, n, 2, 2)`` Kraus stack is trace preserving."""
+    defect = _completeness_defects(ops).max()
+    if defect > atol:
+        raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
 
 
 def _fast_slow_projectors(angle_deg: float) -> tuple:
@@ -182,21 +216,59 @@ def _fast_slow_projectors(angle_deg: float) -> tuple:
     return fast, slow
 
 
-def propagate(bench: BenchConfig) -> KrausSet:
-    """Propagate through the bench and return the delay-resolved Kraus set.
+def _structure(bench: BenchConfig) -> tuple:
+    # what fixes the delay bins: wave-plate kinds and crystal lengths, in order
+    return tuple(el.kind if isinstance(el, Waveplate) else el.length for el in bench.elements)
 
-    The bench is normalized to integer crystal lengths first (exact), so any
-    positive-rational lengths are accepted.
+
+def _per_bench(angles, build) -> list:
+    """``build(angle)`` for every bench, computed once per distinct angle."""
+    # keyed with the sign bit, so 0.0 and -0.0 keep their own signed zeros
+    built: dict = {}
+    out = []
+    for a in angles:
+        key = (a, math.copysign(1.0, a))
+        if key not in built:
+            built[key] = build(a)
+        out.append(built[key])
+    return out
+
+
+def propagate_stack(benches) -> tuple:
+    """Propagate benches that share one delay structure, all at once.
+
+    Every bench must have the same elements in the same order, with the same
+    wave-plate kinds and crystal lengths; only the angles may differ.  Returns
+    ``(delays, ops)``: the sorted integer delays and a ``(B, n_bins, 2, 2)``
+    array of each bench's transfer matrix per delay, numerically-zero bins
+    included.  Each wave-plate and projector matrix is built by the scalar
+    constructors, so every bench gets the same bits as on its own.
     """
-    bench = normalize_delays(bench)
-    transfer = {0: np.eye(2, dtype=complex)}
-    for el in bench.elements:
+    benches = list(benches)
+    if not benches:
+        raise ValueError("propagate_stack needs at least one bench")
+    first = benches[0]
+    structure = _structure(first)
+    if any(_structure(b) != structure for b in benches[1:]):
+        raise ValueError("stacked benches must share element kinds and crystal lengths")
+    shifts = _integer_lengths(first.crystal_lengths())
+    if _bin_bound(shifts) > MAX_DELAY_BINS:
+        raise ValueError(f"bench may produce more than {MAX_DELAY_BINS} delay bins")
+    shifts = iter(shifts)
+
+    transfer = {0: np.broadcast_to(np.eye(2, dtype=complex), (len(benches), 2, 2))}
+    for pos, el in enumerate(first.elements):
         if isinstance(el, Waveplate):
-            u = el.jones()
+            mats = _per_bench([b.elements[pos].angle_deg for b in benches],
+                              lambda a: waveplate_jones(el.kind, a))
+            u = np.stack(mats)
             transfer = {d: u @ t for d, t in transfer.items()}
         else:
-            shift = int(el.length)
-            fast, slow = _fast_slow_projectors(el.fast_axis_deg)
+            shift = next(shifts)
+            pairs = _per_bench([b.elements[pos].fast_axis_deg for b in benches],
+                               _fast_slow_projectors)
+            fast = np.stack([f for f, _ in pairs])
+            slow = np.stack([s for _, s in pairs])
             merged: dict = {}
             for d, t in transfer.items():
                 stay = fast @ t
@@ -210,12 +282,31 @@ def propagate(bench: BenchConfig) -> KrausSet:
                 else:
                     merged[d + shift] = move
             transfer = merged
-    pairs = sorted(
-        ((d, t) for d, t in transfer.items()
-         if np.sqrt((np.abs(t) ** 2).sum()) > _ZERO_NORM),
-        key=lambda pair: pair[0],
+    delays = sorted(transfer)
+    return tuple(delays), np.stack([transfer[d] for d in delays], axis=1)
+
+
+def _nonzero_bins(ops: np.ndarray) -> np.ndarray:
+    """Mask of the bins whose transfer matrix is not numerically zero, shape ``ops.shape[:-2]``.
+
+    These are the bins :func:`propagate` keeps as Kraus operators.
+    """
+    return np.sqrt((np.abs(ops) ** 2).sum(axis=(-2, -1))) > _ZERO_NORM
+
+
+def propagate(bench: BenchConfig) -> KrausSet:
+    """Propagate through the bench and return the delay-resolved Kraus set.
+
+    The bench is normalized to integer crystal lengths first (exact), so any
+    positive-rational lengths are accepted.  Raises ValueError for a bench
+    that may produce more than ``MAX_DELAY_BINS`` delay bins.
+    """
+    delays, ops = propagate_stack([bench])
+    keep = _nonzero_bins(ops[0]).tolist()
+    return KrausSet(
+        tuple(d for d, k in zip(delays, keep) if k),
+        tuple(t for t, k in zip(ops[0], keep) if k),
     )
-    return KrausSet(tuple(d for d, _ in pairs), tuple(t for _, t in pairs))
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -248,9 +339,31 @@ class AffineMap:
         return self.matrix @ s + self.translation
 
 
-def _stokes_of(rho: np.ndarray) -> np.ndarray:
+def _channel_stack(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``sum_d K_d rho K_d^dag`` per bench, summed in delay order like apply_channel."""
+    out = np.zeros((ops.shape[0], 2, 2), dtype=complex)
+    for i in range(ops.shape[1]):
+        k = ops[:, i]
+        out += k @ rho @ k.conj().swapaxes(-1, -2)
+    return out
+
+
+def _stokes_stack(rho: np.ndarray) -> np.ndarray:
     # unchecked fast path; rho is a channel output, validation happens in tests
-    return np.array([np.trace(rho @ PAULI_BASIS[i]).real for i in (1, 2, 3)])
+    return np.stack(
+        [np.trace(rho @ PAULI_BASIS[i], axis1=-2, axis2=-1).real for i in (1, 2, 3)], axis=-1
+    )
+
+
+def _affine_stack(ops: np.ndarray) -> tuple:
+    """Stokes matrices ``(B, 3, 3)`` and translations ``(B, 3)`` of a Kraus stack."""
+    _require_complete(ops)
+    eye = np.eye(2, dtype=complex)
+    t = _stokes_stack(_channel_stack(ops, eye / 2))
+    m = np.empty((ops.shape[0], 3, 3))
+    for i in (1, 2, 3):
+        m[:, :, i - 1] = _stokes_stack(_channel_stack(ops, (eye + PAULI_BASIS[i]) / 2)) - t
+    return m, t
 
 
 def affine_map(kraus: KrausSet) -> AffineMap:
@@ -261,11 +374,5 @@ def affine_map(kraus: KrausSet) -> AffineMap:
     state (zero for every bench built here, since each path acts
     unitarily).
     """
-    kraus.require_complete()
-    eye = np.eye(2, dtype=complex)
-    t = _stokes_of(apply_channel(kraus, eye / 2))
-    m = np.empty((3, 3))
-    for i in (1, 2, 3):
-        rho_axis = (eye + PAULI_BASIS[i]) / 2
-        m[:, i - 1] = _stokes_of(apply_channel(kraus, rho_axis)) - t
-    return AffineMap(m, t)
+    m, t = _affine_stack(kraus.as_stack())
+    return AffineMap(m[0], t[0])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench_sim import KrausSet
+from .bench_sim import KrausSet, _require_complete
 from .polar_core import PAULI_BASIS
 
 __all__ = [
@@ -39,12 +39,16 @@ def chi_from_kraus(kraus: KrausSet) -> np.ndarray:
     Each operator is expanded as K_d = sum_m c_dm E_m with
     c_dm = Tr(E_m K_d)/2; then chi_mn = sum_d c_dm c_dn^*.
     """
-    kraus.require_complete()
-    coeffs = np.array(
-        [[np.trace(em @ k) / 2.0 for em in PAULI_BASIS] for k in kraus.operators]
+    return _chi_stack(kraus.as_stack())[0]
+
+
+def _chi_stack(ops: np.ndarray) -> np.ndarray:
+    """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack."""
+    _require_complete(ops)
+    coeffs = np.stack(
+        [np.trace(em @ ops, axis1=-2, axis2=-1) / 2.0 for em in PAULI_BASIS], axis=-1
     )
-    chi = coeffs.T @ coeffs.conj()
-    return chi
+    return coeffs.swapaxes(-1, -2) @ coeffs.conj()
 
 
 def apply_process_matrix(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -74,11 +78,15 @@ def check_process_matrix(chi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
 
 
 def chi_eigenvalues(chi: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of chi, sorted descending, tiny negatives clipped to 0."""
+    """Real eigenvalues of chi, sorted descending, tiny negatives clipped to 0.
+
+    Takes one 4x4 matrix or a stack of shape ``(..., 4, 4)``; the Hermitian
+    and clipping-window checks then cover every matrix of the stack.
+    """
     chi = np.asarray(chi, dtype=complex)
-    if np.abs(chi - chi.conj().T).max() > 1e-9:
+    if np.abs(chi - chi.conj().swapaxes(-1, -2)).max() > 1e-9:
         raise ValueError("process matrix is not Hermitian")
-    vals = np.linalg.eigvalsh(chi)[::-1].astype(float)
+    vals = np.linalg.eigvalsh(chi)[..., ::-1].astype(float)
     if vals.min() < -atol:
         raise ValueError(f"eigenvalue {vals.min():.3g} below clipping window")
     return np.clip(vals, 0.0, None)
@@ -141,23 +149,28 @@ def polar_decompose(m: np.ndarray, atol: float = 1e-10) -> EllipsoidReport:
     return EllipsoidReport(tuple(radii), o, det_sign, False)
 
 
-def pauli_feasible(r1: float, r2: float, r3: float, atol: float = 1e-12):
+def pauli_feasible(r1, r2, r3, atol: float = 1e-12):
     """Physicality of an axis-aligned channel with signed radii (r1, r2, r3).
 
     Returns (feasible, lambdas) where the four lambdas are the process-matrix
     eigenvalues implied by the radii; the channel is completely positive iff
-    all of them lie in [0, 1].
+    all of them lie in [0, 1].  Scalars give a bool and lambdas of shape
+    (4,).  Arrays broadcast elementwise and give a boolean array of the
+    broadcast shape and lambdas of that shape plus a trailing axis of 4,
+    each point's values bit-identical to a scalar call.
     """
-    lam = np.array(
+    r1, r2, r3 = (np.asarray(r, dtype=float) for r in (r1, r2, r3))
+    lam = np.stack(
         [
             (1.0 + r1 + r2 + r3) / 4.0,
             (1.0 + r1 - r2 - r3) / 4.0,
             (1.0 - r1 + r2 - r3) / 4.0,
             (1.0 - r1 - r2 + r3) / 4.0,
-        ]
+        ],
+        axis=-1,
     )
-    feasible = bool(np.all(lam >= -atol) and np.all(lam <= 1.0 + atol))
-    return feasible, lam
+    feasible = np.all((lam >= -atol) & (lam <= 1.0 + atol), axis=-1)
+    return (bool(feasible) if feasible.ndim == 0 else feasible), lam
 
 
 def isotropy_deviation(chi: np.ndarray) -> float:

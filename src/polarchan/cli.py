@@ -22,14 +22,33 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .bench_sim import BenchConfig, Crystal, Waveplate, affine_map, propagate
-from .channel_analysis import chi_eigenvalues, chi_from_kraus, pauli_feasible, polar_decompose
+from .bench_sim import (
+    MAX_DELAY_BINS,
+    BenchConfig,
+    Crystal,
+    KrausSet,
+    Waveplate,
+    _affine_stack,
+    _nonzero_bins,
+    affine_map,
+    delay_bin_bound,
+    propagate,
+    propagate_stack,
+)
+from .channel_analysis import (
+    _chi_stack,
+    chi_eigenvalues,
+    chi_from_kraus,
+    pauli_feasible,
+    polar_decompose,
+)
 from .depolarizer import (
     REFLECTION_COMPENSATION,
     DepolarizerSettings,
@@ -49,8 +68,15 @@ PRESETS = ("fig1", "lyot", "two_crystal", "rotated_crystals")
 
 ENV_SEED = "POLARCHAN_SEED"
 
-#: hard ceiling on feasibility and region grid sizes
+#: hard ceiling on feasibility and region grid sizes and on sweep rows
 _MAX_GRID_POINTS = 4_000_000
+
+#: sweep rows propagated together; bounds the stack's memory
+_SWEEP_BLOCK = 256
+
+#: polar_decompose's default atol: compensated maps this close to diagonal
+#: report their diagonal as the radii
+_AXIS_ALIGNED_ATOL = 1e-10
 
 _KNOWN_KEYS = {
     "mode", "preset", "element", "theta1", "theta2",
@@ -247,6 +273,9 @@ def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n):
             errors.append("preset rotated_crystals requires 'rotation'")
     if not needs_bench and elements:
         errors.append(f"inline elements are not supported in {mode!r} mode")
+    if needs_bench and elements and delay_bin_bound(BenchConfig(tuple(elements))) > MAX_DELAY_BINS:
+        errors.append(f"inline elements may produce more than {MAX_DELAY_BINS} delay bins; "
+                      "use fewer crystals or commensurate lengths")
     if mode == "sweep":
         if preset not in (None, "fig1"):
             errors.append("sweep mode supports only the fig1 preset")
@@ -258,6 +287,9 @@ def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n):
             if step <= 0 or kw["theta2_stop"] < kw["theta2_start"]:
                 errors.append(f"line {seen.get('theta2_step', '?')}: degenerate range "
                               f"(step {step}, start {kw['theta2_start']}, stop {kw['theta2_stop']})")
+            elif _sweep_row_count(kw["theta2_start"], kw["theta2_stop"], step) > _MAX_GRID_POINTS:
+                errors.append(f"line {seen['theta2_step']}: sweep of more than {_MAX_GRID_POINTS} "
+                              "rows exceeds the limit; increase theta2_step")
     if mode == "feasibility" and r_step is not None:
         if r_step <= 0:
             errors.append(f"line {seen['r_step']}: degenerate range (r_step {r_step})")
@@ -338,46 +370,85 @@ def run_simulate(cfg: RunConfig) -> list:
     return [",".join(header), ",".join(row)]
 
 
+def _sweep_row_count(start: float, stop: float, step: float) -> int:
+    """Rows of a sweep: the least k with ``start + k*step > stop + 1e-9``.
+
+    Counts above ``_MAX_GRID_POINTS`` come back as ``_MAX_GRID_POINTS + 1``.
+    ``start + k*step`` never decreases with k, so a bisection finds k
+    without stepping through the rows.
+    """
+    limit = stop + 1e-9
+    lo, hi = 0, _MAX_GRID_POINTS + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if start + mid * step > limit:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _sweep_thetas(cfg: RunConfig) -> list:
-    values = []
-    k = 0
-    while True:
-        t2 = cfg.theta2_start + k * cfg.theta2_step
-        if t2 > cfg.theta2_stop + 1e-9:
-            break
-        values.append(t2)
-        k += 1
-    return values
+    count = _sweep_row_count(cfg.theta2_start, cfg.theta2_stop, cfg.theta2_step)
+    return [cfg.theta2_start + k * cfg.theta2_step for k in range(count)]
 
 
-def _sweep_row(cfg: RunConfig, theta1: float, theta2: float, row_seed: int, iso_roots) -> str:
+def _sweep_block(benches, keep_kraus: bool) -> tuple:
+    """Compensated radii ``(B, 3)``, chi spectra ``(B, 4)`` and, with
+    ``keep_kraus``, the Kraus set of every bench in one shared-structure block.
+
+    Benches are grouped by which delay bins survive the zero filter, so each
+    group is analysed with exactly the operators ``propagate`` would keep.
+    """
+    delays, ops = propagate_stack(benches)
+    keep = _nonzero_bins(ops)
+    groups: dict = {}
+    for b, row in enumerate(keep):
+        groups.setdefault(row.tobytes(), []).append(b)
+    radii = np.empty((len(benches), 3))
+    lams = np.empty((len(benches), 4))
+    krauses = [None] * len(benches)
+    for rows in groups.values():
+        bins = np.flatnonzero(keep[rows[0]])
+        group = ops[np.ix_(rows, bins)]
+        matrices, _ = _affine_stack(group)
+        compensated = REFLECTION_COMPENSATION @ matrices
+        radii[rows] = np.diagonal(compensated, axis1=-2, axis2=-1)
+        off_diag = np.abs(compensated[:, ~np.eye(3, dtype=bool)]).max(axis=-1)
+        for g in np.flatnonzero(off_diag > _AXIS_ALIGNED_ATOL):
+            radii[rows[g]] = polar_decompose(compensated[g]).radii
+        lams[rows] = chi_eigenvalues(_chi_stack(group))
+        if keep_kraus:
+            kept = tuple(delays[i] for i in bins)
+            for g, b in enumerate(rows):
+                krauses[b] = KrausSet(kept, tuple(group[g]))
+    return radii, lams, krauses
+
+
+def _sweep_row(theta1: float, theta2: float, on_iso_line: bool, sim, lams) -> list:
     r1c, r2c, r3c = radii_closed_form(theta1, theta2)
-    on_iso_line = any(abs(theta1 - root) < 1e-6 for root in iso_roots)
     dop = _fmt(dop_isotropic(theta2)) if on_iso_line else ""
-
-    bench = build_bench(DepolarizerSettings(theta1, theta2, cfg.length1, cfg.length2))
-    kraus = propagate(bench)
-    compensated = REFLECTION_COMPENSATION @ affine_map(kraus).matrix
-    sim = polar_decompose(compensated).radii
-    lams = chi_eigenvalues(chi_from_kraus(kraus))
-
     cells = [_fmt_angle(theta2), _fmt(r1c), _fmt(r2c), _fmt(r3c), dop]
     cells += [_fmt(v) for v in sim]
     cells += [_fmt(v) for v in lams]
-    if cfg.tomo:
-        settings = TomoSettings(shots=cfg.n, seed=row_seed)
-        fit = qpt_mle(simulate_counts(kraus, settings))
-        cells += [_fmt(v) for v in chi_eigenvalues(fit.chi)]
-        cells.append(str(row_seed))
-    else:
-        cells += ["", "", "", "", ""]
-    return ",".join(cells)
+    return cells
+
+
+def _fit_row(cfg: RunConfig, kraus: KrausSet, row_seed: int) -> tuple:
+    fit = qpt_mle(simulate_counts(kraus, TomoSettings(shots=cfg.n, seed=row_seed)))
+    return fit.converged, chi_eigenvalues(fit.chi)
 
 
 def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
+    """Sweep rows, propagated in blocks of ``_SWEEP_BLOCK`` benches.
+
+    Row i's tomography uses seed ``seed + i``, so output is independent of
+    ``jobs``, which sets the threads of the per-row MLE fits.  Rows whose
+    fit did not converge are reported on stderr after the fits.
+    """
     theta1 = cfg.theta1 if cfg.theta1 is not None else isotropic_theta1_angles()[1]
     thetas = _sweep_thetas(cfg)
-    iso_roots = isotropic_theta1_angles()
+    on_iso_line = any(abs(theta1 - root) < 1e-6 for root in isotropic_theta1_angles())
     header = (
         ["theta2", "r1_closed", "r2_closed", "r3_closed", "dop_closed",
          "r1_sim", "r2_sim", "r3_sim"]
@@ -385,17 +456,31 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
         + [f"lambda{i}_mle" for i in (1, 2, 3, 4)]
         + ["seed"]
     )
-    # rows are keyed by sweep index, so output order and per-row seeds are
-    # independent of the worker count
-    tasks = [(t2, seed + i) for i, t2 in enumerate(thetas)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(
-                lambda task: _sweep_row(cfg, theta1, task[0], task[1], iso_roots), tasks
-            ))
-    else:
-        rows = [_sweep_row(cfg, theta1, t2, s, iso_roots) for t2, s in tasks]
-    return [",".join(header)] + rows
+    lines = [",".join(header)]
+    unconverged = []
+    pool = ThreadPoolExecutor(max_workers=jobs) if cfg.tomo and jobs > 1 else nullcontext()
+    with pool as executor:
+        fit_map = map if executor is None else executor.map
+        for start in range(0, len(thetas), _SWEEP_BLOCK):
+            block = thetas[start:start + _SWEEP_BLOCK]
+            benches = [build_bench(DepolarizerSettings(theta1, t2, cfg.length1, cfg.length2))
+                       for t2 in block]
+            radii, lams, krauses = _sweep_block(benches, cfg.tomo)
+            rows = [_sweep_row(theta1, t2, on_iso_line, sim, lam)
+                    for t2, sim, lam in zip(block, radii.tolist(), lams.tolist())]
+            if not cfg.tomo:
+                lines += [",".join(cells + ["", "", "", "", ""]) for cells in rows]
+                continue
+            row_seeds = range(seed + start, seed + start + len(block))
+            fits = fit_map(lambda task: _fit_row(cfg, *task), zip(krauses, row_seeds))
+            for i, (cells, (converged, lams_mle)) in enumerate(zip(rows, fits), start=start):
+                lines.append(",".join(cells + [_fmt(v) for v in lams_mle] + [str(seed + i)]))
+                if not converged:
+                    unconverged.append(i)
+    for i in unconverged:
+        sys.stderr.write(f"polarchan: warning: sweep row {i} (theta2 = {_fmt_angle(thetas[i])}): "
+                         "MLE fit did not converge\n")
+    return lines
 
 
 def run_tomo(cfg: RunConfig, seed: int) -> list:
@@ -425,22 +510,28 @@ def run_tomo(cfg: RunConfig, seed: int) -> list:
 
 def run_feasibility(cfg: RunConfig) -> list:
     values = np.arange(-1.0, 1.0 + cfg.r_step / 2, cfg.r_step)
+    r1, r2 = np.meshgrid(values, values, indexing="ij")
+    feasible, lam = pauli_feasible(r1, r2, r2)
+    reachable = in_reachable_region(r1, r2)
+    bad = np.argwhere(reachable & ~feasible)
+    if len(bad):
+        i, j = bad[0]
+        raise AssertionError(
+            f"reachable point ({values[i]}, {values[j]}) is outside the feasible set"
+        )
     header = ["r1", "r2", "lambda0", "lambda1", "lambda2", "lambda3",
               "feasible", "reachable"]
     lines = [",".join(header)]
-    for r1 in values:
-        for r2 in values:
-            feasible, lam = pauli_feasible(r1, r2, r2)
-            reachable = bool(in_reachable_region(r1, r2))
-            if reachable and not feasible:
-                raise AssertionError(
-                    f"reachable point ({r1}, {r2}) is outside the feasible set"
-                )
-            lines.append(",".join(
-                [_fmt(r1), _fmt(r2)]
-                + [_fmt(v) for v in lam]
-                + ["true" if feasible else "false", "true" if reachable else "false"]
-            ))
+    flags = ("false", "true")
+    columns = values.tolist()
+    # one grid row at a time keeps the Python-float copies small
+    for i, v1 in enumerate(columns):
+        lines += [
+            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s"
+            % (v1, v2, l0, l1, l2, l3, flags[f], flags[r])
+            for v2, (l0, l1, l2, l3), f, r in zip(
+                columns, lam[i].tolist(), feasible[i].tolist(), reachable[i].tolist())
+        ]
     return lines
 
 
@@ -449,8 +540,10 @@ def run_region(cfg: RunConfig) -> list:
     t1, t2 = np.meshgrid(angles, angles, indexing="ij")
     r1, r2, _ = radii_closed_form(t1, t2)
     lines = [",".join(["theta1", "theta2", "r1", "r2"])]
-    for a1, a2, v1, v2 in zip(t1.ravel(), t2.ravel(), r1.ravel(), r2.ravel()):
-        lines.append(",".join([_fmt_angle(a1), _fmt_angle(a2), _fmt(v1), _fmt(v2)]))
+    angle_cells = ["%.6f" % a for a in angles.tolist()]
+    for i, a1 in enumerate(angle_cells):
+        lines += ["%s,%s,%.12g,%.12g" % (a1, a2, v1, v2)
+                  for a2, v1, v2 in zip(angle_cells, r1[i].tolist(), r2[i].tolist())]
     return lines
 
 

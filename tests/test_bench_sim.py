@@ -2,17 +2,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarchan.bench_sim import (
+    MAX_DELAY_BINS,
     AffineMap,
     BenchConfig,
     Crystal,
     KrausSet,
     Waveplate,
+    _nonzero_bins,
     affine_map,
     apply_channel,
+    delay_bin_bound,
     normalize_delays,
     propagate,
+    propagate_stack,
 )
 from polarchan.depolarizer import (
     REFLECTION_COMPENSATION,
@@ -20,7 +26,7 @@ from polarchan.depolarizer import (
     build_bench,
     build_lyot,
 )
-from polarchan.polar_core import PAULI_BASIS, KET_H, density_from_stokes, ket_projector
+from polarchan.polar_core import PAULI_BASIS, KET_H, density_from_stokes, ket_projector, rotation2
 
 from conftest import random_bench, random_physical_stokes
 
@@ -159,3 +165,129 @@ def test_affine_map_immutability():
     amap = AffineMap(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         amap.matrix[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# stacked propagation against the one-bench delay-dictionary loop
+# ---------------------------------------------------------------------------
+
+def reference_propagate(bench):
+    """One bench at a time: a dict of delay -> transfer matrix, zero bins dropped."""
+    bench = normalize_delays(bench)
+    transfer = {0: np.eye(2, dtype=complex)}
+    for el in bench.elements:
+        if isinstance(el, Waveplate):
+            u = el.jones()
+            transfer = {d: u @ t for d, t in transfer.items()}
+            continue
+        shift = int(el.length)
+        r = rotation2(el.fast_axis_deg)
+        fast = np.outer(r[:, 0], r[:, 0]).astype(complex)
+        slow = np.outer(r[:, 1], r[:, 1]).astype(complex)
+        merged = {}
+        for d, t in transfer.items():
+            merged[d] = merged[d] + fast @ t if d in merged else fast @ t
+            merged[d + shift] = merged[d + shift] + slow @ t if d + shift in merged else slow @ t
+        transfer = merged
+    pairs = sorted((d, t) for d, t in transfer.items() if np.sqrt((np.abs(t) ** 2).sum()) > 1e-14)
+    return [d for d, _ in pairs], [t for _, t in pairs]
+
+
+def reference_affine_matrix(kraus):
+    """Stokes matrix column by column through apply_channel."""
+    eye = np.eye(2, dtype=complex)
+
+    def stokes(rho):
+        return np.array([np.trace(rho @ PAULI_BASIS[i]).real for i in (1, 2, 3)])
+
+    t = stokes(apply_channel(kraus, eye / 2))
+    m = np.empty((3, 3))
+    for i in (1, 2, 3):
+        m[:, i - 1] = stokes(apply_channel(kraus, (eye + PAULI_BASIS[i]) / 2)) - t
+    return m
+
+
+# structure: per element, a crystal length (int) or a wave-plate kind; angles drawn apart
+_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 45.0, 90.0, 22.5, -45.0]),
+                    st.floats(-180.0, 180.0, allow_nan=False))
+_STRUCTURES = st.lists(st.one_of(st.integers(1, 4), st.sampled_from(["half", "quarter"])),
+                       min_size=1, max_size=6)
+
+
+def bench_from(structure, angles):
+    return BenchConfig(tuple(
+        Waveplate(kind, a) if isinstance(kind, str) else Crystal(kind, a)
+        for kind, a in zip(structure, angles)
+    ))
+
+
+@st.composite
+def bench_stacks(draw):
+    structure = draw(_STRUCTURES)
+    n = draw(st.integers(1, 5))
+    return [bench_from(structure, draw(st.lists(_ANGLES, min_size=len(structure),
+                                                max_size=len(structure))))
+            for _ in range(n)]
+
+
+def same_bits(a, b) -> bool:
+    # byte equality, so 0.0 and -0.0 differ
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(bench_stacks())
+def test_stack_matches_one_bench_reference(benches):
+    delays, ops = propagate_stack(benches)
+    assert ops.shape == (len(benches), len(delays), 2, 2)
+    for b, bench in enumerate(benches):
+        one_delays, one_ops = propagate_stack([bench])
+        assert one_delays == delays
+        assert same_bits(one_ops[0], ops[b])
+        keep = _nonzero_bins(ops[b])
+        kraus = propagate(bench)
+        assert kraus.delays == tuple(d for d, k in zip(delays, keep) if k)
+        assert same_bits(kraus.operators, ops[b][keep])
+        ref_delays, ref_ops = reference_propagate(bench)
+        assert list(kraus.delays) == ref_delays
+        assert same_bits(kraus.operators, ref_ops)
+        assert same_bits(affine_map(kraus).matrix, reference_affine_matrix(kraus))
+
+
+def test_stack_keeps_signed_zero_angles_apart():
+    plus, minus = (BenchConfig((Waveplate("half", a), Crystal(1, a))) for a in (0.0, -0.0))
+    _, ops = propagate_stack([plus, minus])
+    assert same_bits(ops[1], propagate_stack([minus])[1][0])
+    assert not same_bits(ops[0], ops[1])
+
+
+@pytest.mark.parametrize("other", [
+    BenchConfig((Crystal(1, 0.0), Waveplate("half", 10.0), Crystal(3, 5.0))),     # length
+    BenchConfig((Crystal(1, 0.0), Waveplate("quarter", 10.0), Crystal(2, 5.0))),  # plate kind
+    BenchConfig((Waveplate("half", 10.0), Crystal(1, 0.0), Crystal(2, 5.0))),     # order
+    BenchConfig((Crystal(1, 0.0), Waveplate("half", 10.0))),                      # count
+])
+def test_stack_rejects_mismatched_structure(other):
+    base = BenchConfig((Crystal(1, 0.0), Waveplate("half", 30.0), Crystal(2, 45.0)))
+    with pytest.raises(ValueError, match="share element kinds and crystal lengths"):
+        propagate_stack([base, other])
+
+
+def test_stack_rejects_empty_list():
+    with pytest.raises(ValueError, match="at least one bench"):
+        propagate_stack([])
+
+
+def test_delay_bins_capped_before_propagation():
+    # 17 incommensurate crystals would give 2**17 bins; refused before any allocation
+    huge = bench_of_lengths(*(2 ** i for i in range(17)))
+    assert delay_bin_bound(huge) == 2 ** 17 > MAX_DELAY_BINS
+    with pytest.raises(ValueError, match=f"more than {MAX_DELAY_BINS} delay bins"):
+        propagate(huge)
+    with pytest.raises(ValueError, match="delay bins"):
+        propagate_stack([huge, huge])
+    assert delay_bin_bound(bench_of_lengths(*(2 ** i for i in range(16)))) == MAX_DELAY_BINS
+    # commensurate lengths collapse: 40 unit crystals reach at most 41 delays
+    assert delay_bin_bound(bench_of_lengths(*([1] * 40))) == 41
+    assert delay_bin_bound(BenchConfig((Waveplate("half", 0.0),))) == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarchan.bench_sim import BenchConfig, Waveplate, affine_map, apply_channel, propagate
 from polarchan.channel_analysis import (
@@ -125,6 +127,26 @@ def test_pauli_feasible_examples():
     ok, lam = pauli_feasible(-1 / 3, -1 / 3, -1 / 3)
     assert ok
     assert np.allclose(lam, [0, 1 / 3, 1 / 3, 1 / 3])
+
+
+_RADII = st.one_of(st.sampled_from([-1.0, -1 / 3, 0.0, -0.0, 1 / 3, 0.5, 1.0, 1.0 + 1e-12, -1.0 - 4e-12]),
+                   st.floats(-1.5, 1.5, allow_nan=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_RADII, _RADII, _RADII), min_size=1, max_size=40))
+def test_pauli_feasible_arrays_match_scalar_calls(points):
+    r1, r2, r3 = (np.array(column) for column in zip(*points))
+    feasible, lam = pauli_feasible(r1, r2, r3)
+    assert feasible.shape == (len(points),) and lam.shape == (len(points), 4)
+    for i, point in enumerate(points):
+        ok, expected = pauli_feasible(*point)
+        assert isinstance(ok, bool)
+        assert feasible[i] == ok
+        assert np.array_equal(lam[i], expected)
+    grid_ok, grid_lam = pauli_feasible(r1[:, None], r2[None, :], r2[None, :])
+    assert grid_ok.shape == (len(points), len(points))
+    assert np.array_equal(grid_lam[:, 0], pauli_feasible(r1, r2[0], r2[0])[1])
 
 
 def test_feasibility_closure_random_benches(rng):

@@ -1,12 +1,31 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarchan.cli import ConfigError, main, parse_config, run_sweep
+from polarchan import cli
+from polarchan.bench_sim import affine_map, propagate
+from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus, polar_decompose
+from polarchan.cli import ConfigError, _fmt, _fmt_angle, main, parse_config, run_sweep
+from polarchan.depolarizer import (
+    REFLECTION_COMPENSATION,
+    DegenerateLengthRatioWarning,
+    DepolarizerSettings,
+    build_bench,
+    dop_isotropic,
+    isotropic_theta1_angles,
+    radii_closed_form,
+)
+from polarchan.tomography import TomoSettings, qpt_mle, simulate_counts
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -148,6 +167,49 @@ def test_region_grid_capped_before_allocation(tmp_path, capsys):
     assert "decrease grid_n" in err
 
 
+def test_sweep_rows_capped_before_allocation(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("mode = sweep\npreset = fig1\ntheta2_start = 0\n"
+                   "theta2_stop = 1e9\ntheta2_step = 1e-9\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("polarchan: line 5: sweep of more than 4000000 rows")
+    # a range whose row estimate overflows is refused too
+    cfg.write_text("mode = sweep\npreset = fig1\ntheta2_start = -1e308\n"
+                   "theta2_stop = 1e308\ntheta2_step = 1e-300\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert "sweep of more than" in capsys.readouterr().err
+
+
+def reference_sweep_thetas(start, stop, step):
+    """Step through the rows one at a time, as a sweep used to."""
+    values, k = [], 0
+    while start + k * step <= stop + 1e-9:
+        values.append(start + k * step)
+        k += 1
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(0, 2e3), st.floats(1e-2, 50.0))
+def test_sweep_row_count_matches_stepping(start, width, step):
+    stop = start + width
+    cfg = cli.RunConfig(mode="sweep", theta2_start=start, theta2_stop=stop, theta2_step=step)
+    assert cli._sweep_thetas(cfg) == reference_sweep_thetas(start, stop, step)
+
+
+def test_inline_delay_bins_capped_before_propagation(tmp_path, capsys):
+    cfg = tmp_path / "bins.cfg"
+    cfg.write_text("mode = simulate\n" + "".join(
+        f"element = crystal({2 ** i}, {7 * i})\n" for i in range(17)))
+    with mock.patch.object(cli, "propagate", side_effect=AssertionError("propagated")):
+        assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("polarchan: inline elements may produce more than 65536 delay bins")
+
+
 def test_exit_code_io_error():
     res = run_cli("region", "--config", "/definitely/not/here.cfg")
     assert res.returncode == 2
@@ -237,6 +299,80 @@ def test_sweep_csv_reparses():
                 assert cell == ""  # off the isotropic line
             else:
                 float(cell)  # numeric columns parse
+
+
+def reference_sweep_row(cfg, theta1, theta2, row_seed=None):
+    """One sweep row through the one-bench API, formatted cell by cell."""
+    bench = build_bench(DepolarizerSettings(theta1, theta2, cfg.length1, cfg.length2))
+    kraus = propagate(bench)
+    sim = polar_decompose(REFLECTION_COMPENSATION @ affine_map(kraus).matrix).radii
+    lams = chi_eigenvalues(chi_from_kraus(kraus))
+    on_iso_line = any(abs(theta1 - root) < 1e-6 for root in isotropic_theta1_angles())
+    cells = [_fmt_angle(theta2)] + [_fmt(v) for v in radii_closed_form(theta1, theta2)]
+    cells.append(_fmt(dop_isotropic(theta2)) if on_iso_line else "")
+    cells += [_fmt(v) for v in sim] + [_fmt(v) for v in lams]
+    if row_seed is None:
+        cells += [""] * 5
+    else:
+        fit = qpt_mle(simulate_counts(kraus, TomoSettings(shots=cfg.n, seed=row_seed)))
+        cells += [_fmt(v) for v in chi_eigenvalues(fit.chi)] + [str(row_seed)]
+    return ",".join(cells)
+
+
+# steps that hit 0 and 45 exactly from a start of -m * step
+_STEPS = st.sampled_from([0.5, 1.0, 2.5, 3.0, 7.5, 9.0, 15.0, 22.5, 45.0])
+_THETA1 = st.one_of(st.sampled_from([0.0, 45.0, 22.5, *isotropic_theta1_angles()]),
+                    st.floats(-90.0, 90.0))
+_LENGTHS = st.sampled_from([(1, 2), (2, 3), (1, 1), (2, 1), (3, 3), ("3/2", 7), (1, 3)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_THETA1, _STEPS, st.integers(0, 4), st.integers(0, 4), _LENGTHS, st.integers(1, 300))
+def test_sweep_rows_match_one_bench_reference(theta1, step, before, after, lengths, block):
+    length1, length2 = (Fraction(v) for v in lengths)
+    cfg = cli.RunConfig(mode="sweep", preset="fig1", theta1=theta1,
+                        theta2_start=-before * step, theta2_stop=45.0 + after * step,
+                        theta2_step=step, length1=length1, length2=length2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
+        with mock.patch.object(cli, "_SWEEP_BLOCK", block):
+            lines = run_sweep(cfg, jobs=1, seed=0)
+        thetas = cli._sweep_thetas(cfg)
+        assert 0.0 in thetas and 45.0 in thetas
+        assert lines[1:] == [reference_sweep_row(cfg, theta1, t2) for t2 in thetas]
+
+
+def test_tomo_sweep_rows_match_reference_across_blocks():
+    cfg = parse_config("mode = sweep\npreset = fig1\ntheta2_start = 0\ntheta2_stop = 45\n"
+                       "theta2_step = 7.5\ntomo = true\nn = 300\n")
+    theta1 = isotropic_theta1_angles()[1]
+    expected = [reference_sweep_row(cfg, theta1, t2, 40 + i)
+                for i, t2 in enumerate(cli._sweep_thetas(cfg))]
+    with mock.patch.object(cli, "_SWEEP_BLOCK", 3):
+        for jobs in (1, 2):
+            assert run_sweep(cfg, jobs=jobs, seed=40)[1:] == expected
+
+
+def test_sweep_reports_unconverged_fits(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("mode = sweep\npreset = fig1\ntheta2_start = 0\ntheta2_stop = 20\n"
+                   "theta2_step = 5\ntomo = true\nn = 300\nseed = 10\n")
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    converged_bytes = out.read_bytes()
+
+    def flaky_mle(record):
+        fit = qpt_mle(record)
+        return dataclasses.replace(fit, converged=record.seed not in (11, 13))
+
+    with mock.patch.object(cli, "qpt_mle", flaky_mle):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
+    assert capsys.readouterr().err == (
+        "polarchan: warning: sweep row 1 (theta2 = 5.000000): MLE fit did not converge\n"
+        "polarchan: warning: sweep row 3 (theta2 = 15.000000): MLE fit did not converge\n"
+    )
+    assert out.read_bytes() == converged_bytes
 
 
 # ---------------------------------------------------------------------------
