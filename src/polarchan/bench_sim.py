@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
 
-from .polar_core import PAULI_BASIS, rotation2, waveplate_jones
+from .polar_core import PAULI_STACK, rotation2, waveplate_jones
 
 __all__ = [
     "Crystal",
@@ -161,22 +162,26 @@ def delay_bin_bound(bench: BenchConfig) -> int:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators of a channel, one per resolved temporal delay."""
+    """Kraus operators of a channel, one per resolved temporal delay.
+
+    The operators are read-only views of one ``(1, n, 2, 2)`` stack, built
+    once; the completeness defect is computed on first use and kept.
+    """
 
     delays: tuple
     operators: tuple
 
     def __post_init__(self):
         delays = tuple(int(d) for d in self.delays)
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        if len(delays) != len(ops):
+        stack = np.array(self.operators, dtype=complex).reshape(1, -1, 2, 2)
+        if len(delays) != stack.shape[1]:
             raise ValueError("delays and operators must have equal length")
         if any(d1 >= d2 for d1, d2 in zip(delays, delays[1:])):
             raise ValueError("delays must be strictly increasing")
-        for k in ops:
-            k.setflags(write=False)
+        stack.setflags(write=False)
         object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", tuple(stack[0]))
+        object.__setattr__(self, "_stack", stack)
 
     def __len__(self) -> int:
         return len(self.delays)
@@ -185,15 +190,19 @@ class KrausSet:
         return iter(zip(self.delays, self.operators))
 
     def as_stack(self) -> np.ndarray:
-        """The operators as a one-bench ``(1, n, 2, 2)`` stack."""
-        return np.asarray(self.operators, dtype=complex).reshape(1, -1, 2, 2)
+        """The operators as a read-only one-bench ``(1, n, 2, 2)`` stack."""
+        return self._stack
+
+    @cached_property
+    def _defect(self) -> float:
+        return float(_completeness_defects(self._stack)[0])
 
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum_d K_d^dag K_d from the identity."""
-        return float(_completeness_defects(self.as_stack())[0])
+        return self._defect
 
     def require_complete(self, atol: float = 1e-12) -> None:
-        _require_complete(self.as_stack(), atol)
+        _check_defect(self._defect, atol)
 
 
 def _completeness_defects(ops: np.ndarray) -> np.ndarray:
@@ -202,11 +211,14 @@ def _completeness_defects(ops: np.ndarray) -> np.ndarray:
     return np.abs(acc - np.eye(2)).max(axis=(-2, -1))
 
 
-def _require_complete(ops: np.ndarray, atol: float = 1e-12) -> None:
-    """Raise unless every bench of a ``(B, n, 2, 2)`` Kraus stack is trace preserving."""
-    defect = _completeness_defects(ops).max()
+def _check_defect(defect: float, atol: float) -> None:
     if defect > atol:
         raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
+
+
+def _require_complete(ops: np.ndarray, atol: float = 1e-12) -> None:
+    """Raise unless every bench of a ``(B, n, 2, 2)`` Kraus stack is trace preserving."""
+    _check_defect(_completeness_defects(ops).max(), atol)
 
 
 def _fast_slow_projectors(angle_deg: float) -> tuple:
@@ -256,19 +268,19 @@ def propagate_stack(benches) -> tuple:
         raise ValueError(f"bench may produce more than {MAX_DELAY_BINS} delay bins")
     shifts = iter(shifts)
 
-    transfer = {0: np.broadcast_to(np.eye(2, dtype=complex), (len(benches), 2, 2))}
+    transfer = {0: np.array([np.eye(2, dtype=complex)] * len(benches))}
     for pos, el in enumerate(first.elements):
         if isinstance(el, Waveplate):
             mats = _per_bench([b.elements[pos].angle_deg for b in benches],
                               lambda a: waveplate_jones(el.kind, a))
-            u = np.stack(mats)
+            u = np.array(mats)
             transfer = {d: u @ t for d, t in transfer.items()}
         else:
             shift = next(shifts)
             pairs = _per_bench([b.elements[pos].fast_axis_deg for b in benches],
                                _fast_slow_projectors)
-            fast = np.stack([f for f, _ in pairs])
-            slow = np.stack([s for _, s in pairs])
+            fast = np.array([f for f, _ in pairs])
+            slow = np.array([s for _, s in pairs])
             merged: dict = {}
             for d, t in transfer.items():
                 stay = fast @ t
@@ -312,11 +324,8 @@ def propagate(bench: BenchConfig) -> KrausSet:
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
     """Channel action rho -> sum_d K_d rho K_d^dag."""
     kraus.require_complete()
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for k in kraus.operators:
-        out += k @ rho @ k.conj().T
-    return out
+    # the reshape refuses a stack of states, which has more than one output
+    return _channel_stack(kraus.as_stack(), rho).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -340,29 +349,38 @@ class AffineMap:
 
 
 def _channel_stack(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``sum_d K_d rho K_d^dag`` per bench, summed in delay order like apply_channel."""
-    out = np.zeros((ops.shape[0], 2, 2), dtype=complex)
+    """Outputs ``sum_d K_d rho_j K_d^dag`` of a ``(B, n, 2, 2)`` Kraus stack, unchecked.
+
+    ``rho`` is one ``(2, 2)`` state or an ``(m, 2, 2)`` stack of states; one
+    state counts as a stack of one, so the result is always ``(B, m, 2, 2)``,
+    ``[b, j]`` being bench b's output for state j.  Every state goes through
+    the delay bins in one pass: the sum starts at zeros and adds the bins in
+    delay order, the same terms in the same order for every (b, j).
+    """
+    states = np.asarray(rho, dtype=complex).reshape(-1, 2, 2)
+    out = np.zeros((ops.shape[0], states.shape[0], 2, 2), dtype=complex)
     for i in range(ops.shape[1]):
-        k = ops[:, i]
-        out += k @ rho @ k.conj().swapaxes(-1, -2)
+        k = ops[:, i, None]
+        out += k @ states @ k.conj().swapaxes(-1, -2)
     return out
 
 
 def _stokes_stack(rho: np.ndarray) -> np.ndarray:
     # unchecked fast path; rho is a channel output, validation happens in tests
-    return np.stack(
-        [np.trace(rho @ PAULI_BASIS[i], axis1=-2, axis2=-1).real for i in (1, 2, 3)], axis=-1
-    )
+    return np.trace(rho[..., None, :, :] @ PAULI_STACK[1:], axis1=-2, axis2=-1).real
+
+
+#: I/2, then the +1 state on each Stokes axis, (I + E_i)/2
+_PROBE_STATES = np.concatenate([PAULI_STACK[:1], PAULI_STACK[0] + PAULI_STACK[1:]]) / 2
+_PROBE_STATES.setflags(write=False)
 
 
 def _affine_stack(ops: np.ndarray) -> tuple:
-    """Stokes matrices ``(B, 3, 3)`` and translations ``(B, 3)`` of a Kraus stack."""
-    _require_complete(ops)
-    eye = np.eye(2, dtype=complex)
-    t = _stokes_stack(_channel_stack(ops, eye / 2))
-    m = np.empty((ops.shape[0], 3, 3))
-    for i in (1, 2, 3):
-        m[:, :, i - 1] = _stokes_stack(_channel_stack(ops, (eye + PAULI_BASIS[i]) / 2)) - t
+    """Stokes matrices ``(B, 3, 3)`` and translations ``(B, 3)`` of a Kraus stack, unchecked."""
+    stokes = _stokes_stack(_channel_stack(ops, _PROBE_STATES))
+    t = stokes[:, 0]
+    # column i - 1 of each matrix is the image of (I + E_i)/2 minus the translation
+    m = np.ascontiguousarray((stokes[:, 1:] - t[:, None]).swapaxes(-1, -2))
     return m, t
 
 
@@ -374,5 +392,6 @@ def affine_map(kraus: KrausSet) -> AffineMap:
     state (zero for every bench built here, since each path acts
     unitarily).
     """
+    kraus.require_complete()
     m, t = _affine_stack(kraus.as_stack())
     return AffineMap(m[0], t[0])

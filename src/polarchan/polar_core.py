@@ -32,6 +32,7 @@ __all__ = [
     "KET_R",
     "KET_L",
     "PAULI_BASIS",
+    "PAULI_STACK",
     "StokesVector",
     "ket_projector",
     "check_density",
@@ -69,6 +70,10 @@ for _m in (_E0, _E1, _E2, _E3):
 PAULI_BASIS: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = (
     _E0, _E1, _E2, _E3,
 )
+
+#: the same basis as one read-only ``(4, 2, 2)`` array, for stacked products
+PAULI_STACK = np.stack(PAULI_BASIS)
+PAULI_STACK.setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .bench_sim import KrausSet, apply_channel
+from .bench_sim import KrausSet, _channel_stack, apply_channel
 from .polar_core import (
     KET_H,
     KET_L,
@@ -188,16 +188,17 @@ def probability_table(
     projectors: Optional[Sequence[np.ndarray]] = None,
 ) -> np.ndarray:
     """Exact probabilities for every (input, projector) pair, shape (n, 6)."""
-    if inputs is None:
-        inputs = preparation_states()
-    if projectors is None:
-        projectors = analysis_projectors()
-    table = np.empty((len(inputs), len(projectors)))
-    for i, rho in enumerate(inputs):
-        out = apply_channel(kraus, rho)
-        for j, proj in enumerate(projectors):
-            table[i, j] = min(max(float(np.trace(proj @ out).real), 0.0), 1.0)
-    return table
+    kraus.require_complete()
+    states = _prep_tensor() if inputs is None else inputs
+    outs = _channel_stack(kraus.as_stack(), states)[0]
+    return _born_table(outs, projectors)
+
+
+def _born_table(states: np.ndarray, projectors=None) -> np.ndarray:
+    """Tr(P_j rho_i) for a ``(m, 2, 2)`` state stack, clipped to [0, 1], shape ``(m, p)``."""
+    projs = _qst_a_tensor() if projectors is None else np.asarray(projectors, dtype=complex)
+    products = projs.reshape(-1, 2, 2)[None] @ states[:, None]
+    return np.clip(np.trace(products, axis1=-2, axis2=-1).real, 0.0, 1.0)
 
 
 def _poisson_draw(seed: int, position: tuple, lam: float) -> int:
@@ -233,12 +234,10 @@ def simulate_counts(
 
 def simulate_state_counts(rho: np.ndarray, settings: TomoSettings) -> CountRecord:
     """Single-state analog: measure one state against the six projectors."""
-    projectors = analysis_projectors()
-    counts = np.empty((1, len(projectors)), dtype=np.int64)
-    for j, proj in enumerate(projectors):
-        p = min(max(float(np.trace(proj @ np.asarray(rho, dtype=complex)).real), 0.0), 1.0)
-        counts[0, j] = _poisson_draw(settings.seed, (0, j), settings.shots * p)
-    return CountRecord(counts, ("state",), settings.shots, settings.seed)
+    probs = _born_table(np.asarray(rho, dtype=complex).reshape(1, 2, 2))[0].tolist()
+    counts = [_poisson_draw(settings.seed, (0, j), settings.shots * p)
+              for j, p in enumerate(probs)]
+    return CountRecord([counts], ("state",), settings.shots, settings.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +462,12 @@ def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
 def _qst_a_tensor() -> np.ndarray:
     """The six analysis projectors stacked, A[j] = P_j."""
     return _frozen(np.stack(analysis_projectors()))
+
+
+@cache
+def _prep_tensor() -> np.ndarray:
+    """The four preparation states stacked, in INPUT_LABELS order."""
+    return _frozen(np.stack(preparation_states()))
 
 
 @cache

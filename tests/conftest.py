@@ -26,6 +26,30 @@ def random_bench(rng: np.random.Generator, max_elements: int = 6) -> BenchConfig
     return BenchConfig(tuple(elements))
 
 
+def restyled_bench(rng: np.random.Generator, bench: BenchConfig) -> BenchConfig:
+    """The same elements, lengths and plate kinds as ``bench``, with fresh random angles."""
+    return BenchConfig(tuple(
+        Crystal(el.length, float(rng.uniform(0, 180))) if isinstance(el, Crystal)
+        else Waveplate(el.kind, float(rng.uniform(0, 180)))
+        for el in bench.elements
+    ))
+
+
+def reference_channel(operators, rho) -> np.ndarray:
+    """The per-state loop of apply_channel before it was stacked: zeros, then bins in order."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros((2, 2), dtype=complex)
+    for k in operators:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def same_bits(a, b) -> bool:
+    # byte equality, so 0.0 and -0.0 differ
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240901)

@@ -12,6 +12,7 @@ from polarchan.bench_sim import (
     Crystal,
     KrausSet,
     Waveplate,
+    _channel_stack,
     _nonzero_bins,
     affine_map,
     apply_channel,
@@ -20,6 +21,7 @@ from polarchan.bench_sim import (
     propagate,
     propagate_stack,
 )
+from polarchan.channel_analysis import chi_from_kraus
 from polarchan.depolarizer import (
     REFLECTION_COMPENSATION,
     DepolarizerSettings,
@@ -27,8 +29,15 @@ from polarchan.depolarizer import (
     build_lyot,
 )
 from polarchan.polar_core import PAULI_BASIS, KET_H, density_from_stokes, ket_projector, rotation2
+from polarchan.tomography import probability_table
 
-from conftest import random_bench, random_physical_stokes
+from conftest import (
+    random_bench,
+    random_physical_stokes,
+    reference_channel,
+    restyled_bench,
+    same_bits,
+)
 
 I2 = np.eye(2)
 
@@ -194,16 +203,16 @@ def reference_propagate(bench):
 
 
 def reference_affine_matrix(kraus):
-    """Stokes matrix column by column through apply_channel."""
+    """Stokes matrix column by column, one probe state at a time."""
     eye = np.eye(2, dtype=complex)
 
     def stokes(rho):
         return np.array([np.trace(rho @ PAULI_BASIS[i]).real for i in (1, 2, 3)])
 
-    t = stokes(apply_channel(kraus, eye / 2))
+    t = stokes(reference_channel(kraus.operators, eye / 2))
     m = np.empty((3, 3))
     for i in (1, 2, 3):
-        m[:, i - 1] = stokes(apply_channel(kraus, (eye + PAULI_BASIS[i]) / 2)) - t
+        m[:, i - 1] = stokes(reference_channel(kraus.operators, (eye + PAULI_BASIS[i]) / 2)) - t
     return m
 
 
@@ -228,12 +237,6 @@ def bench_stacks(draw):
     return [bench_from(structure, draw(st.lists(_ANGLES, min_size=len(structure),
                                                 max_size=len(structure))))
             for _ in range(n)]
-
-
-def same_bits(a, b) -> bool:
-    # byte equality, so 0.0 and -0.0 differ
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,3 +294,63 @@ def test_delay_bins_capped_before_propagation():
     # commensurate lengths collapse: 40 unit crystals reach at most 41 delays
     assert delay_bin_bound(bench_of_lengths(*([1] * 40))) == 41
     assert delay_bin_bound(BenchConfig((Waveplate("half", 0.0),))) == 1
+
+
+# ---------------------------------------------------------------------------
+# one pass over the delay bins for a whole stack of states
+# ---------------------------------------------------------------------------
+
+def random_states(rng, m):
+    states = [density_from_stokes(random_physical_stokes(rng)) for _ in range(m)]
+    # signed zeros in the input must reach every product as they did one state at a time
+    states.append(np.array([[1.0, -0.0], [0.0, -0.0]], dtype=complex))
+    return np.stack(states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 5))
+def test_channel_stack_matches_per_state_loop(seed, n_benches, m):
+    rng = np.random.default_rng(seed)
+    first = random_bench(rng)
+    benches = [first] + [restyled_bench(rng, first) for _ in range(n_benches - 1)]
+    _, ops = propagate_stack(benches)
+    states = random_states(rng, m)
+    outs = _channel_stack(ops, states)
+    assert outs.shape == (n_benches, m + 1, 2, 2)
+    for b, bench in enumerate(benches):
+        kraus = propagate(bench)
+        for j, rho in enumerate(states):
+            # zero bins included or not, the per-state loop gives the same bits
+            assert same_bits(outs[b, j], reference_channel(ops[b], rho))
+            assert same_bits(apply_channel(kraus, rho), reference_channel(kraus.operators, rho))
+    # one (2, 2) state is a stack of one
+    assert same_bits(_channel_stack(ops, states[0]), outs[:, :1])
+
+
+def test_kraus_stack_built_once_and_read_only():
+    kraus = propagate(build_lyot(1))
+    stack = kraus.as_stack()
+    assert stack is kraus.as_stack()
+    assert stack.shape == (1, len(kraus), 2, 2) and not stack.flags.writeable
+    assert all(not k.flags.writeable and np.shares_memory(k, stack) for k in kraus.operators)
+    with pytest.raises(ValueError, match="equal length"):
+        KrausSet((0, 1), (I2,))
+
+
+def test_incomplete_set_rejected_after_defect_cached():
+    bad = KrausSet((0,), (np.diag([1.0, 0.0]),))
+    assert bad.completeness_defect() == 1.0
+    calls = (
+        lambda: affine_map(bad),
+        lambda: chi_from_kraus(bad),
+        lambda: apply_channel(bad, I2 / 2),
+        lambda: probability_table(bad),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"not trace preserving \(defect 1\)"):
+            call()
+    assert bad.completeness_defect() == 1.0
+    # the tolerance is applied to the cached value, not baked into it
+    bad.require_complete(atol=1.0)
+    with pytest.raises(ValueError, match="trace preserving"):
+        bad.require_complete(atol=0.5)

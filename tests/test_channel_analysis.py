@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarchan.bench_sim import BenchConfig, Waveplate, affine_map, apply_channel, propagate
+from polarchan.bench_sim import (
+    BenchConfig,
+    Waveplate,
+    affine_map,
+    apply_channel,
+    propagate,
+    propagate_stack,
+)
 from polarchan.channel_analysis import (
+    _chi_stack,
     apply_process_matrix,
     chi_eigenvalues,
     chi_from_kraus,
@@ -20,9 +28,9 @@ from polarchan.depolarizer import (
     build_two_crystal,
     isotropic_theta1_angles,
 )
-from polarchan.polar_core import density_from_stokes
+from polarchan.polar_core import PAULI_BASIS, density_from_stokes
 
-from conftest import random_bench, random_physical_stokes
+from conftest import random_bench, random_physical_stokes, restyled_bench, same_bits
 
 MAGIC_TWO_CRYSTAL = np.degrees(np.arctan(np.sqrt(2.0)))  # 54.7356 deg
 
@@ -177,3 +185,23 @@ def test_isotropy_deviation_detects_anisotropy():
     # the magic angle is the exception
     chi = chi_from_kraus(propagate(build_two_crystal(MAGIC_TWO_CRYSTAL)))
     assert isotropy_deviation(chi) <= 1e-10
+
+
+def reference_chi_stack(ops):
+    """Four separate trace products, one per basis operator, then stacked."""
+    coeffs = np.stack(
+        [np.trace(em @ ops, axis1=-2, axis2=-1) / 2.0 for em in PAULI_BASIS], axis=-1
+    )
+    return coeffs.swapaxes(-1, -2) @ coeffs.conj()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_chi_stack_matches_four_trace_expansion(seed, n_benches):
+    rng = np.random.default_rng(seed)
+    first = random_bench(rng)
+    benches = [first] + [restyled_bench(rng, first) for _ in range(n_benches - 1)]
+    _, ops = propagate_stack(benches)
+    assert same_bits(_chi_stack(ops), reference_chi_stack(ops))
+    kraus = propagate(first)
+    assert same_bits(chi_from_kraus(kraus), reference_chi_stack(kraus.as_stack())[0])

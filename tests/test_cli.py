@@ -158,6 +158,38 @@ def test_non_finite_values_rejected(mode, body, lineno, tmp_path, capsys):
     assert captured.err.startswith(f"polarchan: line {lineno}: malformed ")
 
 
+@pytest.mark.parametrize("mode,body,message", [
+    ("simulate", "preset = lyot\nlength = 0\n", "line 3: length must be positive, got 0"),
+    ("simulate", "preset = fig1\ntheta2 = 10\nlength1 = 0\n",
+     "line 4: length1 must be positive, got 0"),
+    ("tomo", "preset = fig1\ntheta2 = 10\nlength2 = -2\n",
+     "line 4: length2 must be positive, got -2"),
+    ("sweep", "preset = fig1\ntheta2_start = 0\ntheta2_stop = 10\ntheta2_step = 5\n"
+              "length1 = -1/2\n", "line 6: length1 must be positive, got -1/2"),
+    ("sweep", "preset = fig1\ntheta2_start = 0\ntheta2_stop = 10\ntheta2_step = 5\n"
+              "length2 = 0.0\ntomo = true\n", "line 6: length2 must be positive, got 0"),
+])
+def test_non_positive_lengths_rejected(mode, body, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"mode = {mode}\n{body}")
+    assert main([mode, "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"polarchan: {message}\n")
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_tomography_sweep_needs_positive_n(n, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    body = ("mode = sweep\npreset = fig1\ntheta2_start = 0\ntheta2_stop = 10\n"
+            f"theta2_step = 5\nn = {n}\n")
+    cfg.write_text(body + "tomo = true\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", "polarchan: line 6: n must be at least 1 for tomography\n")
+    # without tomography n is unused, as in the other modes
+    cfg.write_text(body + "tomo = false\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def test_region_grid_capped_before_allocation(tmp_path, capsys):
     cfg = tmp_path / "big.cfg"
     cfg.write_text("mode = region\ngrid_n = 100000\n")
@@ -267,7 +299,7 @@ def test_sweep_rows_match_reference_dops():
         "mode = sweep\npreset = fig1\ntheta1 = 31.316097420688664\n"
         "theta2_start = 0\ntheta2_stop = 45\ntheta2_step = 1\n"
     )
-    lines = run_sweep(cfg, jobs=1, seed=0)
+    lines = run_sweep(cfg, seed=0)
     header = lines[0].split(",")
     dop_col = header.index("dop_closed")
     lam1_col = header.index("lambda1")
@@ -288,7 +320,7 @@ def test_sweep_csv_reparses():
         "mode = sweep\npreset = fig1\ntheta1 = 10\n"
         "theta2_start = 0\ntheta2_stop = 20\ntheta2_step = 5\n"
     )
-    lines = run_sweep(cfg, jobs=2, seed=0)
+    lines = run_sweep(cfg, seed=0)
     header = lines[0].split(",")
     dop_col = header.index("dop_closed")
     for line in lines[1:]:
@@ -336,7 +368,7 @@ def test_sweep_rows_match_one_bench_reference(theta1, step, before, after, lengt
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
         with mock.patch.object(cli, "_SWEEP_BLOCK", block):
-            lines = run_sweep(cfg, jobs=1, seed=0)
+            lines = run_sweep(cfg, seed=0)
         thetas = cli._sweep_thetas(cfg)
         assert 0.0 in thetas and 45.0 in thetas
         assert lines[1:] == [reference_sweep_row(cfg, theta1, t2) for t2 in thetas]
@@ -349,8 +381,7 @@ def test_tomo_sweep_rows_match_reference_across_blocks():
     expected = [reference_sweep_row(cfg, theta1, t2, 40 + i)
                 for i, t2 in enumerate(cli._sweep_thetas(cfg))]
     with mock.patch.object(cli, "_SWEEP_BLOCK", 3):
-        for jobs in (1, 2):
-            assert run_sweep(cfg, jobs=jobs, seed=40)[1:] == expected
+        assert run_sweep(cfg, seed=40)[1:] == expected
 
 
 def test_sweep_reports_unconverged_fits(tmp_path, capsys):

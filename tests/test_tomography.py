@@ -2,6 +2,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarchan.bench_sim import BenchConfig, Waveplate, apply_channel, propagate
 from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus
@@ -15,6 +17,7 @@ from polarchan.depolarizer import (
 from polarchan.polar_core import (
     KET_H,
     KET_P,
+    PAULI_BASIS,
     check_density,
     fidelity,
     ket_projector,
@@ -35,7 +38,10 @@ from polarchan.tomography import (
     simulate_counts,
     simulate_state_counts,
     trace_preservation_deviation,
+    _poisson_draw,
 )
+
+from conftest import random_bench, random_physical_stokes, reference_channel, same_bits
 
 DATA = pathlib.Path(__file__).parent / "data"
 THETA_ISO = isotropic_theta1_angles()[1]
@@ -360,3 +366,64 @@ def test_cached_constants_are_read_only():
         with pytest.raises(ValueError):
             const.flat[0] = 0
     assert _qpt_a_tensor() is _qpt_a_tensor()
+
+
+# ---------------------------------------------------------------------------
+# stacked Born probabilities against the per-entry loops they replaced
+# ---------------------------------------------------------------------------
+
+def clipped_trace(proj, rho):
+    return min(max(float(np.trace(proj @ rho).real), 0.0), 1.0)
+
+
+def reference_probability_table(kraus, inputs, projectors):
+    """One channel output per input, then one scalar trace per projector."""
+    table = np.empty((len(inputs), len(projectors)))
+    for i, rho in enumerate(inputs):
+        out = reference_channel(kraus.operators, rho)
+        for j, proj in enumerate(projectors):
+            table[i, j] = clipped_trace(proj, out)
+    return table
+
+
+def reference_state_counts(rho, settings):
+    counts = np.empty((1, 6), dtype=np.int64)
+    for j, proj in enumerate(analysis_projectors()):
+        p = clipped_trace(proj, np.asarray(rho, dtype=complex))
+        counts[0, j] = _poisson_draw(settings.seed, (0, j), settings.shots * p)
+    return counts
+
+
+def loose_state(rng, scale):
+    """Hermitian, unit trace, Stokes length up to ``scale``: above 1 the clip acts."""
+    s = random_physical_stokes(rng) * scale
+    return 0.5 * (PAULI_BASIS[0] + sum(s[i] * PAULI_BASIS[i + 1] for i in range(3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_probability_table_matches_per_entry_loop(seed, m):
+    rng = np.random.default_rng(seed)
+    kraus = propagate(random_bench(rng))
+    default = probability_table(kraus)
+    assert same_bits(default, reference_probability_table(
+        kraus, preparation_states(), analysis_projectors()))
+    inputs = [loose_state(rng, 1.0) for _ in range(m)]
+    projectors = [loose_state(rng, 3.0) for _ in range(3)]
+    assert same_bits(probability_table(kraus, inputs, projectors),
+                     reference_probability_table(kraus, inputs, projectors))
+    record = simulate_counts(kraus, TomoSettings(shots=5000, seed=seed))
+    assert record.counts.tolist() == [
+        [_poisson_draw(seed, (i, j), 5000 * p) for j, p in enumerate(row)]
+        for i, row in enumerate(default.tolist())
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.6))
+def test_state_counts_match_per_projector_loop(seed, scale):
+    rng = np.random.default_rng(seed)
+    rho = loose_state(rng, scale)
+    settings_ = TomoSettings(shots=2000, seed=seed)
+    record = simulate_state_counts(rho, settings_)
+    assert same_bits(record.counts, reference_state_counts(rho, settings_))
