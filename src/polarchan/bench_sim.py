@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
@@ -165,7 +164,7 @@ class KrausSet:
     """Kraus operators of a channel, one per resolved temporal delay.
 
     The operators are read-only views of one ``(1, n, 2, 2)`` stack, built
-    once; the completeness defect is computed on first use and kept.
+    once at construction.
     """
 
     delays: tuple
@@ -173,9 +172,14 @@ class KrausSet:
 
     def __post_init__(self):
         delays = tuple(int(d) for d in self.delays)
-        stack = np.array(self.operators, dtype=complex).reshape(1, -1, 2, 2)
-        if len(delays) != stack.shape[1]:
+        stack = np.array(self.operators, dtype=complex)
+        if stack.size == 0:
+            stack = stack.reshape(0, 2, 2)
+        if stack.ndim != 3 or stack.shape[1:] != (2, 2):
+            raise ValueError(f"operators must be 2x2 matrices, got shape {stack.shape}")
+        if len(delays) != len(stack):
             raise ValueError("delays and operators must have equal length")
+        stack = stack[None]
         if any(d1 >= d2 for d1, d2 in zip(delays, delays[1:])):
             raise ValueError("delays must be strictly increasing")
         stack.setflags(write=False)
@@ -193,16 +197,12 @@ class KrausSet:
         """The operators as a read-only one-bench ``(1, n, 2, 2)`` stack."""
         return self._stack
 
-    @cached_property
-    def _defect(self) -> float:
-        return float(_completeness_defects(self._stack)[0])
-
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum_d K_d^dag K_d from the identity."""
-        return self._defect
+        return float(_completeness_defects(self._stack)[0])
 
     def require_complete(self, atol: float = 1e-12) -> None:
-        _check_defect(self._defect, atol)
+        _require_complete(self._stack, atol)
 
 
 def _completeness_defects(ops: np.ndarray) -> np.ndarray:
@@ -211,14 +211,11 @@ def _completeness_defects(ops: np.ndarray) -> np.ndarray:
     return np.abs(acc - np.eye(2)).max(axis=(-2, -1))
 
 
-def _check_defect(defect: float, atol: float) -> None:
-    if defect > atol:
-        raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
-
-
 def _require_complete(ops: np.ndarray, atol: float = 1e-12) -> None:
     """Raise unless every bench of a ``(B, n, 2, 2)`` Kraus stack is trace preserving."""
-    _check_defect(_completeness_defects(ops).max(), atol)
+    defect = _completeness_defects(ops).max()
+    if defect > atol:
+        raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
 
 
 def _fast_slow_projectors(angle_deg: float) -> tuple:

@@ -9,7 +9,7 @@ required ``mode`` key.  Benches come either from a named preset (``fig1``,
 Every mode emits a CSV dataset (LF line endings, ``,`` separator, mandatory
 header).  Angle columns carry six decimals; other numeric columns use
 12-significant-digit shortest form, so outputs are bit-stable across runs
-and across ``--jobs`` settings (every mode runs in one thread).
+and across ``--jobs`` settings.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 I/O error.
 """
@@ -21,6 +21,8 @@ import math
 import os
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -444,13 +446,12 @@ def _fit_row(cfg: RunConfig, kraus: KrausSet, row_seed: int) -> tuple:
     return fit.converged, chi_eigenvalues(fit.chi)
 
 
-def run_sweep(cfg: RunConfig, seed: int) -> list:
+def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
     """Sweep rows, propagated in blocks of ``_SWEEP_BLOCK`` benches.
 
-    Row i's tomography uses seed ``seed + i``.  The per-row fits run in this
-    thread: they are short numpy calls that hold the GIL, so worker threads
-    measured slower.  Rows whose fit did not converge are reported on stderr
-    after the fits.
+    Row i's tomography uses seed ``seed + i``, so output is independent of
+    ``jobs``, which sets the threads of the per-row MLE fits.  Rows whose
+    fit did not converge are reported on stderr after the fits.
     """
     theta1 = cfg.theta1 if cfg.theta1 is not None else isotropic_theta1_angles()[1]
     thetas = _sweep_thetas(cfg)
@@ -464,21 +465,25 @@ def run_sweep(cfg: RunConfig, seed: int) -> list:
     )
     lines = [",".join(header)]
     unconverged = []
-    for start in range(0, len(thetas), _SWEEP_BLOCK):
-        block = thetas[start:start + _SWEEP_BLOCK]
-        benches = [build_bench(DepolarizerSettings(theta1, t2, cfg.length1, cfg.length2))
-                   for t2 in block]
-        radii, lams, krauses = _sweep_block(benches, cfg.tomo)
-        rows = [_sweep_row(theta1, t2, on_iso_line, sim, lam)
-                for t2, sim, lam in zip(block, radii.tolist(), lams.tolist())]
-        if not cfg.tomo:
-            lines += [",".join(cells + ["", "", "", "", ""]) for cells in rows]
-            continue
-        for i, (cells, kraus) in enumerate(zip(rows, krauses), start=start):
-            converged, lams_mle = _fit_row(cfg, kraus, seed + i)
-            lines.append(",".join(cells + [_fmt(v) for v in lams_mle] + [str(seed + i)]))
-            if not converged:
-                unconverged.append(i)
+    pool = ThreadPoolExecutor(max_workers=jobs) if cfg.tomo and jobs > 1 else nullcontext()
+    with pool as executor:
+        fit_map = map if executor is None else executor.map
+        for start in range(0, len(thetas), _SWEEP_BLOCK):
+            block = thetas[start:start + _SWEEP_BLOCK]
+            benches = [build_bench(DepolarizerSettings(theta1, t2, cfg.length1, cfg.length2))
+                       for t2 in block]
+            radii, lams, krauses = _sweep_block(benches, cfg.tomo)
+            rows = [_sweep_row(theta1, t2, on_iso_line, sim, lam)
+                    for t2, sim, lam in zip(block, radii.tolist(), lams.tolist())]
+            if not cfg.tomo:
+                lines += [",".join(cells + ["", "", "", "", ""]) for cells in rows]
+                continue
+            row_seeds = range(seed + start, seed + start + len(block))
+            fits = fit_map(lambda task: _fit_row(cfg, *task), zip(krauses, row_seeds))
+            for i, (cells, (converged, lams_mle)) in enumerate(zip(rows, fits), start=start):
+                lines.append(",".join(cells + [_fmt(v) for v in lams_mle] + [str(seed + i)]))
+                if not converged:
+                    unconverged.append(i)
     for i in unconverged:
         sys.stderr.write(f"polarchan: warning: sweep row {i} (theta2 = {_fmt_angle(thetas[i])}): "
                          "MLE fit did not converge\n")
@@ -599,9 +604,7 @@ def main(argv=None) -> int:
     parser.add_argument("mode", choices=MODES, help="run mode (must match the config file)")
     parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility (at least 1); starts no threads, "
-                             "and the output is the same for every N")
+    parser.add_argument("--jobs", type=int, default=1, help="concurrent sweep workers")
     parser.add_argument("--seed", type=int, help="tomography seed override")
 
     try:
@@ -628,7 +631,7 @@ def main(argv=None) -> int:
         if cfg.mode == "simulate":
             lines = run_simulate(cfg)
         elif cfg.mode == "sweep":
-            lines = run_sweep(cfg, seed)
+            lines = run_sweep(cfg, args.jobs, seed)
         elif cfg.mode == "tomo":
             lines = run_tomo(cfg, seed)
         elif cfg.mode == "feasibility":

@@ -335,22 +335,25 @@ def test_kraus_stack_built_once_and_read_only():
     assert all(not k.flags.writeable and np.shares_memory(k, stack) for k in kraus.operators)
     with pytest.raises(ValueError, match="equal length"):
         KrausSet((0, 1), (I2,))
+    # operators keep their own shape: neither a flat 4-vector nor a bundled
+    # pair of matrices is reinterpreted as 2x2 operators
+    for operators in ((np.ones(4),), (np.stack([I2, I2]),), (I2, np.eye(3))):
+        with pytest.raises(ValueError, match="2x2 matrices|inhomogeneous"):
+            KrausSet((0,) if len(operators) == 1 else (0, 1), operators)
 
 
-def test_incomplete_set_rejected_after_defect_cached():
+def test_incomplete_set_rejected_by_every_consumer():
+    # the stacked helpers are unchecked, so each public entry point checks
     bad = KrausSet((0,), (np.diag([1.0, 0.0]),))
     assert bad.completeness_defect() == 1.0
     calls = (
         lambda: affine_map(bad),
         lambda: chi_from_kraus(bad),
-        lambda: apply_channel(bad, I2 / 2),
         lambda: probability_table(bad),
     )
     for call in calls:
         with pytest.raises(ValueError, match=r"not trace preserving \(defect 1\)"):
             call()
-    assert bad.completeness_defect() == 1.0
-    # the tolerance is applied to the cached value, not baked into it
     bad.require_complete(atol=1.0)
     with pytest.raises(ValueError, match="trace preserving"):
         bad.require_complete(atol=0.5)

@@ -299,7 +299,7 @@ def test_sweep_rows_match_reference_dops():
         "mode = sweep\npreset = fig1\ntheta1 = 31.316097420688664\n"
         "theta2_start = 0\ntheta2_stop = 45\ntheta2_step = 1\n"
     )
-    lines = run_sweep(cfg, seed=0)
+    lines = run_sweep(cfg, jobs=1, seed=0)
     header = lines[0].split(",")
     dop_col = header.index("dop_closed")
     lam1_col = header.index("lambda1")
@@ -320,7 +320,7 @@ def test_sweep_csv_reparses():
         "mode = sweep\npreset = fig1\ntheta1 = 10\n"
         "theta2_start = 0\ntheta2_stop = 20\ntheta2_step = 5\n"
     )
-    lines = run_sweep(cfg, seed=0)
+    lines = run_sweep(cfg, jobs=2, seed=0)
     header = lines[0].split(",")
     dop_col = header.index("dop_closed")
     for line in lines[1:]:
@@ -368,7 +368,7 @@ def test_sweep_rows_match_one_bench_reference(theta1, step, before, after, lengt
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
         with mock.patch.object(cli, "_SWEEP_BLOCK", block):
-            lines = run_sweep(cfg, seed=0)
+            lines = run_sweep(cfg, jobs=1, seed=0)
         thetas = cli._sweep_thetas(cfg)
         assert 0.0 in thetas and 45.0 in thetas
         assert lines[1:] == [reference_sweep_row(cfg, theta1, t2) for t2 in thetas]
@@ -381,7 +381,8 @@ def test_tomo_sweep_rows_match_reference_across_blocks():
     expected = [reference_sweep_row(cfg, theta1, t2, 40 + i)
                 for i, t2 in enumerate(cli._sweep_thetas(cfg))]
     with mock.patch.object(cli, "_SWEEP_BLOCK", 3):
-        assert run_sweep(cfg, seed=40)[1:] == expected
+        for jobs in (1, 2):
+            assert run_sweep(cfg, jobs=jobs, seed=40)[1:] == expected
 
 
 def test_sweep_reports_unconverged_fits(tmp_path, capsys):
