@@ -145,7 +145,7 @@ class CountRecord:
         shots = seed = None
         rows: dict = {}
         header_seen = False
-        for raw in text.splitlines():
+        for number, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -161,8 +161,19 @@ class CountRecord:
                     raise ValueError(f"unexpected header line {line!r}")
                 header_seen = True
                 continue
-            in_label, pr_label, value = line.split(",")
-            rows.setdefault(in_label, {})[pr_label] = int(value)
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"line {number}: expected input,projector,counts, got {line!r}")
+            in_label, pr_label, value = fields
+            if pr_label not in PROJECTOR_LABELS:
+                raise ValueError(f"line {number}: unknown projector {pr_label!r} in {line!r}")
+            row = rows.setdefault(in_label, {})
+            if pr_label in row:
+                raise ValueError(f"line {number}: duplicate entry ({in_label}, {pr_label}) in {line!r}")
+            try:
+                row[pr_label] = int(value)
+            except ValueError:
+                raise ValueError(f"line {number}: counts must be an integer, got {line!r}") from None
         if shots is None or seed is None:
             raise ValueError("missing '# N=' or '# seed=' metadata")
         labels = tuple(rows)
@@ -284,24 +295,28 @@ def qst_linear(counts) -> QstLinearResult:
     the pathology the MLE fit exists to repair.  Axes with zero total
     counts are flagged indeterminate and set to 0.
     """
-    row = _counts_row(counts)
-    stokes = np.zeros(3)
-    indet = []
-    for axis in range(3):
-        plus, minus = row[2 * axis], row[2 * axis + 1]
-        total = plus + minus
-        if total == 0:
-            indet.append(True)
-            continue
-        indet.append(False)
-        stokes[axis] = (plus - minus) / total
+    stokes, indet = _stokes_rows(_counts_row(counts)[None])
+    stokes = stokes[0]
     rho = 0.5 * (
         PAULI_BASIS[0]
         + stokes[0] * PAULI_BASIS[1]
         + stokes[1] * PAULI_BASIS[2]
         + stokes[2] * PAULI_BASIS[3]
     )
-    return QstLinearResult(rho, stokes, tuple(indet))
+    return QstLinearResult(rho, stokes, tuple(indet[0].tolist()))
+
+
+def _stokes_rows(table: np.ndarray) -> tuple:
+    """Stokes estimates (n+ - n-)/(n+ + n-) of every row of an ``(n, 6)`` table.
+
+    Returns the ``(n, 3)`` estimates and an ``(n, 3)`` mask of the axes with
+    zero total counts, whose estimate is 0.
+    """
+    plus, minus = table[:, 0::2], table[:, 1::2]
+    total = plus + minus
+    counted = total != 0
+    stokes = np.divide(plus - minus, total, out=np.zeros(total.shape), where=counted)
+    return stokes, ~counted
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +358,29 @@ def _num_params(dim: int) -> int:
 
 
 @cache
-def _strict_lower(dim: int) -> tuple:
-    """Row and column indices below the diagonal, row-major (np.tril_indices order)."""
-    return tuple(_frozen(idx) for idx in np.tril_indices(dim, -1))
+def _tri_layout(dim: int) -> tuple:
+    """Flat positions in a ``dim x dim`` T of its diagonal and of its strict
+    lower triangle (row-major, np.tril_indices order), and the identity."""
+    rows, cols = np.tril_indices(dim, -1)
+    return (_frozen(np.arange(dim) * (dim + 1)), _frozen(rows * dim + cols),
+            _frozen(np.eye(dim)))
 
 
 def _params_to_tri(params: np.ndarray, dim: int) -> np.ndarray:
     """Lower-triangular T: first the real diagonal, then (re, im) pairs row-major."""
-    t = np.zeros((dim, dim), dtype=complex)
-    t[np.diag_indices(dim)] = params[:dim]
-    t[_strict_lower(dim)] = params[dim::2] + 1j * params[dim + 1::2]
-    return t
+    diag, lower, _ = _tri_layout(dim)
+    t = np.zeros(dim * dim, dtype=complex)
+    t[diag] = params[:dim]
+    t[lower] = params[dim::2] + 1j * params[dim + 1::2]
+    return t.reshape(dim, dim)
 
 
 def _tri_to_params(t: np.ndarray, dim: int) -> np.ndarray:
+    diag, lower, _ = _tri_layout(dim)
+    flat = t.ravel()
     params = np.empty(_num_params(dim))
-    params[:dim] = np.diag(t).real
-    below = t[_strict_lower(dim)]
+    params[:dim] = flat[diag].real
+    below = flat[lower]
     params[dim::2] = below.real
     params[dim + 1::2] = below.imag
     return params
@@ -370,35 +391,33 @@ def _nll_and_grad(params, a_tensor, counts, shots, dim):
 
     p_s = Re sum_mn A[s] X, X = T^dag T / Tr(T^dag T); the gradient follows
     from d/dT* of Tr(C T^dag T)/Tr(T^dag T) with C the conjugated NLL
-    gradient with respect to X.
+    gradient with respect to X.  Settings with no counts contribute no log
+    term, so a zero-shot record gives a finite NLL without a log(0).
     """
     t = _params_to_tri(params, dim)
     gram = t.conj().T @ t
-    tau = float(np.trace(gram).real)
+    tau = float(gram.trace().real)
     x = gram / tau
     p = np.einsum("smn,mn->s", a_tensor, x).real
-    p_safe = np.clip(p, _P_FLOOR, None)
+    p_safe = np.maximum(p, _P_FLOOR)
     lam = shots * p
-    nll = float(np.sum(lam - np.where(counts > 0, counts * np.log(shots * p_safe), 0.0)))
+    counted = counts > 0
+    logs = np.log(shots * p_safe, where=counted, out=np.zeros(p.shape))
+    nll = float((lam - np.where(counted, counts * logs, 0.0)).sum())
     w = np.where(p > _P_FLOOR, shots - counts / p_safe, shots)
     b = np.einsum("s,smn->mn", w, a_tensor)
-    pbar = float(np.sum(b * x).real)
-    g_t = t @ (b.conj() - pbar * np.eye(dim)) / tau
-    grad = np.empty_like(params)
-    grad[:dim] = 2.0 * np.diag(g_t).real
-    below = g_t[_strict_lower(dim)]
-    grad[dim::2] = 2.0 * below.real
-    grad[dim + 1::2] = 2.0 * below.imag
-    return nll, grad
+    pbar = float((b * x).sum().real)
+    g_t = t @ (b.conj() - pbar * _tri_layout(dim)[2]) / tau
+    return nll, 2.0 * _tri_to_params(g_t, dim)
 
 
 def _clip_to_physical(matrix: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     """Nearest-ish physical matrix: eigenvalues floored, trace renormalized."""
     matrix = 0.5 * (matrix + matrix.conj().T)
     vals, vecs = np.linalg.eigh(matrix)
-    vals = np.clip(vals, floor, None)
+    vals = np.maximum(vals, floor)
     out = (vecs * vals) @ vecs.conj().T
-    return out / np.trace(out).real
+    return out / out.trace().real
 
 
 def _lower_factor(matrix: np.ndarray) -> np.ndarray:
@@ -407,8 +426,7 @@ def _lower_factor(matrix: np.ndarray) -> np.ndarray:
     numpy's Cholesky gives L with matrix = L L^dag; conjugating by the
     exchange matrix turns that into the T^dag T convention used here.
     """
-    dim = matrix.shape[0]
-    flip = np.eye(dim)[::-1]
+    flip = _tri_layout(matrix.shape[0])[2][::-1]
     l_flipped = np.linalg.cholesky(flip @ matrix @ flip)
     return (flip @ l_flipped @ flip).conj().T
 
@@ -523,25 +541,36 @@ def _qpt_design() -> np.ndarray:
     return _frozen(design)
 
 
+def _process_table(counts) -> np.ndarray:
+    """The ``(4, 6)`` float count table of a process record, rows in INPUT_LABELS order.
+
+    A CountRecord's rows are reordered by their labels, which must be a
+    permutation of INPUT_LABELS; a bare table must already be in that order.
+    """
+    if isinstance(counts, CountRecord):
+        labels = counts.input_labels
+        if sorted(labels) != sorted(INPUT_LABELS):
+            raise ValueError(
+                f"process tomography needs one row per input {INPUT_LABELS}, got labels {labels}")
+        table = counts.counts[[labels.index(label) for label in INPUT_LABELS]].astype(float)
+    else:
+        table = np.asarray(counts, dtype=float)
+    if table.shape != (4, 6):
+        raise ValueError(f"process tomography needs a (4, 6) table, got {table.shape}")
+    return table
+
+
 def qpt_linear(counts) -> np.ndarray:
     """Linear-inversion process matrix (Hermitian, possibly unphysical).
 
     Runs per-input linear state tomography, then solves the linear system
-    relating the process matrix to the four reconstructed outputs.
+    relating the process matrix to the four reconstructed outputs.  A
+    CountRecord's rows are matched to the inputs by label (see qpt_mle).
     """
-    table = counts.counts if isinstance(counts, CountRecord) else np.asarray(counts, dtype=float)
-    if table.shape != (4, 6):
-        raise ValueError(f"process tomography needs a (4, 6) table, got {table.shape}")
-    targets = []
-    for k in range(4):
-        est = qst_linear(table[k])
-        targets.append([1.0, *est.stokes])  # Tr(E_i rho') components
-    y = np.asarray(targets, dtype=float).ravel()
-    coeffs, *_ = np.linalg.lstsq(_qpt_design(), y, rcond=None)
-    chi = np.zeros((4, 4), dtype=complex)
-    for c, h in zip(coeffs, _hermitian_basis()):
-        chi += c * h
-    return chi
+    y = np.ones((4, 4))  # Tr(E_i rho') components of each output
+    y[:, 1:] = _stokes_rows(_process_table(counts))[0]
+    coeffs, *_ = np.linalg.lstsq(_qpt_design(), y.ravel(), rcond=None)
+    return np.einsum("k,kmn->mn", coeffs, _hermitian_basis())
 
 
 _EN_EM = _frozen(np.stack(
@@ -559,18 +588,16 @@ def trace_preservation_deviation(chi: np.ndarray) -> float:
 def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings] = None) -> QptMleResult:
     """Maximum-likelihood process fit over chi = T^dag T / Tr(T^dag T).
 
-    Fits all 24 preparation/analysis settings jointly (rows must follow the
-    standard INPUT_LABELS order); positivity and unit trace hold by
-    construction, while the trace-preservation defect of the fit is reported
-    as a noise diagnostic.
+    Fits all 24 preparation/analysis settings jointly.  A CountRecord's rows
+    are matched to the preparations by their input labels, in any order; a
+    record whose labels are not a permutation of INPUT_LABELS raises
+    ValueError.  A bare (4, 6) table must follow the INPUT_LABELS row order.
+    Positivity and unit trace hold by construction, while the
+    trace-preservation defect of the fit is reported as a noise diagnostic.
     """
     if isinstance(counts, CountRecord):
         shots = counts.shots if shots is None else shots
-        table = counts.counts.astype(float)
-    else:
-        table = np.asarray(counts, dtype=float)
-    if table.shape != (4, 6):
-        raise ValueError(f"process tomography needs a (4, 6) table, got {table.shape}")
+    table = _process_table(counts)
     if shots is None:
         raise ValueError("shots must be given when counts is a bare table")
     if settings is None:

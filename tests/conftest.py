@@ -44,6 +44,58 @@ def reference_channel(operators, rho) -> np.ndarray:
     return out
 
 
+def reference_tri(params, dim) -> np.ndarray:
+    """Cholesky parameters to T as first written: a dense T filled by 2-D index pairs."""
+    t = np.zeros((dim, dim), dtype=complex)
+    t[np.diag_indices(dim)] = params[:dim]
+    t[np.tril_indices(dim, -1)] = params[dim::2] + 1j * params[dim + 1::2]
+    return t
+
+
+def reference_nll_and_grad(params, a_tensor, counts, shots, dim):
+    """The Poisson NLL and gradient as first written: dense T, np.clip, a log at every setting."""
+    t = reference_tri(params, dim)
+    gram = t.conj().T @ t
+    tau = float(np.trace(gram).real)
+    x = gram / tau
+    p = np.einsum("smn,mn->s", a_tensor, x).real
+    p_safe = np.clip(p, 1e-12, None)
+    lam = shots * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nll = float(np.sum(lam - np.where(counts > 0, counts * np.log(shots * p_safe), 0.0)))
+    w = np.where(p > 1e-12, shots - counts / p_safe, shots)
+    b = np.einsum("s,smn->mn", w, a_tensor)
+    pbar = float(np.sum(b * x).real)
+    g_t = t @ (b.conj() - pbar * np.eye(dim)) / tau
+    grad = np.empty_like(params)
+    grad[:dim] = 2.0 * np.diag(g_t).real
+    below = g_t[np.tril_indices(dim, -1)]
+    grad[dim::2] = 2.0 * below.real
+    grad[dim + 1::2] = 2.0 * below.imag
+    return nll, grad
+
+
+def reference_stokes(row) -> np.ndarray:
+    """qst_linear's per-axis loop as first written: indeterminate axes stay 0."""
+    stokes = np.zeros(3)
+    for axis in range(3):
+        plus, minus = row[2 * axis], row[2 * axis + 1]
+        total = plus + minus
+        if total != 0:
+            stokes[axis] = (plus - minus) / total
+    return stokes
+
+
+def reference_qpt_linear(table, design, basis) -> np.ndarray:
+    """qpt_linear as first written: one Stokes loop per input, then chi one basis term at a time."""
+    targets = [[1.0, *reference_stokes(row)] for row in np.asarray(table, dtype=float)]
+    coeffs, *_ = np.linalg.lstsq(design, np.asarray(targets, dtype=float).ravel(), rcond=None)
+    chi = np.zeros((4, 4), dtype=complex)
+    for c, h in zip(coeffs, basis):
+        chi += c * h
+    return chi
+
+
 def same_bits(a, b) -> bool:
     # byte equality, so 0.0 and -0.0 differ
     a, b = np.asarray(a), np.asarray(b)

@@ -1,4 +1,6 @@
 import pathlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +43,16 @@ from polarchan.tomography import (
     _poisson_draw,
 )
 
-from conftest import random_bench, random_physical_stokes, reference_channel, same_bits
+from conftest import (
+    random_bench,
+    random_physical_stokes,
+    reference_channel,
+    reference_nll_and_grad,
+    reference_qpt_linear,
+    reference_stokes,
+    reference_tri,
+    same_bits,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 THETA_ISO = isotropic_theta1_angles()[1]
@@ -147,6 +158,22 @@ def test_count_record_csv_rejects_incomplete():
         CountRecord.from_csv_text(text)
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ("H,H,999", r"line 5: duplicate entry \(H, H\) in 'H,H,999'"),
+    ("H,X,7", r"line 5: unknown projector 'X' in 'H,X,7'"),
+    ("H,7", r"line 5: expected input,projector,counts, got 'H,7'"),
+    ("H,V,1,2", r"line 5: expected input,projector,counts, got 'H,V,1,2'"),
+    ("H,V,seven", r"line 5: counts must be an integer, got 'H,V,seven'"),
+], ids=["duplicate", "unknown_projector", "two_fields", "four_fields", "not_an_integer"])
+def test_count_record_csv_rejects_malformed_lines(bad_line, message):
+    lines = simulate_counts(identity_kraus(), TomoSettings(shots=10, seed=1)).to_csv_text().splitlines()
+    if bad_line != "H,H,999":
+        del lines[4]  # the H,V entry, so that only the bad line can supply it
+    lines.insert(4, bad_line)
+    with pytest.raises(ValueError, match=message):
+        CountRecord.from_csv_text("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # linear inversion
 # ---------------------------------------------------------------------------
@@ -223,6 +250,36 @@ def test_qpt_linear_recovers_exact_chi():
     kraus = fig1_kraus(15.0)
     chi = qpt_linear(probability_table(kraus) * 10_000)
     assert np.abs(chi - chi_from_kraus(kraus)).max() < 1e-10
+
+
+def test_process_fits_match_rows_by_input_label():
+    rec = simulate_counts(fig1_kraus(15.0), TomoSettings(shots=10_000, seed=4))
+    order = [1, 0, 3, 2]  # V, H, R, P
+    shuffled = CountRecord(rec.counts[order], [INPUT_LABELS[i] for i in order], rec.shots, rec.seed)
+    fit, fit_shuffled = qpt_mle(rec), qpt_mle(shuffled)
+    assert same_bits(fit_shuffled.chi, fit.chi)
+    assert fit_shuffled.nll == fit.nll and fit_shuffled.tp_deviation == fit.tp_deviation
+    assert same_bits(qpt_linear(shuffled), qpt_linear(rec))
+    # a bare table carries no labels and is read in INPUT_LABELS order
+    assert not np.allclose(qpt_linear(shuffled.counts), qpt_linear(rec))
+
+    for labels in (("H", "V", "P", "L"), ("H", "H", "P", "R"), ("in0", "in1", "in2", "in3")):
+        bad = CountRecord(rec.counts, labels, rec.shots, rec.seed)
+        for fit_fn in (qpt_mle, qpt_linear):
+            with pytest.raises(ValueError, match=re.escape(repr(labels))):
+                fit_fn(bad)
+    three_rows = CountRecord(rec.counts[:3], INPUT_LABELS[:3], rec.shots, rec.seed)
+    with pytest.raises(ValueError, match="labels"):
+        qpt_mle(three_rows)
+
+
+def test_zero_shot_fits_raise_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = qpt_mle(simulate_counts(fig1_kraus(15.0), TomoSettings(shots=0)))
+        state_fit = qst_mle(np.zeros(6), shots=0)
+    assert fit.nll == 0.0 and fit.converged
+    assert state_fit.nll == 0.0 and state_fit.converged
 
 
 def test_qpt_mle_exact_identity():
@@ -357,11 +414,11 @@ def test_cached_constants_are_read_only():
         _qpt_a_tensor,
         _qpt_design,
         _qst_a_tensor,
-        _strict_lower,
+        _tri_layout,
     )
 
     constants = [_EN_EM, _hermitian_basis(), _qpt_a_tensor(), _qpt_design(), _qst_a_tensor()]
-    constants += list(_strict_lower(4))
+    constants += list(_tri_layout(4)) + list(_tri_layout(2))
     for const in constants:
         with pytest.raises(ValueError):
             const.flat[0] = 0
@@ -427,3 +484,74 @@ def test_state_counts_match_per_projector_loop(seed, scale):
     settings_ = TomoSettings(shots=2000, seed=seed)
     record = simulate_state_counts(rho, settings_)
     assert same_bits(record.counts, reference_state_counts(rho, settings_))
+
+
+# ---------------------------------------------------------------------------
+# the lean objective and linear seed against the versions they replaced
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([2, 4]),
+    st.floats(-7.0, 4.0),
+    st.sampled_from([0.0, 1.0, 37.0, 1000.0, 10_000.0, 1e6]),
+    st.sampled_from(["full", "rank_one", "zero_lower", "signed_zeros"]),
+)
+def test_nll_and_grad_matches_reference_bits(seed, dim, log_scale, shots, shape):
+    from polarchan.tomography import _nll_and_grad, _params_to_tri, _qpt_a_tensor, _qst_a_tensor
+
+    rng = np.random.default_rng(seed)
+    a_tensor = _qst_a_tensor() if dim == 2 else _qpt_a_tensor()
+    params = rng.normal(size=dim * dim) * 10.0 ** log_scale
+    if shape == "rank_one":  # X is a projector, so some p_s fall below _P_FLOOR
+        params[:] = 0.0
+        params[rng.integers(dim)] = 10.0 ** log_scale
+    elif shape == "zero_lower":
+        params[dim:] = 0.0
+    elif shape == "signed_zeros":
+        params[rng.uniform(size=params.size) < 0.5] = -0.0
+        params[0] = 10.0 ** log_scale
+    counts = rng.integers(0, int(shots) + 1, size=a_tensor.shape[0]).astype(float)
+    counts[rng.uniform(size=counts.size) < 0.3] = 0.0
+    assert same_bits(_params_to_tri(params, dim), reference_tri(params, dim))
+    nll, grad = _nll_and_grad(params, a_tensor, counts, shots, dim)
+    ref_nll, ref_grad = reference_nll_and_grad(params, a_tensor, counts, shots, dim)
+    assert same_bits(np.float64(nll), np.float64(ref_nll))
+    assert same_bits(grad, ref_grad)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 10_000))
+def test_linear_estimates_match_reference_bits(seed, shots):
+    from polarchan.tomography import _hermitian_basis, _qpt_design
+
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, shots + 1, size=(4, 6)).astype(float)
+    table[rng.uniform(size=(4, 6)) < 0.2] = 0.0  # some axes lose all their counts
+    assert same_bits(qpt_linear(table), reference_qpt_linear(table, _qpt_design(), _hermitian_basis()))
+    for row in table:
+        est = qst_linear(row)
+        assert same_bits(est.stokes, reference_stokes(row))
+        assert est.indeterminate_axes == tuple(bool(row[2 * a] + row[2 * a + 1] == 0) for a in range(3))
+
+
+def fit_fingerprint(fit):
+    return fit.matrix.tobytes(), fit.nll, fit.iterations, fit.converged
+
+
+def test_fits_match_reference_objective(monkeypatch):
+    from polarchan import tomography
+
+    records = [simulate_counts(fig1_kraus(theta2), TomoSettings(shots=shots, seed=seed))
+               for theta2, shots, seed in ((4.0, 10_000, 0), (15.0, 10_000, 1), (22.0, 500, 2),
+                                           (30.0, 10_000, 3), (15.0, 0, 4))]
+    rows = [simulate_state_counts(loose_state(np.random.default_rng(seed), 1.0),
+                                  TomoSettings(shots=shots, seed=seed))
+            for seed, shots in ((5, 100), (6, 10_000), (7, 1))]
+    fits = [qpt_mle(rec) for rec in records] + [qst_mle(row) for row in rows]
+    monkeypatch.setattr(tomography, "_nll_and_grad", reference_nll_and_grad)
+    reference = [qpt_mle(rec) for rec in records] + [qst_mle(row) for row in rows]
+    for fit, ref in zip(fits, reference):
+        assert fit_fingerprint(fit) == fit_fingerprint(ref)
+    assert [f.tp_deviation for f in fits[:5]] == [r.tp_deviation for r in reference[:5]]
