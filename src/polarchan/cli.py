@@ -62,7 +62,7 @@ from .depolarizer import (
     isotropic_theta1_angles,
     radii_closed_form,
 )
-from .tomography import TomoSettings, qpt_mle, simulate_counts
+from .tomography import MAX_SHOTS, TomoSettings, qpt_mle, simulate_counts
 
 MODES = ("simulate", "sweep", "tomo", "feasibility", "region")
 PRESETS = ("fig1", "lyot", "two_crystal", "rotated_crystals")
@@ -237,6 +237,8 @@ def parse_config(text: str) -> RunConfig:
     for key, value in (("length", length), ("length1", length1), ("length2", length2)):
         if value is not None and value <= 0:
             errors.append(f"line {seen[key]}: {key} must be positive, got {value}")
+    if cfg_kwargs["seed"] is not None and cfg_kwargs["seed"] < 0:
+        errors.append(f"line {seen['seed']}: seed must be non-negative, got {cfg_kwargs['seed']}")
 
     if mode in MODES:
         _validate_mode(mode, preset, elements, cfg_kwargs, seen, errors,
@@ -306,6 +308,9 @@ def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n, 
     runs_tomography = mode == "tomo" or (mode == "sweep" and tomo)
     if runs_tomography and n is not None and n < 1:
         errors.append(f"line {seen['n']}: n must be at least 1 for tomography")
+    if runs_tomography and n is not None and n > MAX_SHOTS:
+        errors.append(f"line {seen['n']}: n must be at most {MAX_SHOTS} (10**18) "
+                      f"for tomography, got {n}")
     if mode == "region" and grid_n is not None:
         if grid_n < 2:
             errors.append(f"line {seen['grid_n']}: grid_n must be at least 2")
@@ -441,17 +446,18 @@ def _sweep_row(theta1: float, theta2: float, on_iso_line: bool, sim, lams) -> li
     return cells
 
 
-def _fit_row(cfg: RunConfig, kraus: KrausSet, row_seed: int) -> tuple:
-    fit = qpt_mle(simulate_counts(kraus, TomoSettings(shots=cfg.n, seed=row_seed)))
+def _fit_row(settings: TomoSettings, kraus: KrausSet, row: int) -> tuple:
+    fit = qpt_mle(simulate_counts(kraus, settings, stream=row))
     return fit.converged, chi_eigenvalues(fit.chi)
 
 
 def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
     """Sweep rows, propagated in blocks of ``_SWEEP_BLOCK`` benches.
 
-    Row i's tomography uses seed ``seed + i``, so output is independent of
-    ``jobs``, which sets the threads of the per-row MLE fits.  Rows whose
-    fit did not converge are reported on stderr after the fits.
+    Row i's counts come from stream i of ``seed``, so output is independent
+    of ``jobs``, which sets the threads of the per-row MLE fits, and rows of
+    different seeds share no random numbers.  Rows whose fit did not
+    converge are reported on stderr after the fits.
     """
     theta1 = cfg.theta1 if cfg.theta1 is not None else isotropic_theta1_angles()[1]
     thetas = _sweep_thetas(cfg)
@@ -464,6 +470,7 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
         + ["seed"]
     )
     lines = [",".join(header)]
+    settings = TomoSettings(shots=cfg.n, seed=seed) if cfg.tomo else None
     unconverged = []
     pool = ThreadPoolExecutor(max_workers=jobs) if cfg.tomo and jobs > 1 else nullcontext()
     with pool as executor:
@@ -478,10 +485,10 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
             if not cfg.tomo:
                 lines += [",".join(cells + ["", "", "", "", ""]) for cells in rows]
                 continue
-            row_seeds = range(seed + start, seed + start + len(block))
-            fits = fit_map(lambda task: _fit_row(cfg, *task), zip(krauses, row_seeds))
+            streams = range(start, start + len(block))
+            fits = fit_map(lambda task: _fit_row(settings, *task), zip(krauses, streams))
             for i, (cells, (converged, lams_mle)) in enumerate(zip(rows, fits), start=start):
-                lines.append(",".join(cells + [_fmt(v) for v in lams_mle] + [str(seed + i)]))
+                lines.append(",".join(cells + [_fmt(v) for v in lams_mle] + [str(seed)]))
                 if not converged:
                     unconverged.append(i)
     for i in unconverged:
@@ -582,15 +589,20 @@ config 'seed' key take precedence (in that order)."""
 
 def _resolve_seed(args_seed, cfg_seed) -> int:
     if args_seed is not None:
+        if args_seed < 0:
+            raise ConfigError([f"--seed must be non-negative, got {args_seed}"])
         return args_seed
     if cfg_seed is not None:
         return cfg_seed
     env = os.environ.get(ENV_SEED)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError([f"environment variable {ENV_SEED}={env!r} is not an integer"])
+        if seed < 0:
+            raise ConfigError([f"environment variable {ENV_SEED} must be non-negative, got {seed}"])
+        return seed
     return 0
 
 

@@ -3,9 +3,11 @@
 The measurement model mirrors a coincidence-counting bench: each of the six
 analysis settings {H, V, P, M, R, L} is integrated for the same effective
 photon number N, so every entry of a count table is an independent
-Poisson(N p) draw.  Counts are generated with a counter-based generator
-(Philox keyed by seed and table position), which makes records bit-for-bit
-reproducible and independent of evaluation order.
+Poisson(N p) draw.  Each count record owns one counter-based stream, a
+Philox generator keyed by (seed, stream), and draws its whole table from it
+in one call, entries in row-major order.  Records are bit-for-bit
+reproducible and independent of evaluation order.  A tomography sweep draws
+row i from stream i of the run's seed, and a single tomo run uses stream 0.
 
 State reconstruction comes in two flavors: plain linear inversion of the
 Stokes components (fast, but finite counts can push the estimate outside
@@ -39,6 +41,7 @@ from .polar_core import (
 __all__ = [
     "PROJECTOR_LABELS",
     "INPUT_LABELS",
+    "MAX_SHOTS",
     "analysis_projectors",
     "preparation_states",
     "TomoSettings",
@@ -70,6 +73,10 @@ _PROJECTOR_KETS = {
 #: probabilities below this are clipped inside logs to keep the NLL finite
 _P_FLOOR = 1e-12
 
+#: largest shot number per setting; numpy's Poisson sampler refuses means
+#: above about 9.2e18
+MAX_SHOTS = 10**18
+
 
 def analysis_projectors() -> tuple:
     """The six projectors, in PROJECTOR_LABELS order."""
@@ -91,8 +98,10 @@ class TomoSettings:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if self.shots < 0:
-            raise ValueError("shots must be nonnegative")
+        if not 0 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be between 0 and {MAX_SHOTS}, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.nll_rel_tol <= 0:
             raise ValueError("nll_rel_tol must be positive")
         if self.max_iterations < 1:
@@ -115,6 +124,8 @@ class CountRecord:
             raise ValueError(f"count table must be (n, 6), got {counts.shape}")
         if counts.shape[0] != len(labels):
             raise ValueError("one input label per table row required")
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"input labels must be distinct, got {labels}")
         if counts.min() < 0:
             raise ValueError("counts must be nonnegative")
         counts.setflags(write=False)
@@ -212,11 +223,13 @@ def _born_table(states: np.ndarray, projectors=None) -> np.ndarray:
     return np.clip(np.trace(products, axis1=-2, axis2=-1).real, 0.0, 1.0)
 
 
-def _poisson_draw(seed: int, position: tuple, lam: float) -> int:
-    # counter-based: each table entry owns an independent Philox stream,
-    # so parallel and serial generation agree bit for bit
-    seq = np.random.SeedSequence(seed, spawn_key=position)
-    return int(np.random.Generator(np.random.Philox(seq)).poisson(lam))
+def _poisson_table(seed: int, stream: int, lam: np.ndarray) -> np.ndarray:
+    """Poisson(lam) counts of one record, all drawn from the Philox stream
+    keyed by ``(seed, stream)``."""
+    if stream < 0:
+        raise ValueError(f"stream must be non-negative, got {stream}")
+    seq = np.random.SeedSequence(seed, spawn_key=(stream,))
+    return np.random.Generator(np.random.Philox(seq)).poisson(lam)
 
 
 def simulate_counts(
@@ -225,30 +238,29 @@ def simulate_counts(
     inputs: Optional[Sequence[np.ndarray]] = None,
     projectors: Optional[Sequence[np.ndarray]] = None,
     input_labels: Optional[Sequence[str]] = None,
+    *,
+    stream: int = 0,
 ) -> CountRecord:
     """Draw a full Poisson count table for the channel.
 
-    Each entry is Poisson(N p) keyed by (seed, input index, projector
-    index); identical settings reproduce identical records.
+    Entry (i, j) is Poisson(N p_ij); the table is drawn from the one stream
+    keyed by (settings.seed, stream), so identical arguments reproduce
+    identical records.
     """
     if inputs is None and input_labels is None:
         input_labels = INPUT_LABELS
     probs = probability_table(kraus, inputs, projectors)
-    counts = np.empty(probs.shape, dtype=np.int64)
-    for i in range(probs.shape[0]):
-        for j in range(probs.shape[1]):
-            counts[i, j] = _poisson_draw(settings.seed, (i, j), settings.shots * probs[i, j])
+    counts = _poisson_table(settings.seed, stream, settings.shots * probs)
     if input_labels is None:
         input_labels = tuple(f"in{i}" for i in range(probs.shape[0]))
     return CountRecord(counts, tuple(input_labels), settings.shots, settings.seed)
 
 
-def simulate_state_counts(rho: np.ndarray, settings: TomoSettings) -> CountRecord:
+def simulate_state_counts(rho: np.ndarray, settings: TomoSettings, *, stream: int = 0) -> CountRecord:
     """Single-state analog: measure one state against the six projectors."""
-    probs = _born_table(np.asarray(rho, dtype=complex).reshape(1, 2, 2))[0].tolist()
-    counts = [_poisson_draw(settings.seed, (0, j), settings.shots * p)
-              for j, p in enumerate(probs)]
-    return CountRecord([counts], ("state",), settings.shots, settings.seed)
+    probs = _born_table(np.asarray(rho, dtype=complex).reshape(1, 2, 2))
+    counts = _poisson_table(settings.seed, stream, settings.shots * probs)
+    return CountRecord(counts, ("state",), settings.shots, settings.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,19 @@ def reference_qpt_linear(table, design, basis) -> np.ndarray:
     return chi
 
 
+def record_seed_sequence(seed: int, stream: int) -> np.random.SeedSequence:
+    """The seed sequence of a count record: the run seed, spawned at ``stream``."""
+    return np.random.SeedSequence(seed, spawn_key=(stream,))
+
+
+def reference_counts(seed: int, stream: int, lam) -> np.ndarray:
+    """The count-table spec: one Philox generator per (seed, stream) record,
+    drawing Poisson(lam) one entry at a time in row-major order."""
+    gen = np.random.Generator(np.random.Philox(record_seed_sequence(seed, stream)))
+    lam = np.asarray(lam, dtype=float)
+    return np.array([gen.poisson(x) for x in lam.ravel().tolist()], dtype=np.int64).reshape(lam.shape)
+
+
 def same_bits(a, b) -> bool:
     # byte equality, so 0.0 and -0.0 differ
     a, b = np.asarray(a), np.asarray(b)

@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import pathlib
 import subprocess
 import sys
 import warnings
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarchan import cli
+from polarchan import cli, tomography
 from polarchan.bench_sim import affine_map, propagate
 from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus, polar_decompose
 from polarchan.cli import ConfigError, _fmt, _fmt_angle, main, parse_config, run_sweep
@@ -27,7 +26,8 @@ from polarchan.depolarizer import (
 )
 from polarchan.tomography import TomoSettings, qpt_mle, simulate_counts
 
-DATA = pathlib.Path(__file__).parent / "data"
+from conftest import record_seed_sequence
+from regen_goldens import COUNTS_CASE, DATA, GOLDEN_CASES, counts_config
 
 
 def run_cli(*args, env_extra=None):
@@ -190,6 +190,43 @@ def test_tomography_sweep_needs_positive_n(n, tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("mode,body,lineno", [
+    ("tomo", "preset = fig1\ntheta2 = 15\n", 4),
+    ("sweep", "preset = fig1\ntheta2_start = 0\ntheta2_stop = 10\ntheta2_step = 5\ntomo = true\n", 7),
+])
+def test_tomography_shots_capped_below_poisson_limit(mode, body, lineno, tmp_path, capsys):
+    # numpy's Poisson sampler refuses means above about 9.2e18
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"mode = {mode}\n{body}n = 100000000000000000000\n")
+    assert main([mode, "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"polarchan: line {lineno}: n must be at most "
+                                   "1000000000000000000 (10**18) for tomography, "
+                                   "got 100000000000000000000\n")
+    cfg.write_text(f"mode = {mode}\n{body}n = 1000000000000000000\n")
+    assert main([mode, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.count("\n") == (2 if mode == "tomo" else 4)
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_rejected(source, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "t.cfg"
+    body = "mode = tomo\npreset = fig1\ntheta2 = 15\nn = 100\n"
+    argv = ["tomo", "--config", str(cfg)]
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        message = "--seed must be non-negative, got -1"
+    elif source == "config":
+        body += "seed = -5\n"
+        message = "line 5: seed must be non-negative, got -5"
+    else:
+        monkeypatch.setenv(cli.ENV_SEED, "-3")
+        message = f"environment variable {cli.ENV_SEED} must be non-negative, got -3"
+    cfg.write_text(body)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"polarchan: {message}\n")
+
+
 def test_region_grid_capped_before_allocation(tmp_path, capsys):
     cfg = tmp_path / "big.cfg"
     cfg.write_text("mode = region\ngrid_n = 100000\n")
@@ -333,7 +370,7 @@ def test_sweep_csv_reparses():
                 float(cell)  # numeric columns parse
 
 
-def reference_sweep_row(cfg, theta1, theta2, row_seed=None):
+def reference_sweep_row(cfg, theta1, theta2, seed=None, stream=0):
     """One sweep row through the one-bench API, formatted cell by cell."""
     bench = build_bench(DepolarizerSettings(theta1, theta2, cfg.length1, cfg.length2))
     kraus = propagate(bench)
@@ -343,11 +380,11 @@ def reference_sweep_row(cfg, theta1, theta2, row_seed=None):
     cells = [_fmt_angle(theta2)] + [_fmt(v) for v in radii_closed_form(theta1, theta2)]
     cells.append(_fmt(dop_isotropic(theta2)) if on_iso_line else "")
     cells += [_fmt(v) for v in sim] + [_fmt(v) for v in lams]
-    if row_seed is None:
+    if seed is None:
         cells += [""] * 5
     else:
-        fit = qpt_mle(simulate_counts(kraus, TomoSettings(shots=cfg.n, seed=row_seed)))
-        cells += [_fmt(v) for v in chi_eigenvalues(fit.chi)] + [str(row_seed)]
+        record = simulate_counts(kraus, TomoSettings(shots=cfg.n, seed=seed), stream=stream)
+        cells += [_fmt(v) for v in chi_eigenvalues(qpt_mle(record).chi)] + [str(seed)]
     return ",".join(cells)
 
 
@@ -378,11 +415,47 @@ def test_tomo_sweep_rows_match_reference_across_blocks():
     cfg = parse_config("mode = sweep\npreset = fig1\ntheta2_start = 0\ntheta2_stop = 45\n"
                        "theta2_step = 7.5\ntomo = true\nn = 300\n")
     theta1 = isotropic_theta1_angles()[1]
-    expected = [reference_sweep_row(cfg, theta1, t2, 40 + i)
+    expected = [reference_sweep_row(cfg, theta1, t2, 40, stream=i)
                 for i, t2 in enumerate(cli._sweep_thetas(cfg))]
     with mock.patch.object(cli, "_SWEEP_BLOCK", 3):
         for jobs in (1, 2):
             assert run_sweep(cfg, jobs=jobs, seed=40)[1:] == expected
+
+
+def drawn_streams(cfg, seed):
+    """(run seed, stream) of every count record a tomography sweep draws."""
+    drawn = []
+    poisson_table = tomography._poisson_table
+
+    def spy(seed_, stream, lam):
+        drawn.append((seed_, stream))
+        return poisson_table(seed_, stream, lam)
+
+    with mock.patch.object(tomography, "_poisson_table", spy):
+        run_sweep(cfg, jobs=1, seed=seed)
+    return drawn
+
+
+def test_sweep_rows_share_no_stream():
+    cfg = parse_config("mode = sweep\npreset = fig1\ntheta2_start = 0\ntheta2_stop = 45\n"
+                       "theta2_step = 15\ntomo = true\nn = 200\n")
+    # row i draws stream i of the run seed, not stream 0 of seed + i
+    keys = drawn_streams(cfg, 42) + drawn_streams(cfg, 43)
+    assert keys == [(seed, i) for seed in (42, 43) for i in range(4)]
+    seqs = [record_seed_sequence(seed, stream) for seed, stream in keys]
+    assert len({(seq.entropy, seq.spawn_key) for seq in seqs}) == len(seqs)
+    # the 128-bit Philox key each stream starts from
+    assert len({seq.generate_state(2, np.uint64).tobytes() for seq in seqs}) == len(seqs)
+
+
+def test_tomo_reproduces_sweep_row_zero():
+    tomo = parse_config("mode = tomo\npreset = fig1\ntheta2 = 15\nn = 2000\n")
+    sweep = parse_config("mode = sweep\npreset = fig1\ntheta2_start = 15\ntheta2_stop = 30\n"
+                         "theta2_step = 15\ntomo = true\nn = 2000\n")
+    tomo_row = cli.run_tomo(tomo, seed=7)[1].split(",")
+    sweep_rows = [line.split(",") for line in run_sweep(sweep, jobs=1, seed=7)[1:]]
+    assert sweep_rows[0][12:17] == tomo_row[:4] + ["7"]
+    assert sweep_rows[1][16] == "7"  # every row prints the run seed
 
 
 def test_sweep_reports_unconverged_fits(tmp_path, capsys):
@@ -394,11 +467,21 @@ def test_sweep_reports_unconverged_fits(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     converged_bytes = out.read_bytes()
 
+    # every row shares the run seed, so each record is tagged with the stream it
+    # was drawn from; a record is alive, and its id unique, until its fit returns
+    streams = {}
+
+    def tagged_counts(kraus, settings, *, stream):
+        record = simulate_counts(kraus, settings, stream=stream)
+        streams[id(record)] = stream
+        return record
+
     def flaky_mle(record):
         fit = qpt_mle(record)
-        return dataclasses.replace(fit, converged=record.seed not in (11, 13))
+        return dataclasses.replace(fit, converged=streams[id(record)] not in (1, 3))
 
-    with mock.patch.object(cli, "qpt_mle", flaky_mle):
+    with mock.patch.object(cli, "simulate_counts", tagged_counts), \
+            mock.patch.object(cli, "qpt_mle", flaky_mle):
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
     assert capsys.readouterr().err == (
         "polarchan: warning: sweep row 1 (theta2 = 5.000000): MLE fit did not converge\n"
@@ -411,15 +494,7 @@ def test_sweep_reports_unconverged_fits(tmp_path, capsys):
 # golden outputs (regression-fixed, bit-identical across runs and --jobs)
 # ---------------------------------------------------------------------------
 
-GOLDEN_CASES = [
-    ("sweep", "cfg_sweep.cfg", "golden_sweep.csv"),
-    ("simulate", "cfg_simulate_lyot.cfg", "golden_simulate_lyot.csv"),
-    ("simulate", "cfg_simulate_two_crystal.cfg", "golden_simulate_two_crystal.csv"),
-    ("simulate", "cfg_simulate_rotated.cfg", "golden_simulate_rotated.csv"),
-    ("tomo", "cfg_tomo.cfg", "golden_tomo.csv"),
-    ("feasibility", "cfg_feasibility.cfg", "golden_feasibility.csv"),
-    ("region", "cfg_region.cfg", "golden_region.csv"),
-]
+# GOLDEN_CASES and COUNTS_CASE come from regen_goldens.py, which rewrites them
 
 
 @pytest.mark.parametrize("mode,cfg_name,golden_name", GOLDEN_CASES)
@@ -446,10 +521,7 @@ def test_tomo_counts_out_matches_tomography_golden(tmp_path):
     # the CLI writes the same record the library produces for these settings
     counts = tmp_path / "counts.csv"
     cfg = tmp_path / "t.cfg"
-    cfg.write_text(
-        "mode = tomo\npreset = fig1\ntheta1 = 31.316097420688664\ntheta2 = 15\n"
-        f"n = 10000\nseed = 42\ncounts_out = {counts}\n"
-    )
+    cfg.write_text(counts_config(counts))
     res = run_cli("tomo", "--config", str(cfg))
     assert res.returncode == 0, res.stderr
-    assert counts.read_bytes() == (DATA / "golden_counts_seed42.csv").read_bytes()
+    assert counts.read_bytes() == (DATA / COUNTS_CASE[1]).read_bytes()

@@ -26,6 +26,7 @@ from polarchan.polar_core import (
 )
 from polarchan.tomography import (
     INPUT_LABELS,
+    MAX_SHOTS,
     PROJECTOR_LABELS,
     CountRecord,
     TomoSettings,
@@ -40,13 +41,13 @@ from polarchan.tomography import (
     simulate_counts,
     simulate_state_counts,
     trace_preservation_deviation,
-    _poisson_draw,
 )
 
 from conftest import (
     random_bench,
     random_physical_stokes,
     reference_channel,
+    reference_counts,
     reference_nll_and_grad,
     reference_qpt_linear,
     reference_stokes,
@@ -158,6 +159,31 @@ def test_count_record_csv_rejects_incomplete():
         CountRecord.from_csv_text(text)
 
 
+@pytest.mark.parametrize("labels", [("H", "H"), ("H", "H", "P", "R")])
+def test_count_record_rejects_repeated_labels(labels):
+    # such a record would write a CSV that from_csv_text refuses to read back
+    with pytest.raises(ValueError, match=re.escape(f"input labels must be distinct, got {labels!r}")):
+        CountRecord(np.ones((len(labels), 6), int), labels, 10, 1)
+
+
+def test_settings_and_streams_reject_out_of_range_values():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+        TomoSettings(seed=-5)
+    assert TomoSettings(shots=MAX_SHOTS).shots == MAX_SHOTS
+    with pytest.raises(ValueError, match="shots must be between 0 and"):
+        TomoSettings(shots=MAX_SHOTS + 1)
+    with pytest.raises(ValueError, match="stream must be non-negative, got -1"):
+        simulate_counts(identity_kraus(), TomoSettings(shots=10), stream=-1)
+    with pytest.raises(ValueError, match="stream must be non-negative"):
+        simulate_state_counts(ket_projector(KET_H), TomoSettings(shots=10), stream=-2)
+
+
+def test_counts_at_the_shot_cap_are_drawn():
+    rec = simulate_counts(identity_kraus(), TomoSettings(shots=MAX_SHOTS, seed=1))
+    n_h, n_v = rec.row("H")[:2]
+    assert abs(n_h - MAX_SHOTS) <= 5 * 10**9 and n_v == 0  # five sigma
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ("H,H,999", r"line 5: duplicate entry \(H, H\) in 'H,H,999'"),
     ("H,X,7", r"line 5: unknown projector 'X' in 'H,X,7'"),
@@ -263,7 +289,7 @@ def test_process_fits_match_rows_by_input_label():
     # a bare table carries no labels and is read in INPUT_LABELS order
     assert not np.allclose(qpt_linear(shuffled.counts), qpt_linear(rec))
 
-    for labels in (("H", "V", "P", "L"), ("H", "H", "P", "R"), ("in0", "in1", "in2", "in3")):
+    for labels in (("H", "V", "P", "L"), ("in0", "in1", "in2", "in3")):
         bad = CountRecord(rec.counts, labels, rec.shots, rec.seed)
         for fit_fn in (qpt_mle, qpt_linear):
             with pytest.raises(ValueError, match=re.escape(repr(labels))):
@@ -443,12 +469,9 @@ def reference_probability_table(kraus, inputs, projectors):
     return table
 
 
-def reference_state_counts(rho, settings):
-    counts = np.empty((1, 6), dtype=np.int64)
-    for j, proj in enumerate(analysis_projectors()):
-        p = clipped_trace(proj, np.asarray(rho, dtype=complex))
-        counts[0, j] = _poisson_draw(settings.seed, (0, j), settings.shots * p)
-    return counts
+def reference_state_counts(rho, settings, stream):
+    probs = [clipped_trace(proj, np.asarray(rho, dtype=complex)) for proj in analysis_projectors()]
+    return reference_counts(settings.seed, stream, [[settings.shots * p for p in probs]])
 
 
 def loose_state(rng, scale):
@@ -458,8 +481,8 @@ def loose_state(rng, scale):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
-def test_probability_table_matches_per_entry_loop(seed, m):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(0, 2 ** 16))
+def test_probability_table_matches_per_entry_loop(seed, m, stream):
     rng = np.random.default_rng(seed)
     kraus = propagate(random_bench(rng))
     default = probability_table(kraus)
@@ -469,21 +492,32 @@ def test_probability_table_matches_per_entry_loop(seed, m):
     projectors = [loose_state(rng, 3.0) for _ in range(3)]
     assert same_bits(probability_table(kraus, inputs, projectors),
                      reference_probability_table(kraus, inputs, projectors))
-    record = simulate_counts(kraus, TomoSettings(shots=5000, seed=seed))
-    assert record.counts.tolist() == [
-        [_poisson_draw(seed, (i, j), 5000 * p) for j, p in enumerate(row)]
-        for i, row in enumerate(default.tolist())
-    ]
+    record = simulate_counts(kraus, TomoSettings(shots=5000, seed=seed), stream=stream)
+    assert same_bits(record.counts, reference_counts(seed, stream, 5000 * default))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.6))
-def test_state_counts_match_per_projector_loop(seed, scale):
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.6), st.integers(0, 2 ** 16))
+def test_state_counts_match_per_projector_loop(seed, scale, stream):
     rng = np.random.default_rng(seed)
     rho = loose_state(rng, scale)
     settings_ = TomoSettings(shots=2000, seed=seed)
-    record = simulate_state_counts(rho, settings_)
-    assert same_bits(record.counts, reference_state_counts(rho, settings_))
+    record = simulate_state_counts(rho, settings_, stream=stream)
+    assert same_bits(record.counts, reference_state_counts(rho, settings_, stream))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.permutations(range(6)))
+def test_records_independent_of_draw_order(seed, order):
+    # each record owns its stream, so drawing them in any order gives the same tables
+    rng = np.random.default_rng(seed)
+    krauses = [propagate(random_bench(rng)) for _ in range(3)]
+    tasks = [(kraus, stream) for kraus in krauses for stream in (0, 1)]
+    settings_ = TomoSettings(shots=3000, seed=seed)
+    in_order = [simulate_counts(kraus, settings_, stream=stream).counts for kraus, stream in tasks]
+    shuffled = {i: simulate_counts(tasks[i][0], settings_, stream=tasks[i][1]).counts for i in order}
+    for i, counts in enumerate(in_order):
+        assert same_bits(shuffled[i], counts)
 
 
 # ---------------------------------------------------------------------------
