@@ -53,6 +53,7 @@ from .channel_analysis import (
 from .depolarizer import (
     REFLECTION_COMPENSATION,
     DepolarizerSettings,
+    _radii_grid,
     build_bench,
     build_bench_rotated_crystals,
     build_lyot,
@@ -551,8 +552,7 @@ def run_feasibility(cfg: RunConfig) -> list:
 
 def run_region(cfg: RunConfig) -> list:
     angles = np.linspace(0.0, 45.0, cfg.grid_n)
-    t1, t2 = np.meshgrid(angles, angles, indexing="ij")
-    r1, r2, _ = radii_closed_form(t1, t2)
+    r1, r2 = _radii_grid(angles.tolist())
     lines = [",".join(["theta1", "theta2", "r1", "r2"])]
     angle_cells = ["%.6f" % a for a in angles.tolist()]
     for i, a1 in enumerate(angle_cells):

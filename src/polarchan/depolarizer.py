@@ -25,6 +25,7 @@ second crystal pair.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +86,27 @@ def radii_closed_form(theta1_deg, theta2_deg):
     r1 = c2 - s2 * np.cos(4 * t1) ** 2
     r2 = c2 - 0.5 * s2 * np.sin(4 * t1) ** 2
     return r1, r2, r2
+
+
+def _radii_grid(angles_deg) -> tuple:
+    """Closed-form (R1, R2) on the ``angles x angles`` grid, rows theta1 and columns theta2.
+
+    Each squared cosine and sine is taken once per angle with ``math``, so the
+    bytes do not depend on which SIMD loop numpy dispatches for a long array.
+    The grid arithmetic is radii_closed_form's, in the same order, written in
+    place so that the grid holds no temporaries.
+    """
+    rad = [math.radians(a) for a in angles_deg]
+
+    def squares(fn, k):
+        return np.array([fn(k * t) ** 2 for t in rad])
+
+    c2, s2 = squares(math.cos, 2), squares(math.sin, 2)
+    r1 = s2 * squares(math.cos, 4)[:, None]
+    np.subtract(c2, r1, out=r1)
+    r2 = 0.5 * s2 * squares(math.sin, 4)[:, None]
+    np.subtract(c2, r2, out=r2)
+    return r1, r2
 
 
 def dop_isotropic(theta2_deg):

@@ -126,6 +126,12 @@ class CountRecord:
             raise ValueError("one input label per table row required")
         if len(set(labels)) != len(labels):
             raise ValueError(f"input labels must be distinct, got {labels}")
+        for label in labels:
+            if not _csv_safe_label(label):
+                raise ValueError(
+                    f"input label {label!r} cannot be written to a count CSV: labels must be "
+                    "non-empty strings without ',', line breaks, a leading '#' or "
+                    "surrounding whitespace")
         if counts.min() < 0:
             raise ValueError("counts must be nonnegative")
         counts.setflags(write=False)
@@ -176,6 +182,8 @@ class CountRecord:
             if len(fields) != 3:
                 raise ValueError(f"line {number}: expected input,projector,counts, got {line!r}")
             in_label, pr_label, value = fields
+            if not _csv_safe_label(in_label):
+                raise ValueError(f"line {number}: bad input label {in_label!r} in {line!r}")
             if pr_label not in PROJECTOR_LABELS:
                 raise ValueError(f"line {number}: unknown projector {pr_label!r} in {line!r}")
             row = rows.setdefault(in_label, {})
@@ -195,6 +203,16 @@ class CountRecord:
                     raise ValueError(f"incomplete table: missing ({in_label}, {pr_label})")
                 table[i, j] = rows[in_label][pr_label]
         return cls(table, labels, shots, seed)
+
+
+def _csv_safe_label(label) -> bool:
+    """Whether ``label`` reads back unchanged from a count CSV line.
+
+    The reader splits on line breaks (every one ``str.splitlines`` knows),
+    strips each line, skips ``#`` lines and splits fields on ``,``.
+    """
+    return (isinstance(label, str) and label.splitlines() == [label]
+            and label == label.strip() and not label.startswith("#") and "," not in label)
 
 
 def expected_probability(kraus: KrausSet, rho_in: np.ndarray, projector: np.ndarray) -> float:
@@ -398,29 +416,40 @@ def _tri_to_params(t: np.ndarray, dim: int) -> np.ndarray:
     return params
 
 
-def _nll_and_grad(params, a_tensor, counts, shots, dim):
+def _nll_and_grad(params, forms, counts, shots):
     """Poisson NLL sum_s [N p_s - n_s log(N p_s)] and its parameter gradient.
 
-    p_s = Re sum_mn A[s] X, X = T^dag T / Tr(T^dag T); the gradient follows
-    from d/dT* of Tr(C T^dag T)/Tr(T^dag T) with C the conjugated NLL
-    gradient with respect to X.  Settings with no counts contribute no log
-    term, so a zero-shot record gives a finite NLL without a log(0).
+    T is linear in the parameters, so Tr(T^dag T) = params.params and
+    p_s = params^T Q_s params / params.params with the fixed symmetric forms
+    Q_s stacked in ``forms`` (see _quadratic_forms).  With v_s = Q_s params
+    and w_s = dNLL/dp_s, the gradient is (2/tau)(sum_s w_s v_s - (w.p) params).
+    Settings with no counts contribute no log term, so a zero-shot record
+    gives a finite NLL without a log(0).
     """
-    t = _params_to_tri(params, dim)
-    gram = t.conj().T @ t
-    tau = float(gram.trace().real)
-    x = gram / tau
-    p = np.einsum("smn,mn->s", a_tensor, x).real
+    v = (forms @ params).reshape(-1, params.size)
+    tau = params @ params
+    p = v @ params / tau
     p_safe = np.maximum(p, _P_FLOOR)
     lam = shots * p
-    counted = counts > 0
-    logs = np.log(shots * p_safe, where=counted, out=np.zeros(p.shape))
-    nll = float((lam - np.where(counted, counts * logs, 0.0)).sum())
+    logs = np.log(shots * p_safe, where=counts > 0, out=np.zeros(p.shape))
+    nll = float((lam - counts * logs).sum())
     w = np.where(p > _P_FLOOR, shots - counts / p_safe, shots)
-    b = np.einsum("s,smn->mn", w, a_tensor)
-    pbar = float((b * x).sum().real)
-    g_t = t @ (b.conj() - pbar * _tri_layout(dim)[2]) / tau
-    return nll, 2.0 * _tri_to_params(g_t, dim)
+    return nll, (2.0 / tau) * (w @ v - (w @ p) * params)
+
+
+def _quadratic_forms(a_tensor: np.ndarray) -> np.ndarray:
+    """The NLL's forms Q_s of ``A[s]``, stacked as one read-only ``(S*n, n)`` array.
+
+    With T = sum_k params_k B_k (B_k the T of the k-th unit parameter vector),
+    Q_s[k, l] = sym Re sum_mn A[s,m,n] (B_k^dag B_l)[m,n], so that
+    params^T Q_s params = Re sum_mn A[s,m,n] (T^dag T)[m,n].
+    """
+    dim = a_tensor.shape[-1]
+    n = _num_params(dim)
+    basis = np.stack([_params_to_tri(unit, dim) for unit in np.eye(n)])
+    products = basis.conj().transpose(0, 2, 1)[:, None] @ basis[None]  # [k, l] = B_k^dag B_l
+    q = np.einsum("smn,klmn->skl", a_tensor, products).real
+    return _frozen((0.5 * (q + q.transpose(0, 2, 1))).reshape(-1, n))
 
 
 def _clip_to_physical(matrix: np.ndarray, floor: float = 1e-8) -> np.ndarray:
@@ -443,13 +472,13 @@ def _lower_factor(matrix: np.ndarray) -> np.ndarray:
     return (flip @ l_flipped @ flip).conj().T
 
 
-def _mle_minimize(a_tensor, counts, shots, x0_matrix, settings) -> tuple:
+def _mle_minimize(forms, counts, shots, x0_matrix, settings) -> tuple:
     dim = x0_matrix.shape[0]
     x0 = _tri_to_params(_lower_factor(x0_matrix), dim)
     res = minimize(
         _nll_and_grad,
         x0,
-        args=(a_tensor, np.asarray(counts, dtype=float), float(shots), dim),
+        args=(forms, np.asarray(counts, dtype=float), float(shots)),
         jac=True,
         method="L-BFGS-B",
         options={
@@ -481,7 +510,7 @@ def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
     if settings is None:
         settings = TomoSettings(shots=max(int(shots), 1))
     x0 = _clip_to_physical(qst_linear(row).rho)
-    matrix, nll, ok, nit = _mle_minimize(_qst_a_tensor(), row, shots, x0, settings)
+    matrix, nll, ok, nit = _mle_minimize(_qst_forms(), row, shots, x0, settings)
     return MleResult(matrix, nll, ok, nit)
 
 
@@ -513,6 +542,18 @@ def _qpt_a_tensor() -> np.ndarray:
                     a[m, n] = np.trace(proj @ PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
             rows.append(a)
     return _frozen(np.stack(rows))
+
+
+@cache
+def _qst_forms() -> np.ndarray:
+    """The state fit's NLL forms, one per analysis projector."""
+    return _quadratic_forms(_qst_a_tensor())
+
+
+@cache
+def _qpt_forms() -> np.ndarray:
+    """The process fit's NLL forms, one per preparation/analysis setting."""
+    return _quadratic_forms(_qpt_a_tensor())
 
 
 @cache
@@ -553,6 +594,13 @@ def _qpt_design() -> np.ndarray:
     return _frozen(design)
 
 
+@cache
+def _qpt_linear_map() -> np.ndarray:
+    """The ``(16, 16)`` complex map from the stacked (1, Stokes) outputs to the
+    flattened process matrix: the Hermitian basis times the design's inverse."""
+    return _frozen(_hermitian_basis().reshape(16, 16).T @ np.linalg.inv(_qpt_design()))
+
+
 def _process_table(counts) -> np.ndarray:
     """The ``(4, 6)`` float count table of a process record, rows in INPUT_LABELS order.
 
@@ -575,14 +623,14 @@ def _process_table(counts) -> np.ndarray:
 def qpt_linear(counts) -> np.ndarray:
     """Linear-inversion process matrix (Hermitian, possibly unphysical).
 
-    Runs per-input linear state tomography, then solves the linear system
-    relating the process matrix to the four reconstructed outputs.  A
-    CountRecord's rows are matched to the inputs by label (see qpt_mle).
+    Runs per-input linear state tomography, then applies the fixed linear
+    map (the inverse of the design relating the process matrix to the four
+    outputs) to the reconstructed outputs.  A CountRecord's rows are matched
+    to the inputs by label (see qpt_mle).
     """
     y = np.ones((4, 4))  # Tr(E_i rho') components of each output
     y[:, 1:] = _stokes_rows(_process_table(counts))[0]
-    coeffs, *_ = np.linalg.lstsq(_qpt_design(), y.ravel(), rcond=None)
-    return np.einsum("k,kmn->mn", coeffs, _hermitian_basis())
+    return (_qpt_linear_map() @ y.ravel()).reshape(4, 4)
 
 
 _EN_EM = _frozen(np.stack(
@@ -614,7 +662,6 @@ def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
         raise ValueError("shots must be given when counts is a bare table")
     if settings is None:
         settings = TomoSettings(shots=max(int(shots), 1))
-    a_tensor = _qpt_a_tensor()
     x0 = _clip_to_physical(qpt_linear(table))
-    matrix, nll, ok, nit = _mle_minimize(a_tensor, table.ravel(), shots, x0, settings)
+    matrix, nll, ok, nit = _mle_minimize(_qpt_forms(), table.ravel(), shots, x0, settings)
     return QptMleResult(matrix, nll, ok, nit, trace_preservation_deviation(matrix))

@@ -7,6 +7,7 @@ from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, affine_map, app
 from polarchan.channel_analysis import pauli_feasible, polar_decompose
 from polarchan.depolarizer import (
     REFLECTION_COMPENSATION,
+    _radii_grid,
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
     build_bench,
@@ -22,10 +23,19 @@ from polarchan.depolarizer import (
 )
 from polarchan.polar_core import KET_H, density_from_stokes, ket_projector, stokes_from_density
 
-from conftest import random_physical_stokes
+from conftest import random_physical_stokes, same_bits
 
 THETA_ISO_LOW, THETA_ISO_HIGH = isotropic_theta1_angles()
 MAGIC_TWO_CRYSTAL = np.degrees(np.arctan(np.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("grid_n", [1, 2, 46, 101])
+def test_radii_grid_matches_scalar_closed_form(grid_n):
+    # the region grid is, cell by cell, one scalar closed-form call, whatever its size
+    angles = np.linspace(0.0, 45.0, grid_n).tolist()
+    r1, r2 = _radii_grid(angles)
+    scalar = np.array([[radii_closed_form(t1, t2)[:2] for t2 in angles] for t1 in angles])
+    assert same_bits(r1, scalar[..., 0]) and same_bits(r2, scalar[..., 1])
 
 
 def test_radii_closed_form_examples():
