@@ -3,15 +3,17 @@
 A birefringent crystal couples polarization to arrival time: the component
 along its fast axis keeps its delay, the slow component is retarded by the
 crystal length (an integer number of base walk-off units after
-normalization).  Propagation therefore maintains a map ``delay -> 2x2
-transfer matrix``; wave plates act on every delay bin, crystals split each
-bin into a fast part (same delay) and a slow part (delay + length).
-Contributions landing in the same bin are summed coherently: with all
-crystals cut from one material, a path's accumulated optical phase is a
-function of its total delay alone, so amplitudes meeting at equal delay
-carry no relative phase.  Tracing out the (unresolved) arrival time turns
-the surviving transfer matrices into the Kraus operators of the
-polarization channel.
+normalization).  Propagation therefore carries one 2x2 transfer matrix per
+delay bin; wave plates act on every delay bin, crystals split each bin into
+a fast part (same delay) and a slow part (delay + length).  Contributions
+landing in the same bin are summed coherently: with all crystals cut from
+one material, a path's accumulated optical phase is a function of its total
+delay alone, so amplitudes meeting at equal delay carry no relative phase.
+Which bins meet depends only on the crystal lengths, so the bins of every
+step are worked out once per bench structure, as index arrays (a gather
+plan), and each crystal is then one product and one gathered sum.  Tracing
+out the (unresolved) arrival time turns the surviving transfer matrices
+into the Kraus operators of the polarization channel.
 
 Delays are exact integers end to end; there is no floating-point
 coincidence test anywhere.
@@ -19,6 +21,7 @@ coincidence test anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +76,13 @@ def _as_length(value) -> Fraction:
     return frac
 
 
+def _finite_angle(value, element: str) -> float:
+    angle = float(value)
+    if not math.isfinite(angle):
+        raise ValueError(f"{element} angle must be finite, got {angle}")
+    return angle
+
+
 @dataclass(frozen=True)
 class Crystal:
     """Birefringent crystal: ``length`` in base walk-off units, fast axis in degrees."""
@@ -82,7 +92,8 @@ class Crystal:
 
     def __post_init__(self):
         object.__setattr__(self, "length", _as_length(self.length))
-        object.__setattr__(self, "fast_axis_deg", float(self.fast_axis_deg))
+        angle = _finite_angle(self.fast_axis_deg, "crystal fast axis")
+        object.__setattr__(self, "fast_axis_deg", angle)
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,8 @@ class Waveplate:
     def __post_init__(self):
         if self.kind not in ("half", "quarter"):
             raise ValueError(f"wave-plate kind must be 'half' or 'quarter', got {self.kind!r}")
-        object.__setattr__(self, "angle_deg", float(self.angle_deg))
+        angle = _finite_angle(self.angle_deg, f"{self.kind}-wave plate")
+        object.__setattr__(self, "angle_deg", angle)
 
     def jones(self) -> np.ndarray:
         return waveplate_jones(self.kind, self.angle_deg)
@@ -164,7 +176,7 @@ class KrausSet:
     """Kraus operators of a channel, one per resolved temporal delay.
 
     The operators are read-only views of one ``(1, n, 2, 2)`` stack, built
-    once at construction.
+    once at construction; they must be finite 2x2 matrices.
     """
 
     delays: tuple
@@ -179,6 +191,8 @@ class KrausSet:
             raise ValueError(f"operators must be 2x2 matrices, got shape {stack.shape}")
         if len(delays) != len(stack):
             raise ValueError("delays and operators must have equal length")
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operators must be finite")
         stack = stack[None]
         if any(d1 >= d2 for d1, d2 in zip(delays, delays[1:])):
             raise ValueError("delays must be strictly increasing")
@@ -214,15 +228,21 @@ def _completeness_defects(ops: np.ndarray) -> np.ndarray:
 def _require_complete(ops: np.ndarray, atol: float = 1e-12) -> None:
     """Raise unless every bench of a ``(B, n, 2, 2)`` Kraus stack is trace preserving."""
     defect = _completeness_defects(ops).max()
-    if defect > atol:
+    # written so that a NaN defect fails too
+    if not defect <= atol:
         raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
 
 
-def _fast_slow_projectors(angle_deg: float) -> tuple:
+@functools.lru_cache(maxsize=64)
+def _projector_pair(angle_deg: float, sign: float) -> np.ndarray:
+    """Read-only ``(2, 2, 2)`` fast- and slow-axis projectors of a crystal at ``angle_deg``.
+
+    ``sign`` is the angle's sign bit, so 0.0 and -0.0 keep entries of their own.
+    """
     r = rotation2(angle_deg)
-    fast = np.outer(r[:, 0], r[:, 0]).astype(complex)
-    slow = np.outer(r[:, 1], r[:, 1]).astype(complex)
-    return fast, slow
+    pair = np.stack([np.outer(r[:, 0], r[:, 0]), np.outer(r[:, 1], r[:, 1])]).astype(complex)
+    pair.setflags(write=False)
+    return pair
 
 
 def _structure(bench: BenchConfig) -> tuple:
@@ -230,15 +250,54 @@ def _structure(bench: BenchConfig) -> tuple:
     return tuple(el.kind if isinstance(el, Waveplate) else el.length for el in bench.elements)
 
 
+@functools.lru_cache(maxsize=32)
+def _gather_plan(structure: tuple) -> tuple:
+    """The delay bookkeeping of one bench structure: ``(delays, steps)``.
+
+    ``delays`` are the sorted final delays; ``steps`` has one entry per
+    element, ``None`` for a wave plate.  For a crystal that meets ``n`` bins
+    it is a pair of read-only index arrays ``(first, second)`` into the
+    ``2n + 1`` slots ``[fast @ t; slow @ t; -0.0]``: new bin ``e`` is
+    ``slot[first[e]] + slot[second[e]]``, the fast part of the bin at ``e``
+    and the slow part of the bin at ``e - shift``.  A missing part points at
+    the ``-0.0`` slot, and ``x + -0.0`` is ``x`` bit for bit, signed zeros
+    included.  Raises before building anything for a bench that may produce
+    more than ``MAX_DELAY_BINS`` bins.
+    """
+    shifts = _integer_lengths([kind for kind in structure if not isinstance(kind, str)])
+    if _bin_bound(shifts) > MAX_DELAY_BINS:
+        raise ValueError(f"bench may produce more than {MAX_DELAY_BINS} delay bins")
+    shifts = iter(shifts)
+    delays = [0]
+    steps = []
+    for kind in structure:
+        if isinstance(kind, str):
+            steps.append(None)
+            continue
+        shift = next(shifts)
+        n = len(delays)
+        at = {d: i for i, d in enumerate(delays)}
+        delays = sorted(at.keys() | {d + shift for d in delays})
+        first, second = [], []
+        for d in delays:
+            stay, move = at.get(d), at.get(d - shift)
+            first.append(n + move if stay is None else stay)
+            second.append(2 * n if stay is None or move is None else n + move)
+        index = np.array([first, second], dtype=np.intp)
+        index.setflags(write=False)
+        steps.append((index[0], index[1]))
+    return tuple(delays), tuple(steps)
+
+
 def _per_bench(angles, build) -> list:
-    """``build(angle)`` for every bench, computed once per distinct angle."""
+    """``build(angle, sign)`` for every bench, computed once per distinct angle."""
     # keyed with the sign bit, so 0.0 and -0.0 keep their own signed zeros
     built: dict = {}
     out = []
     for a in angles:
         key = (a, math.copysign(1.0, a))
         if key not in built:
-            built[key] = build(a)
+            built[key] = build(*key)
         out.append(built[key])
     return out
 
@@ -250,8 +309,11 @@ def propagate_stack(benches) -> tuple:
     wave-plate kinds and crystal lengths; only the angles may differ.  Returns
     ``(delays, ops)``: the sorted integer delays and a ``(B, n_bins, 2, 2)``
     array of each bench's transfer matrix per delay, numerically-zero bins
-    included.  Each wave-plate and projector matrix is built by the scalar
-    constructors, so every bench gets the same bits as on its own.
+    included.  A wave plate is one product over all bins; a crystal is one
+    product with its fast and slow projectors and one gathered sum, through
+    the structure's cached :func:`_gather_plan`.  Each wave-plate and
+    projector matrix is built by the scalar constructors, so every bench
+    gets the same bits as on its own.
     """
     benches = list(benches)
     if not benches:
@@ -260,39 +322,24 @@ def propagate_stack(benches) -> tuple:
     structure = _structure(first)
     if any(_structure(b) != structure for b in benches[1:]):
         raise ValueError("stacked benches must share element kinds and crystal lengths")
-    shifts = _integer_lengths(first.crystal_lengths())
-    if _bin_bound(shifts) > MAX_DELAY_BINS:
-        raise ValueError(f"bench may produce more than {MAX_DELAY_BINS} delay bins")
-    shifts = iter(shifts)
+    delays, steps = _gather_plan(structure)
 
-    transfer = {0: np.array([np.eye(2, dtype=complex)] * len(benches))}
-    for pos, el in enumerate(first.elements):
-        if isinstance(el, Waveplate):
-            mats = _per_bench([b.elements[pos].angle_deg for b in benches],
-                              lambda a: waveplate_jones(el.kind, a))
-            u = np.array(mats)
-            transfer = {d: u @ t for d, t in transfer.items()}
-        else:
-            shift = next(shifts)
-            pairs = _per_bench([b.elements[pos].fast_axis_deg for b in benches],
-                               _fast_slow_projectors)
-            fast = np.array([f for f, _ in pairs])
-            slow = np.array([s for _, s in pairs])
-            merged: dict = {}
-            for d, t in transfer.items():
-                stay = fast @ t
-                move = slow @ t
-                if d in merged:
-                    merged[d] = merged[d] + stay
-                else:
-                    merged[d] = stay
-                if d + shift in merged:
-                    merged[d + shift] = merged[d + shift] + move
-                else:
-                    merged[d + shift] = move
-            transfer = merged
-    delays = sorted(transfer)
-    return tuple(delays), np.stack([transfer[d] for d in delays], axis=1)
+    count = len(benches)
+    t = np.broadcast_to(np.eye(2, dtype=complex), (count, 1, 2, 2))
+    for pos, (el, step) in enumerate(zip(first.elements, steps)):
+        if step is None:
+            u = np.array(_per_bench([b.elements[pos].angle_deg for b in benches],
+                                    lambda a, _: waveplate_jones(el.kind, a)))
+            t = u[:, None] @ t
+            continue
+        pairs = np.array(_per_bench([b.elements[pos].fast_axis_deg for b in benches],
+                                    _projector_pair))
+        n = t.shape[1]
+        slots = np.empty((count, 2 * n + 1, 2, 2), dtype=complex)
+        slots[:, -1] = complex(-0.0, -0.0)
+        np.matmul(pairs[:, :, None], t[:, None], out=slots[:, :-1].reshape(count, 2, n, 2, 2))
+        t = slots.take(step[0], axis=1) + slots.take(step[1], axis=1)
+    return delays, t
 
 
 def _nonzero_bins(ops: np.ndarray) -> np.ndarray:
@@ -311,11 +358,8 @@ def propagate(bench: BenchConfig) -> KrausSet:
     that may produce more than ``MAX_DELAY_BINS`` delay bins.
     """
     delays, ops = propagate_stack([bench])
-    keep = _nonzero_bins(ops[0]).tolist()
-    return KrausSet(
-        tuple(d for d, k in zip(delays, keep) if k),
-        tuple(t for t, k in zip(ops[0], keep) if k),
-    )
+    keep = _nonzero_bins(ops[0])
+    return KrausSet(tuple(d for d, k in zip(delays, keep.tolist()) if k), ops[0, keep])
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -350,16 +394,15 @@ def _channel_stack(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     ``rho`` is one ``(2, 2)`` state or an ``(m, 2, 2)`` stack of states; one
     state counts as a stack of one, so the result is always ``(B, m, 2, 2)``,
-    ``[b, j]`` being bench b's output for state j.  Every state goes through
-    the delay bins in one pass: the sum starts at zeros and adds the bins in
-    delay order, the same terms in the same order for every (b, j).
+    ``[b, j]`` being bench b's output for state j.  Every term of every bin
+    comes from one product, ``(B, n, m, 2, 2)`` (64 B per bin, bench and
+    state); reduced along the bin axis, which is not the innermost, numpy
+    adds one bin after another, so each sum starts at zero and adds the bins
+    in delay order, the same terms in the same order for every (b, j).
     """
     states = np.asarray(rho, dtype=complex).reshape(-1, 2, 2)
-    out = np.zeros((ops.shape[0], states.shape[0], 2, 2), dtype=complex)
-    for i in range(ops.shape[1]):
-        k = ops[:, i, None]
-        out += k @ states @ k.conj().swapaxes(-1, -2)
-    return out
+    k = ops[:, :, None]
+    return np.add.reduce(k @ states @ k.conj().swapaxes(-1, -2), axis=1, initial=0)
 
 
 def _stokes_stack(rho: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from polarchan.bench_sim import BenchConfig, Crystal, Waveplate
+from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, normalize_delays
+from polarchan.polar_core import rotation2
 
 
 def random_physical_stokes(rng: np.random.Generator) -> np.ndarray:
@@ -42,6 +43,50 @@ def reference_channel(operators, rho) -> np.ndarray:
     for k in operators:
         out += k @ rho @ k.conj().T
     return out
+
+
+def reference_transfer(bench):
+    """The delay-dictionary loop of propagation, one bench at a time: every
+    bin, numerically zero or not, as sorted ``(delays, transfer matrices)``."""
+    bench = normalize_delays(bench)
+    transfer = {0: np.eye(2, dtype=complex)}
+    for el in bench.elements:
+        if isinstance(el, Waveplate):
+            u = el.jones()
+            transfer = {d: u @ t for d, t in transfer.items()}
+            continue
+        shift = int(el.length)
+        r = rotation2(el.fast_axis_deg)
+        fast = np.outer(r[:, 0], r[:, 0]).astype(complex)
+        slow = np.outer(r[:, 1], r[:, 1]).astype(complex)
+        merged = {}
+        for d, t in transfer.items():
+            merged[d] = merged[d] + fast @ t if d in merged else fast @ t
+            merged[d + shift] = merged[d + shift] + slow @ t if d + shift in merged else slow @ t
+        transfer = merged
+    delays = sorted(transfer)
+    return delays, [transfer[d] for d in delays]
+
+
+def reference_propagate(bench):
+    """:func:`reference_transfer` with the numerically-zero bins dropped."""
+    pairs = [(d, t) for d, t in zip(*reference_transfer(bench))
+             if np.sqrt((np.abs(t) ** 2).sum()) > 1e-14]
+    return [d for d, _ in pairs], [t for _, t in pairs]
+
+
+def clipped_trace(proj, rho):
+    return min(max(float(np.trace(proj @ rho).real), 0.0), 1.0)
+
+
+def reference_probability_table(kraus, inputs, projectors):
+    """One channel output per input, then one scalar trace per projector."""
+    table = np.empty((len(inputs), len(projectors)))
+    for i, rho in enumerate(inputs):
+        out = reference_channel(kraus.operators, rho)
+        for j, proj in enumerate(projectors):
+            table[i, j] = clipped_trace(proj, out)
+    return table
 
 
 def reference_tri(params, dim) -> np.ndarray:

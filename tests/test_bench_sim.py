@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,11 @@ from polarchan.bench_sim import (
     KrausSet,
     Waveplate,
     _channel_stack,
+    _gather_plan,
     _nonzero_bins,
+    _projector_pair,
+    _require_complete,
+    _structure,
     affine_map,
     apply_channel,
     delay_bin_bound,
@@ -28,13 +33,22 @@ from polarchan.depolarizer import (
     build_bench,
     build_lyot,
 )
-from polarchan.polar_core import PAULI_BASIS, KET_H, density_from_stokes, ket_projector, rotation2
-from polarchan.tomography import probability_table
+from polarchan.polar_core import PAULI_BASIS, KET_H, density_from_stokes, ket_projector
+from polarchan.tomography import (
+    TomoSettings,
+    analysis_projectors,
+    preparation_states,
+    probability_table,
+    simulate_counts,
+)
 
 from conftest import (
     random_bench,
     random_physical_stokes,
     reference_channel,
+    reference_probability_table,
+    reference_propagate,
+    reference_transfer,
     restyled_bench,
     same_bits,
 )
@@ -55,6 +69,18 @@ def test_normalize_examples():
 
 def bench_lengths(bench):
     return [int(el.length) for el in bench.elements if isinstance(el, Crystal)]
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, element", [
+    (lambda a: Crystal(1, a), "crystal fast axis"),
+    (lambda a: Waveplate("half", a), "half-wave plate"),
+    (lambda a: Waveplate("quarter", a), "quarter-wave plate"),
+])
+def test_elements_reject_non_finite_angles(make, element, angle):
+    # a NaN plate would otherwise zero every bin and surface as "defect 1"
+    with pytest.raises(ValueError, match=f"{element} angle must be finite, got {angle}"):
+        make(angle)
 
 
 def test_invalid_lengths_rejected():
@@ -179,28 +205,6 @@ def test_affine_map_immutability():
 # ---------------------------------------------------------------------------
 # stacked propagation against the one-bench delay-dictionary loop
 # ---------------------------------------------------------------------------
-
-def reference_propagate(bench):
-    """One bench at a time: a dict of delay -> transfer matrix, zero bins dropped."""
-    bench = normalize_delays(bench)
-    transfer = {0: np.eye(2, dtype=complex)}
-    for el in bench.elements:
-        if isinstance(el, Waveplate):
-            u = el.jones()
-            transfer = {d: u @ t for d, t in transfer.items()}
-            continue
-        shift = int(el.length)
-        r = rotation2(el.fast_axis_deg)
-        fast = np.outer(r[:, 0], r[:, 0]).astype(complex)
-        slow = np.outer(r[:, 1], r[:, 1]).astype(complex)
-        merged = {}
-        for d, t in transfer.items():
-            merged[d] = merged[d] + fast @ t if d in merged else fast @ t
-            merged[d + shift] = merged[d + shift] + slow @ t if d + shift in merged else slow @ t
-        transfer = merged
-    pairs = sorted((d, t) for d, t in transfer.items() if np.sqrt((np.abs(t) ** 2).sum()) > 1e-14)
-    return [d for d, _ in pairs], [t for _, t in pairs]
-
 
 def reference_affine_matrix(kraus):
     """Stokes matrix column by column, one probe state at a time."""
@@ -357,3 +361,135 @@ def test_incomplete_set_rejected_by_every_consumer():
     bad.require_complete(atol=1.0)
     with pytest.raises(ValueError, match="trace preserving"):
         bad.require_complete(atol=0.5)
+
+
+@pytest.mark.parametrize("op", [
+    np.full((2, 2), np.nan),
+    np.array([[1.0, np.inf], [0.0, 1.0]]),
+    np.array([[1.0, 0.0], [-np.inf, 1.0]]),
+    np.array([[1.0, complex(0.0, np.nan)], [0.0, 1.0]]),
+])
+def test_kraus_set_rejects_non_finite_operators(op):
+    with pytest.raises(ValueError, match="Kraus operators must be finite"):
+        KrausSet((0,), (op,))
+
+
+def test_nan_defect_rejected_by_every_consumer():
+    # finite operators whose K^dag K overflow, to +inf and -inf off the
+    # diagonal: their sum is nan, so is the defect, and nan > atol is False
+    big = 1e200
+    kraus = KrausSet((0, 1), (np.array([[big, big], [0.0, 0.0]]), np.array([[big, -big], [0.0, 0.0]])))
+    calls = (
+        kraus.require_complete,
+        lambda: _require_complete(kraus.as_stack()),
+        lambda: affine_map(kraus),
+        lambda: apply_channel(kraus, I2 / 2),
+        lambda: chi_from_kraus(kraus),
+        lambda: probability_table(kraus),
+        lambda: simulate_counts(kraus, TomoSettings(shots=100, seed=1)),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(kraus.completeness_defect())
+        for call in calls:
+            with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
+                call()
+        with pytest.raises(ValueError, match="trace preserving"):
+            _require_complete(np.full((2, 3, 2, 2), np.nan))
+
+
+# ---------------------------------------------------------------------------
+# byte identity at scale: 64-256 bins, past numpy's 8- and 128-element
+# summation blocks, with signed zeros in single-contribution bins
+# ---------------------------------------------------------------------------
+
+#: incommensurate lengths: all subset sums differ, so n crystals give 2**n bins
+_SPARSE_LENGTHS = tuple(Fraction(p, q) for p, q in (
+    (997, 1000), (991, 613), (433, 877), (719, 211), (89, 997), (653, 409), (311, 743), (947, 23)))
+#: crystal angles on and between the axes, which put exact and signed zeros in the projectors
+_SPECIAL_ANGLES = (0.0, 90.0, -0.0, 45.0, -90.0, 180.0)
+
+
+def sparse_structure(rng, n_crystals):
+    """Per element, a crystal length or a wave-plate kind: a plate after crystals 2, 5 and 8."""
+    structure = []
+    for i in range(n_crystals):
+        structure.append(_SPARSE_LENGTHS[i])
+        if i % 3 == 1:
+            structure.append("half" if rng.uniform() < 0.5 else "quarter")
+    return structure
+
+
+def scale_angles(rng, size):
+    return [_SPECIAL_ANGLES[int(rng.integers(len(_SPECIAL_ANGLES)))] if rng.uniform() < 0.6
+            else float(rng.uniform(-180.0, 180.0)) for _ in range(size)]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("n_crystals", [6, 7, 8])
+def test_byte_identity_at_scale(n_crystals, count):
+    rng = np.random.default_rng(1000 * n_crystals + count)
+    structure = sparse_structure(rng, n_crystals)
+    benches = [bench_from(structure, scale_angles(rng, len(structure))) for _ in range(count)]
+    delays, ops = propagate_stack(benches)
+    assert len(delays) == 2 ** n_crystals and ops.shape == (count, 2 ** n_crystals, 2, 2)
+    states = random_states(rng, 3)
+    outs = _channel_stack(ops, states)
+    for b, bench in enumerate(benches):
+        ref_delays, ref_ops = reference_transfer(bench)
+        assert list(delays) == ref_delays
+        assert same_bits(ops[b], np.array(ref_ops))
+        for j, rho in enumerate(states):
+            assert same_bits(outs[b, j], reference_channel(ops[b], rho))
+        kraus = propagate(bench)
+        kept_delays, kept_ops = reference_propagate(bench)
+        assert list(kraus.delays) == kept_delays
+        assert same_bits(kraus.as_stack()[0], np.array(kept_ops).reshape(-1, 2, 2))
+        assert same_bits(probability_table(kraus), reference_probability_table(
+            kraus, preparation_states(), analysis_projectors()))
+
+
+# ---------------------------------------------------------------------------
+# the gather-plan and projector caches
+# ---------------------------------------------------------------------------
+
+def test_gather_plan_read_only_and_caches_small():
+    bench = build_bench(DepolarizerSettings(20.0, 13.0, 2, 3))
+    propagate(bench)
+    delays, steps = _gather_plan(_structure(bench))
+    assert delays == propagate_stack([bench])[0]
+    crystal_steps = [step for step in steps if step is not None]
+    assert len(crystal_steps) == 4 and len(steps) == len(bench.elements)
+    for index in (i for step in crystal_steps for i in step):
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+    # one-off benches must not keep much alive: a few dozen entries at most
+    assert _gather_plan.cache_info().maxsize <= 64
+    assert _projector_pair.cache_info().maxsize <= 64
+    pair = _projector_pair(90.0, 1.0)
+    assert pair.shape == (2, 2, 2) and not pair.flags.writeable
+
+
+def test_projector_cache_keeps_signed_zero_angles_apart():
+    _projector_pair.cache_clear()
+    for angle in (0.0, -0.0, 0.0, -0.0):
+        propagate(BenchConfig((Crystal(1, angle),)))
+    assert _projector_pair.cache_info().currsize == 2
+    assert not same_bits(_projector_pair(0.0, 1.0), _projector_pair(-0.0, -1.0))
+
+
+def test_bin_cap_raises_before_caching_or_allocating():
+    huge = bench_of_lengths(*(2 ** i for i in range(17)))
+    _gather_plan.cache_clear()
+    _projector_pair.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="delay bins"):
+            propagate(huge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the transfer stack alone would take 2**17 * 64 B = 8 MiB
+    assert peak < 64 * 1024
+    assert _gather_plan.cache_info().currsize == 0
+    assert _projector_pair.cache_info().currsize == 0

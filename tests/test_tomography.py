@@ -46,11 +46,12 @@ from polarchan.tomography import (
 )
 
 from conftest import (
+    clipped_trace,
     random_bench,
     random_physical_stokes,
-    reference_channel,
     reference_counts,
     reference_nll_and_grad,
+    reference_probability_table,
     reference_qpt_linear,
     reference_stokes,
     reference_tri,
@@ -519,20 +520,6 @@ def test_linear_map_inverts_the_design():
 # ---------------------------------------------------------------------------
 # stacked Born probabilities against the per-entry loops they replaced
 # ---------------------------------------------------------------------------
-
-def clipped_trace(proj, rho):
-    return min(max(float(np.trace(proj @ rho).real), 0.0), 1.0)
-
-
-def reference_probability_table(kraus, inputs, projectors):
-    """One channel output per input, then one scalar trace per projector."""
-    table = np.empty((len(inputs), len(projectors)))
-    for i, rho in enumerate(inputs):
-        out = reference_channel(kraus.operators, rho)
-        for j, proj in enumerate(projectors):
-            table[i, j] = clipped_trace(proj, out)
-    return table
-
 
 def reference_state_counts(rho, settings, stream):
     probs = [clipped_trace(proj, np.asarray(rho, dtype=complex)) for proj in analysis_projectors()]
