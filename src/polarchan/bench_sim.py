@@ -15,6 +15,11 @@ plan), and each crystal is then one product and one gathered sum.  Tracing
 out the (unresolved) arrival time turns the surviving transfer matrices
 into the Kraus operators of the polarization channel.
 
+Channels are analysed through one representation, the process matrix chi,
+a fixed linear image of the Kraus operators; the Pauli transfer matrix
+R_ij = Tr(E_i E(E_j))/2 is a fixed linear image of chi, and everything else
+(Stokes map, Born probabilities, tomography constants) is read off R.
+
 Delays are exact integers end to end; there is no floating-point
 coincidence test anywhere.
 """
@@ -175,12 +180,12 @@ def delay_bin_bound(bench: BenchConfig) -> int:
 class KrausSet:
     """Kraus operators of a channel, one per resolved temporal delay.
 
-    The operators are read-only views of one ``(1, n, 2, 2)`` stack, built
-    once at construction; they must be finite 2x2 matrices.
+    The operators, finite 2x2 matrices, are kept as the read-only
+    ``(n, 2, 2)`` view ``as_stack()[0]``, built once at construction.
     """
 
     delays: tuple
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
         delays = tuple(int(d) for d in self.delays)
@@ -198,7 +203,7 @@ class KrausSet:
             raise ValueError("delays must be strictly increasing")
         stack.setflags(write=False)
         object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "operators", tuple(stack[0]))
+        object.__setattr__(self, "operators", stack[0])
         object.__setattr__(self, "_stack", stack)
 
     def __len__(self) -> int:
@@ -405,23 +410,36 @@ def _channel_stack(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.add.reduce(k @ states @ k.conj().swapaxes(-1, -2), axis=1, initial=0)
 
 
-def _stokes_stack(rho: np.ndarray) -> np.ndarray:
-    # unchecked fast path; rho is a channel output, validation happens in tests
-    return np.trace(rho[..., None, :, :] @ PAULI_STACK[1:], axis1=-2, axis2=-1).real
+#: ``K.reshape(4) @ _PAULI_COEFFS`` are the coefficients c_m = Tr(E_m K)/2 of
+#: K = sum_m c_m E_m: column m is vec(E_m^T)/2, entries 0, +-1/2 and +-i/2
+_PAULI_COEFFS = PAULI_STACK.swapaxes(-1, -2).reshape(4, 4).T / 2
+_PAULI_COEFFS.setflags(write=False)
+
+#: G[(i,j),(m,n)] = Tr(E_i E_m E_j E_n^dag)/2, entries 0, +-1 and +-i: the
+#: Pauli transfer matrix of chi is R = G @ chi.ravel(), and G^-1 = G^dag/4
+_CHI_TO_PTM = np.einsum("imab,jnba->ijmn", PAULI_STACK[:, None] @ PAULI_STACK,
+                        PAULI_STACK[:, None] @ PAULI_STACK.conj().swapaxes(-1, -2))
+_CHI_TO_PTM = _CHI_TO_PTM.reshape(16, 16) / 2
+_CHI_TO_PTM.setflags(write=False)
 
 
-#: I/2, then the +1 state on each Stokes axis, (I + E_i)/2
-_PROBE_STATES = np.concatenate([PAULI_STACK[:1], PAULI_STACK[0] + PAULI_STACK[1:]]) / 2
-_PROBE_STATES.setflags(write=False)
+def _pauli_coords(ops) -> np.ndarray:
+    """Coordinates x_i = Tr(E_i A), shape ``(k, 4)``, of k 2x2 operators A = sum_i x_i E_i / 2."""
+    return 2 * (np.asarray(ops, dtype=complex).reshape(-1, 4) @ _PAULI_COEFFS)
 
 
-def _affine_stack(ops: np.ndarray) -> tuple:
-    """Stokes matrices ``(B, 3, 3)`` and translations ``(B, 3)`` of a Kraus stack, unchecked."""
-    stokes = _stokes_stack(_channel_stack(ops, _PROBE_STATES))
-    t = stokes[:, 0]
-    # column i - 1 of each matrix is the image of (I + E_i)/2 minus the translation
-    m = np.ascontiguousarray((stokes[:, 1:] - t[:, None]).swapaxes(-1, -2))
-    return m, t
+def _chi_stack(ops: np.ndarray) -> np.ndarray:
+    """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack, unchecked."""
+    # chi_mn = sum_d c_dm c_dn^*, with c_dm = Tr(E_m K_d) / 2
+    coeffs = ops.reshape(*ops.shape[:-2], 4) @ _PAULI_COEFFS
+    return coeffs.swapaxes(-1, -2) @ coeffs.conj()
+
+
+def _ptm_stack(chi: np.ndarray) -> np.ndarray:
+    """Pauli transfer matrices R_ij = Tr(E_i E(E_j))/2, ``(B, 4, 4)`` and real,
+    of a ``(B, 4, 4)`` stack of process matrices, unchecked."""
+    # one (1, 16) @ (16, 16) product per bench, so each bench gets the bits it gets alone
+    return (chi.reshape(-1, 1, 16) @ _CHI_TO_PTM.T).real.reshape(-1, 4, 4)
 
 
 def affine_map(kraus: KrausSet) -> AffineMap:
@@ -430,8 +448,9 @@ def affine_map(kraus: KrausSet) -> AffineMap:
     Column i of the matrix is the image of the +1 state on Stokes axis i
     minus the translation; the translation is the image of the fully mixed
     state (zero for every bench built here, since each path acts
-    unitarily).
+    unitarily).  They are the blocks R[1:, 1:] and R[1:, 0] of the channel's
+    Pauli transfer matrix R.
     """
     kraus.require_complete()
-    m, t = _affine_stack(kraus.as_stack())
-    return AffineMap(m[0], t[0])
+    r = _ptm_stack(_chi_stack(kraus.as_stack()))[0]
+    return AffineMap(r[1:, 1:], r[1:, 0])

@@ -3,10 +3,11 @@
 The process matrix chi expresses a channel as
 ``E(rho) = sum_mn chi_mn E_m rho E_n^dag`` over the Stokes-aligned operator
 basis of :mod:`polarchan.polar_core`.  For trace-preserving channels chi is
-Hermitian, positive semidefinite and has unit trace.  A unital qubit channel
-acts on Stokes space as a 3x3 matrix whose polar decomposition separates the
-depolarizing ellipsoid (symmetric factor) from rotations/reflections
-(orthogonal factor).
+Hermitian, positive semidefinite and has unit trace.  The Pauli transfer
+matrix R_ij = Tr(E_i E(E_j))/2 is a fixed linear image of it (see
+:mod:`polarchan.bench_sim`).  A unital qubit channel acts on Stokes space as
+the 3x3 block R[1:, 1:], whose polar decomposition separates the depolarizing
+ellipsoid (symmetric factor) from rotations/reflections (orthogonal factor).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench_sim import KrausSet
-from .polar_core import PAULI_BASIS, PAULI_STACK
+from .bench_sim import _CHI_TO_PTM, KrausSet, _chi_stack, _pauli_coords
+from .polar_core import PAULI_STACK
 
 __all__ = [
     "chi_from_kraus",
@@ -43,35 +44,29 @@ def chi_from_kraus(kraus: KrausSet) -> np.ndarray:
     return _chi_stack(kraus.as_stack())[0]
 
 
-def _chi_stack(ops: np.ndarray) -> np.ndarray:
-    """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack, unchecked."""
-    # coeffs[b, d, m] = Tr(E_m K_bd) / 2, all four from one product
-    coeffs = np.trace(PAULI_STACK @ ops[:, :, None], axis1=-2, axis2=-1) / 2.0
-    return coeffs.swapaxes(-1, -2) @ coeffs.conj()
-
-
 def apply_process_matrix(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Evaluate E(rho) = sum_mn chi_mn E_m rho E_n^dag."""
-    chi = np.asarray(chi, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(4):
-            if chi[m, n] != 0.0:
-                out += chi[m, n] * (PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
-    return out
+    """Evaluate E(rho) = sum_mn chi_mn E_m rho E_n^dag, as sum_i (R x)_i E_i / 2.
+
+    R = G chi is the Pauli transfer matrix (complex unless chi is Hermitian)
+    and x_j = Tr(E_j rho).
+    """
+    r = (_CHI_TO_PTM @ np.asarray(chi, dtype=complex).reshape(16)).reshape(4, 4)
+    return (r @ _pauli_coords(rho)[0] @ PAULI_STACK.reshape(4, 4)).reshape(2, 2) / 2
 
 
 def check_process_matrix(chi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate hermiticity, unit trace and positivity of a 4x4 chi matrix."""
+    """Validate finiteness, hermiticity, unit trace and positivity of a 4x4 chi matrix."""
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (4, 4):
         raise ValueError(f"process matrix must be 4x4, got {chi.shape}")
-    if np.abs(chi - chi.conj().T).max() > atol:
+    if not np.isfinite(chi).all():
+        raise ValueError("process matrix must be finite")
+    # each test written so that NaN fails it too
+    if not np.abs(chi - chi.conj().T).max() <= atol:
         raise ValueError("process matrix is not Hermitian")
-    if abs(np.trace(chi) - 1.0) > atol:
+    if not abs(np.trace(chi) - 1.0) <= atol:
         raise ValueError("process matrix trace differs from 1")
-    if np.linalg.eigvalsh(chi).min() < -_EIG_CLIP:
+    if not np.linalg.eigvalsh(chi).min() >= -_EIG_CLIP:
         raise ValueError("process matrix has a negative eigenvalue")
     return chi
 

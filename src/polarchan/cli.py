@@ -35,8 +35,9 @@ from .bench_sim import (
     Crystal,
     KrausSet,
     Waveplate,
-    _affine_stack,
+    _chi_stack,
     _nonzero_bins,
+    _ptm_stack,
     _require_complete,
     affine_map,
     delay_bin_bound,
@@ -44,15 +45,15 @@ from .bench_sim import (
     propagate_stack,
 )
 from .channel_analysis import (
-    _chi_stack,
     chi_eigenvalues,
     chi_from_kraus,
     pauli_feasible,
     polar_decompose,
 )
 from .depolarizer import (
-    REFLECTION_COMPENSATION,
+    _AXIS_ALIGNED_ATOL,
     DepolarizerSettings,
+    _compensate,
     _radii_grid,
     build_bench,
     build_bench_rotated_crystals,
@@ -75,10 +76,6 @@ _MAX_GRID_POINTS = 4_000_000
 
 #: sweep rows propagated together; bounds the stack's memory
 _SWEEP_BLOCK = 256
-
-#: polar_decompose's default atol: compensated maps this close to diagonal
-#: report their diagonal as the radii
-_AXIS_ALIGNED_ATOL = 1e-10
 
 _KNOWN_KEYS = {
     "mode", "preset", "element", "theta1", "theta2",
@@ -411,6 +408,8 @@ def _sweep_block(benches, keep_kraus: bool) -> tuple:
 
     Benches are grouped by which delay bins survive the zero filter, so each
     group is analysed with exactly the operators ``propagate`` would keep.
+    Each group's chi gives both its spectra and, through its Pauli transfer
+    matrix, its Stokes matrices.
     """
     delays, ops = propagate_stack(benches)
     keep = _nonzero_bins(ops)
@@ -424,17 +423,15 @@ def _sweep_block(benches, keep_kraus: bool) -> tuple:
         bins = np.flatnonzero(keep[rows[0]])
         group = ops[np.ix_(rows, bins)]
         _require_complete(group)
-        matrices, _ = _affine_stack(group)
-        compensated = REFLECTION_COMPENSATION @ matrices
-        radii[rows] = np.diagonal(compensated, axis1=-2, axis2=-1)
-        off_diag = np.abs(compensated[:, ~np.eye(3, dtype=bool)]).max(axis=-1)
-        for g in np.flatnonzero(off_diag > _AXIS_ALIGNED_ATOL):
+        chi = _chi_stack(group)
+        compensated, radii[rows], off = _compensate(_ptm_stack(chi)[:, 1:, 1:])
+        for g in np.flatnonzero(off > _AXIS_ALIGNED_ATOL):
             radii[rows[g]] = polar_decompose(compensated[g]).radii
-        lams[rows] = chi_eigenvalues(_chi_stack(group))
+        lams[rows] = chi_eigenvalues(chi)
         if keep_kraus:
             kept = tuple(delays[i] for i in bins)
             for g, b in enumerate(rows):
-                krauses[b] = KrausSet(kept, tuple(group[g]))
+                krauses[b] = KrausSet(kept, group[g])
     return radii, lams, krauses
 
 

@@ -55,6 +55,10 @@ __all__ = [
 REFLECTION_COMPENSATION = np.diag([1.0, -1.0, -1.0])
 REFLECTION_COMPENSATION.setflags(write=False)
 
+#: compensated Stokes matrices with no off-diagonal entry above this are
+#: axis-aligned: their diagonal is the signed radii (polar_decompose's atol)
+_AXIS_ALIGNED_ATOL = 1e-10
+
 
 class DegenerateLengthRatioWarning(UserWarning):
     """Raised when L2/L1 is exactly 1 or 1/2.
@@ -210,24 +214,29 @@ def build_two_crystal(angle_deg: float) -> BenchConfig:
     return BenchConfig((Crystal(1, 0.0), Crystal(1, 90.0 - float(angle_deg))))
 
 
+def _compensate(matrices: np.ndarray) -> tuple:
+    """Compensated Stokes matrices ``(..., 3, 3)``, their diagonals and their
+    largest off-diagonal magnitudes, to compare with ``_AXIS_ALIGNED_ATOL``."""
+    compensated = REFLECTION_COMPENSATION @ matrices
+    off = np.abs(compensated[..., ~np.eye(3, dtype=bool)]).max(axis=-1)
+    return compensated, np.diagonal(compensated, axis1=-2, axis2=-1), off
+
+
 def simulated_radii(bench: BenchConfig, check_diagonal: bool = True) -> np.ndarray:
     """Signed radii of a bench via brute-force simulation plus compensation.
 
     Applies the fixed S2/S3 reflection compensation to the simulated Stokes
     matrix and returns its diagonal.  With ``check_diagonal`` the residual
-    off-diagonal magnitude must stay below 1e-9, guaranteeing the diagonal
+    off-diagonal magnitude must stay within 1e-10, guaranteeing the diagonal
     is the whole story.
     """
-    m = affine_map(propagate(bench)).matrix
-    compensated = REFLECTION_COMPENSATION @ m
-    if check_diagonal:
-        off = np.abs(compensated - np.diag(np.diag(compensated))).max()
-        if off > 1e-9:
-            raise ValueError(
-                f"compensated map is not axis-aligned (off-diagonal {off:.3g}); "
-                "signed radii are not defined for this bench"
-            )
-    return np.diag(compensated).copy()
+    _, radii, off = _compensate(affine_map(propagate(bench)).matrix)
+    if check_diagonal and off > _AXIS_ALIGNED_ATOL:
+        raise ValueError(
+            f"compensated map is not axis-aligned (off-diagonal {off:.3g}); "
+            "signed radii are not defined for this bench"
+        )
+    return radii.copy()
 
 
 def reachable_region_scan(grid_n: int = 451) -> np.ndarray:

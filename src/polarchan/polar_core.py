@@ -111,17 +111,20 @@ def ket_projector(ket: np.ndarray) -> np.ndarray:
 def check_density(rho: np.ndarray, atol: float = ATOL) -> np.ndarray:
     """Validate a 2x2 density matrix; returns it as a complex ndarray.
 
-    Raises ValueError if the matrix is not Hermitian/unit-trace within
-    ``atol`` or has an eigenvalue below -1e-10.
+    Raises ValueError if the matrix is not finite, is not Hermitian/unit-trace
+    within ``atol`` or has an eigenvalue below -1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > atol:
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix must be finite")
+    # each test written so that NaN fails it too
+    if not np.abs(rho - rho.conj().T).max() <= atol:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
+    if not (abs(np.trace(rho).real - 1.0) <= atol and abs(np.trace(rho).imag) <= atol):
         raise ValueError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -EIG_ATOL:
+    if not np.linalg.eigvalsh(rho).min() >= -EIG_ATOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 
@@ -129,10 +132,12 @@ def check_density(rho: np.ndarray, atol: float = ATOL) -> np.ndarray:
 def density_from_stokes(s) -> np.ndarray:
     """Density matrix rho = (I + s1 E1 + s2 E2 + s3 E3) / 2.
 
-    Rejects Stokes vectors longer than 1 (beyond numerical slack) as
-    unphysical.
+    Rejects non-finite Stokes vectors and those longer than 1 (beyond
+    numerical slack) as unphysical.
     """
     v = _stokes_array(s)
+    if not np.isfinite(v).all():
+        raise ValueError(f"Stokes vector must be finite, got {v.tolist()}")
     norm = float(np.linalg.norm(v))
     if norm > 1.0 + 1e-9:
         raise ValueError(f"Stokes vector length {norm:.6g} exceeds 1 (unphysical)")

@@ -15,6 +15,10 @@ the physical set) and a maximum-likelihood fit over Cholesky-parameterized
 matrices rho = T^dag T / Tr(T^dag T), which is physical by construction.
 Process reconstruction applies the same parameterization to the 4x4 process
 matrix, fitting all 4 x 6 preparation/analysis settings at once.
+
+Process quantities read the Pauli transfer matrix R = G chi: for inputs
+rho_k = sum_j x_kj E_j / 2 and projectors P_s = sum_i y_si E_i / 2, the
+probabilities are y_s R x_k / 2, and the standard settings' x and y are exact.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .bench_sim import KrausSet, _channel_stack, apply_channel
+from .bench_sim import _CHI_TO_PTM, KrausSet, _chi_stack, _pauli_coords, _ptm_stack
 from .polar_core import (
     KET_H,
     KET_L,
@@ -35,6 +39,7 @@ from .polar_core import (
     KET_R,
     KET_V,
     PAULI_BASIS,
+    PAULI_STACK,
     ket_projector,
 )
 
@@ -69,6 +74,16 @@ INPUT_LABELS = ("H", "V", "P", "R")
 _PROJECTOR_KETS = {
     "H": KET_H, "V": KET_V, "P": KET_P, "M": KET_M, "R": KET_R, "L": KET_L,
 }
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+#: the exact coordinates Tr(E_i P) = (1, s) of each analysis projector, in
+#: PROJECTOR_LABELS order (s = +-1 on one Stokes axis), and of each preparation
+_PROJECTOR_COORDS = _frozen(np.c_[np.ones(6), np.kron(np.eye(3), [[1.0], [-1.0]])])
+_INPUT_COORDS = _frozen(_PROJECTOR_COORDS[[PROJECTOR_LABELS.index(lbl) for lbl in INPUT_LABELS]])
 
 #: probabilities below this are clipped inside logs to keep the NLL finite
 _P_FLOOR = 1e-12
@@ -217,9 +232,7 @@ def _csv_safe_label(label) -> bool:
 
 def expected_probability(kraus: KrausSet, rho_in: np.ndarray, projector: np.ndarray) -> float:
     """Born probability Tr(projector E(rho_in)) for the channel's output."""
-    out = apply_channel(kraus, rho_in)
-    p = float(np.trace(np.asarray(projector, dtype=complex) @ out).real)
-    return min(max(p, 0.0), 1.0)
+    return float(probability_table(kraus, [rho_in], [projector])[0, 0])
 
 
 def probability_table(
@@ -227,18 +240,16 @@ def probability_table(
     inputs: Optional[Sequence[np.ndarray]] = None,
     projectors: Optional[Sequence[np.ndarray]] = None,
 ) -> np.ndarray:
-    """Exact probabilities for every (input, projector) pair, shape (n, 6)."""
+    """Exact probabilities for every (input, projector) pair, shape (n, 6).
+
+    Each is y R x / 2, clipped to [0, 1], for the Pauli transfer matrix R and
+    the coordinates x = Tr(E_i rho) of the input and y = Tr(E_i P) of the projector.
+    """
     kraus.require_complete()
-    states = _prep_tensor() if inputs is None else inputs
-    outs = _channel_stack(kraus.as_stack(), states)[0]
-    return _born_table(outs, projectors)
-
-
-def _born_table(states: np.ndarray, projectors=None) -> np.ndarray:
-    """Tr(P_j rho_i) for a ``(m, 2, 2)`` state stack, clipped to [0, 1], shape ``(m, p)``."""
-    projs = _qst_a_tensor() if projectors is None else np.asarray(projectors, dtype=complex)
-    products = projs.reshape(-1, 2, 2)[None] @ states[:, None]
-    return np.clip(np.trace(products, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    x = _INPUT_COORDS if inputs is None else _pauli_coords(inputs)
+    y = _PROJECTOR_COORDS if projectors is None else _pauli_coords(projectors)
+    r = _ptm_stack(_chi_stack(kraus.as_stack()))[0]
+    return np.clip((x @ r.T @ y.T).real / 2, 0.0, 1.0)
 
 
 def _poisson_table(seed: int, stream: int, lam: np.ndarray) -> np.ndarray:
@@ -276,7 +287,8 @@ def simulate_counts(
 
 def simulate_state_counts(rho: np.ndarray, settings: TomoSettings, *, stream: int = 0) -> CountRecord:
     """Single-state analog: measure one state against the six projectors."""
-    probs = _born_table(np.asarray(rho, dtype=complex).reshape(1, 2, 2))
+    products = _qst_a_tensor() @ np.asarray(rho, dtype=complex).reshape(2, 2)
+    probs = np.clip(np.trace(products, axis1=-2, axis2=-1).real, 0.0, 1.0)[None]
     counts = _poisson_table(settings.seed, stream, settings.shots * probs)
     return CountRecord(counts, ("state",), settings.shots, settings.seed)
 
@@ -314,7 +326,15 @@ def _counts_row(counts) -> np.ndarray:
     row = np.asarray(counts, dtype=float).reshape(-1)
     if row.shape != (6,):
         raise ValueError(f"expected six projector counts, got {row.shape}")
-    return row
+    return _valid_counts(row)
+
+
+def _valid_counts(table: np.ndarray) -> np.ndarray:
+    """``table``, checked finite and non-negative; fractional entries (exact probabilities) pass."""
+    # written so that NaN fails too
+    if not np.all((table >= 0) & (table < np.inf)):
+        raise ValueError("counts must be finite and non-negative")
+    return table
 
 
 def qst_linear(counts) -> QstLinearResult:
@@ -376,11 +396,6 @@ class QptMleResult(MleResult):
     @property
     def chi(self) -> np.ndarray:
         return self.matrix
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def _num_params(dim: int) -> int:
@@ -524,24 +539,15 @@ def _qst_a_tensor() -> np.ndarray:
 
 
 @cache
-def _prep_tensor() -> np.ndarray:
-    """The four preparation states stacked, in INPUT_LABELS order."""
-    return _frozen(np.stack(preparation_states()))
-
-
-@cache
 def _qpt_a_tensor() -> np.ndarray:
-    """A[(k,j), m, n] = Tr(P_j E_m rho_k E_n^dag) for the standard settings."""
-    projectors = analysis_projectors()
-    rows = []
-    for rho in preparation_states():
-        for proj in projectors:
-            a = np.empty((4, 4), dtype=complex)
-            for m in range(4):
-                for n in range(4):
-                    a[m, n] = np.trace(proj @ PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
-            rows.append(a)
-    return _frozen(np.stack(rows))
+    """A[(k,j), m, n] = Tr(P_j E_m rho_k E_n^dag) for the standard settings.
+
+    With P_j = sum_i y_ji E_i / 2 and rho_k = sum_l x_kl E_l / 2 this is
+    sum_il y_ji x_kl G[(i,l),(m,n)] / 2, exact in floating point.
+    """
+    g = _CHI_TO_PTM.reshape(4, 4, 4, 4)
+    a = np.einsum("ji,kl,ilmn->kjmn", _PROJECTOR_COORDS, _INPUT_COORDS, g) / 2
+    return _frozen(a.reshape(-1, 4, 4))
 
 
 @cache
@@ -557,48 +563,13 @@ def _qpt_forms() -> np.ndarray:
 
 
 @cache
-def _hermitian_basis() -> np.ndarray:
-    """The 16 Hermitian 4x4 basis matrices: diagonal units, then symmetric/antisymmetric pairs."""
-    basis = []
-    for i in range(4):
-        h = np.zeros((4, 4), dtype=complex)
-        h[i, i] = 1.0
-        basis.append(h)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            h = np.zeros((4, 4), dtype=complex)
-            h[i, j] = h[j, i] = 1.0
-            basis.append(h)
-            h = np.zeros((4, 4), dtype=complex)
-            h[i, j] = -1.0j
-            h[j, i] = 1.0j
-            basis.append(h)
-    return _frozen(np.stack(basis))
-
-
-@cache
-def _qpt_design() -> np.ndarray:
-    """Linear map from Hermitian-basis coefficients to the stacked (1, Stokes) outputs."""
-    design = np.empty((16, 16))
-    for col, h in enumerate(_hermitian_basis()):
-        row_idx = 0
-        for rho in preparation_states():
-            image = np.zeros((2, 2), dtype=complex)
-            for m in range(4):
-                for n in range(4):
-                    if h[m, n] != 0.0:
-                        image += h[m, n] * (PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
-            for i in range(4):
-                design[row_idx, col] = np.trace(PAULI_BASIS[i] @ image).real
-                row_idx += 1
-    return _frozen(design)
-
-
-@cache
 def _qpt_linear_map() -> np.ndarray:
-    """The ``(16, 16)`` complex map from the stacked (1, Stokes) outputs to the
-    flattened process matrix: the Hermitian basis times the design's inverse."""
-    return _frozen(_hermitian_basis().reshape(16, 16).T @ np.linalg.inv(_qpt_design()))
+    """The ``(16, 16)`` complex map from the stacked (1, Stokes) outputs Y to the
+    flattened process matrix: R = Y^T X^-T for the input coordinates X, then
+    chi = G^-1 R."""
+    # R[i, j] = sum_k Y[k, i] X^-1[j, k]
+    to_ptm = np.einsum("ia,jk->ijka", np.eye(4), np.linalg.inv(_INPUT_COORDS)).reshape(16, 16)
+    return _frozen(np.linalg.inv(_CHI_TO_PTM) @ to_ptm)
 
 
 def _process_table(counts) -> np.ndarray:
@@ -617,32 +588,30 @@ def _process_table(counts) -> np.ndarray:
         table = np.asarray(counts, dtype=float)
     if table.shape != (4, 6):
         raise ValueError(f"process tomography needs a (4, 6) table, got {table.shape}")
-    return table
+    return _valid_counts(table)
 
 
 def qpt_linear(counts) -> np.ndarray:
     """Linear-inversion process matrix (Hermitian, possibly unphysical).
 
     Runs per-input linear state tomography, then applies the fixed linear
-    map (the inverse of the design relating the process matrix to the four
-    outputs) to the reconstructed outputs.  A CountRecord's rows are matched
-    to the inputs by label (see qpt_mle).
+    map from the four reconstructed outputs to the process matrix (through
+    the Pauli transfer matrix).  A CountRecord's rows are matched to the
+    inputs by label (see qpt_mle).
     """
     y = np.ones((4, 4))  # Tr(E_i rho') components of each output
     y[:, 1:] = _stokes_rows(_process_table(counts))[0]
     return (_qpt_linear_map() @ y.ravel()).reshape(4, 4)
 
 
-_EN_EM = _frozen(np.stack(
-    [np.stack([PAULI_BASIS[n].conj().T @ PAULI_BASIS[m] for n in range(4)]) for m in range(4)]
-))  # indexed [m, n] = E_n^dag E_m
-
-
 def trace_preservation_deviation(chi: np.ndarray) -> float:
-    """Max-norm of sum_mn chi_mn E_n^dag E_m - I (zero for TP channels)."""
-    chi = np.asarray(chi, dtype=complex)
-    acc = np.einsum("mn,mnab->ab", chi, _EN_EM)
-    return float(np.abs(acc - np.eye(2)).max())
+    """Max-norm of sum_mn chi_mn E_n^dag E_m - I (zero for TP channels).
+
+    That sum is sum_j R_0j E_j, with R_0 = G[:4] chi the first row of the PTM.
+    """
+    r0 = _CHI_TO_PTM[:4] @ np.asarray(chi, dtype=complex).reshape(16)
+    # the sum and the identity, both flattened
+    return float(np.abs(r0 @ PAULI_STACK.reshape(4, 4) - [1, 0, 0, 1]).max())
 
 
 def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings] = None) -> QptMleResult:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, normalize_delays
-from polarchan.polar_core import rotation2
+from polarchan.polar_core import PAULI_BASIS, rotation2
+from polarchan.tomography import preparation_states
 
 
 def random_physical_stokes(rng: np.random.Generator) -> np.ndarray:
@@ -131,12 +132,51 @@ def reference_stokes(row) -> np.ndarray:
     return stokes
 
 
-def reference_qpt_linear(table, design, basis) -> np.ndarray:
-    """qpt_linear as first written: one Stokes loop per input, then chi one basis term at a time."""
+def reference_hermitian_basis() -> np.ndarray:
+    """The 16 Hermitian 4x4 basis matrices: diagonal units, then symmetric/antisymmetric pairs."""
+    basis = []
+    for i in range(4):
+        h = np.zeros((4, 4), dtype=complex)
+        h[i, i] = 1.0
+        basis.append(h)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            h = np.zeros((4, 4), dtype=complex)
+            h[i, j] = h[j, i] = 1.0
+            basis.append(h)
+            h = np.zeros((4, 4), dtype=complex)
+            h[i, j] = -1.0j
+            h[j, i] = 1.0j
+            basis.append(h)
+    return np.stack(basis)
+
+
+def reference_qpt_design() -> np.ndarray:
+    """The linear-QPT design as first written: column k holds the stacked
+    (1, Stokes) outputs of the four preparations under Hermitian basis matrix k."""
+    design = np.empty((16, 16))
+    for col, h in enumerate(reference_hermitian_basis()):
+        row_idx = 0
+        for rho in preparation_states():
+            image = np.zeros((2, 2), dtype=complex)
+            for m in range(4):
+                for n in range(4):
+                    if h[m, n] != 0.0:
+                        image += h[m, n] * (PAULI_BASIS[m] @ rho @ PAULI_BASIS[n].conj().T)
+            for i in range(4):
+                design[row_idx, col] = np.trace(PAULI_BASIS[i] @ image).real
+                row_idx += 1
+    return design
+
+
+def reference_qpt_linear(table) -> np.ndarray:
+    """qpt_linear as first written: one Stokes loop per input, a least-squares
+    solve against the design, then chi one basis term at a time."""
     targets = [[1.0, *reference_stokes(row)] for row in np.asarray(table, dtype=float)]
-    coeffs, *_ = np.linalg.lstsq(design, np.asarray(targets, dtype=float).ravel(), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(reference_qpt_design(), np.asarray(targets, dtype=float).ravel(),
+                                 rcond=None)
     chi = np.zeros((4, 4), dtype=complex)
-    for c, h in zip(coeffs, basis):
+    for c, h in zip(coeffs, reference_hermitian_basis()):
         chi += c * h
     return chi
 

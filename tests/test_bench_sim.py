@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarchan.bench_sim import (
+    _CHI_TO_PTM,
     MAX_DELAY_BINS,
     AffineMap,
     BenchConfig,
@@ -14,9 +15,11 @@ from polarchan.bench_sim import (
     KrausSet,
     Waveplate,
     _channel_stack,
+    _chi_stack,
     _gather_plan,
     _nonzero_bins,
     _projector_pair,
+    _ptm_stack,
     _require_complete,
     _structure,
     affine_map,
@@ -259,7 +262,8 @@ def test_stack_matches_one_bench_reference(benches):
         ref_delays, ref_ops = reference_propagate(bench)
         assert list(kraus.delays) == ref_delays
         assert same_bits(kraus.operators, ref_ops)
-        assert same_bits(affine_map(kraus).matrix, reference_affine_matrix(kraus))
+        # read off the Pauli transfer matrix: equal at roundoff, not in every bit
+        assert np.abs(affine_map(kraus).matrix - reference_affine_matrix(kraus)).max() <= 2e-15
 
 
 def test_stack_keeps_signed_zero_angles_apart():
@@ -336,7 +340,8 @@ def test_kraus_stack_built_once_and_read_only():
     stack = kraus.as_stack()
     assert stack is kraus.as_stack()
     assert stack.shape == (1, len(kraus), 2, 2) and not stack.flags.writeable
-    assert all(not k.flags.writeable and np.shares_memory(k, stack) for k in kraus.operators)
+    assert kraus.operators.shape == (len(kraus), 2, 2) and same_bits(kraus.operators, stack[0])
+    assert not kraus.operators.flags.writeable and np.shares_memory(kraus.operators, stack)
     with pytest.raises(ValueError, match="equal length"):
         KrausSet((0, 1), (I2,))
     # operators keep their own shape: neither a flat 4-vector nor a bundled
@@ -444,8 +449,33 @@ def test_byte_identity_at_scale(n_crystals, count):
         kept_delays, kept_ops = reference_propagate(bench)
         assert list(kraus.delays) == kept_delays
         assert same_bits(kraus.as_stack()[0], np.array(kept_ops).reshape(-1, 2, 2))
-        assert same_bits(probability_table(kraus), reference_probability_table(
-            kraus, preparation_states(), analysis_projectors()))
+        assert np.abs(probability_table(kraus) - reference_probability_table(
+            kraus, preparation_states(), analysis_projectors())).max() <= 2e-15
+
+
+# ---------------------------------------------------------------------------
+# chi and the Pauli transfer matrix
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(bench_stacks())
+def test_ptm_is_the_channel_on_the_pauli_basis(benches):
+    _, ops = propagate_stack(benches)
+    chi = _chi_stack(ops)
+    r = _ptm_stack(chi)
+    # R_ij = Tr(E_i E(E_j)) / 2, straight from the channel outputs
+    images = _channel_stack(ops, np.stack(PAULI_BASIS))
+    direct = np.einsum("ixy,bjyx->bij", np.stack(PAULI_BASIS), images).real / 2
+    assert np.abs(r - direct).max() <= 1e-14
+    # each bench gets the bits it gets alone
+    for b in range(len(benches)):
+        assert same_bits(_chi_stack(ops[b:b + 1]), chi[b:b + 1])
+        assert same_bits(_ptm_stack(chi[b:b + 1]), r[b:b + 1])
+    # every complete Kraus set is trace preserving: R's first row is (1, 0, 0, 0)
+    assert np.abs(r[:, 0] - [1.0, 0.0, 0.0, 0.0]).max() <= 1e-12
+    # G^-1 G round-trips chi
+    back = (np.linalg.inv(_CHI_TO_PTM) @ r.reshape(-1, 16, 1)).reshape(-1, 4, 4)
+    assert np.abs(back - chi).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------

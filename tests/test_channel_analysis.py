@@ -205,3 +205,13 @@ def test_chi_stack_matches_four_trace_expansion(seed, n_benches):
     assert same_bits(_chi_stack(ops), reference_chi_stack(ops))
     kraus = propagate(first)
     assert same_bits(chi_from_kraus(kraus), reference_chi_stack(kraus.as_stack())[0])
+
+
+@pytest.mark.parametrize("chi", [
+    np.full((4, 4), np.nan),
+    np.diag([np.nan, 0.0, 0.0, 1.0]),
+    np.diag([np.inf, 0.0, 0.0, 1.0]),
+])
+def test_check_process_matrix_rejects_non_finite_input(chi):
+    with pytest.raises(ValueError, match="process matrix must be finite"):
+        check_process_matrix(chi)

@@ -12,6 +12,7 @@ from polarchan.polar_core import (
     KET_V,
     PAULI_BASIS,
     StokesVector,
+    check_density,
     degree_of_polarization,
     density_from_stokes,
     fidelity,
@@ -152,3 +153,17 @@ def test_fidelity_examples(rng):
         assert 0.0 <= f <= 1.0
         assert f == pytest.approx(fidelity(b, a), abs=1e-12)
         assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [
+    np.full((2, 2), np.nan),
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[0.5, complex(0.0, np.nan)], [0.0, 0.5]],
+    [[np.inf, 0.0], [0.0, -np.inf]],
+])
+def test_physicality_checks_reject_non_finite_states(rho):
+    for call in (check_density, stokes_from_density, lambda r: fidelity(r, I2 / 2)):
+        with pytest.raises(ValueError, match="density matrix must be finite"):
+            call(rho)
+    with pytest.raises(ValueError, match="Stokes vector must be finite"):
+        density_from_stokes([np.nan, 0.0, 0.0])

@@ -52,6 +52,8 @@ from conftest import (
     reference_counts,
     reference_nll_and_grad,
     reference_probability_table,
+    reference_hermitian_basis,
+    reference_qpt_design,
     reference_qpt_linear,
     reference_stokes,
     reference_tri,
@@ -472,11 +474,11 @@ def test_nll_gradient_matches_central_differences(dim, rng):
 
 
 def test_cached_constants_are_read_only():
+    from polarchan.bench_sim import _CHI_TO_PTM, _PAULI_COEFFS
     from polarchan.tomography import (
-        _EN_EM,
-        _hermitian_basis,
+        _INPUT_COORDS,
+        _PROJECTOR_COORDS,
         _qpt_a_tensor,
-        _qpt_design,
         _qpt_forms,
         _qpt_linear_map,
         _qst_a_tensor,
@@ -484,8 +486,8 @@ def test_cached_constants_are_read_only():
         _tri_layout,
     )
 
-    constants = [_EN_EM, _hermitian_basis(), _qpt_a_tensor(), _qpt_design(), _qst_a_tensor(),
-                 _qst_forms(), _qpt_forms(), _qpt_linear_map()]
+    constants = [_PAULI_COEFFS, _CHI_TO_PTM, _INPUT_COORDS, _PROJECTOR_COORDS, _qpt_a_tensor(),
+                 _qst_a_tensor(), _qst_forms(), _qpt_forms(), _qpt_linear_map()]
     constants += list(_tri_layout(4)) + list(_tri_layout(2))
     for const in constants:
         with pytest.raises(ValueError):
@@ -510,11 +512,11 @@ def test_quadratic_forms_are_symmetric_and_give_the_probabilities(dim, rng):
 
 
 def test_linear_map_inverts_the_design():
-    from polarchan.tomography import _hermitian_basis, _qpt_design, _qpt_linear_map
+    from polarchan.tomography import _qpt_linear_map
 
     # design column k holds the outputs of basis matrix k; the map sends it back to that matrix
-    mapped = _qpt_linear_map() @ _qpt_design()
-    assert np.abs(mapped - _hermitian_basis().reshape(16, 16).T).max() <= 1e-12
+    mapped = _qpt_linear_map() @ reference_qpt_design()
+    assert np.abs(mapped - reference_hermitian_basis().reshape(16, 16).T).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +539,14 @@ def loose_state(rng, scale):
 def test_probability_table_matches_per_entry_loop(seed, m, stream):
     rng = np.random.default_rng(seed)
     kraus = propagate(random_bench(rng))
+    # read off the Pauli transfer matrix: equal at roundoff, not in every bit
     default = probability_table(kraus)
-    assert same_bits(default, reference_probability_table(
-        kraus, preparation_states(), analysis_projectors()))
+    assert np.abs(default - reference_probability_table(
+        kraus, preparation_states(), analysis_projectors())).max() <= 2e-15
     inputs = [loose_state(rng, 1.0) for _ in range(m)]
     projectors = [loose_state(rng, 3.0) for _ in range(3)]
-    assert same_bits(probability_table(kraus, inputs, projectors),
-                     reference_probability_table(kraus, inputs, projectors))
+    assert np.abs(probability_table(kraus, inputs, projectors)
+                  - reference_probability_table(kraus, inputs, projectors)).max() <= 2e-15
     record = simulate_counts(kraus, TomoSettings(shots=5000, seed=seed), stream=stream)
     assert same_bits(record.counts, reference_counts(seed, stream, 5000 * default))
 
@@ -629,13 +632,11 @@ def test_nll_and_grad_match_reference_at_roundoff(seed, dim, log_scale, shots, s
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 10_000))
 def test_linear_estimates_match_reference(seed, shots):
-    from polarchan.tomography import _hermitian_basis, _qpt_design
-
     rng = np.random.default_rng(seed)
     table = rng.integers(0, shots + 1, size=(4, 6)).astype(float)
     table[rng.uniform(size=(4, 6)) < 0.2] = 0.0  # some axes lose all their counts
     # one fixed map in place of a least-squares solve: equal at roundoff, not in every bit
-    reference = reference_qpt_linear(table, _qpt_design(), _hermitian_basis())
+    reference = reference_qpt_linear(table)
     assert np.abs(qpt_linear(table) - reference).max() <= 1e-13
     for row in table:
         est = qst_linear(row)
@@ -668,3 +669,40 @@ def test_fits_match_reference_objective(monkeypatch):
         assert np.abs(fit.matrix - ref.matrix).max() <= 1e-10
     for fit, ref in zip(fits[:5], reference[:5]):
         assert abs(fit.tp_deviation - ref.tp_deviation) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# everything from one Pauli transfer matrix
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_linear_qpt_on_exact_probabilities_returns_the_ptm(seed):
+    from polarchan.bench_sim import _chi_stack, _ptm_stack
+
+    kraus = propagate(random_bench(np.random.default_rng(seed)))
+    chi = qpt_linear(probability_table(kraus))
+    r = _ptm_stack(_chi_stack(kraus.as_stack()))
+    assert np.abs(_ptm_stack(chi[None]) - r).max() <= 1e-12
+
+
+def test_process_forms_are_exact():
+    from polarchan.tomography import _qpt_a_tensor, _qpt_forms
+
+    # the A tensor comes from exact coordinates and G, so its forms are exact dyadics
+    assert set(np.unique(np.abs(_qpt_a_tensor())).tolist()) <= {0.0, 0.5, 1.0}
+    assert set(np.unique(np.abs(_qpt_forms())).tolist()) <= {0.0, 0.5, 1.0}
+
+
+@pytest.mark.parametrize("fit", [qst_linear, qst_mle, qpt_linear, qpt_mle])
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+def test_bare_count_tables_are_validated(fit, bad):
+    shape = (6,) if fit in (qst_linear, qst_mle) else (4, 6)
+    table = np.full(shape, 10.0)
+    table.flat[3] = bad
+    kwargs = {} if fit in (qst_linear, qpt_linear) else {"shots": 100}
+    with pytest.raises(ValueError, match="counts must be finite and non-negative"):
+        fit(table, **kwargs)
+    # fractional entries stay allowed: exact probabilities fit too
+    table.flat[3] = 0.25
+    fit(table, **kwargs)
