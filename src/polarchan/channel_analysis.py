@@ -74,14 +74,17 @@ def check_process_matrix(chi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
 def chi_eigenvalues(chi: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     """Real eigenvalues of chi, sorted descending, tiny negatives clipped to 0.
 
-    Takes one 4x4 matrix or a stack of shape ``(..., 4, 4)``; the Hermitian
-    and clipping-window checks then cover every matrix of the stack.
+    Takes one 4x4 matrix or a stack of shape ``(..., 4, 4)``; the finiteness,
+    Hermitian and clipping-window checks then cover every matrix of the stack.
     """
     chi = np.asarray(chi, dtype=complex)
-    if np.abs(chi - chi.conj().swapaxes(-1, -2)).max() > 1e-9:
+    if not np.isfinite(chi).all():
+        raise ValueError("process matrix must be finite")
+    # each test written so that NaN fails it too
+    if not np.abs(chi - chi.conj().swapaxes(-1, -2)).max() <= 1e-9:
         raise ValueError("process matrix is not Hermitian")
     vals = np.linalg.eigvalsh(chi)[..., ::-1].astype(float)
-    if vals.min() < -atol:
+    if not vals.min() >= -atol:
         raise ValueError(f"eigenvalue {vals.min():.3g} below clipping window")
     return np.clip(vals, 0.0, None)
 

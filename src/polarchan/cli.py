@@ -9,7 +9,9 @@ required ``mode`` key.  Benches come either from a named preset (``fig1``,
 Every mode emits a CSV dataset (LF line endings, ``,`` separator, mandatory
 header).  Angle columns carry six decimals; other numeric columns use
 12-significant-digit shortest form, so outputs are bit-stable across runs
-and across ``--jobs`` settings.
+and across ``--jobs`` settings.  Each mode returns its CSV as chunks of
+whole lines (the grid modes one chunk per grid row), which are written one
+at a time.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 I/O error.
 """
@@ -345,13 +347,27 @@ def _fmt_angle(x) -> str:
     return format(float(x), ".6f")
 
 
-def _write_csv(path: Optional[str], lines) -> None:
-    text = "\n".join(lines) + "\n"
+def _format_distinct(grid: np.ndarray) -> np.ndarray:
+    """``"%.12g" % v`` for every cell of a float grid, as an object array of
+    the grid's shape, each distinct value formatted once.
+
+    Values are keyed on their bits, not compared as floats, so ``0.0`` and
+    ``-0.0`` keep their own texts (``0`` and ``-0``).
+    """
+    grid = np.ascontiguousarray(grid, dtype=np.float64)
+    keys, inverse = np.unique(grid.view(np.int64), return_inverse=True)
+    texts = np.array(["%.12g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(grid.shape)]
+
+
+def _write_csv(path: Optional[str], chunks) -> None:
+    """Write CSV chunks, each one or more whole lines without the final
+    newline, one at a time, so the whole text is never built."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunk + "\n" for chunk in chunks)
         return
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunk + "\n" for chunk in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -533,29 +549,33 @@ def run_feasibility(cfg: RunConfig) -> list:
         )
     header = ["r1", "r2", "lambda0", "lambda1", "lambda2", "lambda3",
               "feasible", "reachable"]
-    lines = [",".join(header)]
-    flags = ("false", "true")
-    columns = values.tolist()
-    # one grid row at a time keeps the Python-float copies small
-    for i, v1 in enumerate(columns):
-        lines += [
-            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s"
-            % (v1, v2, l0, l1, l2, l3, flags[f], flags[r])
-            for v2, (l0, l1, l2, l3), f, r in zip(
-                columns, lam[i].tolist(), feasible[i].tolist(), reachable[i].tolist())
-        ]
-    return lines
+    # the grid holds few distinct values (201 per radius column and a few
+    # hundred per lambda column at the default r_step), so each is formatted
+    # once and every row is assembled from those texts
+    n = len(values)
+    cells = np.empty((n, n, 8), dtype=object)
+    value_cells = _format_distinct(values)
+    cells[:, :, 0] = value_cells[:, None]
+    cells[:, :, 1] = value_cells[None, :]
+    cells[:, :, 2:6] = _format_distinct(lam)
+    flags = np.array(["false", "true"], dtype=object)
+    cells[:, :, 6] = flags[feasible.astype(np.intp)]
+    cells[:, :, 7] = flags[reachable.astype(np.intp)]
+    return [",".join(header)] + ["\n".join(map(",".join, row)) for row in cells.tolist()]
 
 
 def run_region(cfg: RunConfig) -> list:
+    """One chunk per theta1 row, formatted by a single ``%``: the theta2
+    cells are baked into the row template once."""
     angles = np.linspace(0.0, 45.0, cfg.grid_n)
     r1, r2 = _radii_grid(angles.tolist())
-    lines = [",".join(["theta1", "theta2", "r1", "r2"])]
     angle_cells = ["%.6f" % a for a in angles.tolist()]
-    for i, a1 in enumerate(angle_cells):
-        lines += ["%s,%s,%.12g,%.12g" % (a1, a2, v1, v2)
-                  for a2, v1, v2 in zip(angle_cells, r1[i].tolist(), r2[i].tolist())]
-    return lines
+    tails = [",%s,%%.12g,%%.12g" % a2 for a2 in angle_cells]
+    pairs = np.stack([r1, r2], -1)
+    chunks = ["theta1,theta2,r1,r2"]
+    for a1, row in zip(angle_cells, pairs):
+        chunks.append((a1 + ("\n" + a1).join(tails)) % tuple(row.ravel().tolist()))
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +658,15 @@ def main(argv=None) -> int:
             raise ConfigError([f"--jobs must be at least 1, got {args.jobs}"])
 
         if cfg.mode == "simulate":
-            lines = run_simulate(cfg)
+            chunks = run_simulate(cfg)
         elif cfg.mode == "sweep":
-            lines = run_sweep(cfg, args.jobs, seed)
+            chunks = run_sweep(cfg, args.jobs, seed)
         elif cfg.mode == "tomo":
-            lines = run_tomo(cfg, seed)
+            chunks = run_tomo(cfg, seed)
         elif cfg.mode == "feasibility":
-            lines = run_feasibility(cfg)
+            chunks = run_feasibility(cfg)
         else:
-            lines = run_region(cfg)
+            chunks = run_region(cfg)
     except ConfigError as exc:
         for message in exc.errors:
             sys.stderr.write(f"polarchan: {message}\n")
@@ -657,7 +677,7 @@ def main(argv=None) -> int:
 
     out_path = args.out if args.out is not None else cfg.out
     try:
-        _write_csv(out_path, lines)
+        _write_csv(out_path, chunks)
     except OSError as exc:
         sys.stderr.write(f"polarchan: cannot write output {out_path!r}: {exc}\n")
         return 2

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, normalize_delays
+from polarchan.channel_analysis import pauli_feasible
+from polarchan.depolarizer import _radii_grid, in_reachable_region
 from polarchan.polar_core import PAULI_BASIS, rotation2
 from polarchan.tomography import preparation_states
 
@@ -192,6 +194,37 @@ def reference_counts(seed: int, stream: int, lam) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(record_seed_sequence(seed, stream)))
     lam = np.asarray(lam, dtype=float)
     return np.array([gen.poisson(x) for x in lam.ravel().tolist()], dtype=np.int64).reshape(lam.shape)
+
+
+def reference_region_lines(grid_n: int) -> list:
+    """The region CSV lines as first written: one ``%`` per grid point."""
+    angles = np.linspace(0.0, 45.0, grid_n)
+    r1, r2 = _radii_grid(angles.tolist())
+    lines = ["theta1,theta2,r1,r2"]
+    angle_cells = ["%.6f" % a for a in angles.tolist()]
+    for i, a1 in enumerate(angle_cells):
+        lines += ["%s,%s,%.12g,%.12g" % (a1, a2, v1, v2)
+                  for a2, v1, v2 in zip(angle_cells, r1[i].tolist(), r2[i].tolist())]
+    return lines
+
+
+def reference_feasibility_lines(r_step: float) -> list:
+    """The feasibility CSV lines as first written: one ``%`` per grid point."""
+    values = np.arange(-1.0, 1.0 + r_step / 2, r_step)
+    r1, r2 = np.meshgrid(values, values, indexing="ij")
+    feasible, lam = pauli_feasible(r1, r2, r2)
+    reachable = in_reachable_region(r1, r2)
+    lines = ["r1,r2,lambda0,lambda1,lambda2,lambda3,feasible,reachable"]
+    flags = ("false", "true")
+    columns = values.tolist()
+    for i, v1 in enumerate(columns):
+        lines += [
+            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s"
+            % (v1, v2, l0, l1, l2, l3, flags[f], flags[r])
+            for v2, (l0, l1, l2, l3), f, r in zip(
+                columns, lam[i].tolist(), feasible[i].tolist(), reachable[i].tolist())
+        ]
+    return lines
 
 
 def same_bits(a, b) -> bool:

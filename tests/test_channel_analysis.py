@@ -215,3 +215,14 @@ def test_chi_stack_matches_four_trace_expansion(seed, n_benches):
 def test_check_process_matrix_rejects_non_finite_input(chi):
     with pytest.raises(ValueError, match="process matrix must be finite"):
         check_process_matrix(chi)
+
+
+@pytest.mark.parametrize("chi", [
+    np.diag([np.nan, 0.0, 0.0, 1.0]),  # passed the Hermitian test as the spectrum [1, 0, 0, 0]
+    np.full((4, 4), np.nan),  # reached eigvalsh and raised LinAlgError
+])
+def test_chi_eigenvalues_rejects_non_finite_input(chi):
+    with pytest.raises(ValueError, match="process matrix must be finite"):
+        chi_eigenvalues(chi)
+    with pytest.raises(ValueError, match="process matrix must be finite"):
+        isotropy_deviation(chi)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -26,7 +27,7 @@ from polarchan.depolarizer import (
 )
 from polarchan.tomography import TomoSettings, qpt_mle, simulate_counts
 
-from conftest import record_seed_sequence
+from conftest import record_seed_sequence, reference_feasibility_lines, reference_region_lines
 from regen_goldens import COUNTS_CASE, DATA, GOLDEN_CASES, counts_config
 
 
@@ -488,6 +489,55 @@ def test_sweep_reports_unconverged_fits(tmp_path, capsys):
         "polarchan: warning: sweep row 3 (theta2 = 15.000000): MLE fit did not converge\n"
     )
     assert out.read_bytes() == converged_bytes
+
+
+# ---------------------------------------------------------------------------
+# grid modes: row-chunked formatting and writing
+# ---------------------------------------------------------------------------
+
+_DEFAULTS = cli.RunConfig(mode="region")
+
+#: (mode, config key, value or None for the default, reference lines)
+GRID_CASES = (
+    [("region", "grid_n", n, reference_region_lines) for n in (None, 2, 3, 46)]
+    + [("feasibility", "r_step", s, reference_feasibility_lines) for s in (None, 0.25, 0.7, 2.0)]
+)
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("mode,key,value,reference", GRID_CASES,
+                         ids=[f"{m}-{k}-{v}" for m, k, v, _ in GRID_CASES])
+def test_grid_modes_match_row_at_a_time_reference(mode, key, value, reference, to_file,
+                                                   tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"mode = {mode}\n" + ("" if value is None else f"{key} = {value}\n"))
+    expected = ("\n".join(reference(getattr(_DEFAULTS, key) if value is None else value))
+                + "\n").encode()
+    out = tmp_path / "grid.csv"
+    argv = [mode, "--config", str(cfg)] + (["--out", str(out)] if to_file else [])
+    assert main(argv) == 0
+    written = capsys.readouterr().out.encode()
+    assert (out.read_bytes() if to_file else written) == expected
+
+
+def test_format_distinct_keeps_signed_zeros_apart():
+    grid = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0]])
+    assert cli._format_distinct(grid).tolist() == [["0", "-0", "1.5"], ["-0", "0", "-0"]]
+
+
+def test_region_peak_memory_bounded_by_output(tmp_path):
+    # rows are formatted and written in chunks: the whole CSV is never
+    # joined into one string next to its lines
+    cfg = tmp_path / "region.cfg"
+    cfg.write_text("mode = region\n")
+    out = tmp_path / "region.csv"
+    tracemalloc.start()
+    try:
+        assert main(["region", "--config", str(cfg), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.stat().st_size
 
 
 # ---------------------------------------------------------------------------
