@@ -34,7 +34,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .polar_core import PAULI_STACK, rotation2, waveplate_jones
+from .polar_core import PAULI_STACK, _PAULI_COEFFS, rotation2, waveplate_jones
 
 __all__ = [
     "Crystal",
@@ -217,25 +217,11 @@ class KrausSet:
         return self._stack
 
     def completeness_defect(self) -> float:
-        """Max-norm deviation of sum_d K_d^dag K_d from the identity."""
-        return float(_completeness_defects(self._stack)[0])
+        """Max-norm deviation of sum_d K_d^dag K_d from the identity, read from chi."""
+        return float(_tp_defects(_chi_stack(self._stack))[0])
 
     def require_complete(self, atol: float = 1e-12) -> None:
-        _require_complete(self._stack, atol)
-
-
-def _completeness_defects(ops: np.ndarray) -> np.ndarray:
-    """Per-bench max-norm deviation of sum_d K_d^dag K_d from the identity."""
-    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
-    return np.abs(acc - np.eye(2)).max(axis=(-2, -1))
-
-
-def _require_complete(ops: np.ndarray, atol: float = 1e-12) -> None:
-    """Raise unless every bench of a ``(B, n, 2, 2)`` Kraus stack is trace preserving."""
-    defect = _completeness_defects(ops).max()
-    # written so that a NaN defect fails too
-    if not defect <= atol:
-        raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
+        _checked_chi(self._stack, atol)
 
 
 @functools.lru_cache(maxsize=64)
@@ -410,11 +396,6 @@ def _channel_stack(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.add.reduce(k @ states @ k.conj().swapaxes(-1, -2), axis=1, initial=0)
 
 
-#: ``K.reshape(4) @ _PAULI_COEFFS`` are the coefficients c_m = Tr(E_m K)/2 of
-#: K = sum_m c_m E_m: column m is vec(E_m^T)/2, entries 0, +-1/2 and +-i/2
-_PAULI_COEFFS = PAULI_STACK.swapaxes(-1, -2).reshape(4, 4).T / 2
-_PAULI_COEFFS.setflags(write=False)
-
 #: G[(i,j),(m,n)] = Tr(E_i E_m E_j E_n^dag)/2, entries 0, +-1 and +-i: the
 #: Pauli transfer matrix of chi is R = G @ chi.ravel(), and G^-1 = G^dag/4
 _CHI_TO_PTM = np.einsum("imab,jnba->ijmn", PAULI_STACK[:, None] @ PAULI_STACK,
@@ -423,16 +404,31 @@ _CHI_TO_PTM = _CHI_TO_PTM.reshape(16, 16) / 2
 _CHI_TO_PTM.setflags(write=False)
 
 
-def _pauli_coords(ops) -> np.ndarray:
-    """Coordinates x_i = Tr(E_i A), shape ``(k, 4)``, of k 2x2 operators A = sum_i x_i E_i / 2."""
-    return 2 * (np.asarray(ops, dtype=complex).reshape(-1, 4) @ _PAULI_COEFFS)
-
-
 def _chi_stack(ops: np.ndarray) -> np.ndarray:
     """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack, unchecked."""
     # chi_mn = sum_d c_dm c_dn^*, with c_dm = Tr(E_m K_d) / 2
     coeffs = ops.reshape(*ops.shape[:-2], 4) @ _PAULI_COEFFS
     return coeffs.swapaxes(-1, -2) @ coeffs.conj()
+
+
+def _tp_defects(chi: np.ndarray) -> np.ndarray:
+    """Max-norm deviations ``(B,)`` of sum_mn chi_mn E_n^dag E_m from the identity,
+    for a ``(B, 4, 4)`` chi stack: sum_d K_d^dag K_d for a Kraus set, read as
+    sum_j R_0j E_j from the first row R_0 = G[:4] vec(chi) of the PTM."""
+    r0 = chi.reshape(-1, 16) @ _CHI_TO_PTM[:4].T
+    # the sums and the identity, flattened
+    return np.abs(r0 @ PAULI_STACK.reshape(4, 4) - [1, 0, 0, 1]).max(axis=-1)
+
+
+def _checked_chi(ops: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+    """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack; raises
+    unless every bench is trace preserving."""
+    chi = _chi_stack(ops)
+    defect = _tp_defects(chi).max()
+    # written so that a NaN defect fails too
+    if not defect <= atol:
+        raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
+    return chi
 
 
 def _ptm_stack(chi: np.ndarray) -> np.ndarray:
@@ -451,6 +447,5 @@ def affine_map(kraus: KrausSet) -> AffineMap:
     unitarily).  They are the blocks R[1:, 1:] and R[1:, 0] of the channel's
     Pauli transfer matrix R.
     """
-    kraus.require_complete()
-    r = _ptm_stack(_chi_stack(kraus.as_stack()))[0]
+    r = _ptm_stack(_checked_chi(kraus.as_stack()))[0]
     return AffineMap(r[1:, 1:], r[1:, 0])

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench_sim import _CHI_TO_PTM, KrausSet, _chi_stack, _pauli_coords
-from .polar_core import PAULI_STACK
+from .bench_sim import _CHI_TO_PTM, KrausSet, _checked_chi
+from .polar_core import _pauli_coords, _pauli_operators
 
 __all__ = [
     "chi_from_kraus",
@@ -40,8 +40,7 @@ def chi_from_kraus(kraus: KrausSet) -> np.ndarray:
     Each operator is expanded as K_d = sum_m c_dm E_m with
     c_dm = Tr(E_m K_d)/2; then chi_mn = sum_d c_dm c_dn^*.
     """
-    kraus.require_complete()
-    return _chi_stack(kraus.as_stack())[0]
+    return _checked_chi(kraus.as_stack())[0]
 
 
 def apply_process_matrix(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -51,7 +50,7 @@ def apply_process_matrix(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     and x_j = Tr(E_j rho).
     """
     r = (_CHI_TO_PTM @ np.asarray(chi, dtype=complex).reshape(16)).reshape(4, 4)
-    return (r @ _pauli_coords(rho)[0] @ PAULI_STACK.reshape(4, 4)).reshape(2, 2) / 2
+    return _pauli_operators(r @ _pauli_coords(rho)[0])[0]
 
 
 def check_process_matrix(chi: np.ndarray, atol: float = 1e-12) -> np.ndarray:

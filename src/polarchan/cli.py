@@ -37,10 +37,9 @@ from .bench_sim import (
     Crystal,
     KrausSet,
     Waveplate,
-    _chi_stack,
+    _checked_chi,
     _nonzero_bins,
     _ptm_stack,
-    _require_complete,
     affine_map,
     delay_bin_bound,
     propagate,
@@ -78,6 +77,10 @@ _MAX_GRID_POINTS = 4_000_000
 
 #: sweep rows propagated together; bounds the stack's memory
 _SWEEP_BLOCK = 256
+
+#: cap on a length's digits in all and on its decimal exponent's magnitude,
+#: checked before the text is parsed
+_MAX_LENGTH_DIGITS = 30
 
 _KNOWN_KEYS = {
     "mode", "preset", "element", "theta1", "theta2",
@@ -128,6 +131,23 @@ def _finite_float(value: str) -> float:
     return number
 
 
+def _parse_length(value: str) -> Fraction:
+    """An exact length written as ``3/2``, ``1.5`` or ``15e-1``.
+
+    Text past ``_MAX_LENGTH_DIGITS`` (in digits, or in exponent magnitude) is
+    refused before ``Fraction`` reads it: the work of an exact parse grows with both.
+    """
+    if sum(ch.isdigit() for ch in value) > _MAX_LENGTH_DIGITS:
+        raise ValueError(f"more than {_MAX_LENGTH_DIGITS} digits")
+    try:
+        exponent = int(value.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # not an exponent Fraction reads either
+    if abs(exponent) > _MAX_LENGTH_DIGITS:
+        raise ValueError(f"decimal exponent beyond {_MAX_LENGTH_DIGITS} in magnitude")
+    return Fraction(value)
+
+
 _ELEMENT_RE = re.compile(r"^(crystal|hwp|qwp)\s*\(([^()]*)\)$")
 
 
@@ -143,7 +163,7 @@ def _parse_element(value: str, lineno: int, errors: list):
         if name == "crystal":
             if len(args) != 2:
                 raise ValueError("crystal takes (length, angle)")
-            return Crystal(Fraction(args[0]), _finite_float(args[1]))
+            return Crystal(_parse_length(args[0]), _finite_float(args[1]))
         if len(args) != 1:
             raise ValueError(f"{name} takes (angle)")
         kind = "half" if name == "hwp" else "quarter"
@@ -191,8 +211,9 @@ def parse_config(text: str) -> RunConfig:
                 continue
             try:
                 return parser(value)
-            except (ValueError, ZeroDivisionError):
-                errors.append(f"line {lineno}: malformed {kind} for key {key!r}: {value!r}")
+            except (ValueError, ZeroDivisionError) as exc:
+                reason = f" ({exc})" if parser is _parse_length else ""
+                errors.append(f"line {lineno}: malformed {kind} for key {key!r}: {value!r}{reason}")
                 return None
         return None
 
@@ -226,15 +247,13 @@ def parse_config(text: str) -> RunConfig:
         counts_out=take("counts_out", str, "path"),
         out=take("out", str, "path"),
     )
-    length = take("length", Fraction, "length")
-    length1 = take("length1", Fraction, "length")
-    length2 = take("length2", Fraction, "length")
+    lengths = {key: take(key, _parse_length, "length") for key in ("length", "length1", "length2")}
     n = take("n", int, "integer")
     tomo = take("tomo", parse_bool, "boolean")
     r_step = take("r_step", _finite_float, "number")
     grid_n = take("grid_n", int, "integer")
 
-    for key, value in (("length", length), ("length1", length1), ("length2", length2)):
+    for key, value in lengths.items():
         if value is not None and value <= 0:
             errors.append(f"line {seen[key]}: {key} must be positive, got {value}")
     if cfg_kwargs["seed"] is not None and cfg_kwargs["seed"] < 0:
@@ -247,22 +266,10 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    cfg = RunConfig(mode=mode, preset=preset, elements=tuple(elements), **cfg_kwargs)
-    if length is not None:
-        cfg.length = length
-    if length1 is not None:
-        cfg.length1 = length1
-    if length2 is not None:
-        cfg.length2 = length2
-    if n is not None:
-        cfg.n = n
-    if tomo is not None:
-        cfg.tomo = tomo
-    if r_step is not None:
-        cfg.r_step = r_step
-    if grid_n is not None:
-        cfg.grid_n = grid_n
-    return cfg
+    # keys the file leaves out keep their RunConfig defaults
+    given = {k: v for k, v in dict(lengths, n=n, tomo=tomo, r_step=r_step, grid_n=grid_n).items()
+             if v is not None}
+    return RunConfig(mode=mode, preset=preset, elements=tuple(elements), **cfg_kwargs, **given)
 
 
 def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n, tomo):
@@ -438,8 +445,7 @@ def _sweep_block(benches, keep_kraus: bool) -> tuple:
     for rows in groups.values():
         bins = np.flatnonzero(keep[rows[0]])
         group = ops[np.ix_(rows, bins)]
-        _require_complete(group)
-        chi = _chi_stack(group)
+        chi = _checked_chi(group)
         compensated, radii[rows], off = _compensate(_ptm_stack(chi)[:, 1:, 1:])
         for g in np.flatnonzero(off > _AXIS_ALIGNED_ATOL):
             radii[rows[g]] = polar_decompose(compensated[g]).radii

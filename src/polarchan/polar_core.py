@@ -9,7 +9,10 @@ Conventions used throughout the package:
 * the operator basis ``PAULI_BASIS`` = (E0, E1, E2, E3) is ordered to match
   the Stokes axes, so E1 = sigma_z, E2 = sigma_x, E3 = sigma_y in textbook
   naming.  With this ordering, s_i = Tr(rho E_i) and channel radii line up
-  index-for-index with the Stokes components.
+  index-for-index with the Stokes components;
+* an operator A = sum_i x_i E_i / 2 has coordinates x_i = Tr(E_i A); the two
+  maps between them (``_pauli_coords``, ``_pauli_operators``) are shared by
+  every module, and the Stokes conversions are their one-state cases.
 
 All public interfaces take angles in degrees (fast-axis orientation measured
 from horizontal); radians are an internal detail.  Jones matrices are defined
@@ -74,6 +77,21 @@ PAULI_BASIS: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = (
 #: the same basis as one read-only ``(4, 2, 2)`` array, for stacked products
 PAULI_STACK = np.stack(PAULI_BASIS)
 PAULI_STACK.setflags(write=False)
+
+#: ``K.reshape(4) @ _PAULI_COEFFS`` are the coefficients c_m = Tr(E_m K)/2 of
+#: K = sum_m c_m E_m: column m is vec(E_m^T)/2, entries 0, +-1/2 and +-i/2
+_PAULI_COEFFS = PAULI_STACK.swapaxes(-1, -2).reshape(4, 4).T / 2
+_PAULI_COEFFS.setflags(write=False)
+
+
+def _pauli_coords(ops) -> np.ndarray:
+    """Coordinates x_i = Tr(E_i A), shape ``(k, 4)``, of k 2x2 operators A = sum_i x_i E_i / 2."""
+    return 2 * (np.asarray(ops, dtype=complex).reshape(-1, 4) @ _PAULI_COEFFS)
+
+
+def _pauli_operators(coords) -> np.ndarray:
+    """The operators A = sum_i x_i E_i / 2, shape ``(k, 2, 2)``, of k coordinate rows x."""
+    return (np.asarray(coords) @ PAULI_STACK.reshape(4, 4)).reshape(-1, 2, 2) / 2
 
 
 @dataclass(frozen=True)
@@ -141,18 +159,12 @@ def density_from_stokes(s) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if norm > 1.0 + 1e-9:
         raise ValueError(f"Stokes vector length {norm:.6g} exceeds 1 (unphysical)")
-    rho = 0.5 * (_E0 + v[0] * _E1 + v[1] * _E2 + v[2] * _E3)
-    return rho
+    return _pauli_operators(np.r_[1.0, v])[0]
 
 
 def stokes_from_density(rho: np.ndarray) -> StokesVector:
     """Stokes components s_i = Tr(rho E_i) of a valid density matrix."""
-    rho = check_density(rho)
-    return StokesVector(
-        float(np.trace(rho @ _E1).real),
-        float(np.trace(rho @ _E2).real),
-        float(np.trace(rho @ _E3).real),
-    )
+    return StokesVector.from_array(_pauli_coords(check_density(rho))[0, 1:].real)
 
 
 def degree_of_polarization(s) -> float:

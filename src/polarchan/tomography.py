@@ -19,6 +19,7 @@ matrix, fitting all 4 x 6 preparation/analysis settings at once.
 Process quantities read the Pauli transfer matrix R = G chi: for inputs
 rho_k = sum_j x_kj E_j / 2 and projectors P_s = sum_i y_si E_i / 2, the
 probabilities are y_s R x_k / 2, and the standard settings' x and y are exact.
+A single state with coordinates x is measured the same way, as y_s x / 2.
 """
 
 from __future__ import annotations
@@ -30,18 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .bench_sim import _CHI_TO_PTM, KrausSet, _chi_stack, _pauli_coords, _ptm_stack
-from .polar_core import (
-    KET_H,
-    KET_L,
-    KET_M,
-    KET_P,
-    KET_R,
-    KET_V,
-    PAULI_BASIS,
-    PAULI_STACK,
-    ket_projector,
-)
+from .bench_sim import _CHI_TO_PTM, KrausSet, _checked_chi, _ptm_stack, _tp_defects
+from .polar_core import _PAULI_COEFFS, _pauli_coords, _pauli_operators
 
 __all__ = [
     "PROJECTOR_LABELS",
@@ -71,9 +62,6 @@ PROJECTOR_LABELS = ("H", "V", "P", "M", "R", "L")
 #: preparation states spanning the qubit operator space
 INPUT_LABELS = ("H", "V", "P", "R")
 
-_PROJECTOR_KETS = {
-    "H": KET_H, "V": KET_V, "P": KET_P, "M": KET_M, "R": KET_R, "L": KET_L,
-}
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
@@ -95,12 +83,12 @@ MAX_SHOTS = 10**18
 
 def analysis_projectors() -> tuple:
     """The six projectors, in PROJECTOR_LABELS order."""
-    return tuple(ket_projector(_PROJECTOR_KETS[lbl]) for lbl in PROJECTOR_LABELS)
+    return tuple(_pauli_operators(_PROJECTOR_COORDS))
 
 
 def preparation_states() -> tuple:
     """The four preparation density matrices, in INPUT_LABELS order."""
-    return tuple(ket_projector(_PROJECTOR_KETS[lbl]) for lbl in INPUT_LABELS)
+    return tuple(_pauli_operators(_INPUT_COORDS))
 
 
 @dataclass(frozen=True)
@@ -245,19 +233,27 @@ def probability_table(
     Each is y R x / 2, clipped to [0, 1], for the Pauli transfer matrix R and
     the coordinates x = Tr(E_i rho) of the input and y = Tr(E_i P) of the projector.
     """
-    kraus.require_complete()
     x = _INPUT_COORDS if inputs is None else _pauli_coords(inputs)
     y = _PROJECTOR_COORDS if projectors is None else _pauli_coords(projectors)
-    r = _ptm_stack(_chi_stack(kraus.as_stack()))[0]
-    return np.clip((x @ r.T @ y.T).real / 2, 0.0, 1.0)
+    r = _ptm_stack(_checked_chi(kraus.as_stack()))[0]
+    return _born_table(x @ r.T, y)
+
+
+def _born_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Probabilities y . x / 2, clipped to [0, 1], of states with coordinates
+    x = Tr(E_i rho) (rows of ``x``) and projectors with y = Tr(E_i P)."""
+    return np.clip((x @ y.T).real / 2, 0.0, 1.0)
 
 
 def _poisson_table(seed: int, stream: int, lam: np.ndarray) -> np.ndarray:
     """Poisson(lam) counts of one record, all drawn from the Philox stream
-    keyed by ``(seed, stream)``."""
+    keyed by ``(seed, stream)``.  Means below 1e-12 count 0: numpy draws a
+    variate for any positive mean, so a roundoff residue in place of an exact
+    zero would shift every later draw of the record."""
     if stream < 0:
         raise ValueError(f"stream must be non-negative, got {stream}")
     seq = np.random.SeedSequence(seed, spawn_key=(stream,))
+    lam = np.where(lam < 1e-12, 0.0, lam)
     return np.random.Generator(np.random.Philox(seq)).poisson(lam)
 
 
@@ -287,8 +283,7 @@ def simulate_counts(
 
 def simulate_state_counts(rho: np.ndarray, settings: TomoSettings, *, stream: int = 0) -> CountRecord:
     """Single-state analog: measure one state against the six projectors."""
-    products = _qst_a_tensor() @ np.asarray(rho, dtype=complex).reshape(2, 2)
-    probs = np.clip(np.trace(products, axis1=-2, axis2=-1).real, 0.0, 1.0)[None]
+    probs = _born_table(_pauli_coords(np.reshape(rho, (2, 2))), _PROJECTOR_COORDS)
     counts = _poisson_table(settings.seed, stream, settings.shots * probs)
     return CountRecord(counts, ("state",), settings.shots, settings.seed)
 
@@ -346,14 +341,8 @@ def qst_linear(counts) -> QstLinearResult:
     counts are flagged indeterminate and set to 0.
     """
     stokes, indet = _stokes_rows(_counts_row(counts)[None])
-    stokes = stokes[0]
-    rho = 0.5 * (
-        PAULI_BASIS[0]
-        + stokes[0] * PAULI_BASIS[1]
-        + stokes[1] * PAULI_BASIS[2]
-        + stokes[2] * PAULI_BASIS[3]
-    )
-    return QstLinearResult(rho, stokes, tuple(indet[0].tolist()))
+    rho = _pauli_operators(np.c_[np.ones(1), stokes])[0]
+    return QstLinearResult(rho, stokes[0], tuple(indet[0].tolist()))
 
 
 def _stokes_rows(table: np.ndarray) -> tuple:
@@ -398,10 +387,6 @@ class QptMleResult(MleResult):
         return self.matrix
 
 
-def _num_params(dim: int) -> int:
-    return dim * dim
-
-
 @cache
 def _tri_layout(dim: int) -> tuple:
     """Flat positions in a ``dim x dim`` T of its diagonal and of its strict
@@ -423,7 +408,7 @@ def _params_to_tri(params: np.ndarray, dim: int) -> np.ndarray:
 def _tri_to_params(t: np.ndarray, dim: int) -> np.ndarray:
     diag, lower, _ = _tri_layout(dim)
     flat = t.ravel()
-    params = np.empty(_num_params(dim))
+    params = np.empty(dim * dim)
     params[:dim] = flat[diag].real
     below = flat[lower]
     params[dim::2] = below.real
@@ -435,8 +420,9 @@ def _nll_and_grad(params, forms, counts, shots):
     """Poisson NLL sum_s [N p_s - n_s log(N p_s)] and its parameter gradient.
 
     T is linear in the parameters, so Tr(T^dag T) = params.params and
-    p_s = params^T Q_s params / params.params with the fixed symmetric forms
-    Q_s stacked in ``forms`` (see _quadratic_forms).  With v_s = Q_s params
+    p_s = Re Tr(A_s^T X) = params^T Q_s params / params.params, for
+    X = T^dag T / Tr(T^dag T), with the fixed symmetric forms Q_s stacked in
+    ``forms`` (see _quadratic_forms).  With v_s = Q_s params
     and w_s = dNLL/dp_s, the gradient is (2/tau)(sum_s w_s v_s - (w.p) params).
     Settings with no counts contribute no log term, so a zero-shot record
     gives a finite NLL without a log(0).
@@ -457,10 +443,12 @@ def _quadratic_forms(a_tensor: np.ndarray) -> np.ndarray:
 
     With T = sum_k params_k B_k (B_k the T of the k-th unit parameter vector),
     Q_s[k, l] = sym Re sum_mn A[s,m,n] (B_k^dag B_l)[m,n], so that
-    params^T Q_s params = Re sum_mn A[s,m,n] (T^dag T)[m,n].
+    params^T Q_s params = Re sum_mn A[s,m,n] (T^dag T)[m,n] = Re Tr(A_s^T T^dag T):
+    the contraction is elementwise, so a setting measured as Tr(P X) needs
+    A_s = P^T.
     """
     dim = a_tensor.shape[-1]
-    n = _num_params(dim)
+    n = dim * dim
     basis = np.stack([_params_to_tri(unit, dim) for unit in np.eye(n)])
     products = basis.conj().transpose(0, 2, 1)[:, None] @ basis[None]  # [k, l] = B_k^dag B_l
     q = np.einsum("smn,klmn->skl", a_tensor, products).real
@@ -488,6 +476,8 @@ def _lower_factor(matrix: np.ndarray) -> np.ndarray:
 
 
 def _mle_minimize(forms, counts, shots, x0_matrix, settings) -> tuple:
+    if settings is None:
+        settings = TomoSettings(shots=max(int(shots), 1))
     dim = x0_matrix.shape[0]
     x0 = _tri_to_params(_lower_factor(x0_matrix), dim)
     res = minimize(
@@ -522,8 +512,6 @@ def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
     row = _counts_row(counts)
     if shots is None:
         raise ValueError("shots must be given when counts is a bare array")
-    if settings is None:
-        settings = TomoSettings(shots=max(int(shots), 1))
     x0 = _clip_to_physical(qst_linear(row).rho)
     matrix, nll, ok, nit = _mle_minimize(_qst_forms(), row, shots, x0, settings)
     return MleResult(matrix, nll, ok, nit)
@@ -534,8 +522,10 @@ def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
 
 @cache
 def _qst_a_tensor() -> np.ndarray:
-    """The six analysis projectors stacked, A[j] = P_j."""
-    return _frozen(np.stack(analysis_projectors()))
+    """The six analysis projectors transposed, A[j] = P_j^T, so that
+    sum_mn A[j,m,n] rho[m,n] = Tr(P_j rho); vec(P_j^T) = sum_i y_ji vec(E_i^T) / 2
+    is exact."""
+    return _frozen((_PROJECTOR_COORDS @ _PAULI_COEFFS.T).reshape(-1, 2, 2))
 
 
 @cache
@@ -605,13 +595,9 @@ def qpt_linear(counts) -> np.ndarray:
 
 
 def trace_preservation_deviation(chi: np.ndarray) -> float:
-    """Max-norm of sum_mn chi_mn E_n^dag E_m - I (zero for TP channels).
-
-    That sum is sum_j R_0j E_j, with R_0 = G[:4] chi the first row of the PTM.
-    """
-    r0 = _CHI_TO_PTM[:4] @ np.asarray(chi, dtype=complex).reshape(16)
-    # the sum and the identity, both flattened
-    return float(np.abs(r0 @ PAULI_STACK.reshape(4, 4) - [1, 0, 0, 1]).max())
+    """Max-norm of sum_mn chi_mn E_n^dag E_m - I (zero for TP channels), the
+    defect that the Kraus-set checks read from chi."""
+    return float(_tp_defects(np.asarray(chi, dtype=complex).reshape(1, 4, 4))[0])
 
 
 def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings] = None) -> QptMleResult:
@@ -629,8 +615,6 @@ def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
     table = _process_table(counts)
     if shots is None:
         raise ValueError("shots must be given when counts is a bare table")
-    if settings is None:
-        settings = TomoSettings(shots=max(int(shots), 1))
     x0 = _clip_to_physical(qpt_linear(table))
     matrix, nll, ok, nit = _mle_minimize(_qpt_forms(), table.ravel(), shots, x0, settings)
     return QptMleResult(matrix, nll, ok, nit, trace_preservation_deviation(matrix))

@@ -4,8 +4,7 @@ import pytest
 from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, normalize_delays
 from polarchan.channel_analysis import pauli_feasible
 from polarchan.depolarizer import _radii_grid, in_reachable_region
-from polarchan.polar_core import PAULI_BASIS, rotation2
-from polarchan.tomography import preparation_states
+from polarchan.polar_core import KET_H, KET_P, KET_R, KET_V, PAULI_BASIS, ket_projector, rotation2
 
 
 def random_physical_stokes(rng: np.random.Generator) -> np.ndarray:
@@ -76,6 +75,13 @@ def reference_propagate(bench):
     pairs = [(d, t) for d, t in zip(*reference_transfer(bench))
              if np.sqrt((np.abs(t) ** 2).sum()) > 1e-14]
     return [d for d, _ in pairs], [t for _, t in pairs]
+
+
+def reference_completeness_defect(ops) -> np.ndarray:
+    """The completeness defect as first written: per bench of a ``(B, n, 2, 2)``
+    Kraus stack, the max-norm of sum_d K_d^dag K_d - I."""
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    return np.abs(acc - np.eye(2)).max(axis=(-2, -1))
 
 
 def clipped_trace(proj, rho):
@@ -155,11 +161,12 @@ def reference_hermitian_basis() -> np.ndarray:
 
 def reference_qpt_design() -> np.ndarray:
     """The linear-QPT design as first written: column k holds the stacked
-    (1, Stokes) outputs of the four preparations under Hermitian basis matrix k."""
+    (1, Stokes) outputs of the four preparations (built from their kets, independently
+    of the package's coordinates) under Hermitian basis matrix k."""
     design = np.empty((16, 16))
     for col, h in enumerate(reference_hermitian_basis()):
         row_idx = 0
-        for rho in preparation_states():
+        for rho in map(ket_projector, (KET_H, KET_V, KET_P, KET_R)):
             image = np.zeros((2, 2), dtype=complex)
             for m in range(4):
                 for n in range(4):
@@ -190,10 +197,12 @@ def record_seed_sequence(seed: int, stream: int) -> np.random.SeedSequence:
 
 def reference_counts(seed: int, stream: int, lam) -> np.ndarray:
     """The count-table spec: one Philox generator per (seed, stream) record,
-    drawing Poisson(lam) one entry at a time in row-major order."""
+    drawing Poisson(lam) one entry at a time in row-major order; a mean below
+    1e-12 draws nothing and counts 0."""
     gen = np.random.Generator(np.random.Philox(record_seed_sequence(seed, stream)))
     lam = np.asarray(lam, dtype=float)
-    return np.array([gen.poisson(x) for x in lam.ravel().tolist()], dtype=np.int64).reshape(lam.shape)
+    return np.array([gen.poisson(x) if x >= 1e-12 else 0 for x in lam.ravel().tolist()],
+                    dtype=np.int64).reshape(lam.shape)
 
 
 def reference_region_lines(grid_n: int) -> list:

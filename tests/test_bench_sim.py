@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarchan import cli
 from polarchan.bench_sim import (
     _CHI_TO_PTM,
     MAX_DELAY_BINS,
@@ -15,12 +16,12 @@ from polarchan.bench_sim import (
     KrausSet,
     Waveplate,
     _channel_stack,
+    _checked_chi,
     _chi_stack,
     _gather_plan,
     _nonzero_bins,
     _projector_pair,
     _ptm_stack,
-    _require_complete,
     _structure,
     affine_map,
     apply_channel,
@@ -49,6 +50,7 @@ from conftest import (
     random_bench,
     random_physical_stokes,
     reference_channel,
+    reference_completeness_defect,
     reference_probability_table,
     reference_propagate,
     reference_transfer,
@@ -351,21 +353,77 @@ def test_kraus_stack_built_once_and_read_only():
             KrausSet((0,) if len(operators) == 1 else (0, 1), operators)
 
 
-def test_incomplete_set_rejected_by_every_consumer():
-    # the stacked helpers are unchecked, so each public entry point checks
+def sweep_block_of(monkeypatch, ops):
+    """A one-bench sweep block whose propagated stack is ``ops``."""
+    monkeypatch.setattr(cli, "propagate_stack", lambda benches: (tuple(range(ops.shape[1])), ops))
+    return lambda: cli._sweep_block([build_lyot(1)], keep_kraus=False)
+
+
+def checked_consumers(kraus, monkeypatch):
+    """Every public entry point that checks completeness, each a call on ``kraus``."""
+    return (
+        kraus.require_complete,
+        lambda: _checked_chi(kraus.as_stack()),
+        lambda: affine_map(kraus),
+        lambda: apply_channel(kraus, I2 / 2),
+        lambda: chi_from_kraus(kraus),
+        lambda: probability_table(kraus),
+        lambda: simulate_counts(kraus, TomoSettings(shots=100, seed=1)),
+        sweep_block_of(monkeypatch, kraus.as_stack()),
+    )
+
+
+def test_incomplete_set_rejected_by_every_consumer(monkeypatch):
+    # the stacked helpers are unchecked, so each public entry point checks;
+    # the message carries the same defect as the K^dag K sum, to three digits
+    stacks = (
+        (np.diag([1.0, 0.0]),),
+        (I2 * np.sqrt(1.0 + 1e-10),),
+        (I2 * 1.5,),
+        tuple(1.1 * propagate(build_lyot(1)).operators),
+        tuple(0.9 * propagate(build_bench(DepolarizerSettings(20.0, 13.0, 2, 3))).operators),
+    )
+    for operators in stacks:
+        bad = KrausSet(tuple(range(len(operators))), operators)
+        defect = reference_completeness_defect(bad.as_stack())[0]
+        assert defect > 1e-12
+        for call in checked_consumers(bad, monkeypatch):
+            with pytest.raises(ValueError, match=rf"not trace preserving \(defect {defect:.3g}\)"):
+                call()
+        bad.require_complete(atol=2 * defect)
+
+
+def test_completeness_tolerance():
     bad = KrausSet((0,), (np.diag([1.0, 0.0]),))
     assert bad.completeness_defect() == 1.0
-    calls = (
-        lambda: affine_map(bad),
-        lambda: chi_from_kraus(bad),
-        lambda: probability_table(bad),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match=r"not trace preserving \(defect 1\)"):
-            call()
     bad.require_complete(atol=1.0)
     with pytest.raises(ValueError, match="trace preserving"):
         bad.require_complete(atol=0.5)
+    # a defect below the default atol passes
+    KrausSet((0,), (I2 * np.sqrt(1.0 + 1e-13),)).require_complete()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["random", "fig1", "sparse"]),
+       st.floats(0.5, 1.5))
+def test_completeness_defect_matches_kdagk_sum(seed, kind, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        bench = random_bench(rng)
+    elif kind == "fig1":
+        lengths = [(1, 2), (2, 3), (3, 5)][int(rng.integers(3))]
+        bench = build_bench(DepolarizerSettings(rng.uniform(0, 90), rng.uniform(-90, 90), *lengths))
+    else:
+        structure = sparse_structure(rng, int(rng.integers(6, 9)))
+        bench = bench_from(structure, scale_angles(rng, len(structure)))
+    kraus = propagate(bench)
+    # chi and the K^dag K sum round differently; a sum over n bins may pick up
+    # about n units of roundoff, which sets the bound past 1e-15
+    bound = 1e-15 + len(kraus) * 2.0 ** -53
+    assert abs(kraus.completeness_defect() - reference_completeness_defect(kraus.as_stack())[0]) <= bound
+    scaled = KrausSet(kraus.delays, kraus.operators * scale)
+    assert abs(scaled.completeness_defect()
+               - reference_completeness_defect(scaled.as_stack())[0]) <= 4 * bound
 
 
 @pytest.mark.parametrize("op", [
@@ -379,27 +437,19 @@ def test_kraus_set_rejects_non_finite_operators(op):
         KrausSet((0,), (op,))
 
 
-def test_nan_defect_rejected_by_every_consumer():
-    # finite operators whose K^dag K overflow, to +inf and -inf off the
-    # diagonal: their sum is nan, so is the defect, and nan > atol is False
+def test_nan_defect_rejected_by_every_consumer(monkeypatch):
+    # finite operators whose chi (and K^dag K) overflow, to +inf and -inf off
+    # the diagonal: their sum is nan, so is the defect, and nan > atol is False
     big = 1e200
     kraus = KrausSet((0, 1), (np.array([[big, big], [0.0, 0.0]]), np.array([[big, -big], [0.0, 0.0]])))
-    calls = (
-        kraus.require_complete,
-        lambda: _require_complete(kraus.as_stack()),
-        lambda: affine_map(kraus),
-        lambda: apply_channel(kraus, I2 / 2),
-        lambda: chi_from_kraus(kraus),
-        lambda: probability_table(kraus),
-        lambda: simulate_counts(kraus, TomoSettings(shots=100, seed=1)),
-    )
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(kraus.completeness_defect())
-        for call in calls:
+        assert np.isnan(reference_completeness_defect(kraus.as_stack())[0])
+        for call in checked_consumers(kraus, monkeypatch):
             with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
                 call()
         with pytest.raises(ValueError, match="trace preserving"):
-            _require_complete(np.full((2, 3, 2, 2), np.nan))
+            _checked_chi(np.full((2, 3, 2, 2), np.nan))
 
 
 # ---------------------------------------------------------------------------

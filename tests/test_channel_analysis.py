@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from polarchan.bench_sim import (
     BenchConfig,
     Waveplate,
+    _chi_stack,
     affine_map,
     apply_channel,
     propagate,
     propagate_stack,
 )
 from polarchan.channel_analysis import (
-    _chi_stack,
     apply_process_matrix,
     chi_eigenvalues,
     chi_from_kraus,

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -175,6 +176,39 @@ def test_non_positive_lengths_rejected(mode, body, message, tmp_path, capsys):
     cfg.write_text(f"mode = {mode}\n{body}")
     assert main([mode, "--config", str(cfg)]) == 1
     assert capsys.readouterr() == ("", f"polarchan: {message}\n")
+
+
+@pytest.mark.parametrize("mode,body,lineno,reason", [
+    ("simulate", "preset = fig1\ntheta2 = 10\nlength1 = 1e10000000\n", 4, "decimal exponent"),
+    ("simulate", "preset = lyot\nlength = 1e-1000000\n", 3, "decimal exponent"),
+    ("tomo", "preset = fig1\ntheta2 = 10\nlength2 = 2E+1_000_000\n", 4, "decimal exponent"),
+    ("simulate", "preset = lyot\nlength = " + "7" * 5000 + "\n", 3, "more than 30 digits"),
+    ("simulate", "element = crystal(1e10000000, 0)\n", 2, "decimal exponent"),
+    ("simulate", "element = crystal(1, 0)\nelement = crystal(1e-1000000, 30)\n", 3,
+     "decimal exponent"),
+    ("simulate", "element = crystal(1." + "0" * 40 + "1, 0)\n", 2, "more than 30 digits"),
+], ids=["length1", "negative_exponent", "underscored_exponent", "digits", "crystal",
+        "crystal_negative_exponent", "crystal_digits"])
+def test_length_text_capped_before_parsing(mode, body, lineno, reason, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"mode = {mode}\n{body}")
+    start = time.perf_counter()
+    assert main([mode, "--config", str(cfg)]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"polarchan: line {lineno}: malformed ")
+    assert reason in captured.err.splitlines()[0]
+
+
+def test_lengths_at_the_caps_parse():
+    # 30 digits in all, the exponent's included
+    digits = ("1234567890" * 3)[:28]
+    cfg = parse_config(f"mode = simulate\nelement = crystal(1.5e30, 0)\n"
+                       f"element = crystal({digits}e-30, 45)\n")
+    assert [el.length for el in cfg.elements] == [Fraction(15 * 10 ** 29), Fraction(int(digits), 10 ** 30)]
+    cfg = parse_config("mode = simulate\npreset = lyot\nlength = 3/2\n")
+    assert cfg.length == Fraction(3, 2)
 
 
 @pytest.mark.parametrize("n", ["-3", "0"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarchan.bench_sim import BenchConfig, Waveplate, apply_channel, propagate
-from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus
+from polarchan.channel_analysis import apply_process_matrix, chi_eigenvalues, chi_from_kraus
 from polarchan.depolarizer import (
     DepolarizerSettings,
     build_bench,
@@ -19,8 +19,13 @@ from polarchan.depolarizer import (
 )
 from polarchan.polar_core import (
     KET_H,
+    KET_L,
+    KET_M,
     KET_P,
+    KET_R,
+    KET_V,
     PAULI_BASIS,
+    _pauli_coords,
     check_density,
     fidelity,
     ket_projector,
@@ -31,7 +36,10 @@ from polarchan.tomography import (
     PROJECTOR_LABELS,
     CountRecord,
     TomoSettings,
+    _PROJECTOR_COORDS,
+    _born_table,
     _csv_safe_label,
+    _poisson_table,
     analysis_projectors,
     expected_probability,
     preparation_states,
@@ -210,6 +218,26 @@ def test_counts_at_the_shot_cap_are_drawn():
     assert abs(n_h - MAX_SHOTS) <= 5 * 10**9 and n_v == 0  # five sigma
 
 
+def test_counts_do_not_depend_on_roundoff_residues(monkeypatch):
+    # numpy draws no variate for a mean of 0 but one for any positive mean, so
+    # a residue in place of an exact zero must not shift the later draws
+    from polarchan import tomography
+
+    probs = probability_table(identity_kraus())
+    zeros = np.argwhere(probs == 0.0)
+    assert len(zeros) >= 4
+    settings_ = TomoSettings(shots=10_000, seed=7)
+    exact = simulate_counts(identity_kraus(), settings_, stream=3).counts
+    for i, j in zeros:
+        moved = probs.copy()
+        moved[i, j] = 1e-30
+        assert same_bits(_poisson_table(7, 3, 10_000 * moved), exact)
+        monkeypatch.setattr(tomography, "probability_table", lambda *args: moved)
+        assert same_bits(simulate_counts(identity_kraus(), settings_, stream=3).counts, exact)
+    # the floor is on the mean, not on p: p = 1e-15 at 10**18 shots is a mean of 1,000
+    assert 800 < _poisson_table(7, 3, np.array([[1e-15 * MAX_SHOTS]]))[0, 0] < 1200
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ("H,H,999", r"line 5: duplicate entry \(H, H\) in 'H,H,999'"),
     ("H,X,7", r"line 5: unknown projector 'X' in 'H,X,7'"),
@@ -271,6 +299,20 @@ def test_qst_mle_exact_inputs():
 
     fit = qst_mle(np.full(6, 0.5) * shots, shots=shots)
     assert fidelity(fit.rho, I2 / 2) >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("ket", [
+    KET_R,
+    KET_L,
+    np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)]),
+], ids=["R", "L", "elliptical"])
+def test_qst_mle_fits_states_with_a_circular_component(ket):
+    # the fit must not return the mirror image (the complex conjugate) of the state
+    shots = 10_000
+    rho = ket_projector(ket)
+    probs = np.array([np.trace(p @ rho).real for p in analysis_projectors()])
+    assert fidelity(qst_linear(probs * shots).rho, rho) >= 1 - 1e-6
+    assert fidelity(qst_mle(probs * shots, shots=shots).rho, rho) >= 1 - 1e-6
 
 
 def test_qst_mle_is_physical_and_beats_clipped_linear():
@@ -503,11 +545,16 @@ def test_quadratic_forms_are_symmetric_and_give_the_probabilities(dim, rng):
     assert forms.shape == (a_tensor.shape[0] * n, n) and forms.dtype == np.float64
     blocks = forms.reshape(-1, n, n)
     assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
-    # params^T Q_s params / params.params is the Born probability Re sum_mn A[s] X
+    # params^T Q_s params / params.params is the Born probability of the
+    # settings on X: Tr(P_s X) for a state, Tr(P_j E_X(rho_k)) for a process
     params = rng.normal(size=n)
     t = reference_tri(params, dim)
     x = t.conj().T @ t / (params @ params)
-    expected = np.einsum("smn,mn->s", a_tensor, x).real
+    if dim == 2:
+        expected = np.array([np.trace(p @ x).real for p in analysis_projectors()])
+    else:
+        expected = np.array([np.trace(p @ apply_process_matrix(x, rho)).real
+                             for rho in preparation_states() for p in analysis_projectors()])
     assert np.abs(blocks @ params @ params / (params @ params) - expected).max() <= 1e-14
 
 
@@ -523,9 +570,9 @@ def test_linear_map_inverts_the_design():
 # stacked Born probabilities against the per-entry loops they replaced
 # ---------------------------------------------------------------------------
 
-def reference_state_counts(rho, settings, stream):
-    probs = [clipped_trace(proj, np.asarray(rho, dtype=complex)) for proj in analysis_projectors()]
-    return reference_counts(settings.seed, stream, [[settings.shots * p for p in probs]])
+def reference_state_probabilities(rho):
+    return np.array([[clipped_trace(proj, np.asarray(rho, dtype=complex))
+                      for proj in analysis_projectors()]])
 
 
 def loose_state(rng, scale):
@@ -558,7 +605,10 @@ def test_state_counts_match_per_projector_loop(seed, scale, stream):
     rho = loose_state(rng, scale)
     settings_ = TomoSettings(shots=2000, seed=seed)
     record = simulate_state_counts(rho, settings_, stream=stream)
-    assert same_bits(record.counts, reference_state_counts(rho, settings_, stream))
+    # read off the exact projector coordinates: equal at roundoff, not in every bit
+    probs = _born_table(_pauli_coords(rho), _PROJECTOR_COORDS)
+    assert np.abs(probs - reference_state_probabilities(rho)).max() <= 2e-15
+    assert same_bits(record.counts, reference_counts(seed, stream, 2000 * probs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -692,6 +742,22 @@ def test_process_forms_are_exact():
     # the A tensor comes from exact coordinates and G, so its forms are exact dyadics
     assert set(np.unique(np.abs(_qpt_a_tensor())).tolist()) <= {0.0, 0.5, 1.0}
     assert set(np.unique(np.abs(_qpt_forms())).tolist()) <= {0.0, 0.5, 1.0}
+
+
+def test_state_settings_are_exact():
+    from polarchan.tomography import _qst_a_tensor, _qst_forms
+
+    # projectors and preparations come from exact coordinates: entries 0, +-1/2, +-i/2 and 1
+    for op in analysis_projectors() + preparation_states():
+        assert set(np.unique(np.abs(op)).tolist()) <= {0.0, 0.5, 1.0}
+        assert np.abs(op - op.conj().T).max() == 0.0 and np.trace(op) == 1.0
+    kets = dict(H=KET_H, V=KET_V, P=KET_P, M=KET_M, R=KET_R, L=KET_L)
+    for op, label in zip(analysis_projectors(), PROJECTOR_LABELS):
+        assert np.abs(op - ket_projector(kets[label])).max() <= 1e-15
+    for op, label in zip(preparation_states(), INPUT_LABELS):
+        assert np.abs(op - ket_projector(kets[label])).max() <= 1e-15
+    assert set(np.unique(np.abs(_qst_a_tensor())).tolist()) <= {0.0, 0.5, 1.0}
+    assert set(np.unique(np.abs(_qst_forms())).tolist()) <= {0.0, 0.5, 1.0}
 
 
 @pytest.mark.parametrize("fit", [qst_linear, qst_mle, qpt_linear, qpt_mle])
