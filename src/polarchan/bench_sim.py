@@ -59,12 +59,37 @@ _ZERO_NORM = 1e-14
 #: propagation refuses benches that may produce more delay bins than this
 MAX_DELAY_BINS = 65_536
 
+#: cap on a length text's digits in all and on its decimal exponent's
+#: magnitude, checked before the text is parsed
+_MAX_LENGTH_DIGITS = 30
+
+
+def _parse_length(text: str) -> Fraction:
+    """An exact length written as ``3/2``, ``1.5`` or ``15e-1``.
+
+    Text past ``_MAX_LENGTH_DIGITS`` (in digits, or in exponent magnitude) is
+    refused before ``Fraction`` reads it: the work of an exact parse grows with both.
+    """
+    if sum(ch.isdigit() for ch in text) > _MAX_LENGTH_DIGITS:
+        raise ValueError(f"more than {_MAX_LENGTH_DIGITS} digits")
+    try:
+        exponent = int(text.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # not an exponent Fraction reads either
+    if abs(exponent) > _MAX_LENGTH_DIGITS:
+        raise ValueError(f"decimal exponent beyond {_MAX_LENGTH_DIGITS} in magnitude")
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError("not a decimal or a fraction") from None
+
 
 def _as_length(value) -> Fraction:
     """Coerce a crystal length to an exact positive Fraction.
 
     Floats are interpreted via their shortest decimal representation
-    (1.5 -> 3/2, 0.1 -> 1/10); strings accept both '3/2' and '1.5'.
+    (1.5 -> 3/2, 0.1 -> 1/10); strings accept both '3/2' and '1.5', within
+    the bounds of _parse_length.
     """
     if isinstance(value, Fraction):
         frac = value
@@ -73,7 +98,7 @@ def _as_length(value) -> Fraction:
     elif isinstance(value, float):
         frac = Fraction(repr(value))
     elif isinstance(value, str):
-        frac = Fraction(value)
+        frac = _parse_length(value)
     else:
         raise TypeError(f"cannot interpret {value!r} as a crystal length")
     if frac <= 0:

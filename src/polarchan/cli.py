@@ -39,6 +39,7 @@ from .bench_sim import (
     Waveplate,
     _checked_chi,
     _nonzero_bins,
+    _parse_length,
     _ptm_stack,
     affine_map,
     delay_bin_bound,
@@ -78,9 +79,8 @@ _MAX_GRID_POINTS = 4_000_000
 #: sweep rows propagated together; bounds the stack's memory
 _SWEEP_BLOCK = 256
 
-#: cap on a length's digits in all and on its decimal exponent's magnitude,
-#: checked before the text is parsed
-_MAX_LENGTH_DIGITS = 30
+#: longest offending value or line that an error message echoes in full
+_ECHO_CHARS = 60
 
 _KNOWN_KEYS = {
     "mode", "preset", "element", "theta1", "theta2",
@@ -124,28 +124,21 @@ class RunConfig:
     grid_n: int = 451
 
 
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut after its first _ECHO_CHARS
+    characters, with the full length noted, when the text is longer."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return repr(value)
+    cut = text[:_ECHO_CHARS] + "…"
+    return f"{cut!r} ({len(text)} chars)" if isinstance(value, str) else f"{cut} ({len(text)} chars)"
+
+
 def _finite_float(value: str) -> float:
     number = float(value)
     if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not finite")
+        raise ValueError("not finite")
     return number
-
-
-def _parse_length(value: str) -> Fraction:
-    """An exact length written as ``3/2``, ``1.5`` or ``15e-1``.
-
-    Text past ``_MAX_LENGTH_DIGITS`` (in digits, or in exponent magnitude) is
-    refused before ``Fraction`` reads it: the work of an exact parse grows with both.
-    """
-    if sum(ch.isdigit() for ch in value) > _MAX_LENGTH_DIGITS:
-        raise ValueError(f"more than {_MAX_LENGTH_DIGITS} digits")
-    try:
-        exponent = int(value.lower().partition("e")[2] or 0)
-    except ValueError:
-        exponent = 0  # not an exponent Fraction reads either
-    if abs(exponent) > _MAX_LENGTH_DIGITS:
-        raise ValueError(f"decimal exponent beyond {_MAX_LENGTH_DIGITS} in magnitude")
-    return Fraction(value)
 
 
 _ELEMENT_RE = re.compile(r"^(crystal|hwp|qwp)\s*\(([^()]*)\)$")
@@ -154,7 +147,7 @@ _ELEMENT_RE = re.compile(r"^(crystal|hwp|qwp)\s*\(([^()]*)\)$")
 def _parse_element(value: str, lineno: int, errors: list):
     match = _ELEMENT_RE.match(value.strip())
     if not match:
-        errors.append(f"line {lineno}: malformed element {value!r} "
+        errors.append(f"line {lineno}: malformed element {_echo(value)} "
                       "(expected crystal(length, angle), hwp(angle) or qwp(angle))")
         return None
     name, argtext = match.group(1), match.group(2)
@@ -163,13 +156,13 @@ def _parse_element(value: str, lineno: int, errors: list):
         if name == "crystal":
             if len(args) != 2:
                 raise ValueError("crystal takes (length, angle)")
-            return Crystal(_parse_length(args[0]), _finite_float(args[1]))
+            return Crystal(args[0], _finite_float(args[1]))
         if len(args) != 1:
             raise ValueError(f"{name} takes (angle)")
         kind = "half" if name == "hwp" else "quarter"
         return Waveplate(kind, _finite_float(args[0]))
     except (ValueError, ZeroDivisionError) as exc:
-        errors.append(f"line {lineno}: malformed element {value!r} ({exc})")
+        errors.append(f"line {lineno}: malformed element {_echo(value)} ({exc})")
         return None
 
 
@@ -182,11 +175,11 @@ def parse_config(text: str) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
+            errors.append(f"line {lineno}: expected 'key = value', got {_echo(line)}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KNOWN_KEYS:
-            errors.append(f"line {lineno}: unknown key {key!r}")
+            errors.append(f"line {lineno}: unknown key {_echo(key)}")
             continue
         pairs.append((lineno, key, value))
 
@@ -213,7 +206,7 @@ def parse_config(text: str) -> RunConfig:
                 return parser(value)
             except (ValueError, ZeroDivisionError) as exc:
                 reason = f" ({exc})" if parser is _parse_length else ""
-                errors.append(f"line {lineno}: malformed {kind} for key {key!r}: {value!r}{reason}")
+                errors.append(f"line {lineno}: malformed {kind} for key {key!r}: {_echo(value)}{reason}")
                 return None
         return None
 
@@ -228,11 +221,11 @@ def parse_config(text: str) -> RunConfig:
     if mode is None:
         errors.append("missing required key: mode")
     elif mode not in MODES:
-        errors.append(f"line {seen['mode']}: unknown mode {mode!r} (choose from {', '.join(MODES)})")
+        errors.append(f"line {seen['mode']}: unknown mode {_echo(mode)} (choose from {', '.join(MODES)})")
 
     preset = take("preset", str, "preset")
     if preset is not None and preset not in PRESETS:
-        errors.append(f"line {seen['preset']}: unknown preset {preset!r} "
+        errors.append(f"line {seen['preset']}: unknown preset {_echo(preset)} "
                       f"(choose from {', '.join(PRESETS)})")
 
     cfg_kwargs = dict(
@@ -257,7 +250,7 @@ def parse_config(text: str) -> RunConfig:
         if value is not None and value <= 0:
             errors.append(f"line {seen[key]}: {key} must be positive, got {value}")
     if cfg_kwargs["seed"] is not None and cfg_kwargs["seed"] < 0:
-        errors.append(f"line {seen['seed']}: seed must be non-negative, got {cfg_kwargs['seed']}")
+        errors.append(f"line {seen['seed']}: seed must be non-negative, got {_echo(cfg_kwargs['seed'])}")
 
     if mode in MODES:
         _validate_mode(mode, preset, elements, cfg_kwargs, seen, errors,
@@ -317,7 +310,7 @@ def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n, 
         errors.append(f"line {seen['n']}: n must be at least 1 for tomography")
     if runs_tomography and n is not None and n > MAX_SHOTS:
         errors.append(f"line {seen['n']}: n must be at most {MAX_SHOTS} (10**18) "
-                      f"for tomography, got {n}")
+                      f"for tomography, got {_echo(n)}")
     if mode == "region" and grid_n is not None:
         if grid_n < 2:
             errors.append(f"line {seen['grid_n']}: grid_n must be at least 2")
@@ -622,9 +615,9 @@ def _resolve_seed(args_seed, cfg_seed) -> int:
         try:
             seed = int(env)
         except ValueError:
-            raise ConfigError([f"environment variable {ENV_SEED}={env!r} is not an integer"])
+            raise ConfigError([f"environment variable {ENV_SEED}={_echo(env)} is not an integer"])
         if seed < 0:
-            raise ConfigError([f"environment variable {ENV_SEED} must be non-negative, got {seed}"])
+            raise ConfigError([f"environment variable {ENV_SEED} must be non-negative, got {_echo(seed)}"])
         return seed
     return 0
 
@@ -658,7 +651,7 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if cfg.mode != args.mode:
             raise ConfigError([f"mode mismatch: command line says {args.mode!r}, "
-                               f"config says {cfg.mode!r}"])
+                               f"config says {_echo(cfg.mode)}"])
         seed = _resolve_seed(args.seed, cfg.seed)
         if args.jobs < 1:
             raise ConfigError([f"--jobs must be at least 1, got {args.jobs}"])

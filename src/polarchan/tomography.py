@@ -24,12 +24,13 @@ A single state with coordinates x is measured the same way, as y_s x / 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from .bench_sim import _CHI_TO_PTM, KrausSet, _checked_chi, _ptm_stack, _tp_defects
 from .polar_core import _PAULI_COEFFS, _pauli_coords, _pauli_operators
@@ -76,6 +77,21 @@ _INPUT_COORDS = _frozen(_PROJECTOR_COORDS[[PROJECTOR_LABELS.index(lbl) for lbl i
 #: probabilities below this are clipped inside logs to keep the NLL finite
 _P_FLOOR = 1e-12
 
+#: damped Newton (_damped_newton).  A trust radius bounds each step's length,
+#: in units of |params| = 1, within a slack factor: it starts at
+#: _RADIUS_START, shrinks to _RADIUS_SHRINK times the length of a poor step
+#: (ratio of actual to predicted decrease below 1/4) and grows by
+#: _RADIUS_GROW after a good step (ratio above 3/4) that reached it.
+#: _RADIUS_SHRINK * _RADIUS_SLACK < 1, so rejected steps get shorter.  A step
+#: is accepted at a ratio above _ACCEPT_RATIO.  The shift never falls below
+#: _MU_FLOOR times the Hessian's spectral radius, and a predicted decrease
+#: below _NLL_RESOLUTION relative to the NLL is one that no step can show.
+_RADIUS_START, _RADIUS_SHRINK, _RADIUS_GROW, _RADIUS_SLACK = 0.1, 0.25, 2.0, 1.5
+_ACCEPT_RATIO = 1e-4
+_MU_FLOOR = 1e-12
+_NLL_RESOLUTION = 4 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
 #: largest shot number per setting; numpy's Poisson sampler refuses means
 #: above about 9.2e18
 MAX_SHOTS = 10**18
@@ -109,6 +125,9 @@ class TomoSettings:
             raise ValueError("nll_rel_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+
+
+_DEFAULT_SETTINGS = TomoSettings()
 
 
 @dataclass(frozen=True)
@@ -370,6 +389,7 @@ class MleResult:
     nll: float
     converged: bool
     iterations: int
+    optimality_gap: float
 
     @property
     def rho(self) -> np.ndarray:
@@ -390,15 +410,14 @@ class QptMleResult(MleResult):
 @cache
 def _tri_layout(dim: int) -> tuple:
     """Flat positions in a ``dim x dim`` T of its diagonal and of its strict
-    lower triangle (row-major, np.tril_indices order), and the identity."""
+    lower triangle (row-major, np.tril_indices order)."""
     rows, cols = np.tril_indices(dim, -1)
-    return (_frozen(np.arange(dim) * (dim + 1)), _frozen(rows * dim + cols),
-            _frozen(np.eye(dim)))
+    return _frozen(np.arange(dim) * (dim + 1)), _frozen(rows * dim + cols)
 
 
 def _params_to_tri(params: np.ndarray, dim: int) -> np.ndarray:
     """Lower-triangular T: first the real diagonal, then (re, im) pairs row-major."""
-    diag, lower, _ = _tri_layout(dim)
+    diag, lower = _tri_layout(dim)
     t = np.zeros(dim * dim, dtype=complex)
     t[diag] = params[:dim]
     t[lower] = params[dim::2] + 1j * params[dim + 1::2]
@@ -406,7 +425,7 @@ def _params_to_tri(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _tri_to_params(t: np.ndarray, dim: int) -> np.ndarray:
-    diag, lower, _ = _tri_layout(dim)
+    diag, lower = _tri_layout(dim)
     flat = t.ravel()
     params = np.empty(dim * dim)
     params[:dim] = flat[diag].real
@@ -416,26 +435,57 @@ def _tri_to_params(t: np.ndarray, dim: int) -> np.ndarray:
     return params
 
 
-def _nll_and_grad(params, forms, counts, shots):
-    """Poisson NLL sum_s [N p_s - n_s log(N p_s)] and its parameter gradient.
+def _nll_terms(params, forms, counts, shots) -> tuple:
+    """The pieces every NLL derivative is built from.
 
-    T is linear in the parameters, so Tr(T^dag T) = params.params and
-    p_s = Re Tr(A_s^T X) = params^T Q_s params / params.params, for
-    X = T^dag T / Tr(T^dag T), with the fixed symmetric forms Q_s stacked in
-    ``forms`` (see _quadratic_forms).  With v_s = Q_s params
-    and w_s = dNLL/dp_s, the gradient is (2/tau)(sum_s w_s v_s - (w.p) params).
-    Settings with no counts contribute no log term, so a zero-shot record
-    gives a finite NLL without a log(0).
+    T is linear in the parameters, so Tr(T^dag T) = params.params = tau and
+    p_s = Re Tr(A_s^T X) = params^T Q_s params / tau, for X = T^dag T / tau,
+    with the fixed symmetric forms Q_s stacked in ``forms`` (see
+    _quadratic_forms).  Returns v_s = Q_s params, tau, p and
+    w_s = dNLL/dp_s = N - n_s/p_s; a setting at the probability floor has a
+    constant log term there, so its w_s is N.
     """
     v = (forms @ params).reshape(-1, params.size)
     tau = params @ params
     p = v @ params / tau
-    p_safe = np.maximum(p, _P_FLOOR)
-    lam = shots * p
-    logs = np.log(shots * p_safe, where=counts > 0, out=np.zeros(p.shape))
-    nll = float((lam - counts * logs).sum())
-    w = np.where(p > _P_FLOOR, shots - counts / p_safe, shots)
+    w = np.where(p > _P_FLOOR, shots - counts / np.maximum(p, _P_FLOOR), shots)
+    return v, tau, p, w
+
+
+def _nll_and_grad(params, forms, counts, shots):
+    """Poisson NLL sum_s [N p_s - n_s log(N p_s)] and its parameter gradient
+    (2/tau)(sum_s w_s v_s - (w.p) params), in the terms of _nll_terms.
+
+    Settings with no counts contribute no log term, so a zero-shot record
+    gives a finite NLL without a log(0).
+    """
+    v, tau, p, w = _nll_terms(params, forms, counts, shots)
+    logs = np.log(shots * np.maximum(p, _P_FLOOR), where=counts > 0, out=np.zeros(p.shape))
+    nll = float((shots * p - counts * logs).sum())
     return nll, (2.0 / tau) * (w @ v - (w @ p) * params)
+
+
+def _nll_hessian(params, forms, counts, shots):
+    """Exact parameter Hessian of the NLL of _nll_and_grad.
+
+    With g_s = grad p_s = (2/tau)(v_s - p_s params), the Hessian of p_s is
+    (2/tau)(Q_s - p_s I - params g_s^T - g_s params^T), so with c_s = n_s/p_s^2
+    (0 at the floor, whose log term is constant) the NLL's is
+    sum_s w_s hess p_s + sum_s c_s g_s g_s^T
+    = (2/tau)(sum_s w_s Q_s - (w.p) I)
+      + (4/tau^2)(sum_s c_s v_s v_s^T - params a^T - a params^T),
+    a = sum_s (c_s p_s + w_s) v_s - (sum_s c_s p_s^2 / 2 + w.p) params.
+    """
+    v, tau, p, w = _nll_terms(params, forms, counts, shots)
+    n = params.size
+    c = (shots - w) / np.maximum(p, _P_FLOOR)
+    wp = w @ p
+    a = np.outer(params, (c * p + w) @ v - (0.5 * (c @ (p * p)) + wp) * params)
+    u = v * np.sqrt(c)[:, None]  # u^T u = sum_s c_s v_s v_s^T, symmetric in every bit
+    hess = (2.0 / tau) * (w @ forms.reshape(-1, n * n)).reshape(n, n)
+    hess += (4.0 / (tau * tau)) * (u.T @ u - (a + a.T))
+    hess.flat[::n + 1] -= (2.0 / tau) * wp
+    return hess
 
 
 def _quadratic_forms(a_tensor: np.ndarray) -> np.ndarray:
@@ -467,36 +517,108 @@ def _clip_to_physical(matrix: np.ndarray, floor: float = 1e-8) -> np.ndarray:
 def _lower_factor(matrix: np.ndarray) -> np.ndarray:
     """Lower-triangular T with T^dag T = matrix (matrix must be PD).
 
-    numpy's Cholesky gives L with matrix = L L^dag; conjugating by the
-    exchange matrix turns that into the T^dag T convention used here.
+    numpy's Cholesky gives L with matrix = L L^dag; reversing the order of
+    rows and columns on both sides turns that into the T^dag T convention used here.
     """
-    flip = _tri_layout(matrix.shape[0])[2][::-1]
-    l_flipped = np.linalg.cholesky(flip @ matrix @ flip)
-    return (flip @ l_flipped @ flip).conj().T
+    return np.linalg.cholesky(matrix[::-1, ::-1])[::-1, ::-1].conj().T
 
 
-def _mle_minimize(forms, counts, shots, x0_matrix, settings) -> tuple:
+def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, **_):
+    """Damped Newton minimisation of a scale-invariant ``fun`` returning (f, grad),
+    as a ``scipy.optimize.minimize`` method.
+
+    Each iteration takes one ``eigh`` of ``hess`` and steps along
+    -(H + shift I)^-1 grad with shift = max(mu, mu - lambda_min), so that the
+    shifted Hessian is positive definite and no step heads uphill.  mu is the
+    least damping whose step stays within a trust radius, found by Newton's
+    method on the step length along the same eigenvectors.  A trial step is
+    accepted when its NLL decrease is a fair share of the decrease the
+    quadratic model predicts; the radius follows that ratio.  x is
+    renormalised after every step.  The fit stops, converged, when the
+    predicted decrease is at most nll_rel_tol * max(|f|, 1) or when no step
+    lowers f, and stops unconverged after max_iterations accepted steps.
+    """
+    x = x0 / math.sqrt(x0 @ x0)
+    nll, grad = fun(x, *args)
+    nit, radius, converged = 0, _RADIUS_START, False
+    while nit < max_iterations:
+        # f is constant along x, so steps live in the tangent space of |x| = 1:
+        # eigh takes P H P for P = I - x x^T, with x given curvature max|H|
+        h = hess(x, *args)
+        hx = h @ x
+        a = np.outer(x, hx - 0.5 * (x @ hx + np.abs(h).max()) * x)
+        lam, vecs = np.linalg.eigh(h - (a + a.T))
+        grad_eig = grad @ vecs
+        half_lam = 0.5 * lam
+        lam_min = float(lam[0])
+        mu = _MU_FLOOR * max(-lam_min, float(lam[-1])) + _TINY
+        least_shift = mu - lam_min if lam_min < 0.0 else mu
+        scale = max(abs(nll), 1.0)
+        while True:
+            shift = least_shift
+            while True:
+                denom = lam + shift
+                coef = grad_eig / denom
+                sq = coef * coef
+                length = math.sqrt(sq.sum())
+                if length <= _RADIUS_SLACK * radius:
+                    break
+                # Newton's method for 1/length(shift) = 1/radius, which rises to it from below
+                shift += (length / radius - 1.0) * length * length / (sq @ (1.0 / denom))
+            predicted = float(sq @ (half_lam + shift))
+            if predicted <= nll_rel_tol * scale:
+                converged = True
+                break
+            trial = x - vecs @ coef
+            trial /= math.sqrt(trial @ trial)
+            trial_nll, trial_grad = fun(trial, *args)
+            ratio = (nll - trial_nll) / predicted
+            if not ratio >= 0.25:  # NaN counts as poor
+                radius = _RADIUS_SHRINK * length
+            elif ratio > 0.75 and length > radius / _RADIUS_SLACK:
+                radius *= _RADIUS_GROW
+            if ratio > _ACCEPT_RATIO:
+                break
+            if predicted <= _NLL_RESOLUTION * scale:
+                converged = True  # no step lowers the NLL
+                break
+        if converged:
+            break
+        x, nll, grad = trial, trial_nll, trial_grad
+        nit += 1
+    return OptimizeResult(x=x, fun=nll, nit=nit, success=converged)
+
+
+def _mle_minimize(a_tensor_fn, counts, shots, x0_matrix, settings) -> dict:
+    """Fit X = T^dag T / Tr(T^dag T) to ``counts`` from the PD seed ``x0_matrix``.
+
+    The factor is pivoted: the basis is taken in the order of the seed's
+    diagonal, largest last, so that a near-pure seed keeps its dominant
+    direction in T's last row, the only row that can carry it when the
+    optimum is rank-deficient.  Returns the MleResult fields.  The
+    optimality gap is the Frank-Wolfe gap over the unit-trace PSD set: with
+    H_s = (A_s^T + conj(A_s)) / 2, so that p_s = Tr(H_s X), it is
+    sum_s w_s p_s - lambda_min(sum_s w_s H_s), an upper bound on the fit's NLL
+    excess over the optimum.
+    """
     if settings is None:
-        settings = TomoSettings(shots=max(int(shots), 1))
+        settings = _DEFAULT_SETTINGS
     dim = x0_matrix.shape[0]
-    x0 = _tri_to_params(_lower_factor(x0_matrix), dim)
-    res = minimize(
-        _nll_and_grad,
-        x0,
-        args=(forms, np.asarray(counts, dtype=float), float(shots)),
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": settings.max_iterations,
-            "maxfun": 10 * settings.max_iterations,
-            "ftol": settings.nll_rel_tol,
-            "gtol": 1e-10,
-        },
-    )
+    order = np.argsort(x0_matrix.diagonal().real, kind="stable")
+    a_tensor, forms = _ordered_forms(a_tensor_fn, tuple(order.tolist()))
+    args = (forms, np.asarray(counts, dtype=float), float(shots))
+    res = minimize(_nll_and_grad, _tri_to_params(_lower_factor(x0_matrix[np.ix_(order, order)]), dim),
+                   args=args, hess=_nll_hessian, method=_damped_newton,
+                   options={"max_iterations": settings.max_iterations,
+                            "nll_rel_tol": settings.nll_rel_tol})
     t = _params_to_tri(res.x, dim)
     gram = t.conj().T @ t
-    matrix = gram / np.trace(gram).real
-    return matrix, float(res.fun), bool(res.success), int(res.nit)
+    back = np.argsort(order)
+    _, _, p, w = _nll_terms(res.x, *args)
+    m = (w @ a_tensor.reshape(w.size, -1)).reshape(dim, dim)
+    gap = w @ p - np.linalg.eigvalsh(0.5 * (m.T + m.conj()))[0]
+    return dict(matrix=gram[np.ix_(back, back)] / np.trace(gram).real, nll=float(res.fun),
+                converged=bool(res.success), iterations=int(res.nit), optimality_gap=float(gap))
 
 
 def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings] = None) -> MleResult:
@@ -513,8 +635,7 @@ def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
     if shots is None:
         raise ValueError("shots must be given when counts is a bare array")
     x0 = _clip_to_physical(qst_linear(row).rho)
-    matrix, nll, ok, nit = _mle_minimize(_qst_forms(), row, shots, x0, settings)
-    return MleResult(matrix, nll, ok, nit)
+    return MleResult(**_mle_minimize(_qst_a_tensor, row, shots, x0, settings))
 
 
 # Setting-independent tensors are built on first use, once per process, and
@@ -541,15 +662,12 @@ def _qpt_a_tensor() -> np.ndarray:
 
 
 @cache
-def _qst_forms() -> np.ndarray:
-    """The state fit's NLL forms, one per analysis projector."""
-    return _quadratic_forms(_qst_a_tensor())
-
-
-@cache
-def _qpt_forms() -> np.ndarray:
-    """The process fit's NLL forms, one per preparation/analysis setting."""
-    return _quadratic_forms(_qpt_a_tensor())
+def _ordered_forms(a_tensor_fn, order: tuple) -> tuple:
+    """The A tensor of ``a_tensor_fn()`` with its basis taken in ``order``, and
+    that tensor's NLL forms, both read-only."""
+    index = list(order)
+    a_tensor = _frozen(a_tensor_fn()[:, index][:, :, index])
+    return a_tensor, _quadratic_forms(a_tensor)
 
 
 @cache
@@ -616,5 +734,5 @@ def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
     if shots is None:
         raise ValueError("shots must be given when counts is a bare table")
     x0 = _clip_to_physical(qpt_linear(table))
-    matrix, nll, ok, nit = _mle_minimize(_qpt_forms(), table.ravel(), shots, x0, settings)
-    return QptMleResult(matrix, nll, ok, nit, trace_preservation_deviation(matrix))
+    fit = _mle_minimize(_qpt_a_tensor, table.ravel(), shots, x0, settings)
+    return QptMleResult(**fit, tp_deviation=trace_preservation_deviation(fit["matrix"]))

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -93,8 +94,34 @@ def test_invalid_lengths_rejected():
         Crystal(0, 0.0)
     with pytest.raises(ValueError, match="positive"):
         Crystal(Fraction(-1, 2), 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        Crystal("-3/2", 0.0)
+    with pytest.raises(ValueError, match="not a decimal or a fraction"):
+        Crystal("1.5 mm", 0.0)
     with pytest.raises(ValueError):
         BenchConfig(())
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1e1000000", "decimal exponent"),
+    ("1e-1000000", "decimal exponent"),
+    ("2E+1_000_000", "decimal exponent"),
+    ("7" * 5000, "more than 30 digits"),
+    ("1." + "0" * 40 + "1", "more than 30 digits"),
+])
+def test_length_text_bounded_before_parsing(text, reason):
+    # an exact parse of such text takes time that grows with its digits and exponent
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=reason):
+        Crystal(text, 0.0)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_length_text_at_the_caps_parses():
+    digits = ("1234567890" * 3)[:28]
+    assert Crystal("1.5e30", 0.0).length == Fraction(15 * 10 ** 29)
+    assert Crystal(f"{digits}e-30", 0.0).length == Fraction(int(digits), 10 ** 30)
+    assert Crystal("3/2", 0.0).length == Fraction(3, 2)
 
 
 def test_propagate_single_waveplate():

@@ -201,6 +201,36 @@ def test_length_text_capped_before_parsing(mode, body, lineno, reason, tmp_path,
     assert reason in captured.err.splitlines()[0]
 
 
+@pytest.mark.parametrize("body", [
+    "preset = lyot\nlength = " + "7" * 5000 + "\n",
+    "preset = lyot\nlength = 1.5" + "x" * 5000 + "\n",
+    "preset = lyot\nangle = " + "9" * 5000 + "\n",
+    "preset = " + "p" * 5000 + "\n",
+    "k" * 5000 + " = 1\n",
+    "v" * 5000 + "\n",
+    "element = crystal(1, " + "9" * 5000 + ")\n",
+    "preset = lyot\nseed = -" + "9" * 4000 + "\n",
+], ids=["length_digits", "length_text", "angle", "preset", "key", "line", "element", "seed"])
+def test_offending_values_echoed_bounded(body, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"mode = simulate\n{body}")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("polarchan: ") for line in lines)
+    assert all(len(line.encode()) < 200 for line in lines), lines
+    assert "chars)" in captured.err
+
+
+def test_short_values_echoed_whole():
+    assert cli._echo("abc") == "'abc'"
+    assert cli._echo(-5) == "-5"
+    text = "7" * 61
+    assert cli._echo(text) == "'" + "7" * 60 + "…' (61 chars)"
+    assert cli._echo(10 ** 100) == "1" + "0" * 59 + "… (101 chars)"
+
+
 def test_lengths_at_the_caps_parse():
     # 30 digits in all, the exponent's included
     digits = ("1234567890" * 3)[:28]

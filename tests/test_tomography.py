@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import pathlib
 import re
@@ -317,7 +319,7 @@ def test_qst_mle_fits_states_with_a_circular_component(ket):
 
 def test_qst_mle_is_physical_and_beats_clipped_linear():
     from polarchan.tomography import (
-        _clip_to_physical, _lower_factor, _nll_and_grad, _qst_forms, _tri_to_params)
+        _clip_to_physical, _lower_factor, _nll_and_grad, _tri_to_params)
 
     rec = simulate_state_counts(ket_projector(KET_H), TomoSettings(shots=200, seed=5))
     fit = qst_mle(rec)
@@ -325,7 +327,7 @@ def test_qst_mle_is_physical_and_beats_clipped_linear():
 
     clipped = _clip_to_physical(qst_linear(rec).rho)
     params = _tri_to_params(_lower_factor(clipped), 2)
-    nll_clipped, _ = _nll_and_grad(params, _qst_forms(), rec.counts[0].astype(float), 200.0)
+    nll_clipped, _ = _nll_and_grad(params, nll_forms(2)[1], rec.counts[0].astype(float), 200.0)
     assert fit.nll <= nll_clipped + 1e-9
 
 
@@ -489,9 +491,11 @@ def test_params_tri_round_trip(dim, rng):
 
 
 def nll_forms(dim):
-    from polarchan.tomography import _qpt_a_tensor, _qpt_forms, _qst_a_tensor, _qst_forms
+    """The A tensor and NLL forms of the state (dim 2) or process (dim 4) fit, in the
+    standard basis order."""
+    from polarchan.tomography import _ordered_forms, _qpt_a_tensor, _qst_a_tensor
 
-    return (_qst_a_tensor(), _qst_forms()) if dim == 2 else (_qpt_a_tensor(), _qpt_forms())
+    return _ordered_forms(_qst_a_tensor if dim == 2 else _qpt_a_tensor, tuple(range(dim)))
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -520,22 +524,23 @@ def test_cached_constants_are_read_only():
     from polarchan.tomography import (
         _INPUT_COORDS,
         _PROJECTOR_COORDS,
+        _ordered_forms,
         _qpt_a_tensor,
-        _qpt_forms,
         _qpt_linear_map,
         _qst_a_tensor,
-        _qst_forms,
         _tri_layout,
     )
 
     constants = [_PAULI_COEFFS, _CHI_TO_PTM, _INPUT_COORDS, _PROJECTOR_COORDS, _qpt_a_tensor(),
-                 _qst_a_tensor(), _qst_forms(), _qpt_forms(), _qpt_linear_map()]
+                 _qst_a_tensor(), _qpt_linear_map()]
+    constants += list(nll_forms(2)) + list(nll_forms(4)) + list(_ordered_forms(_qpt_a_tensor, (3, 1, 0, 2)))
     constants += list(_tri_layout(4)) + list(_tri_layout(2))
     for const in constants:
         with pytest.raises(ValueError):
             const.flat[0] = 0
-    for build in (_qpt_a_tensor, _qst_forms, _qpt_forms, _qpt_linear_map):
+    for build in (_qpt_a_tensor, _qst_a_tensor, _qpt_linear_map):
         assert build() is build()
+    assert _ordered_forms(_qpt_a_tensor, (3, 1, 0, 2)) is _ordered_forms(_qpt_a_tensor, (3, 1, 0, 2))
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -694,10 +699,23 @@ def test_linear_estimates_match_reference(seed, shots):
         assert est.indeterminate_axes == tuple(bool(row[2 * a] + row[2 * a + 1] == 0) for a in range(3))
 
 
+def ordered_a_tensor(forms):
+    """The A tensor, in the fit's (pivoted) basis order, whose NLL forms are ``forms``."""
+    from polarchan.tomography import _ordered_forms, _qpt_a_tensor, _qst_a_tensor
+
+    dim = math.isqrt(forms.shape[1])
+    build = _qst_a_tensor if dim == 2 else _qpt_a_tensor
+    for order in itertools.permutations(range(dim)):
+        a_tensor, candidate = _ordered_forms(build, order)
+        if candidate is forms:
+            return a_tensor
+    raise LookupError("forms of no basis order")
+
+
 def reference_objective(params, forms, counts, shots):
     """The quadratic-form objective's signature around the reference NLL."""
     dim = math.isqrt(forms.shape[1])
-    return reference_nll_and_grad(params, nll_forms(dim)[0], counts, shots, dim)
+    return reference_nll_and_grad(params, ordered_a_tensor(forms), counts, shots, dim)
 
 
 def test_fits_match_reference_objective(monkeypatch):
@@ -722,6 +740,132 @@ def test_fits_match_reference_objective(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the damped Newton solver, its Hessian and its optimality gap
+# ---------------------------------------------------------------------------
+
+def solver_case(seed, dim, counts_kind, shots, log_scale=0.0):
+    """Full-rank parameters, so that every p_s is interior, and counts of one kind."""
+    rng = np.random.default_rng(seed)
+    a_tensor, forms = nll_forms(dim)
+    params = rng.normal(size=dim * dim)
+    params[:dim] = np.abs(params[:dim]) + 0.5
+    params *= 10.0 ** log_scale
+    size = a_tensor.shape[0]
+    counts = {
+        "zero": np.zeros(size),
+        "tiny": rng.uniform(0.0, 1e-6, size),
+        "counts": rng.integers(0, int(shots) + 1, size).astype(float),
+    }[counts_kind]
+    return params, forms, counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.sampled_from(["zero", "tiny", "counts"]),
+       st.sampled_from([1.0, 1000.0, 1e6]))
+def test_nll_hessian_matches_central_differences(seed, dim, counts_kind, shots):
+    from polarchan.tomography import _nll_and_grad, _nll_hessian
+
+    params, forms, counts = solver_case(seed, dim, counts_kind, shots)
+    hess = _nll_hessian(params, forms, counts, shots)
+    assert np.array_equal(hess, hess.T)
+    h = 1e-6
+    numeric = np.empty_like(hess)
+    for k in range(params.size):
+        step = np.zeros_like(params)
+        step[k] = h
+        numeric[:, k] = (_nll_and_grad(params + step, forms, counts, shots)[1]
+                         - _nll_and_grad(params - step, forms, counts, shots)[1]) / (2 * h)
+    # zero counts make the state NLL the constant 3N (its Hessian is roundoff), so the
+    # bound carries the size N * S / tau of the terms next to that of the Hessian itself
+    scale = np.abs(hess).max() + shots * counts.size / (params @ params)
+    assert np.abs(hess - numeric).max() <= 1e-6 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.sampled_from(["zero", "tiny", "counts"]),
+       st.sampled_from([1.0, 1000.0, 1e6]), st.floats(-3.0, 3.0))
+def test_nll_hessian_maps_params_to_minus_the_gradient(seed, dim, counts_kind, shots, log_scale):
+    from polarchan.tomography import _nll_and_grad, _nll_hessian
+
+    # the NLL does not change along params (it reads T^dag T / Tr(T^dag T)), so its
+    # gradient is homogeneous of degree -1 and H params = -grad wherever every p_s is interior
+    params, forms, counts = solver_case(seed, dim, counts_kind, shots, log_scale)
+    hess = _nll_hessian(params, forms, counts, shots)
+    _, grad = _nll_and_grad(params, forms, counts, shots)
+    scale = (np.abs(hess) @ np.abs(params)).max() + shots * counts.size / np.sqrt(params @ params)
+    assert np.abs(hess @ params + grad).max() <= 1e-12 * scale
+
+
+def lbfgsb_nll(counts, shots, dim, ftol):
+    """NLL of an L-BFGS-B fit of the objective from the fits' own seed, with the
+    options the fits used before the damped Newton solver (at ``ftol``)."""
+    from scipy.optimize import minimize
+
+    from polarchan.tomography import (
+        _clip_to_physical, _lower_factor, _nll_and_grad, _tri_to_params)
+
+    counts = np.asarray(counts, dtype=float)
+    if dim == 2:
+        seed = _clip_to_physical(qst_linear(counts).rho)
+    else:
+        seed = _clip_to_physical(qpt_linear(counts.reshape(4, 6)))
+    res = minimize(_nll_and_grad, _tri_to_params(_lower_factor(seed), dim),
+                   args=(nll_forms(dim)[1], counts.ravel(), float(shots)), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 100_000, "maxfun": 1_000_000, "ftol": ftol, "gtol": 1e-10})
+    return float(res.fun)
+
+
+def fig1_fit_cases():
+    """(count table, shots) of 45 fig1 records at 10k shots, from near-pure to fully depolarizing."""
+    return [(simulate_counts(fig1_kraus(theta2), TomoSettings(shots=10_000, seed=seed)).counts, 10_000)
+            for theta2 in (0.0, 2.0, 5.0, 10.0, 15.0, 22.0, 30.0, 37.0, 45.0) for seed in range(5)]
+
+
+def edge_fit_cases():
+    """Zero and single shots, and exact 1e6-shot tables, of near-pure and depolarizing channels."""
+    cases = []
+    for theta2 in (0.0, 2.0, 15.0, 45.0):
+        kraus = fig1_kraus(theta2)
+        cases += [(simulate_counts(kraus, TomoSettings(shots=0)).counts, 0),
+                  (simulate_counts(kraus, TomoSettings(shots=1, seed=7)).counts, 1),
+                  (probability_table(kraus) * 10 ** 6, 10 ** 6)]
+    return cases
+
+
+def test_fits_reach_the_lbfgsb_optimum():
+    for table, shots in fig1_fit_cases() + edge_fit_cases():
+        fit = qpt_mle(np.asarray(table, dtype=float), shots=shots)
+        assert fit.converged
+        assert fit.nll <= lbfgsb_nll(table, shots, 4, 1e-9) + 1e-9 * abs(fit.nll)
+    rng = np.random.default_rng(11)
+    for shots in (0, 1, 100, 10_000):
+        row = simulate_state_counts(loose_state(rng, 1.0), TomoSettings(shots=shots, seed=3)).counts[0]
+        fit = qst_mle(row.astype(float), shots=shots)
+        assert fit.converged
+        assert fit.nll <= lbfgsb_nll(row, shots, 2, 1e-9) + 1e-9 * abs(fit.nll)
+
+
+def test_optimality_gap_bounds_the_excess_over_a_tight_fit():
+    for table, shots in fig1_fit_cases():
+        fit = qpt_mle(np.asarray(table, dtype=float), shots=shots)
+        tight = lbfgsb_nll(table, shots, 4, 1e-15)
+        assert fit.optimality_gap >= fit.nll - tight - 1e-9 * abs(fit.nll)
+        assert fit.optimality_gap >= 0.0
+    zero_shots = qpt_mle(np.zeros((4, 6)), shots=0)
+    assert (zero_shots.nll, zero_shots.optimality_gap) == (0.0, 0.0)
+    rec = simulate_state_counts(ket_projector(KET_P), TomoSettings(shots=500, seed=2))
+    fit = qst_mle(rec)
+    assert fit.optimality_gap >= fit.nll - lbfgsb_nll(rec.counts[0], 500, 2, 1e-15) - 1e-9 * abs(fit.nll)
+
+
+def test_process_result_fields_are_named():
+    fit = qpt_mle(probability_table(fig1_kraus(15.0)) * 10_000, shots=10_000)
+    assert [f.name for f in dataclasses.fields(fit)] == [
+        "matrix", "nll", "converged", "iterations", "optimality_gap", "tp_deviation"]
+    assert fit.tp_deviation == trace_preservation_deviation(fit.chi)
+
+
+# ---------------------------------------------------------------------------
 # everything from one Pauli transfer matrix
 # ---------------------------------------------------------------------------
 
@@ -737,15 +881,17 @@ def test_linear_qpt_on_exact_probabilities_returns_the_ptm(seed):
 
 
 def test_process_forms_are_exact():
-    from polarchan.tomography import _qpt_a_tensor, _qpt_forms
+    from polarchan.tomography import _ordered_forms, _qpt_a_tensor
 
-    # the A tensor comes from exact coordinates and G, so its forms are exact dyadics
+    # the A tensor comes from exact coordinates and G, so its forms are exact dyadics,
+    # in every basis order a pivoted fit may take
     assert set(np.unique(np.abs(_qpt_a_tensor())).tolist()) <= {0.0, 0.5, 1.0}
-    assert set(np.unique(np.abs(_qpt_forms())).tolist()) <= {0.0, 0.5, 1.0}
+    for order in itertools.permutations(range(4)):
+        assert set(np.unique(np.abs(_ordered_forms(_qpt_a_tensor, order)[1])).tolist()) <= {0.0, 0.5, 1.0}
 
 
 def test_state_settings_are_exact():
-    from polarchan.tomography import _qst_a_tensor, _qst_forms
+    from polarchan.tomography import _qst_a_tensor
 
     # projectors and preparations come from exact coordinates: entries 0, +-1/2, +-i/2 and 1
     for op in analysis_projectors() + preparation_states():
@@ -757,7 +903,7 @@ def test_state_settings_are_exact():
     for op, label in zip(preparation_states(), INPUT_LABELS):
         assert np.abs(op - ket_projector(kets[label])).max() <= 1e-15
     assert set(np.unique(np.abs(_qst_a_tensor())).tolist()) <= {0.0, 0.5, 1.0}
-    assert set(np.unique(np.abs(_qst_forms())).tolist()) <= {0.0, 0.5, 1.0}
+    assert set(np.unique(np.abs(nll_forms(2)[1])).tolist()) <= {0.0, 0.5, 1.0}
 
 
 @pytest.mark.parametrize("fit", [qst_linear, qst_mle, qpt_linear, qpt_mle])
