@@ -300,11 +300,11 @@ def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n, 
     if mode == "feasibility" and r_step is not None:
         if r_step <= 0:
             errors.append(f"line {seen['r_step']}: degenerate range (r_step {r_step})")
-        else:
-            npts = (int(np.floor(2.0 / r_step)) + 1) ** 2
-            if npts > _MAX_GRID_POINTS:
-                errors.append(f"feasibility grid of {npts} points exceeds the "
-                              f"{_MAX_GRID_POINTS} limit; increase r_step")
+        # points per axis as run_feasibility's np.arange counts them; the min keeps
+        # a subnormal r_step, whose quotient is inf, countable
+        elif math.ceil(min((1.0 + r_step / 2 + 1.0) / r_step, _MAX_GRID_POINTS)) ** 2 > _MAX_GRID_POINTS:
+            errors.append(f"line {seen['r_step']}: feasibility grid of more than {_MAX_GRID_POINTS} "
+                          "points exceeds the limit; increase r_step")
     runs_tomography = mode == "tomo" or (mode == "sweep" and tomo)
     if runs_tomography and n is not None and n < 1:
         errors.append(f"line {seen['n']}: n must be at least 1 for tomography")
@@ -641,11 +641,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        with open(args.config, "r") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         sys.stderr.write(f"polarchan: cannot read config {args.config!r}: {exc}\n")
         return 2
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"polarchan: config {args.config!r} is not UTF-8 text "
+                         f"({exc.reason} at byte {exc.start})\n")
+        return 1
 
     try:
         cfg = parse_config(text)

@@ -11,10 +11,10 @@ row i from stream i of the run's seed, and a single tomo run uses stream 0.
 
 State reconstruction comes in two flavors: plain linear inversion of the
 Stokes components (fast, but finite counts can push the estimate outside
-the physical set) and a maximum-likelihood fit over Cholesky-parameterized
-matrices rho = T^dag T / Tr(T^dag T), which is physical by construction.
-Process reconstruction applies the same parameterization to the 4x4 process
-matrix, fitting all 4 x 6 preparation/analysis settings at once.
+the physical set) and a maximum-likelihood fit over rho = T^2 / Tr(T^2), for
+a Hermitian T in the fixed Pauli-string basis, which is physical by
+construction.  Process reconstruction applies the same parameterization to
+the 4x4 process matrix, fitting all 4 x 6 preparation/analysis settings at once.
 
 Process quantities read the Pauli transfer matrix R = G chi: for inputs
 rho_k = sum_j x_kj E_j / 2 and projectors P_s = sum_i y_si E_i / 2, the
@@ -25,6 +25,7 @@ A single state with coordinates x is measured the same way, as y_s x / 2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Sequence
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
 from .bench_sim import _CHI_TO_PTM, KrausSet, _checked_chi, _ptm_stack, _tp_defects
-from .polar_core import _PAULI_COEFFS, _pauli_coords, _pauli_operators
+from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators
 
 __all__ = [
     "PROJECTOR_LABELS",
@@ -117,14 +118,23 @@ class TomoSettings:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if not 0 <= self.shots <= MAX_SHOTS:
-            raise ValueError(f"shots must be between 0 and {MAX_SHOTS}, got {self.shots}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        _check_shots_and_seed(self.shots, self.seed)
         if self.nll_rel_tol <= 0:
             raise ValueError("nll_rel_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+
+
+def _check_shots_and_seed(shots, seed=0) -> None:
+    """Raise ValueError unless ``shots`` is an integer in 0..MAX_SHOTS and
+    ``seed`` a non-negative integer; a bool is not an integer here."""
+    for name, value in (("shots", shots), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be between 0 and {MAX_SHOTS}, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 _DEFAULT_SETTINGS = TomoSettings()
@@ -156,6 +166,7 @@ class CountRecord:
                     "surrounding whitespace")
         if counts.min() < 0:
             raise ValueError("counts must be nonnegative")
+        _check_shots_and_seed(self.shots, self.seed)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "input_labels", labels)
@@ -181,7 +192,7 @@ class CountRecord:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "CountRecord":
-        shots = seed = None
+        meta: dict = {}
         rows: dict = {}
         header_seen = False
         for number, raw in enumerate(text.splitlines(), start=1):
@@ -189,11 +200,14 @@ class CountRecord:
             if not line:
                 continue
             if line.startswith("#"):
-                meta = line[1:].strip()
-                if meta.startswith("N="):
-                    shots = int(meta[2:])
-                elif meta.startswith("seed="):
-                    seed = int(meta[5:])
+                key, sep, value = line[1:].strip().partition("=")
+                if sep and key in ("N", "seed"):
+                    if key in meta:
+                        raise ValueError(f"line {number}: duplicate '# {key}=' in {line!r}")
+                    try:
+                        meta[key] = int(value)
+                    except ValueError:
+                        raise ValueError(f"line {number}: '# {key}=' must be an integer, got {line!r}") from None
                 continue
             if not header_seen:
                 if line != "input,projector,counts":
@@ -215,7 +229,7 @@ class CountRecord:
                 row[pr_label] = int(value)
             except ValueError:
                 raise ValueError(f"line {number}: counts must be an integer, got {line!r}") from None
-        if shots is None or seed is None:
+        if len(meta) != 2:
             raise ValueError("missing '# N=' or '# seed=' metadata")
         labels = tuple(rows)
         table = np.zeros((len(labels), len(PROJECTOR_LABELS)), dtype=np.int64)
@@ -224,7 +238,7 @@ class CountRecord:
                 if pr_label not in rows[in_label]:
                     raise ValueError(f"incomplete table: missing ({in_label}, {pr_label})")
                 table[i, j] = rows[in_label][pr_label]
-        return cls(table, labels, shots, seed)
+        return cls(table, labels, meta["N"], meta["seed"])
 
 
 def _csv_safe_label(label) -> bool:
@@ -407,39 +421,12 @@ class QptMleResult(MleResult):
         return self.matrix
 
 
-@cache
-def _tri_layout(dim: int) -> tuple:
-    """Flat positions in a ``dim x dim`` T of its diagonal and of its strict
-    lower triangle (row-major, np.tril_indices order)."""
-    rows, cols = np.tril_indices(dim, -1)
-    return _frozen(np.arange(dim) * (dim + 1)), _frozen(rows * dim + cols)
-
-
-def _params_to_tri(params: np.ndarray, dim: int) -> np.ndarray:
-    """Lower-triangular T: first the real diagonal, then (re, im) pairs row-major."""
-    diag, lower = _tri_layout(dim)
-    t = np.zeros(dim * dim, dtype=complex)
-    t[diag] = params[:dim]
-    t[lower] = params[dim::2] + 1j * params[dim + 1::2]
-    return t.reshape(dim, dim)
-
-
-def _tri_to_params(t: np.ndarray, dim: int) -> np.ndarray:
-    diag, lower = _tri_layout(dim)
-    flat = t.ravel()
-    params = np.empty(dim * dim)
-    params[:dim] = flat[diag].real
-    below = flat[lower]
-    params[dim::2] = below.real
-    params[dim + 1::2] = below.imag
-    return params
-
-
 def _nll_terms(params, forms, counts, shots) -> tuple:
     """The pieces every NLL derivative is built from.
 
-    T is linear in the parameters, so Tr(T^dag T) = params.params = tau and
-    p_s = Re Tr(A_s^T X) = params^T Q_s params / tau, for X = T^dag T / tau,
+    T = sum_k params_k S_k over Pauli strings with Tr(S_k S_l) = dim delta_kl,
+    so Tr(T^2) = dim params.params = dim tau and
+    p_s = Re Tr(A_s^T X) = params^T Q_s params / tau, for X = T^2 / Tr(T^2),
     with the fixed symmetric forms Q_s stacked in ``forms`` (see
     _quadratic_forms).  Returns v_s = Q_s params, tau, p and
     w_s = dNLL/dp_s = N - n_s/p_s; a setting at the probability floor has a
@@ -488,39 +475,41 @@ def _nll_hessian(params, forms, counts, shots):
     return hess
 
 
-def _quadratic_forms(a_tensor: np.ndarray) -> np.ndarray:
-    """The NLL's forms Q_s of ``A[s]``, stacked as one read-only ``(S*n, n)`` array.
+@cache
+def _quadratic_forms(a_tensor_fn) -> np.ndarray:
+    """The NLL's forms Q_s of the A tensor ``A = a_tensor_fn()``, stacked as one
+    read-only ``(S*n, n)`` array, built once per A tensor.
 
-    With T = sum_k params_k B_k (B_k the T of the k-th unit parameter vector),
-    Q_s[k, l] = sym Re sum_mn A[s,m,n] (B_k^dag B_l)[m,n], so that
-    params^T Q_s params = Re sum_mn A[s,m,n] (T^dag T)[m,n] = Re Tr(A_s^T T^dag T):
+    With T = sum_k params_k S_k over the Pauli strings S_k of _pauli_strings,
+    Q_s[k, l] = sym Re sum_mn A[s,m,n] (S_k S_l)[m,n] / dim, so that
+    params^T Q_s params = Re Tr(A_s^T T^2) / dim and params.params = Tr(T^2) / dim:
     the contraction is elementwise, so a setting measured as Tr(P X) needs
-    A_s = P^T.
+    A_s = P^T.  The products of the unscaled strings have entries 0, +-1 and
+    +-i, so exact settings give exact forms.
     """
+    a_tensor = a_tensor_fn()
     dim = a_tensor.shape[-1]
-    n = dim * dim
-    basis = np.stack([_params_to_tri(unit, dim) for unit in np.eye(n)])
-    products = basis.conj().transpose(0, 2, 1)[:, None] @ basis[None]  # [k, l] = B_k^dag B_l
-    q = np.einsum("smn,klmn->skl", a_tensor, products).real
-    return _frozen((0.5 * (q + q.transpose(0, 2, 1))).reshape(-1, n))
+    strings = _pauli_strings(dim)
+    products = strings[:, None] @ strings[None]  # [k, l] = S_k S_l
+    q = np.einsum("smn,klmn->skl", a_tensor, products).real / dim
+    return _frozen((0.5 * (q + q.transpose(0, 2, 1))).reshape(-1, dim * dim))
 
 
-def _clip_to_physical(matrix: np.ndarray, floor: float = 1e-8) -> np.ndarray:
-    """Nearest-ish physical matrix: eigenvalues floored, trace renormalized."""
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    vals, vecs = np.linalg.eigh(matrix)
-    vals = np.maximum(vals, floor)
-    out = (vecs * vals) @ vecs.conj().T
-    return out / out.trace().real
+@cache
+def _pauli_strings(dim: int) -> np.ndarray:
+    """The read-only ``(dim*dim, dim, dim)`` Pauli strings of a state (dim 2: E_a)
+    or a process (dim 4: E_a (x) E_b), Hermitian with Tr(S_k S_l) = dim delta_kl."""
+    if dim == 2:
+        return PAULI_STACK
+    return _frozen(np.einsum("aij,bkl->abikjl", PAULI_STACK, PAULI_STACK).reshape(16, 4, 4))
 
 
-def _lower_factor(matrix: np.ndarray) -> np.ndarray:
-    """Lower-triangular T with T^dag T = matrix (matrix must be PD).
-
-    numpy's Cholesky gives L with matrix = L L^dag; reversing the order of
-    rows and columns on both sides turns that into the T^dag T convention used here.
-    """
-    return np.linalg.cholesky(matrix[::-1, ::-1])[::-1, ::-1].conj().T
+def _root_seed(estimate: np.ndarray) -> np.ndarray:
+    """The fit's first T: the Hermitian square root V sqrt(max(L, 1e-8)) V^dag of a
+    linear ``estimate`` V L V^dag (eigh reads its lower triangle), so that T^2 is
+    the estimate with its eigenvalues floored."""
+    vals, vecs = np.linalg.eigh(estimate)
+    return (vecs * np.sqrt(np.maximum(vals, 1e-8))) @ vecs.conj().T
 
 
 def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, **_):
@@ -589,13 +578,14 @@ def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, 
     return OptimizeResult(x=x, fun=nll, nit=nit, success=converged)
 
 
-def _mle_minimize(a_tensor_fn, counts, shots, x0_matrix, settings) -> dict:
-    """Fit X = T^dag T / Tr(T^dag T) to ``counts`` from the PD seed ``x0_matrix``.
+def _mle_minimize(a_tensor_fn, counts, shots, estimate, settings) -> dict:
+    """Fit X = T^2 / Tr(T^2) to ``counts`` from the linear ``estimate``.
 
-    The factor is pivoted: the basis is taken in the order of the seed's
-    diagonal, largest last, so that a near-pure seed keeps its dominant
-    direction in T's last row, the only row that can carry it when the
-    optimum is rank-deficient.  Returns the MleResult fields.  The
+    T = sum_k params_k S_k is Hermitian over the Pauli strings S_k.  Every
+    PSD X has a Hermitian square root, so the fit covers the unit-trace PSD
+    set, and it starts from the estimate's root (_root_seed).  The strings are
+    orthogonal, so the map is covariant under a change of basis and prefers
+    no basis order.  Returns the MleResult fields.  The
     optimality gap is the Frank-Wolfe gap over the unit-trace PSD set: with
     H_s = (A_s^T + conj(A_s)) / 2, so that p_s = Tr(H_s X), it is
     sum_s w_s p_s - lambda_min(sum_s w_s H_s), an upper bound on the fit's NLL
@@ -603,39 +593,40 @@ def _mle_minimize(a_tensor_fn, counts, shots, x0_matrix, settings) -> dict:
     """
     if settings is None:
         settings = _DEFAULT_SETTINGS
-    dim = x0_matrix.shape[0]
-    order = np.argsort(x0_matrix.diagonal().real, kind="stable")
-    a_tensor, forms = _ordered_forms(a_tensor_fn, tuple(order.tolist()))
-    args = (forms, np.asarray(counts, dtype=float), float(shots))
-    res = minimize(_nll_and_grad, _tri_to_params(_lower_factor(x0_matrix[np.ix_(order, order)]), dim),
-                   args=args, hess=_nll_hessian, method=_damped_newton,
+    a_tensor = a_tensor_fn()
+    dim = a_tensor.shape[-1]
+    strings = _pauli_strings(dim).reshape(dim * dim, -1)
+    args = (_quadratic_forms(a_tensor_fn), np.asarray(counts, dtype=float), float(shots))
+    # Tr(S_k T) = dim params_k, a scale the fit ignores
+    x0 = (strings.conj() @ _root_seed(estimate).ravel()).real
+    res = minimize(_nll_and_grad, x0, args=args, hess=_nll_hessian, method=_damped_newton,
                    options={"max_iterations": settings.max_iterations,
                             "nll_rel_tol": settings.nll_rel_tol})
-    t = _params_to_tri(res.x, dim)
-    gram = t.conj().T @ t
-    back = np.argsort(order)
+    t = (res.x @ strings).reshape(dim, dim)
+    gram = t @ t
     _, _, p, w = _nll_terms(res.x, *args)
     m = (w @ a_tensor.reshape(w.size, -1)).reshape(dim, dim)
     gap = w @ p - np.linalg.eigvalsh(0.5 * (m.T + m.conj()))[0]
-    return dict(matrix=gram[np.ix_(back, back)] / np.trace(gram).real, nll=float(res.fun),
+    return dict(matrix=gram / np.trace(gram).real, nll=float(res.fun),
                 converged=bool(res.success), iterations=int(res.nit), optimality_gap=float(gap))
 
 
 def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings] = None) -> MleResult:
-    """Maximum-likelihood state fit over rho = T^dag T / Tr(T^dag T).
+    """Maximum-likelihood state fit over rho = T^2 / Tr(T^2), T Hermitian.
 
     ``counts`` is a six-entry projector row (or single-row CountRecord, in
-    which case its shot number is used).  Initialization is the clipped
-    linear-inversion estimate, so the fitted NLL never exceeds the clipped
-    estimate's.
+    which case its shot number is used); ``shots`` must be an integer in
+    0..MAX_SHOTS.  The fit starts from the square root of the linear-inversion
+    estimate with its eigenvalues floored, so the fitted NLL never exceeds
+    that clipped estimate's.
     """
     if isinstance(counts, CountRecord):
         shots = counts.shots if shots is None else shots
     row = _counts_row(counts)
     if shots is None:
         raise ValueError("shots must be given when counts is a bare array")
-    x0 = _clip_to_physical(qst_linear(row).rho)
-    return MleResult(**_mle_minimize(_qst_a_tensor, row, shots, x0, settings))
+    _check_shots_and_seed(shots)
+    return MleResult(**_mle_minimize(_qst_a_tensor, row, shots, qst_linear(row).rho, settings))
 
 
 # Setting-independent tensors are built on first use, once per process, and
@@ -659,15 +650,6 @@ def _qpt_a_tensor() -> np.ndarray:
     g = _CHI_TO_PTM.reshape(4, 4, 4, 4)
     a = np.einsum("ji,kl,ilmn->kjmn", _PROJECTOR_COORDS, _INPUT_COORDS, g) / 2
     return _frozen(a.reshape(-1, 4, 4))
-
-
-@cache
-def _ordered_forms(a_tensor_fn, order: tuple) -> tuple:
-    """The A tensor of ``a_tensor_fn()`` with its basis taken in ``order``, and
-    that tensor's NLL forms, both read-only."""
-    index = list(order)
-    a_tensor = _frozen(a_tensor_fn()[:, index][:, :, index])
-    return a_tensor, _quadratic_forms(a_tensor)
 
 
 @cache
@@ -719,12 +701,14 @@ def trace_preservation_deviation(chi: np.ndarray) -> float:
 
 
 def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings] = None) -> QptMleResult:
-    """Maximum-likelihood process fit over chi = T^dag T / Tr(T^dag T).
+    """Maximum-likelihood process fit over chi = T^2 / Tr(T^2), T Hermitian.
 
-    Fits all 24 preparation/analysis settings jointly.  A CountRecord's rows
-    are matched to the preparations by their input labels, in any order; a
-    record whose labels are not a permutation of INPUT_LABELS raises
-    ValueError.  A bare (4, 6) table must follow the INPUT_LABELS row order.
+    Fits all 24 preparation/analysis settings jointly, from the square root of
+    the clipped ``qpt_linear`` estimate; ``shots`` must be an integer in
+    0..MAX_SHOTS.  A CountRecord's rows are matched to the preparations by
+    their input labels, in any order; a record whose labels are not a
+    permutation of INPUT_LABELS raises ValueError.  A bare (4, 6) table must
+    follow the INPUT_LABELS row order.
     Positivity and unit trace hold by construction, while the
     trace-preservation defect of the fit is reported as a noise diagnostic.
     """
@@ -733,6 +717,6 @@ def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings
     table = _process_table(counts)
     if shots is None:
         raise ValueError("shots must be given when counts is a bare table")
-    x0 = _clip_to_physical(qpt_linear(table))
-    fit = _mle_minimize(_qpt_a_tensor, table.ravel(), shots, x0, settings)
+    _check_shots_and_seed(shots)
+    fit = _mle_minimize(_qpt_a_tensor, table.ravel(), shots, qpt_linear(table), settings)
     return QptMleResult(**fit, tp_deviation=trace_preservation_deviation(fit["matrix"]))

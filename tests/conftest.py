@@ -129,6 +129,30 @@ def reference_nll_and_grad(params, a_tensor, counts, shots, dim):
     return nll, grad
 
 
+def reference_pauli_strings(dim) -> np.ndarray:
+    """The Pauli strings of a 2x2 or 4x4 T, one np.kron at a time: the Pauli basis, or E_a (x) E_b."""
+    if dim == 2:
+        return np.stack(PAULI_BASIS)
+    return np.stack([np.kron(a, b) for a in PAULI_BASIS for b in PAULI_BASIS])
+
+
+def reference_root_nll_and_grad(params, a_tensor, counts, shots, dim):
+    """The Poisson NLL and gradient of X = T^2 / Tr(T^2), T = sum_k params_k S_k, by dense
+    traces: with B = sum_s w_s A_s^T, the gradient is Re Tr((T B + B T - 2 (w.p) T) S_k) / Tr(T^2)."""
+    strings = reference_pauli_strings(dim)
+    t = np.einsum("k,kmn->mn", params, strings)
+    gram = t @ t
+    tau = float(np.trace(gram).real)
+    p = np.einsum("smn,mn->s", a_tensor, gram / tau).real
+    p_safe = np.clip(p, 1e-12, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nll = float(np.sum(shots * p - np.where(counts > 0, counts * np.log(shots * p_safe), 0.0)))
+    w = np.where(p > 1e-12, shots - counts / p_safe, shots)
+    b = np.einsum("s,smn->nm", w, a_tensor)
+    d = t @ b + b @ t - 2.0 * (w @ p) * t
+    return nll, np.einsum("kmn,nm->k", strings, d).real / tau
+
+
 def reference_stokes(row) -> np.ndarray:
     """qst_linear's per-axis loop as first written: indeterminate axes stay 0."""
     stokes = np.zeros(3)

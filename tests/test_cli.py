@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -10,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from polarchan import cli, tomography
@@ -299,6 +302,17 @@ def test_region_grid_capped_before_allocation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("polarchan: line 2: region grid of 10000000000 points exceeds")
     assert "decrease grid_n" in err
+
+
+@pytest.mark.parametrize("r_step", ["5e-324", "1e-300", "0.0009", repr(2 / 1999.6)])
+def test_feasibility_grid_capped_before_allocation(r_step, tmp_path, capsys):
+    # a subnormal step has 2 / r_step = inf points per axis, and 2 / 1999.6 gives
+    # 2,001 points per axis, one more than floor(2 / r_step) + 1
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"mode = feasibility\nr_step = {r_step}\n")
+    assert main(["feasibility", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", "polarchan: line 2: feasibility grid of more than 4000000 points "
+                                       "exceeds the limit; increase r_step\n")
 
 
 def test_sweep_rows_capped_before_allocation(tmp_path, capsys):
@@ -639,3 +653,154 @@ def test_tomo_counts_out_matches_tomography_golden(tmp_path):
     res = run_cli("tomo", "--config", str(cfg))
     assert res.returncode == 0, res.stderr
     assert counts.read_bytes() == (DATA / COUNTS_CASE[1]).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the config grammar, fuzzed
+# ---------------------------------------------------------------------------
+
+#: value texts from the grammar's edges, tried under every key
+_EDGE_VALUES = [
+    "", "=", "==", "0", "-1", "nan", "NaN", "inf", "-inf", "+Infinity", "1e10000000", "-1e-1000000",
+    "2E+1_000_000", "1e400", "5e-324", "1/3", "-1/2", "3/0", "0/0", "1_000", "\u0661\u0662",
+    "\u0663/\u0664", "\u00b2", "0x10", "7" * 40, "9" * 5000, "true", "x", "1 2", "(", "crystal(1, 0)",
+]
+
+#: keys the parser does not know, and lines that are not ``key = value``
+_UNKNOWN_KEYS = ["wibble", "Mode", "theta 1", "length3", "", "\u00e9l\u00e9ment"]
+_STRAY_LINES = ["= 5", "mode", "mode == simulate", "# comment", "", "   ", "=", "preset = fig1 = 2",
+                "theta2 = 15 # note", "\u2028", "element ="]
+
+
+def _number_text(values):
+    """Mostly the text of one of ``values``; else an edge value or a run of number characters."""
+    return st.sampled_from(["value"] * 8 + ["edge", "text"]).flatmap(lambda kind: {
+        "value": values.map(str),
+        "edge": st.sampled_from(_EDGE_VALUES),
+        "text": st.text(alphabet="0123456789.-+eE/_ =", max_size=10),
+    }[kind])
+
+
+def _angle_text():
+    return _number_text(st.floats(-1e3, 1e3) | st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _element_text():
+    angle = _angle_text()
+    return st.one_of(
+        st.tuples(_number_text(st.integers(1, 6)), angle).map(lambda args: "crystal(%s, %s)" % args),
+        st.tuples(st.sampled_from(["hwp", "qwp"]), angle).map(lambda args: "%s(%s)" % args),
+        st.tuples(st.sampled_from(["crystal", "hwp", "qwp", "plate"]),
+                  st.lists(_number_text(st.integers(-2, 6)), max_size=3).map(", ".join)).map(
+            lambda args: "%s(%s)" % args),
+    )
+
+
+#: value text per known key; every valid size stays small (grid_n <= 60, r_step >= 0.05,
+#: and sweeps of more than 50 rows are skipped below)
+_VALUES = {
+    "mode": st.sampled_from(list(cli.MODES) + ["Simulate", "fig1"]),
+    "preset": st.sampled_from(list(cli.PRESETS) + ["Fig1", "lyot2"]),
+    "element": _element_text(),
+    "theta1": _angle_text(), "theta2": _angle_text(), "angle": _angle_text(), "rotation": _angle_text(),
+    "theta2_start": _number_text(st.floats(-100, 100)), "theta2_stop": _number_text(st.floats(-100, 100)),
+    "theta2_step": _number_text(st.floats(4, 100) | st.floats(-1, 0) | st.floats(1e-320, 1e-3)),
+    "length": _number_text(st.integers(1, 5) | st.floats(1e-30, 1e30)),
+    "length1": _number_text(st.integers(1, 5)), "length2": _number_text(st.integers(1, 5)),
+    "tomo": st.sampled_from(["true", "false", "TRUE", "yes", ""]),
+    "n": _number_text(st.integers(-5, 2 * tomography.MAX_SHOTS)),
+    "seed": _number_text(st.integers(-5, 2 ** 64)),
+    "r_step": _number_text(st.floats(0.05, 3) | st.floats(-1, 0) | st.floats(0, 1e-3, exclude_min=True)),
+    "grid_n": _number_text(st.integers(-3, 60) | st.integers(2001, 10 ** 40)),
+    # "@" stands for the example's own temporary directory
+    "out": st.sampled_from(["@/out.csv", "@/missing/out.csv", "@", ""]),
+    "counts_out": st.sampled_from(["@/counts.csv", "@/missing/counts.csv", "@", ""]),
+}
+assert set(_VALUES) == cli._KNOWN_KEYS
+
+_ODD_LINE = st.one_of(
+    st.tuples(st.sampled_from(_UNKNOWN_KEYS), _number_text(st.integers())).map(" = ".join),
+    st.sampled_from(_STRAY_LINES),
+)
+
+#: valid bodies per mode, which the fuzzed lines then join or replace
+_TEMPLATES = {
+    "simulate": (["preset = lyot"], ["preset = fig1", "theta2 = 15"],
+                 ["element = crystal(1, 0)", "element = hwp(22.5)", "element = crystal(2, 45)"]),
+    "tomo": (["preset = fig1", "theta2 = 15", "n = 1000"], ["preset = two_crystal", "angle = 30"]),
+    "sweep": (["preset = fig1", "theta2_start = 0", "theta2_stop = 45", "theta2_step = 5"],
+              ["theta2_start = 0", "theta2_stop = 10", "theta2_step = 1", "tomo = true", "n = 500"]),
+    "feasibility": (["r_step = 0.25"],),
+    "region": (["grid_n = 20"],),
+}
+
+
+def _key(line: str) -> str:
+    return line.split("=", 1)[0].strip()
+
+
+@st.composite
+def _fuzzed_config(draw):
+    """(mode, config lines): a template of the mode, up to three ``key = value`` lines that
+    favour the template's keys and replace its lines of the same key (or, now and then,
+    duplicate them), and at times one line with an unknown key or no ``key = value`` shape."""
+    mode = draw(st.sampled_from(cli.MODES))
+    template = [f"mode = {mode}", *draw(st.sampled_from(_TEMPLATES[mode]))]
+    keys = sorted(_VALUES) + 4 * [_key(line) for line in template]
+    line = st.sampled_from(keys).flatmap(lambda key: _VALUES[key].map(lambda v: f"{key} = {v}"))
+    lines = draw(st.lists(line, max_size=3, unique_by=_key))
+    if not draw(st.sampled_from([False] * 3 + [True])):
+        template = [t for t in template if _key(t) not in {_key(x) for x in lines}]
+    odd = draw(st.one_of(st.none(), _ODD_LINE))
+    return mode, template + lines + ([] if odd is None else [odd])
+
+
+def _small(cfg) -> bool:
+    """Whether a valid config's run stays small: the sizes the fuzz bounds."""
+    if cfg.mode == "sweep":
+        return cli._sweep_row_count(cfg.theta2_start, cfg.theta2_stop, cfg.theta2_step) <= 50
+    return {"region": cfg.grid_n <= 60, "feasibility": cfg.r_step >= 0.05}.get(cfg.mode, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzzed_config(), st.booleans(), st.sampled_from([None] * len(cli.MODES) + list(cli.MODES)))
+def test_fuzzed_configs_exit_cleanly(config, to_file, cli_mode):
+    # cli_mode None runs the config's own mode
+    mode, lines = config
+    with tempfile.TemporaryDirectory() as tmp:
+        text = "\n".join(lines).replace("@", tmp) + "\n"
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            assert exc.errors and all(isinstance(m, str) and m for m in exc.errors)
+        else:
+            assume(_small(cfg))
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [cli_mode or mode, "--config", path] + (["--out", os.path.join(tmp, "o.csv")] if to_file else [])
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), warnings.catch_warnings():
+            os.environ.pop(cli.ENV_SEED, None)
+            warnings.simplefilter("ignore")  # degenerate-ratio warnings are not CLI output
+            tracemalloc.start()
+            try:
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                wall = time.perf_counter() - start
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    event(f"{mode}: exit {code}")
+    assert code in (0, 1, 2)
+    assert all(line.startswith("polarchan: ") for line in err.getvalue().splitlines()), err.getvalue()
+    assert wall <= 2.0 and peak <= 64 * 2 ** 20, (wall, peak)
+
+
+def test_config_that_is_not_utf8_is_a_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"mode = simulate\npreset = lyot\n# \xff\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"polarchan: config {str(cfg)!r} is not UTF-8 text "
+                                       "(invalid start byte at byte 32)\n")
