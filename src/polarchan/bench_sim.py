@@ -206,7 +206,11 @@ class KrausSet:
     """Kraus operators of a channel, one per resolved temporal delay.
 
     The operators, finite 2x2 matrices, are kept as the read-only
-    ``(n, 2, 2)`` view ``as_stack()[0]``, built once at construction.
+    ``(n, 2, 2)`` view ``as_stack()[0]``, built once at construction.  The
+    set's process matrix chi and its trace-preservation defect are computed
+    once, on first use, and kept read-only: every consumer of the set
+    (``completeness_defect``, ``require_complete``, ``affine_map``,
+    ``chi_from_kraus``, ``probability_table``, ``apply_channel``) reads them.
     """
 
     delays: tuple
@@ -230,6 +234,7 @@ class KrausSet:
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "operators", stack[0])
         object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_chi", None)
 
     def __len__(self) -> int:
         return len(self.delays)
@@ -243,10 +248,21 @@ class KrausSet:
 
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum_d K_d^dag K_d from the identity, read from chi."""
-        return float(_tp_defects(_chi_stack(self._stack))[0])
+        if self._chi is None:
+            chi = _chi_stack(self._stack)
+            chi.setflags(write=False)
+            # the defect first, so that a set whose chi is stored has its defect too
+            object.__setattr__(self, "_defect", float(_tp_defects(chi)[0]))
+            object.__setattr__(self, "_chi", chi)
+        return self._defect
 
     def require_complete(self, atol: float = 1e-12) -> None:
-        _checked_chi(self._stack, atol)
+        _require_trace_preserving(self.completeness_defect(), atol)
+
+    def _complete_chi(self) -> np.ndarray:
+        """The read-only one-bench ``(1, 4, 4)`` chi stack, after :meth:`require_complete`."""
+        self.require_complete()
+        return self._chi
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,8 +271,10 @@ def _projector_pair(angle_deg: float, sign: float) -> np.ndarray:
 
     ``sign`` is the angle's sign bit, so 0.0 and -0.0 keep entries of their own.
     """
-    r = rotation2(angle_deg)
-    pair = np.stack([np.outer(r[:, 0], r[:, 0]), np.outer(r[:, 1], r[:, 1])]).astype(complex)
+    # pair[k] is the outer product of column k with itself, cast after the
+    # real product: a complex product would flip signed zeros
+    r = rotation2(angle_deg).T
+    pair = (r[:, :, None] * r[:, None, :]).astype(complex)
     pair.setflags(write=False)
     return pair
 
@@ -318,6 +336,12 @@ def _per_bench(angles, build) -> list:
     return out
 
 
+#: the transfer matrix before the first element, one bench of one bin; every
+#: product with it broadcasts to the stack's size
+_IDENTITY = np.eye(2, dtype=complex).reshape(1, 1, 2, 2)
+_IDENTITY.setflags(write=False)
+
+
 def propagate_stack(benches) -> tuple:
     """Propagate benches that share one delay structure, all at once.
 
@@ -341,7 +365,7 @@ def propagate_stack(benches) -> tuple:
     delays, steps = _gather_plan(structure)
 
     count = len(benches)
-    t = np.broadcast_to(np.eye(2, dtype=complex), (count, 1, 2, 2))
+    t = _IDENTITY
     for pos, (el, step) in enumerate(zip(first.elements, steps)):
         if step is None:
             u = np.array(_per_bench([b.elements[pos].angle_deg for b in benches],
@@ -449,11 +473,14 @@ def _checked_chi(ops: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack; raises
     unless every bench is trace preserving."""
     chi = _chi_stack(ops)
-    defect = _tp_defects(chi).max()
+    _require_trace_preserving(_tp_defects(chi).max(), atol)
+    return chi
+
+
+def _require_trace_preserving(defect: float, atol: float) -> None:
     # written so that a NaN defect fails too
     if not defect <= atol:
         raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
-    return chi
 
 
 def _ptm_stack(chi: np.ndarray) -> np.ndarray:
@@ -472,5 +499,5 @@ def affine_map(kraus: KrausSet) -> AffineMap:
     unitarily).  They are the blocks R[1:, 1:] and R[1:, 0] of the channel's
     Pauli transfer matrix R.
     """
-    r = _ptm_stack(_checked_chi(kraus.as_stack()))[0]
+    r = _ptm_stack(kraus._complete_chi())[0]
     return AffineMap(r[1:, 1:], r[1:, 0])

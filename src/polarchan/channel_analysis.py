@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench_sim import _CHI_TO_PTM, KrausSet, _checked_chi
+from .bench_sim import _CHI_TO_PTM, KrausSet
 from .polar_core import _pauli_coords, _pauli_operators
 
 __all__ = [
@@ -33,14 +33,19 @@ __all__ = [
 #: eigenvalue clipping window before declaring a chi matrix unphysical
 _EIG_CLIP = 1e-10
 
+#: the off-diagonal entries of a 3x3 matrix
+_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
+_OFF_DIAGONAL.setflags(write=False)
+
 
 def chi_from_kraus(kraus: KrausSet) -> np.ndarray:
     """Process matrix from a Kraus set.
 
     Each operator is expanded as K_d = sum_m c_dm E_m with
-    c_dm = Tr(E_m K_d)/2; then chi_mn = sum_d c_dm c_dn^*.
+    c_dm = Tr(E_m K_d)/2; then chi_mn = sum_d c_dm c_dn^*.  The Kraus set
+    computes chi once and keeps it; this returns a writable copy.
     """
-    return _checked_chi(kraus.as_stack())[0]
+    return kraus._complete_chi()[0].copy()
 
 
 def apply_process_matrix(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -85,7 +90,7 @@ def chi_eigenvalues(chi: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     vals = np.linalg.eigvalsh(chi)[..., ::-1].astype(float)
     if not vals.min() >= -atol:
         raise ValueError(f"eigenvalue {vals.min():.3g} below clipping window")
-    return np.clip(vals, 0.0, None)
+    return np.maximum(vals, 0.0)
 
 
 @dataclass(frozen=True)
@@ -118,28 +123,32 @@ class EllipsoidReport:
 def polar_decompose(m: np.ndarray, atol: float = 1e-10) -> EllipsoidReport:
     """Split a 3x3 Stokes matrix into orthogonal and stretch factors.
 
-    Rank-deficient maps get det(rotation) = sign(det M) when that is
-    nonzero and +1 otherwise, which keeps the report deterministic for the
-    complete depolarizer (M = 0).
+    A map with no off-diagonal entry above ``atol`` is axis-aligned: it is
+    reported from its diagonal alone, with no SVD.  Any other map is split
+    by an SVD.  When its smallest singular value is at most ``atol`` (rank
+    deficient) the weakest left-singular direction is flipped as needed to
+    make det(rotation) = +1, whatever the sign of det M, so its radii are
+    all non-negative; this keeps the report deterministic for maps that
+    collapse an axis.  Non-finite maps raise ``LinAlgError``.
     """
     m = np.asarray(m, dtype=float).reshape(3, 3)
+    if not np.isfinite(m).all():
+        # LAPACK's SVD never returns for an infinite diagonal entry
+        raise np.linalg.LinAlgError("Stokes matrix must be finite")
+    if np.abs(m[_OFF_DIAGONAL]).max() <= atol:
+        radii = np.diagonal(m)
+        signs = np.where(radii >= 0, 1.0, -1.0)
+        # the product of the signs is the determinant of their diagonal, bit for bit
+        return EllipsoidReport(radii, np.diag(signs), float(signs.prod()), True)
+
     u, sing, vt = np.linalg.svd(m)
-    det_m = float(np.linalg.det(m))
-    rank_deficient = sing.min() <= atol
     o = u @ vt
-    if rank_deficient and np.linalg.det(o) < 0:
+    if sing.min() <= atol and np.linalg.det(o) < 0:
         # flip the weakest left-singular direction; S is unchanged at rank
         u = u.copy()
         u[:, -1] *= -1.0
         o = u @ vt
     det_sign = 1.0 if np.linalg.det(o) > 0 else -1.0
-
-    off_diag = np.abs(m - np.diag(np.diag(m))).max()
-    if off_diag <= atol:
-        radii = tuple(np.diag(m))
-        rotation = np.diag([1.0 if r >= 0 else -1.0 for r in radii])
-        return EllipsoidReport(radii, rotation, float(np.linalg.det(rotation)), True)
-
     radii = sing.copy()
     radii[-1] *= det_sign
     return EllipsoidReport(tuple(radii), o, det_sign, False)

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 
-from .bench_sim import _CHI_TO_PTM, KrausSet, _checked_chi, _ptm_stack, _tp_defects
+from .bench_sim import _CHI_TO_PTM, KrausSet, _ptm_stack, _tp_defects
 from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators
 
 __all__ = [
@@ -268,7 +268,7 @@ def probability_table(
     """
     x = _INPUT_COORDS if inputs is None else _pauli_coords(inputs)
     y = _PROJECTOR_COORDS if projectors is None else _pauli_coords(projectors)
-    r = _ptm_stack(_checked_chi(kraus.as_stack()))[0]
+    r = _ptm_stack(kraus._complete_chi())[0]
     return _born_table(x @ r.T, y)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, normalize_delays
-from polarchan.channel_analysis import pauli_feasible
+from polarchan.channel_analysis import EllipsoidReport, pauli_feasible
 from polarchan.depolarizer import _radii_grid, in_reachable_region
 from polarchan.polar_core import KET_H, KET_P, KET_R, KET_V, PAULI_BASIS, ket_projector, rotation2
 
@@ -82,6 +82,32 @@ def reference_completeness_defect(ops) -> np.ndarray:
     Kraus stack, the max-norm of sum_d K_d^dag K_d - I."""
     acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
     return np.abs(acc - np.eye(2)).max(axis=(-2, -1))
+
+
+def reference_polar_decompose(m, atol: float = 1e-10) -> EllipsoidReport:
+    """polar_decompose as first written: an SVD and its determinants for every
+    map, axis-aligned or not, then the diagonal for an axis-aligned one."""
+    m = np.asarray(m, dtype=float).reshape(3, 3)
+    u, sing, vt = np.linalg.svd(m)
+    det_m = float(np.linalg.det(m))
+    rank_deficient = sing.min() <= atol
+    o = u @ vt
+    if rank_deficient and np.linalg.det(o) < 0:
+        # flip the weakest left-singular direction; S is unchanged at rank
+        u = u.copy()
+        u[:, -1] *= -1.0
+        o = u @ vt
+    det_sign = 1.0 if np.linalg.det(o) > 0 else -1.0
+
+    off_diag = np.abs(m - np.diag(np.diag(m))).max()
+    if off_diag <= atol:
+        radii = tuple(np.diag(m))
+        rotation = np.diag([1.0 if r >= 0 else -1.0 for r in radii])
+        return EllipsoidReport(radii, rotation, float(np.linalg.det(rotation)), True)
+
+    radii = sing.copy()
+    radii[-1] *= det_sign
+    return EllipsoidReport(tuple(radii), o, det_sign, False)
 
 
 def clipped_trace(proj, rho):

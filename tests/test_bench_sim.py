@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarchan import cli
+from polarchan import bench_sim, cli
 from polarchan.bench_sim import (
     _CHI_TO_PTM,
+    _IDENTITY,
     MAX_DELAY_BINS,
     AffineMap,
     BenchConfig,
@@ -38,7 +39,7 @@ from polarchan.depolarizer import (
     build_bench,
     build_lyot,
 )
-from polarchan.polar_core import PAULI_BASIS, KET_H, density_from_stokes, ket_projector
+from polarchan.polar_core import PAULI_BASIS, KET_H, density_from_stokes, ket_projector, rotation2
 from polarchan.tomography import (
     TomoSettings,
     analysis_projectors,
@@ -415,9 +416,33 @@ def test_incomplete_set_rejected_by_every_consumer(monkeypatch):
         defect = reference_completeness_defect(bad.as_stack())[0]
         assert defect > 1e-12
         for call in checked_consumers(bad, monkeypatch):
-            with pytest.raises(ValueError, match=rf"not trace preserving \(defect {defect:.3g}\)"):
-                call()
+            # twice: the second call reads the chi and defect the first one stored
+            for _ in range(2):
+                with pytest.raises(ValueError, match=rf"not trace preserving \(defect {defect:.3g}\)"):
+                    call()
         bad.require_complete(atol=2 * defect)
+
+
+def test_one_chi_per_kraus_set(monkeypatch):
+    calls = []
+    chi_stack = bench_sim._chi_stack
+    monkeypatch.setattr(bench_sim, "_chi_stack", lambda ops: calls.append(ops.shape) or chi_stack(ops))
+    kraus = propagate(build_bench(DepolarizerSettings(20.0, 13.0, 2, 3)))
+    matrix = affine_map(kraus).matrix
+    chi = chi_from_kraus(kraus)
+    probability_table(kraus)
+    simulate_counts(kraus, TomoSettings(shots=100, seed=1))
+    apply_channel(kraus, I2 / 2)
+    kraus.completeness_defect()
+    kraus.require_complete()
+    assert calls == [(1, len(kraus), 2, 2)]
+    # the caller owns the returned chi: writing to it changes nothing the set keeps
+    expected = chi.copy()
+    assert chi.flags.writeable
+    chi[...] = np.nan
+    assert same_bits(chi_from_kraus(kraus), expected)
+    assert same_bits(affine_map(kraus).matrix, matrix)
+    assert len(calls) == 1
 
 
 def test_completeness_tolerance():
@@ -473,8 +498,9 @@ def test_nan_defect_rejected_by_every_consumer(monkeypatch):
         assert np.isnan(kraus.completeness_defect())
         assert np.isnan(reference_completeness_defect(kraus.as_stack())[0])
         for call in checked_consumers(kraus, monkeypatch):
-            with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
-                call()
+            for _ in range(2):
+                with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
+                    call()
         with pytest.raises(ValueError, match="trace preserving"):
             _checked_chi(np.full((2, 3, 2, 2), np.nan))
 
@@ -575,6 +601,30 @@ def test_gather_plan_read_only_and_caches_small():
     assert _projector_pair.cache_info().maxsize <= 64
     pair = _projector_pair(90.0, 1.0)
     assert pair.shape == (2, 2, 2) and not pair.flags.writeable
+
+
+@pytest.mark.parametrize("benches", [
+    [BenchConfig((Waveplate("quarter", 30.0),))],
+    [BenchConfig((Crystal(1, 0.0),))],
+    [BenchConfig((Crystal(1, a), Waveplate("half", 2 * a), Crystal(2, -a))) for a in (0.0, 10.0, -0.0)],
+])
+def test_identity_constant_is_read_only_and_never_returned(benches):
+    assert not _IDENTITY.flags.writeable
+    _, ops = propagate_stack(benches)
+    assert ops.shape[0] == len(benches)
+    assert not np.shares_memory(ops, _IDENTITY)
+    kraus = propagate(benches[0])
+    assert not np.shares_memory(kraus.operators, _IDENTITY)
+    assert same_bits(_IDENTITY, np.eye(2, dtype=complex).reshape(1, 1, 2, 2))
+
+
+def test_projector_pair_matches_stacked_outer_products():
+    angles = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 1e-300, -1e-300]
+    angles += np.random.default_rng(5).uniform(-360.0, 360.0, 5000).tolist()
+    for angle in angles:
+        r = rotation2(angle)
+        expected = np.stack([np.outer(r[:, 0], r[:, 0]), np.outer(r[:, 1], r[:, 1])]).astype(complex)
+        assert same_bits(_projector_pair.__wrapped__(angle, np.copysign(1.0, angle)), expected)
 
 
 def test_projector_cache_keeps_signed_zero_angles_apart():

@@ -30,7 +30,13 @@ from polarchan.depolarizer import (
 )
 from polarchan.polar_core import PAULI_BASIS, density_from_stokes
 
-from conftest import random_bench, random_physical_stokes, restyled_bench, same_bits
+from conftest import (
+    random_bench,
+    random_physical_stokes,
+    reference_polar_decompose,
+    restyled_bench,
+    same_bits,
+)
 
 MAGIC_TWO_CRYSTAL = np.degrees(np.arctan(np.sqrt(2.0)))  # 54.7356 deg
 
@@ -80,6 +86,18 @@ def test_chi_eigenvalue_contract():
         chi_eigenvalues(np.diag([1.1, 0, 0, -0.1]))
 
 
+@pytest.mark.parametrize("chi", [
+    np.diag([1.0, 0.0, -0.0, 0.0]),
+    np.diag([0.5, 0.5, -5e-11, -1e-300]),
+    np.diag([0.25, 0.25, 0.25, 0.25]),
+    np.ones((4, 4)) / 4,
+])
+def test_chi_eigenvalues_clip_bits(chi):
+    # the floor at zero is np.clip(vals, 0.0, None), bit for bit, signed zeros included
+    vals = np.linalg.eigvalsh(chi.astype(complex))[::-1].astype(float)
+    assert same_bits(chi_eigenvalues(chi), np.clip(vals, 0.0, None))
+
+
 def test_eigenvalue_radii_duality(rng):
     # for axis-aligned channels the spectrum equals the radii lambda formula
     thetas = rng.uniform(0, 45, size=(25, 2))
@@ -124,6 +142,98 @@ def test_polar_decompose_rank_deficient():
     report = polar_decompose(np.diag([1.0, 0.0, 0.0]))
     assert report.axis_aligned
     assert report.radii == (1.0, 0.0, 0.0)
+
+
+def random_rotation(seed: int) -> np.ndarray:
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    return q * np.sign(np.linalg.det(q))
+
+
+def test_polar_decompose_rank_deficient_reports_a_proper_rotation():
+    # det M < 0, but the smallest singular value is within atol: the weakest
+    # direction is flipped to give det(rotation) = +1, so no radius is negative
+    m = random_rotation(7) @ np.diag([0.9, 0.5, -1e-11])
+    assert np.linalg.det(m) < 0
+    report = polar_decompose(m)
+    assert not report.axis_aligned
+    assert report.det_sign == 1.0 and np.linalg.det(report.rotation) > 0
+    assert report.radii == pytest.approx((0.9, 0.5, 1e-11), rel=0.0, abs=1e-15)
+    assert report.radii[-1] > 0
+    # the zero map is axis-aligned and reported from its diagonal
+    report = polar_decompose(np.zeros((3, 3)))
+    assert report.axis_aligned and report.det_sign == 1.0
+    assert report.radii == (0.0, 0.0, 0.0)
+    assert same_bits(report.rotation, np.eye(3))
+
+
+def report_bytes(report) -> tuple:
+    """Every field of an EllipsoidReport, as bytes (so 0.0 and -0.0 differ)."""
+    return (np.array(report.radii).tobytes(), report.rotation.dtype, report.rotation.shape,
+            report.rotation.tobytes(), np.float64(report.det_sign).tobytes(),
+            type(report.det_sign), report.axis_aligned)
+
+
+_ATOL = 1e-10
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, _ATOL, -_ATOL, 1e-300, -1e-300]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def diagonal_maps(draw):
+    return np.diag([draw(_ENTRIES) for _ in range(3)])
+
+
+@st.composite
+def maps_at_the_threshold(draw):
+    # one off-diagonal entry of exactly atol (aligned) or the next float above (not)
+    m = np.diag([draw(_ENTRIES) for _ in range(3)])
+    i, j = draw(st.sampled_from([(i, j) for i in range(3) for j in range(3) if i != j]))
+    value = draw(st.sampled_from([_ATOL, np.nextafter(_ATOL, 1.0)]))
+    m[i, j] = value if draw(st.booleans()) else -value
+    return m
+
+
+@st.composite
+def rotated_maps(draw):
+    # full-rank and rank-deficient stretches, reflections included, between two rotations
+    singular = st.one_of(st.sampled_from([0.0, -0.0, 1e-11, -1e-11, _ATOL, -_ATOL]),
+                         st.floats(-1.0, 1.0))
+    stretch = np.diag([draw(singular) for _ in range(3)])
+    left, right = (random_rotation(draw(st.integers(0, 2 ** 32 - 1))) for _ in range(2))
+    return left @ stretch @ right if draw(st.booleans()) else left @ stretch
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(diagonal_maps(), maps_at_the_threshold(), rotated_maps(),
+                 st.just(np.zeros((3, 3)))))
+def test_polar_decompose_matches_svd_first_reference(m):
+    # the reference's unused det(M) divides by zero for entries near 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        expected = reference_polar_decompose(m)
+    assert report_bytes(polar_decompose(m)) == report_bytes(expected)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+def test_polar_decompose_nan_raises_as_reference(entry):
+    m = np.eye(3)
+    m[entry] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as expected:
+        reference_polar_decompose(m)
+    with pytest.raises(type(expected.value)):
+        polar_decompose(m)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (2, 2), (1, 2)])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_polar_decompose_infinite_map_raises(entry, value):
+    # the reference is not called: LAPACK's SVD never returns for an infinite
+    # diagonal entry, and gives NaN factors for an infinite off-diagonal one
+    m = np.eye(3)
+    m[entry] = value
+    with pytest.raises(np.linalg.LinAlgError, match="finite"):
+        polar_decompose(m)
 
 
 def test_pauli_feasible_examples():
