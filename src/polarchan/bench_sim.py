@@ -18,7 +18,8 @@ into the Kraus operators of the polarization channel.
 Channels are analysed through one representation, the process matrix chi,
 a fixed linear image of the Kraus operators; the Pauli transfer matrix
 R_ij = Tr(E_i E(E_j))/2 is a fixed linear image of chi, and everything else
-(Stokes map, Born probabilities, tomography constants) is read off R.
+(channel outputs of ``apply_channel``, Stokes map, Born probabilities,
+tomography constants) is read off R.
 
 Delays are exact integers end to end; there is no floating-point
 coincidence test anywhere.
@@ -34,7 +35,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .polar_core import PAULI_STACK, _PAULI_COEFFS, rotation2, waveplate_jones
+from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators, rotation2, waveplate_jones
 
 __all__ = [
     "Crystal",
@@ -403,10 +404,11 @@ def propagate(bench: BenchConfig) -> KrausSet:
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """Channel action rho -> sum_d K_d rho K_d^dag."""
-    kraus.require_complete()
+    """Channel action rho -> sum_d K_d rho K_d^dag, read off the set's Pauli
+    transfer matrix R as sum_i (R x)_i E_i / 2, with x_j = Tr(E_j rho)."""
+    r = _ptm_stack(kraus._complete_chi())[0]
     # the reshape refuses a stack of states, which has more than one output
-    return _channel_stack(kraus.as_stack(), rho).reshape(2, 2)
+    return _pauli_operators(_pauli_coords(rho) @ r.T).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -427,22 +429,6 @@ class AffineMap:
     def apply(self, stokes) -> np.ndarray:
         s = np.asarray(stokes, dtype=float).reshape(3)
         return self.matrix @ s + self.translation
-
-
-def _channel_stack(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Outputs ``sum_d K_d rho_j K_d^dag`` of a ``(B, n, 2, 2)`` Kraus stack, unchecked.
-
-    ``rho`` is one ``(2, 2)`` state or an ``(m, 2, 2)`` stack of states; one
-    state counts as a stack of one, so the result is always ``(B, m, 2, 2)``,
-    ``[b, j]`` being bench b's output for state j.  Every term of every bin
-    comes from one product, ``(B, n, m, 2, 2)`` (64 B per bin, bench and
-    state); reduced along the bin axis, which is not the innermost, numpy
-    adds one bin after another, so each sum starts at zero and adds the bins
-    in delay order, the same terms in the same order for every (b, j).
-    """
-    states = np.asarray(rho, dtype=complex).reshape(-1, 2, 2)
-    k = ops[:, :, None]
-    return np.add.reduce(k @ states @ k.conj().swapaxes(-1, -2), axis=1, initial=0)
 
 
 #: G[(i,j),(m,n)] = Tr(E_i E_m E_j E_n^dag)/2, entries 0, +-1 and +-i: the
@@ -469,11 +455,11 @@ def _tp_defects(chi: np.ndarray) -> np.ndarray:
     return np.abs(r0 @ PAULI_STACK.reshape(4, 4) - [1, 0, 0, 1]).max(axis=-1)
 
 
-def _checked_chi(ops: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def _checked_chi(ops: np.ndarray) -> np.ndarray:
     """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack; raises
     unless every bench is trace preserving."""
     chi = _chi_stack(ops)
-    _require_trace_preserving(_tp_defects(chi).max(), atol)
+    _require_trace_preserving(_tp_defects(chi).max(), 1e-12)
     return chi
 
 

@@ -37,6 +37,9 @@ _EIG_CLIP = 1e-10
 _OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 _OFF_DIAGONAL.setflags(write=False)
 
+#: a Stokes matrix with no off-diagonal entry above this is axis-aligned: its diagonal is its radii
+_AXIS_ALIGNED_ATOL = 1e-10
+
 
 def chi_from_kraus(kraus: KrausSet) -> np.ndarray:
     """Process matrix from a Kraus set.
@@ -120,7 +123,7 @@ class EllipsoidReport:
         return tuple(r < 0 for r in self.radii)
 
 
-def polar_decompose(m: np.ndarray, atol: float = 1e-10) -> EllipsoidReport:
+def polar_decompose(m: np.ndarray, atol: float = _AXIS_ALIGNED_ATOL) -> EllipsoidReport:
     """Split a 3x3 Stokes matrix into orthogonal and stretch factors.
 
     A map with no off-diagonal entry above ``atol`` is axis-aligned: it is

@@ -47,13 +47,13 @@ from .bench_sim import (
     propagate_stack,
 )
 from .channel_analysis import (
+    _AXIS_ALIGNED_ATOL,
     chi_eigenvalues,
     chi_from_kraus,
     pauli_feasible,
     polar_decompose,
 )
 from .depolarizer import (
-    _AXIS_ALIGNED_ATOL,
     DepolarizerSettings,
     _compensate,
     _radii_grid,
@@ -81,14 +81,6 @@ _SWEEP_BLOCK = 256
 
 #: longest offending value or line that an error message echoes in full
 _ECHO_CHARS = 60
-
-_KNOWN_KEYS = {
-    "mode", "preset", "element", "theta1", "theta2",
-    "theta2_start", "theta2_stop", "theta2_step",
-    "length", "length1", "length2", "angle", "rotation",
-    "tomo", "n", "seed", "counts_out", "out", "r_step", "grid_n",
-}
-
 
 class ConfigError(Exception):
     """Carries one message per configuration problem, with line numbers."""
@@ -141,6 +133,25 @@ def _finite_float(value: str) -> float:
     return number
 
 
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError(value)
+    return value.lower() == "true"
+
+
+#: every key but the repeatable ``element``, each with the parser of its value
+#: and the word that names a malformed one, in the order the values are parsed
+_KEYS = {
+    "mode": (str, "mode"), "preset": (str, "preset"),
+    **dict.fromkeys(("theta1", "theta2", "theta2_start", "theta2_stop", "theta2_step", "angle",
+                     "rotation"), (_finite_float, "angle")),
+    "seed": (int, "integer"), "counts_out": (str, "path"), "out": (str, "path"),
+    **dict.fromkeys(("length", "length1", "length2"), (_parse_length, "length")),
+    "n": (int, "integer"), "tomo": (_parse_bool, "boolean"), "r_step": (_finite_float, "number"),
+    "grid_n": (int, "integer"),
+}
+
+
 _ELEMENT_RE = re.compile(r"^(crystal|hwp|qwp)\s*\(([^()]*)\)$")
 
 
@@ -178,14 +189,14 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: expected 'key = value', got {_echo(line)}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS and key != "element":
             errors.append(f"line {lineno}: unknown key {_echo(key)}")
             continue
         pairs.append((lineno, key, value))
 
     seen: dict = {}
+    texts: dict = {}
     elements: list = []
-    values: dict = {}
     for lineno, key, value in pairs:
         if key == "element":
             el = _parse_element(value, lineno, errors)
@@ -196,87 +207,58 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: duplicate key {key!r} (first on line {seen[key]})")
             continue
         seen[key] = lineno
-        values[(lineno, key)] = value
+        texts[key] = value
 
-    def take(key, parser, kind):
-        for (lineno, k), value in values.items():
-            if k != key:
-                continue
-            try:
-                return parser(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                reason = f" ({exc})" if parser is _parse_length else ""
-                errors.append(f"line {lineno}: malformed {kind} for key {key!r}: {_echo(value)}{reason}")
-                return None
-        return None
-
-    def parse_bool(value: str) -> bool:
-        if value.lower() == "true":
-            return True
-        if value.lower() == "false":
-            return False
-        raise ValueError(value)
-
-    mode = take("mode", str, "mode")
+    # mode and preset are reported before any malformed value
+    mode, preset = texts.get("mode"), texts.get("preset")
     if mode is None:
         errors.append("missing required key: mode")
     elif mode not in MODES:
         errors.append(f"line {seen['mode']}: unknown mode {_echo(mode)} (choose from {', '.join(MODES)})")
-
-    preset = take("preset", str, "preset")
     if preset is not None and preset not in PRESETS:
         errors.append(f"line {seen['preset']}: unknown preset {_echo(preset)} "
                       f"(choose from {', '.join(PRESETS)})")
 
-    cfg_kwargs = dict(
-        theta1=take("theta1", _finite_float, "angle"),
-        theta2=take("theta2", _finite_float, "angle"),
-        theta2_start=take("theta2_start", _finite_float, "angle"),
-        theta2_stop=take("theta2_stop", _finite_float, "angle"),
-        theta2_step=take("theta2_step", _finite_float, "angle"),
-        angle=take("angle", _finite_float, "angle"),
-        rotation=take("rotation", _finite_float, "angle"),
-        seed=take("seed", int, "integer"),
-        counts_out=take("counts_out", str, "path"),
-        out=take("out", str, "path"),
-    )
-    lengths = {key: take(key, _parse_length, "length") for key in ("length", "length1", "length2")}
-    n = take("n", int, "integer")
-    tomo = take("tomo", parse_bool, "boolean")
-    r_step = take("r_step", _finite_float, "number")
-    grid_n = take("grid_n", int, "integer")
+    # keys the file leaves out keep their RunConfig defaults
+    parsed: dict = {}
+    for key, (parser, kind) in _KEYS.items():
+        if key not in texts:
+            continue
+        try:
+            parsed[key] = parser(texts[key])
+        except (ValueError, ZeroDivisionError) as exc:
+            reason = f" ({exc})" if parser is _parse_length else ""
+            errors.append(f"line {seen[key]}: malformed {kind} for key {key!r}: "
+                          f"{_echo(texts[key])}{reason}")
 
-    for key, value in lengths.items():
-        if value is not None and value <= 0:
-            errors.append(f"line {seen[key]}: {key} must be positive, got {value}")
-    if cfg_kwargs["seed"] is not None and cfg_kwargs["seed"] < 0:
-        errors.append(f"line {seen['seed']}: seed must be non-negative, got {_echo(cfg_kwargs['seed'])}")
+    for key in ("length", "length1", "length2"):
+        if key in parsed and parsed[key] <= 0:
+            errors.append(f"line {seen[key]}: {key} must be positive, got {parsed[key]}")
+    if "seed" in parsed and parsed["seed"] < 0:
+        errors.append(f"line {seen['seed']}: seed must be non-negative, got {_echo(parsed['seed'])}")
 
     if mode in MODES:
-        _validate_mode(mode, preset, elements, cfg_kwargs, seen, errors,
-                       r_step=r_step, n=n, grid_n=grid_n, tomo=tomo)
+        _validate_mode(parsed, elements, seen, errors)
 
     if errors:
         raise ConfigError(errors)
-
-    # keys the file leaves out keep their RunConfig defaults
-    given = {k: v for k, v in dict(lengths, n=n, tomo=tomo, r_step=r_step, grid_n=grid_n).items()
-             if v is not None}
-    return RunConfig(mode=mode, preset=preset, elements=tuple(elements), **cfg_kwargs, **given)
+    return RunConfig(elements=tuple(elements), **parsed)
 
 
-def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n, tomo):
+def _validate_mode(kw, elements, seen, errors):
+    """Append the errors of a config whose parsed values ``kw`` hold a known mode."""
+    mode, preset, r_step, n, grid_n = (kw.get(k) for k in ("mode", "preset", "r_step", "n", "grid_n"))
     needs_bench = mode in ("simulate", "tomo")
     if needs_bench:
         if preset is None and not elements:
             errors.append(f"mode {mode!r} needs a 'preset' or inline 'element' lines")
         if preset is not None and elements:
             errors.append("preset and inline elements are mutually exclusive")
-        if preset == "fig1" and kw["theta2"] is None:
+        if preset == "fig1" and "theta2" not in kw:
             errors.append("preset fig1 requires 'theta2'")
-        if preset == "two_crystal" and kw["angle"] is None:
+        if preset == "two_crystal" and "angle" not in kw:
             errors.append("preset two_crystal requires 'angle'")
-        if preset == "rotated_crystals" and kw["rotation"] is None:
+        if preset == "rotated_crystals" and "rotation" not in kw:
             errors.append("preset rotated_crystals requires 'rotation'")
     if not needs_bench and elements:
         errors.append(f"inline elements are not supported in {mode!r} mode")
@@ -286,7 +268,7 @@ def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n, 
     if mode == "sweep":
         if preset not in (None, "fig1"):
             errors.append("sweep mode supports only the fig1 preset")
-        missing = [k for k in ("theta2_start", "theta2_stop", "theta2_step") if kw[k] is None]
+        missing = [k for k in ("theta2_start", "theta2_stop", "theta2_step") if k not in kw]
         if missing:
             errors.append(f"sweep mode requires {', '.join(missing)}")
         else:
@@ -305,7 +287,7 @@ def _validate_mode(mode, preset, elements, kw, seen, errors, r_step, n, grid_n, 
         elif math.ceil(min((1.0 + r_step / 2 + 1.0) / r_step, _MAX_GRID_POINTS)) ** 2 > _MAX_GRID_POINTS:
             errors.append(f"line {seen['r_step']}: feasibility grid of more than {_MAX_GRID_POINTS} "
                           "points exceeds the limit; increase r_step")
-    runs_tomography = mode == "tomo" or (mode == "sweep" and tomo)
+    runs_tomography = mode == "tomo" or (mode == "sweep" and kw.get("tomo"))
     if runs_tomography and n is not None and n < 1:
         errors.append(f"line {seen['n']}: n must be at least 1 for tomography")
     if runs_tomography and n is not None and n > MAX_SHOTS:

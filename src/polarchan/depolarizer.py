@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bench_sim import BenchConfig, Crystal, Waveplate, affine_map, propagate
+from .channel_analysis import _AXIS_ALIGNED_ATOL, _OFF_DIAGONAL
 
 __all__ = [
     "DegenerateLengthRatioWarning",
@@ -54,10 +55,6 @@ __all__ = [
 #: built-in reflections along S2 and S3 when applied after (or before) it.
 REFLECTION_COMPENSATION = np.diag([1.0, -1.0, -1.0])
 REFLECTION_COMPENSATION.setflags(write=False)
-
-#: compensated Stokes matrices with no off-diagonal entry above this are
-#: axis-aligned: their diagonal is the signed radii (polar_decompose's atol)
-_AXIS_ALIGNED_ATOL = 1e-10
 
 
 class DegenerateLengthRatioWarning(UserWarning):
@@ -218,20 +215,19 @@ def _compensate(matrices: np.ndarray) -> tuple:
     """Compensated Stokes matrices ``(..., 3, 3)``, their diagonals and their
     largest off-diagonal magnitudes, to compare with ``_AXIS_ALIGNED_ATOL``."""
     compensated = REFLECTION_COMPENSATION @ matrices
-    off = np.abs(compensated[..., ~np.eye(3, dtype=bool)]).max(axis=-1)
+    off = np.abs(compensated[..., _OFF_DIAGONAL]).max(axis=-1)
     return compensated, np.diagonal(compensated, axis1=-2, axis2=-1), off
 
 
-def simulated_radii(bench: BenchConfig, check_diagonal: bool = True) -> np.ndarray:
+def simulated_radii(bench: BenchConfig) -> np.ndarray:
     """Signed radii of a bench via brute-force simulation plus compensation.
 
     Applies the fixed S2/S3 reflection compensation to the simulated Stokes
-    matrix and returns its diagonal.  With ``check_diagonal`` the residual
-    off-diagonal magnitude must stay within 1e-10, guaranteeing the diagonal
-    is the whole story.
+    matrix and returns its diagonal.  The residual off-diagonal magnitude
+    must stay within 1e-10, guaranteeing the diagonal is the whole story.
     """
     _, radii, off = _compensate(affine_map(propagate(bench)).matrix)
-    if check_diagonal and off > _AXIS_ALIGNED_ATOL:
+    if off > _AXIS_ALIGNED_ATOL:
         raise ValueError(
             f"compensated map is not axis-aligned (off-diagonal {off:.3g}); "
             "signed radii are not defined for this bench"
@@ -244,13 +240,11 @@ def reachable_region_scan(grid_n: int = 451) -> np.ndarray:
 
     The grid covers theta1, theta2 in [0, 45] degrees; 451 points per axis
     (0.1 degree steps) resolve the region boundary at plot scale.  Returns
-    an array of shape (grid_n**2, 2).
+    an array of shape (grid_n**2, 2), the values the ``region`` mode writes.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    angles = np.linspace(0.0, 45.0, grid_n)
-    t1, t2 = np.meshgrid(angles, angles, indexing="ij")
-    r1, r2, _ = radii_closed_form(t1, t2)
+    r1, r2 = _radii_grid(np.linspace(0.0, 45.0, grid_n).tolist())
     return np.column_stack([r1.ravel(), r2.ravel()])
 
 

@@ -150,7 +150,7 @@ class CountRecord:
     seed: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _int64_counts(self.counts)
         labels = tuple(self.input_labels)
         if counts.ndim != 2 or counts.shape[1] != len(PROJECTOR_LABELS):
             raise ValueError(f"count table must be (n, 6), got {counts.shape}")
@@ -229,6 +229,8 @@ class CountRecord:
                 row[pr_label] = int(value)
             except ValueError:
                 raise ValueError(f"line {number}: counts must be an integer, got {line!r}") from None
+            if not -2 ** 63 <= row[pr_label] < 2 ** 63:
+                raise ValueError(f"line {number}: counts must fit in 64 bits, got {line!r}")
         if len(meta) != 2:
             raise ValueError("missing '# N=' or '# seed=' metadata")
         labels = tuple(rows)
@@ -239,6 +241,20 @@ class CountRecord:
                     raise ValueError(f"incomplete table: missing ({in_label}, {pr_label})")
                 table[i, j] = rows[in_label][pr_label]
         return cls(table, labels, meta["N"], meta["seed"])
+
+
+def _int64_counts(counts) -> np.ndarray:
+    """``counts`` as int64; other tables must be bool, integer or float and hold whole
+    numbers within 64 bits, so that the cast truncates and wraps nothing."""
+    table = np.asarray(counts)
+    if table.dtype == np.int64:
+        return table
+    if table.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):  # the cast of nan, inf or a float past 2**63
+            exact = table.astype(np.int64)
+        if (exact == table).all():
+            return exact
+    raise ValueError(f"counts must be integers that fit in 64 bits, got a {table.dtype} table")
 
 
 def _csv_safe_label(label) -> bool:

@@ -39,7 +39,8 @@ def restyled_bench(rng: np.random.Generator, bench: BenchConfig) -> BenchConfig:
 
 
 def reference_channel(operators, rho) -> np.ndarray:
-    """The per-state loop of apply_channel before it was stacked: zeros, then bins in order."""
+    """The Kraus sum sum_d K_d rho K_d^dag of one state, by a loop: zeros, then bins in
+    order.  The independent reference for apply_channel, which reads chi instead."""
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros((2, 2), dtype=complex)
     for k in operators:

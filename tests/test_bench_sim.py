@@ -17,7 +17,6 @@ from polarchan.bench_sim import (
     Crystal,
     KrausSet,
     Waveplate,
-    _channel_stack,
     _checked_chi,
     _chi_stack,
     _gather_plan,
@@ -56,7 +55,6 @@ from conftest import (
     reference_probability_table,
     reference_propagate,
     reference_transfer,
-    restyled_bench,
     same_bits,
 )
 
@@ -335,34 +333,54 @@ def test_delay_bins_capped_before_propagation():
 
 
 # ---------------------------------------------------------------------------
-# one pass over the delay bins for a whole stack of states
+# channel outputs, read off chi
 # ---------------------------------------------------------------------------
 
 def random_states(rng, m):
     states = [density_from_stokes(random_physical_stokes(rng)) for _ in range(m)]
-    # signed zeros in the input must reach every product as they did one state at a time
+    # signed zeros in the input
     states.append(np.array([[1.0, -0.0], [0.0, -0.0]], dtype=complex))
     return np.stack(states)
 
 
+def channel_bound(kraus) -> float:
+    """How far apply_channel may sit from the per-state K rho K^dag loop: the
+    two round differently, by 1e-15 plus one unit of roundoff per delay bin."""
+    return 1e-15 + len(kraus) * 2.0 ** -52
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 5))
-def test_channel_stack_matches_per_state_loop(seed, n_benches, m):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_apply_channel_matches_per_state_loop(seed, m):
     rng = np.random.default_rng(seed)
-    first = random_bench(rng)
-    benches = [first] + [restyled_bench(rng, first) for _ in range(n_benches - 1)]
-    _, ops = propagate_stack(benches)
+    kraus = propagate(random_bench(rng, max_elements=10))
     states = random_states(rng, m)
-    outs = _channel_stack(ops, states)
-    assert outs.shape == (n_benches, m + 1, 2, 2)
-    for b, bench in enumerate(benches):
-        kraus = propagate(bench)
-        for j, rho in enumerate(states):
-            # zero bins included or not, the per-state loop gives the same bits
-            assert same_bits(outs[b, j], reference_channel(ops[b], rho))
-            assert same_bits(apply_channel(kraus, rho), reference_channel(kraus.operators, rho))
-    # one (2, 2) state is a stack of one
-    assert same_bits(_channel_stack(ops, states[0]), outs[:, :1])
+    for rho in states:
+        out = apply_channel(kraus, rho)
+        assert out.shape == (2, 2)
+        assert np.abs(out - reference_channel(kraus.operators, rho)).max() <= channel_bound(kraus)
+    # a stack of states has more than one output
+    with pytest.raises(ValueError):
+        apply_channel(kraus, states)
+
+
+def test_apply_channel_at_the_bin_cap_allocates_no_bin_sized_temporary():
+    rng = np.random.default_rng(5)
+    bench = BenchConfig(tuple(Crystal(2 ** i, float(rng.uniform(0, 180))) for i in range(16)))
+    kraus = propagate(bench)
+    assert len(kraus) == MAX_DELAY_BINS
+    rho = density_from_stokes(random_physical_stokes(rng))
+    first = apply_channel(kraus, rho)  # computes and keeps the set's chi
+    tracemalloc.start()
+    try:
+        second = apply_channel(kraus, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one product over the bins would take 65,536 * 64 B = 4 MiB
+    assert peak < 64 * 1024
+    assert same_bits(first, second)
+    assert np.abs(second - reference_channel(kraus.operators, rho)).max() <= channel_bound(kraus)
 
 
 def test_kraus_stack_built_once_and_read_only():
@@ -541,17 +559,17 @@ def test_byte_identity_at_scale(n_crystals, count):
     delays, ops = propagate_stack(benches)
     assert len(delays) == 2 ** n_crystals and ops.shape == (count, 2 ** n_crystals, 2, 2)
     states = random_states(rng, 3)
-    outs = _channel_stack(ops, states)
     for b, bench in enumerate(benches):
         ref_delays, ref_ops = reference_transfer(bench)
         assert list(delays) == ref_delays
         assert same_bits(ops[b], np.array(ref_ops))
-        for j, rho in enumerate(states):
-            assert same_bits(outs[b, j], reference_channel(ops[b], rho))
         kraus = propagate(bench)
         kept_delays, kept_ops = reference_propagate(bench)
         assert list(kraus.delays) == kept_delays
         assert same_bits(kraus.as_stack()[0], np.array(kept_ops).reshape(-1, 2, 2))
+        for rho in states:
+            assert (np.abs(apply_channel(kraus, rho) - reference_channel(ops[b], rho)).max()
+                    <= channel_bound(kraus))
         assert np.abs(probability_table(kraus) - reference_probability_table(
             kraus, preparation_states(), analysis_projectors())).max() <= 2e-15
 
@@ -567,7 +585,7 @@ def test_ptm_is_the_channel_on_the_pauli_basis(benches):
     chi = _chi_stack(ops)
     r = _ptm_stack(chi)
     # R_ij = Tr(E_i E(E_j)) / 2, straight from the channel outputs
-    images = _channel_stack(ops, np.stack(PAULI_BASIS))
+    images = np.array([[reference_channel(bench_ops, e) for e in PAULI_BASIS] for bench_ops in ops])
     direct = np.einsum("ixy,bjyx->bij", np.stack(PAULI_BASIS), images).real / 2
     assert np.abs(r - direct).max() <= 1e-14
     # each bench gets the bits it gets alone

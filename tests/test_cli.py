@@ -98,6 +98,33 @@ def test_parse_duplicate_key():
     assert any("duplicate key" in m for m in err.value.errors)
 
 
+def test_parse_reports_every_fault_in_order():
+    # line faults in file order, then mode and preset, then malformed values in
+    # key order, then out-of-range values, then the mode's own checks
+    text = (
+        "grid_n = many\ntomo = maybe\nwibble = 1\nelement = prism(3)\nlength2 = 0\n"
+        "theta1 = nan\nseed = -4\njust some words\nmode = sweep\npreset = fig9\n"
+        "theta2_step = 1\ntheta2_step = 2\ntheta2_start = 10\ntheta2_stop = 5\nlength = 1/0\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == [
+        "line 3: unknown key 'wibble'",
+        "line 8: expected 'key = value', got 'just some words'",
+        "line 4: malformed element 'prism(3)' (expected crystal(length, angle), hwp(angle) or qwp(angle))",
+        "line 12: duplicate key 'theta2_step' (first on line 11)",
+        "line 10: unknown preset 'fig9' (choose from fig1, lyot, two_crystal, rotated_crystals)",
+        "line 6: malformed angle for key 'theta1': 'nan'",
+        "line 15: malformed length for key 'length': '1/0' (Fraction(1, 0))",
+        "line 2: malformed boolean for key 'tomo': 'maybe'",
+        "line 1: malformed integer for key 'grid_n': 'many'",
+        "line 5: length2 must be positive, got 0",
+        "line 7: seed must be non-negative, got -4",
+        "sweep mode supports only the fig1 preset",
+        "line 11: degenerate range (step 1.0, start 10.0, stop 5.0)",
+    ]
+
+
 def test_parse_inline_elements():
     cfg = parse_config(
         "mode = simulate\nelement = crystal(3/2, 0)\nelement = hwp(22.5)\nelement = qwp(45)\n"
@@ -716,7 +743,7 @@ _VALUES = {
     "out": st.sampled_from(["@/out.csv", "@/missing/out.csv", "@", ""]),
     "counts_out": st.sampled_from(["@/counts.csv", "@/missing/counts.csv", "@", ""]),
 }
-assert set(_VALUES) == cli._KNOWN_KEYS
+assert set(_VALUES) == {*cli._KEYS, "element"}
 
 _ODD_LINE = st.one_of(
     st.tuples(st.sampled_from(_UNKNOWN_KEYS), _number_text(st.integers())).map(" = ".join),

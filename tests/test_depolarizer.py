@@ -199,6 +199,14 @@ def test_two_crystal_examples():
     assert np.abs(np.abs(twenty.radii) - np.abs(twenty.radii)[0]).max() > 0.01  # not a sphere
 
 
+@pytest.mark.parametrize("grid_n", [2, 46, 76, 109, 451])
+def test_region_scan_is_the_region_grid(grid_n):
+    # the scan and `polarchan region` read one grid, so their values agree bit for bit
+    r1, r2 = _radii_grid(np.linspace(0.0, 45.0, grid_n).tolist())
+    points = reachable_region_scan(grid_n)
+    assert same_bits(points, np.column_stack([r1.ravel(), r2.ravel()]))
+
+
 def test_region_scan_properties():
     points = reachable_region_scan(61)
     assert points.shape == (61 * 61, 2)

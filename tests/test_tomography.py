@@ -183,6 +183,25 @@ def test_count_record_rejects_repeated_labels(labels):
         CountRecord(np.ones((len(labels), 6), int), labels, 10, 1)
 
 
+@pytest.mark.parametrize("table", [
+    [[1.5, 0, 0, 0, 0, 0]],
+    [[np.nan, 0, 0, 0, 0, 0]],
+    [[2.0 ** 63, 0, 0, 0, 0, 0]],
+    np.array([[2 ** 63, 0, 0, 0, 0, 0]], dtype=np.uint64),
+    [[2 ** 64, 0, 0, 0, 0, 0]],
+    [["3", 0, 0, 0, 0, 0]],
+], ids=["fraction", "nan", "float_past_int64", "uint_past_int64", "int_past_uint64", "text"])
+def test_count_record_rejects_counts_a_cast_would_change(table):
+    # an int64 cast would truncate, wrap or parse these
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="counts must be integers that fit in 64 bits"):
+            CountRecord(table, ("a",), 10, 1)
+    # whole numbers in another dtype are still counts
+    assert same_bits(CountRecord([[3.0, 0, 0, 0, 0, True]], ("a",), 10, 1).counts,
+                     np.array([[3, 0, 0, 0, 0, 1]], dtype=np.int64))
+
+
 @pytest.mark.parametrize("label", [
     "", "#H", "H,x", "H\nV", "H\r", "H\r\nV", " H", "H ", "\tH", "H\x1c", "H\u2028V", 7,
 ], ids=["empty", "comment", "comma", "newline", "carriage_return", "crlf", "leading_space",
@@ -287,10 +306,11 @@ def test_counts_do_not_depend_on_roundoff_residues(monkeypatch):
     ("H,7", r"line 5: expected input,projector,counts, got 'H,7'"),
     ("H,V,1,2", r"line 5: expected input,projector,counts, got 'H,V,1,2'"),
     ("H,V,seven", r"line 5: counts must be an integer, got 'H,V,seven'"),
+    ("H,V,99999999999999999999999", r"line 5: counts must fit in 64 bits, got 'H,V,9{23}'"),
     (",V,1", r"line 5: bad input label '' in ',V,1'"),
     ("H ,V,1", r"line 5: bad input label 'H ' in 'H ,V,1'"),
 ], ids=["duplicate", "unknown_projector", "two_fields", "four_fields", "not_an_integer",
-        "empty_label", "label_with_trailing_space"])
+        "past_int64", "empty_label", "label_with_trailing_space"])
 def test_count_record_csv_rejects_malformed_lines(bad_line, message):
     lines = simulate_counts(identity_kraus(), TomoSettings(shots=10, seed=1)).to_csv_text().splitlines()
     if bad_line != "H,H,999":
