@@ -85,7 +85,7 @@ _P_FLOOR = 1e-12
 #: _RADIUS_GROW after a good step (ratio above 3/4) that reached it.
 #: _RADIUS_SHRINK * _RADIUS_SLACK < 1, so rejected steps get shorter.  A step
 #: is accepted at a ratio above _ACCEPT_RATIO.  The shift never falls below
-#: _MU_FLOOR times the Hessian's spectral radius, and a predicted decrease
+#: _MU_FLOOR times the projected Hessian's spectral radius, and a predicted decrease
 #: below _NLL_RESOLUTION relative to the NLL is one that no step can show.
 _RADIUS_START, _RADIUS_SHRINK, _RADIUS_GROW, _RADIUS_SLACK = 0.1, 0.25, 2.0, 1.5
 _ACCEPT_RATIO = 1e-4
@@ -119,10 +119,14 @@ class TomoSettings:
 
     def __post_init__(self):
         _check_shots_and_seed(self.shots, self.seed)
-        if self.nll_rel_tol <= 0:
-            raise ValueError("nll_rel_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        tol, limit = self.nll_rel_tol, self.max_iterations
+        # written so that NaN fails too
+        if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+            raise ValueError(f"nll_rel_tol must be positive and finite, got {tol!r}")
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {limit!r}")
+        if limit < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {limit}")
 
 
 def _check_shots_and_seed(shots, seed=0) -> None:
@@ -229,7 +233,9 @@ class CountRecord:
                 row[pr_label] = int(value)
             except ValueError:
                 raise ValueError(f"line {number}: counts must be an integer, got {line!r}") from None
-            if not -2 ** 63 <= row[pr_label] < 2 ** 63:
+            if row[pr_label] < 0:
+                raise ValueError(f"line {number}: counts must be nonnegative, got {line!r}")
+            if row[pr_label] >= 2 ** 63:
                 raise ValueError(f"line {number}: counts must fit in 64 bits, got {line!r}")
         if len(meta) != 2:
             raise ValueError("missing '# N=' or '# seed=' metadata")
@@ -240,14 +246,22 @@ class CountRecord:
                 if pr_label not in rows[in_label]:
                     raise ValueError(f"incomplete table: missing ({in_label}, {pr_label})")
                 table[i, j] = rows[in_label][pr_label]
-        return cls(table, labels, meta["N"], meta["seed"])
+        return cls(_frozen(table), labels, meta["N"], meta["seed"])
 
 
 def _int64_counts(counts) -> np.ndarray:
-    """``counts`` as int64; other tables must be bool, integer or float and hold whole
-    numbers within 64 bits, so that the cast truncates and wraps nothing."""
+    """``counts`` as an int64 table of the record's own; other tables must be bool,
+    integer or float and hold whole numbers within 64 bits, so that the cast
+    truncates and wraps nothing.
+
+    A caller's int64 array is copied, so that freezing the record's table leaves
+    the caller's writable.  A read-only array that owns its data, as
+    simulate_counts and the CSV reader pass, is kept as it is.
+    """
     table = np.asarray(counts)
     if table.dtype == np.int64:
+        if table is counts and (table.flags.writeable or not table.flags.owndata):
+            return table.copy()
         return table
     if table.dtype.kind in "biuf":
         with np.errstate(invalid="ignore"):  # the cast of nan, inf or a float past 2**63
@@ -327,14 +341,14 @@ def simulate_counts(
     counts = _poisson_table(settings.seed, stream, settings.shots * probs)
     if input_labels is None:
         input_labels = tuple(f"in{i}" for i in range(probs.shape[0]))
-    return CountRecord(counts, tuple(input_labels), settings.shots, settings.seed)
+    return CountRecord(_frozen(counts), tuple(input_labels), settings.shots, settings.seed)
 
 
 def simulate_state_counts(rho: np.ndarray, settings: TomoSettings, *, stream: int = 0) -> CountRecord:
     """Single-state analog: measure one state against the six projectors."""
     probs = _born_table(_pauli_coords(np.reshape(rho, (2, 2))), _PROJECTOR_COORDS)
     counts = _poisson_table(settings.seed, stream, settings.shots * probs)
-    return CountRecord(counts, ("state",), settings.shots, settings.seed)
+    return CountRecord(_frozen(counts), ("state",), settings.shots, settings.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -444,50 +458,51 @@ def _nll_terms(params, forms, counts, shots) -> tuple:
     so Tr(T^2) = dim params.params = dim tau and
     p_s = Re Tr(A_s^T X) = params^T Q_s params / tau, for X = T^2 / Tr(T^2),
     with the fixed symmetric forms Q_s stacked in ``forms`` (see
-    _quadratic_forms).  Returns v_s = Q_s params, tau, p and
-    w_s = dNLL/dp_s = N - n_s/p_s; a setting at the probability floor has a
-    constant log term there, so its w_s is N.
+    _quadratic_forms).  Returns v_s = Q_s params, tau, p,
+    w_s = dNLL/dp_s = N - n_s/p_s and p floored at _P_FLOOR; a setting at the
+    floor has a constant log term there, so its w_s is N.
     """
     v = (forms @ params).reshape(-1, params.size)
     tau = params @ params
     p = v @ params / tau
-    w = np.where(p > _P_FLOOR, shots - counts / np.maximum(p, _P_FLOOR), shots)
-    return v, tau, p, w
+    floored = np.maximum(p, _P_FLOOR)
+    w = np.where(p > _P_FLOOR, shots - counts / floored, shots)
+    return v, tau, p, w, floored
 
 
 def _nll_and_grad(params, forms, counts, shots):
-    """Poisson NLL sum_s [N p_s - n_s log(N p_s)] and its parameter gradient
-    (2/tau)(sum_s w_s v_s - (w.p) params), in the terms of _nll_terms.
+    """Poisson NLL sum_s [N p_s - n_s log(N p_s)], its parameter gradient
+    (2/tau)(sum_s w_s v_s - (w.p) params) and the terms of _nll_terms it was
+    built from, which _nll_hessian and the optimality gap read.
 
     Settings with no counts contribute no log term, so a zero-shot record
     gives a finite NLL without a log(0).
     """
-    v, tau, p, w = _nll_terms(params, forms, counts, shots)
-    logs = np.log(shots * np.maximum(p, _P_FLOOR), where=counts > 0, out=np.zeros(p.shape))
+    terms = _nll_terms(params, forms, counts, shots)
+    v, tau, p, w, floored = terms
+    logs = np.log(shots * floored, where=counts > 0, out=np.zeros(p.shape))
     nll = float((shots * p - counts * logs).sum())
-    return nll, (2.0 / tau) * (w @ v - (w @ p) * params)
+    return nll, (2.0 / tau) * (w @ v - (w @ p) * params), terms
 
 
-def _nll_hessian(params, forms, counts, shots):
-    """Exact parameter Hessian of the NLL of _nll_and_grad.
+def _nll_hessian(terms, forms, counts, shots):
+    """The part of the NLL's parameter Hessian that the tangent space of
+    |params| = const keeps, from the terms of _nll_and_grad.
 
     With g_s = grad p_s = (2/tau)(v_s - p_s params), the Hessian of p_s is
     (2/tau)(Q_s - p_s I - params g_s^T - g_s params^T), so with c_s = n_s/p_s^2
     (0 at the floor, whose log term is constant) the NLL's is
-    sum_s w_s hess p_s + sum_s c_s g_s g_s^T
-    = (2/tau)(sum_s w_s Q_s - (w.p) I)
-      + (4/tau^2)(sum_s c_s v_s v_s^T - params a^T - a params^T),
-    a = sum_s (c_s p_s + w_s) v_s - (sum_s c_s p_s^2 / 2 + w.p) params.
+    H = sum_s w_s hess p_s + sum_s c_s g_s g_s^T.  Every term with a factor
+    params or params^T vanishes under P = I - params params^T / tau, so
+    P H P = P B P for the B returned here,
+    B = (2/tau)(sum_s w_s Q_s - (w.p) I) + (4/tau^2) sum_s c_s v_s v_s^T.
     """
-    v, tau, p, w = _nll_terms(params, forms, counts, shots)
-    n = params.size
-    c = (shots - w) / np.maximum(p, _P_FLOOR)
-    wp = w @ p
-    a = np.outer(params, (c * p + w) @ v - (0.5 * (c @ (p * p)) + wp) * params)
-    u = v * np.sqrt(c)[:, None]  # u^T u = sum_s c_s v_s v_s^T, symmetric in every bit
+    v, tau, p, w, floored = terms
+    n = v.shape[1]
+    u = v * (np.sqrt(np.where(p > _P_FLOOR, counts, 0.0)) / floored)[:, None]
     hess = (2.0 / tau) * (w @ forms.reshape(-1, n * n)).reshape(n, n)
-    hess += (4.0 / (tau * tau)) * (u.T @ u - (a + a.T))
-    hess.flat[::n + 1] -= (2.0 / tau) * wp
+    hess += (4.0 / (tau * tau)) * (u.T @ u)  # u^T u is symmetric in every bit
+    hess.flat[::n + 1] -= (2.0 / tau) * (w @ p)
     return hess
 
 
@@ -528,55 +543,104 @@ def _root_seed(estimate: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.maximum(vals, 1e-8))) @ vecs.conj().T
 
 
-def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, **_):
-    """Damped Newton minimisation of a scale-invariant ``fun`` returning (f, grad),
-    as a ``scipy.optimize.minimize`` method.
+def _floor_step(tangent, grad, mu, radius):
+    """The step -(tangent + mu I)^-1 grad of a positive definite ``tangent``, with
+    its length and predicted NLL decrease, from one Cholesky test and one solve.
 
-    Each iteration takes one ``eigh`` of ``hess`` and steps along
-    -(H + shift I)^-1 grad with shift = max(mu, mu - lambda_min), so that the
-    shifted Hessian is positive definite and no step heads uphill.  mu is the
-    least damping whose step stays within a trust radius, found by Newton's
-    method on the step length along the same eigenvectors.  A trial step is
-    accepted when its NLL decrease is a fair share of the decrease the
-    quadratic model predicts; the radius follows that ratio.  x is
-    renormalised after every step.  The fit stops, converged, when the
-    predicted decrease is at most nll_rel_tol * max(|f|, 1) or when no step
-    lowers f, and stops unconverged after max_iterations accepted steps.
+    That is the eigen path's step at its floor shift (_eigen_stepper), and
+    this returns None wherever that path would do more: when ``tangent`` is
+    not positive definite, or when the step is longer than the trust radius
+    ``radius`` allows.
+    """
+    try:
+        np.linalg.cholesky(tangent)
+    except np.linalg.LinAlgError:
+        return None
+    step = np.linalg.solve(tangent + mu * np.eye(grad.size), grad)
+    sq = step @ step
+    length = math.sqrt(sq)
+    if not length <= _RADIUS_SLACK * radius:
+        return None
+    # sum_i coef_i^2 (lambda_i / 2 + mu) of the eigen path, with grad = (tangent + mu I) step
+    return step, length, float(0.5 * (grad @ step + mu * sq))
+
+
+def _eigen_stepper(tangent, grad, mu):
+    """The eigen path from one ``eigh`` of ``tangent``: a function of the trust
+    radius that returns the step -(tangent + shift I)^-1 grad, its length and
+    its predicted NLL decrease.
+
+    shift starts at max(mu, mu - lambda_min), so that the shifted matrix is
+    positive definite and no step heads uphill, and rises to the least shift
+    whose step stays within the radius, by Newton's method on the step length
+    along the same eigenvectors.
+    """
+    lam, vecs = np.linalg.eigh(tangent)
+    grad_eig = grad @ vecs
+    half_lam = 0.5 * lam
+    least_shift = mu - lam[0] if lam[0] < 0.0 else mu
+
+    def step(radius):
+        shift = least_shift
+        while True:
+            denom = lam + shift
+            coef = grad_eig / denom
+            sq = coef * coef
+            length = math.sqrt(sq.sum())
+            if length <= _RADIUS_SLACK * radius:
+                return vecs @ coef, length, float(sq @ (half_lam + shift))
+            # Newton's method for 1/length(shift) = 1/radius, which rises to it from below
+            shift += (length / radius - 1.0) * length * length / (sq @ (1.0 / denom))
+
+    return step
+
+
+def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, **_):
+    """Damped Newton minimisation of a scale-invariant ``fun`` returning (f, grad,
+    terms), as a ``scipy.optimize.minimize`` method; ``hess(terms, *args)`` must
+    agree with f's Hessian H on the tangent space of |x| = 1, where f varies.
+
+    Each iteration projects the Hessian on that tangent space and steps along
+    -(P H P + shift I)^-1 grad, with a floor shift mu no less than _MU_FLOOR
+    times the matrix's spectral radius.  A positive definite P H P takes its
+    step at shift mu from a Cholesky test and one solve (_floor_step).  An
+    indefinite one, a step longer than the trust radius, or a rejected trial
+    turns to one ``eigh`` and the least shift above max(mu, mu - lambda_min)
+    whose step fits the radius (_eigen_stepper).  A trial step is accepted
+    when its NLL decrease is a fair share of the decrease the quadratic model
+    predicts; the radius follows that ratio.  x is renormalised after every
+    step.  The fit stops, converged, when the predicted decrease is at most
+    nll_rel_tol * max(|f|, 1) or when no step lowers f, and stops unconverged
+    after max_iterations accepted steps.  The result carries the terms of the
+    last point.
     """
     x = x0 / math.sqrt(x0 @ x0)
-    nll, grad = fun(x, *args)
+    nll, grad, terms = fun(x, *args)
     nit, radius, converged = 0, _RADIUS_START, False
     while nit < max_iterations:
-        # f is constant along x, so steps live in the tangent space of |x| = 1:
-        # eigh takes P H P for P = I - x x^T, with x given curvature max|H|
-        h = hess(x, *args)
+        # f is constant along x, so steps live in the tangent space of |x| = 1: the
+        # solves take P h P for P = I - x x^T, with x given curvature m = max|h|; the
+        # largest absolute row sum of h bounds the spectral radius of both
+        h = hess(terms, *args)
+        abs_h = np.abs(h)
         hx = h @ x
-        a = np.outer(x, hx - 0.5 * (x @ hx + np.abs(h).max()) * x)
-        lam, vecs = np.linalg.eigh(h - (a + a.T))
-        grad_eig = grad @ vecs
-        half_lam = 0.5 * lam
-        lam_min = float(lam[0])
-        mu = _MU_FLOOR * max(-lam_min, float(lam[-1])) + _TINY
-        least_shift = mu - lam_min if lam_min < 0.0 else mu
+        a = np.outer(x, hx - 0.5 * (x @ hx + abs_h.max()) * x)
+        tangent = h - (a + a.T)
+        mu = _MU_FLOOR * abs_h.sum(axis=1).max() + _TINY
         scale = max(abs(nll), 1.0)
+        step = _floor_step(tangent, grad, mu, radius)
+        eigen_step = None
         while True:
-            shift = least_shift
-            while True:
-                denom = lam + shift
-                coef = grad_eig / denom
-                sq = coef * coef
-                length = math.sqrt(sq.sum())
-                if length <= _RADIUS_SLACK * radius:
-                    break
-                # Newton's method for 1/length(shift) = 1/radius, which rises to it from below
-                shift += (length / radius - 1.0) * length * length / (sq @ (1.0 / denom))
-            predicted = float(sq @ (half_lam + shift))
+            if step is None:
+                eigen_step = eigen_step or _eigen_stepper(tangent, grad, mu)
+                step = eigen_step(radius)
+            direction, length, predicted = step
             if predicted <= nll_rel_tol * scale:
                 converged = True
                 break
-            trial = x - vecs @ coef
+            trial = x - direction
             trial /= math.sqrt(trial @ trial)
-            trial_nll, trial_grad = fun(trial, *args)
+            trial_nll, trial_grad, trial_terms = fun(trial, *args)
             ratio = (nll - trial_nll) / predicted
             if not ratio >= 0.25:  # NaN counts as poor
                 radius = _RADIUS_SHRINK * length
@@ -587,11 +651,12 @@ def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, 
             if predicted <= _NLL_RESOLUTION * scale:
                 converged = True  # no step lowers the NLL
                 break
+            step = None
         if converged:
             break
-        x, nll, grad = trial, trial_nll, trial_grad
+        x, nll, grad, terms = trial, trial_nll, trial_grad, trial_terms
         nit += 1
-    return OptimizeResult(x=x, fun=nll, nit=nit, success=converged)
+    return OptimizeResult(x=x, fun=nll, nit=nit, success=converged, terms=terms)
 
 
 def _mle_minimize(a_tensor_fn, counts, shots, estimate, settings) -> dict:
@@ -620,7 +685,7 @@ def _mle_minimize(a_tensor_fn, counts, shots, estimate, settings) -> dict:
                             "nll_rel_tol": settings.nll_rel_tol})
     t = (res.x @ strings).reshape(dim, dim)
     gram = t @ t
-    _, _, p, w = _nll_terms(res.x, *args)
+    _, _, p, w, _ = res.terms
     m = (w @ a_tensor.reshape(w.size, -1)).reshape(dim, dim)
     gap = w @ p - np.linalg.eigvalsh(0.5 * (m.T + m.conj()))[0]
     return dict(matrix=gram / np.trace(gram).real, nll=float(res.fun),

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, normalize_delays
 from polarchan.channel_analysis import EllipsoidReport, pauli_feasible
 from polarchan.depolarizer import _radii_grid, in_reachable_region
 from polarchan.polar_core import KET_H, KET_P, KET_R, KET_V, PAULI_BASIS, ket_projector, rotation2
+
+
+# hypothesis draws fresh examples on every run; CI passes --hypothesis-profile=ci,
+# which derives them from each test instead, so that a CI run can be repeated
+settings.register_profile("ci", derandomize=True)
 
 
 def random_physical_stokes(rng: np.random.Generator) -> np.ndarray:
@@ -178,6 +184,27 @@ def reference_root_nll_and_grad(params, a_tensor, counts, shots, dim):
     b = np.einsum("s,smn->nm", w, a_tensor)
     d = t @ b + b @ t - 2.0 * (w @ p) * t
     return nll, np.einsum("kmn,nm->k", strings, d).real / tau
+
+
+def reference_nll_hessian(params, forms, counts, shots):
+    """The full parameter Hessian of the NLL over the forms Q_s, one setting at a time:
+    sum_s w_s hess p_s + sum_s (n_s/p_s^2) grad p_s grad p_s^T, with
+    grad p_s = (2/tau)(Q_s params - p_s params) and
+    hess p_s = (2/tau)(Q_s - p_s I - params grad p_s^T - grad p_s params^T).  A setting
+    at the 1e-12 floor has a constant log term there, so it adds N hess p_s alone."""
+    n = params.size
+    tau = params @ params
+    hess = np.zeros((n, n))
+    for q, count in zip(forms.reshape(-1, n, n), counts):
+        v = q @ params
+        p = v @ params / tau
+        g = (2.0 / tau) * (v - p * params)
+        hess_p = (2.0 / tau) * (q - p * np.eye(n) - np.outer(params, g) - np.outer(g, params))
+        if p > 1e-12:
+            hess += (shots - count / p) * hess_p + (count / (p * p)) * np.outer(g, g)
+        else:
+            hess += shots * hess_p
+    return hess
 
 
 def reference_stokes(row) -> np.ndarray:

@@ -61,6 +61,7 @@ from conftest import (
     random_physical_stokes,
     reference_counts,
     reference_nll_and_grad,
+    reference_nll_hessian,
     reference_pauli_strings,
     reference_probability_table,
     reference_hermitian_basis,
@@ -267,6 +268,51 @@ def test_shots_and_seed_are_integers_in_range(shots, seed, message):
                 qpt_mle(np.ones((4, 6)), shots=shots)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("nll_rel_tol", np.nan, "nll_rel_tol must be positive and finite, got nan"),
+    ("nll_rel_tol", np.inf, "nll_rel_tol must be positive and finite, got inf"),
+    ("nll_rel_tol", 0.0, "nll_rel_tol must be positive and finite, got 0.0"),
+    ("nll_rel_tol", -1e-9, "nll_rel_tol must be positive and finite, got -1e-09"),
+    ("nll_rel_tol", "1e-9", "nll_rel_tol must be positive and finite, got '1e-9'"),
+    ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+    ("max_iterations", True, "max_iterations must be an integer, got True"),
+    ("max_iterations", 10.0, "max_iterations must be an integer, got 10.0"),
+    ("max_iterations", 0, "max_iterations must be at least 1, got 0"),
+], ids=["tol_nan", "tol_inf", "tol_zero", "tol_negative", "tol_text", "limit_fraction", "limit_bool",
+        "limit_float", "limit_zero"])
+def test_settings_refuse_bad_stopping_criteria(field, value, message):
+    # an infinite tolerance used to stop every fit at its seed, reported as converged
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TomoSettings(**{field: value})
+
+
+def test_numpy_numbers_are_stopping_criteria():
+    strict = TomoSettings(nll_rel_tol=np.float32(1e-6), max_iterations=np.int64(1))
+    assert qpt_mle(probability_table(fig1_kraus(15.0)) * 10_000, shots=10_000, settings=strict).iterations <= 1
+
+
+def test_count_record_keeps_the_callers_table_writable(monkeypatch):
+    from polarchan import tomography
+
+    table = np.ones((1, 6), np.int64)
+    rec = CountRecord(table, ("a",), 10, 1)
+    assert table.flags.writeable and not rec.counts.flags.writeable
+    table[0, 0] = 5
+    assert rec.counts[0, 0] == 1
+    # a read-only view is copied as well: its base can still change
+    view = table.view()
+    view.setflags(write=False)
+    rec = CountRecord(view, ("a",), 10, 1)
+    table[0, 0] = 7
+    assert rec.counts[0, 0] == 5
+    # simulate_counts hands its own frozen table over without a copy
+    drawn = []
+    poisson_table = tomography._poisson_table
+    monkeypatch.setattr(tomography, "_poisson_table", lambda *args: drawn.append(poisson_table(*args)) or drawn[-1])
+    assert simulate_counts(identity_kraus(), TomoSettings(shots=10)).counts is drawn[-1]
+    assert simulate_state_counts(ket_projector(KET_H), TomoSettings(shots=10)).counts is drawn[-1]
+
+
 def test_numpy_integers_are_shots_and_seeds():
     settings_ = TomoSettings(shots=np.int64(100), seed=np.uint32(7))
     rec = simulate_counts(identity_kraus(), settings_)
@@ -307,10 +353,12 @@ def test_counts_do_not_depend_on_roundoff_residues(monkeypatch):
     ("H,V,1,2", r"line 5: expected input,projector,counts, got 'H,V,1,2'"),
     ("H,V,seven", r"line 5: counts must be an integer, got 'H,V,seven'"),
     ("H,V,99999999999999999999999", r"line 5: counts must fit in 64 bits, got 'H,V,9{23}'"),
+    ("H,V,-1", r"line 5: counts must be nonnegative, got 'H,V,-1'"),
+    ("H,V,-99999999999999999999999", r"line 5: counts must be nonnegative, got 'H,V,-9{23}'"),
     (",V,1", r"line 5: bad input label '' in ',V,1'"),
     ("H ,V,1", r"line 5: bad input label 'H ' in 'H ,V,1'"),
 ], ids=["duplicate", "unknown_projector", "two_fields", "four_fields", "not_an_integer",
-        "past_int64", "empty_label", "label_with_trailing_space"])
+        "past_int64", "negative", "negative_past_int64", "empty_label", "label_with_trailing_space"])
 def test_count_record_csv_rejects_malformed_lines(bad_line, message):
     lines = simulate_counts(identity_kraus(), TomoSettings(shots=10, seed=1)).to_csv_text().splitlines()
     if bad_line != "H,H,999":
@@ -403,7 +451,7 @@ def test_qst_mle_is_physical_and_beats_clipped_linear():
     root = _root_seed(linear.rho)
     vals, vecs = np.linalg.eigh(linear.rho)
     assert np.abs(root @ root - (vecs * np.maximum(vals, 1e-8)) @ vecs.conj().T).max() <= 1e-15
-    nll_clipped, _ = _nll_and_grad(params_of(root), nll_forms(2)[1], rec.counts[0].astype(float), 200.0)
+    nll_clipped = _nll_and_grad(params_of(root), nll_forms(2)[1], rec.counts[0].astype(float), 200.0)[0]
     assert fit.nll <= nll_clipped + 1e-9
 
 
@@ -597,14 +645,14 @@ def test_nll_gradient_matches_central_differences(dim, rng):
     shots = 1000.0
     counts = rng.integers(0, int(shots) + 1, size=a_tensor.shape[0]).astype(float)
     params = full_rank_params(rng, dim)
-    _, grad = _nll_and_grad(params, forms, counts, shots)
+    grad = _nll_and_grad(params, forms, counts, shots)[1]
     h = 1e-6
     numeric = np.empty_like(params)
     for k in range(params.size):
         step = np.zeros_like(params)
         step[k] = h
-        plus, _ = _nll_and_grad(params + step, forms, counts, shots)
-        minus, _ = _nll_and_grad(params - step, forms, counts, shots)
+        plus = _nll_and_grad(params + step, forms, counts, shots)[0]
+        minus = _nll_and_grad(params - step, forms, counts, shots)[0]
         numeric[k] = (plus - minus) / (2 * h)
     assert np.abs(grad - numeric).max() <= 1e-5 * np.abs(grad).max()
 
@@ -758,7 +806,7 @@ def test_nll_and_grad_match_reference_at_roundoff(seed, dim, log_scale, shots, s
         params[0] = 10.0 ** log_scale
     counts = rng.integers(0, int(shots) + 1, size=a_tensor.shape[0]).astype(float)
     counts[rng.uniform(size=counts.size) < 0.3] = 0.0
-    nll, grad = _nll_and_grad(params, forms, counts, shots)
+    nll, grad, _ = _nll_and_grad(params, forms, counts, shots)
     # the reference runs in extended precision: its own float64 roundoff in a
     # component that cancels to 0 can exceed a bound sized for the forms
     ref_nll, ref_grad = reference_root_nll_and_grad(
@@ -796,9 +844,13 @@ def test_linear_estimates_match_reference(seed, shots):
 
 
 def reference_objective(params, forms, counts, shots):
-    """The quadratic-form objective's signature around the dense reference NLL."""
+    """The quadratic-form objective's signature around the dense reference NLL; the
+    Hessian and the optimality gap read their terms from _nll_terms."""
+    from polarchan.tomography import _nll_terms
+
     dim = math.isqrt(forms.shape[1])
-    return reference_root_nll_and_grad(params, nll_forms(dim)[0], counts, shots, dim)
+    return (*reference_root_nll_and_grad(params, nll_forms(dim)[0], counts, shots, dim),
+            _nll_terms(params, forms, counts, shots))
 
 
 def test_fits_match_reference_objective(monkeypatch):
@@ -840,6 +892,11 @@ def solver_case(seed, dim, counts_kind, shots, log_scale=0.0):
     return params, forms, counts
 
 
+def tangent_projector(params) -> np.ndarray:
+    """P = I - params params^T / tau, onto the tangent space of |params| = const."""
+    return np.eye(params.size) - np.outer(params, params) / (params @ params)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.sampled_from(["zero", "tiny", "counts"]),
        st.sampled_from([1.0, 1000.0, 1e6]))
@@ -847,7 +904,7 @@ def test_nll_hessian_matches_central_differences(seed, dim, counts_kind, shots):
     from polarchan.tomography import _nll_and_grad, _nll_hessian
 
     params, forms, counts = solver_case(seed, dim, counts_kind, shots)
-    hess = _nll_hessian(params, forms, counts, shots)
+    hess = _nll_hessian(_nll_and_grad(params, forms, counts, shots)[2], forms, counts, shots)
     assert np.array_equal(hess, hess.T)
     h = 1e-6
     numeric = np.empty_like(hess)
@@ -856,10 +913,12 @@ def test_nll_hessian_matches_central_differences(seed, dim, counts_kind, shots):
         step[k] = h
         numeric[:, k] = (_nll_and_grad(params + step, forms, counts, shots)[1]
                          - _nll_and_grad(params - step, forms, counts, shots)[1]) / (2 * h)
+    # the solver reads the Hessian on the tangent space of |params| = const alone: P H P
+    proj = tangent_projector(params)
     # zero counts make the state NLL the constant 3N (its Hessian is roundoff), so the
     # bound carries the size N * S / tau of the terms next to that of the Hessian itself
     scale = np.abs(hess).max() + shots * counts.size / (params @ params)
-    assert np.abs(hess - numeric).max() <= 1e-6 * scale
+    assert np.abs(proj @ (hess - numeric) @ proj).max() <= 1e-6 * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -868,13 +927,89 @@ def test_nll_hessian_matches_central_differences(seed, dim, counts_kind, shots):
 def test_nll_hessian_maps_params_to_minus_the_gradient(seed, dim, counts_kind, shots, log_scale):
     from polarchan.tomography import _nll_and_grad, _nll_hessian
 
-    # the NLL does not change along params (it reads T^2 / Tr(T^2)), so its
-    # gradient is homogeneous of degree -1 and H params = -grad wherever every p_s is interior
+    # the NLL does not change along params (it reads T^2 / Tr(T^2)), so its gradient is
+    # homogeneous of degree -1, H params = -grad wherever every p_s is interior, and
+    # H = P H P - (params grad^T + grad params^T) / tau: the tangent Hessian and the
+    # gradient give the whole of it
     params, forms, counts = solver_case(seed, dim, counts_kind, shots, log_scale)
-    hess = _nll_hessian(params, forms, counts, shots)
-    _, grad = _nll_and_grad(params, forms, counts, shots)
-    scale = (np.abs(hess) @ np.abs(params)).max() + shots * counts.size / np.sqrt(params @ params)
-    assert np.abs(hess @ params + grad).max() <= 1e-12 * scale
+    _, grad, terms = _nll_and_grad(params, forms, counts, shots)
+    full = reference_nll_hessian(params, forms, counts, shots)
+    proj = tangent_projector(params)
+    hess = (proj @ _nll_hessian(terms, forms, counts, shots) @ proj
+            - (np.outer(params, grad) + np.outer(grad, params)) / (params @ params))
+    for matrix in (full, hess):
+        scale = (np.abs(matrix) @ np.abs(params)).max() + shots * counts.size / np.sqrt(params @ params)
+        assert np.abs(matrix @ params + grad).max() <= 1e-12 * scale
+    scale = np.abs(full).max() + shots * counts.size / (params @ params)
+    assert np.abs(hess - full).max() <= 1e-12 * scale
+
+
+def test_cholesky_step_is_the_eigen_step_at_the_floor_shift(monkeypatch):
+    from polarchan import tomography
+
+    calls = []
+    floor_step = tomography._floor_step
+
+    def spy(tangent, grad, mu, radius):
+        step = floor_step(tangent, grad, mu, radius)
+        calls.append((tangent, grad, mu, radius, step))
+        return step
+
+    monkeypatch.setattr(tomography, "_floor_step", spy)
+    for table, shots in fig1_fit_cases():
+        assert qpt_mle(np.asarray(table, dtype=float), shots=shots).converged
+    taken = [call for call in calls if call[-1] is not None]
+    assert len(taken) >= 0.8 * len(calls) and len(calls) >= 90
+    for tangent, grad, mu, radius, (step, length, predicted) in taken:
+        eigen_step, eigen_length, eigen_predicted = tomography._eigen_stepper(tangent, grad, mu)(radius)
+        assert np.abs(step - eigen_step).max() <= 1e-10 * np.abs(eigen_step).max()
+        assert abs(length - eigen_length) <= 1e-10 * eigen_length
+        assert abs(predicted - eigen_predicted) <= 1e-10 * eigen_predicted
+
+
+def rayleigh_quotient(x, a):
+    """f = x^T a x / x.x, scale-invariant like the NLL, with its gradient; f is its terms."""
+    tau = x @ x
+    f = x @ a @ x / tau
+    return f, 2.0 * (a @ x - f * x) / tau, f
+
+
+def rayleigh_hessian(f, a):
+    """2 (a - f I), the Rayleigh quotient's Hessian on the tangent space of |x| = 1."""
+    return 2.0 * (a - f * np.eye(len(a)))
+
+
+def test_indefinite_tangent_matrix_takes_the_eigen_path(monkeypatch):
+    from polarchan import tomography
+
+    # next to the saddle x = (0, 1, 0, 0), where f = 0.5, the tangent Hessian has the
+    # eigenvalue 2 (-1 - 0.5) < 0
+    a = np.diag([-1.0, 0.5, 2.0, 3.0])
+    floor_steps, eigen_steps = [], []
+    floor_step, eigen_stepper = tomography._floor_step, tomography._eigen_stepper
+
+    def floor_spy(*args):
+        floor_steps.append(floor_step(*args))
+        return floor_steps[-1]
+
+    def eigen_spy(tangent, grad, mu):
+        step = eigen_stepper(tangent, grad, mu)
+
+        def recorded(radius):
+            eigen_steps.append((np.linalg.eigvalsh(tangent)[0], step(radius)))
+            return eigen_steps[-1][1]
+
+        return recorded
+
+    monkeypatch.setattr(tomography, "_floor_step", floor_spy)
+    monkeypatch.setattr(tomography, "_eigen_stepper", eigen_spy)
+    res = tomography._damped_newton(rayleigh_quotient, np.array([1e-3, 1.0, 1e-3, 0.0]), args=(a,),
+                                    hess=rayleigh_hessian, max_iterations=100, nll_rel_tol=1e-12)
+    assert floor_steps[0] is None
+    lam_min, (_, _, predicted) = eigen_steps[0]
+    assert lam_min < 0.0 and predicted > 0.0
+    assert all(step[2] > 0.0 for _, step in eigen_steps)
+    assert res.success and abs(res.fun + 1.0) <= 1e-12 and abs(abs(res.x[0]) - 1.0) <= 1e-6
 
 
 def lbfgsb_nll(counts, shots, dim, ftol):
