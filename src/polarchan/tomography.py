@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .bench_sim import _CHI_TO_PTM, KrausSet, _ptm_stack, _tp_defects
 from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators
@@ -246,7 +247,7 @@ class CountRecord:
                 if pr_label not in rows[in_label]:
                     raise ValueError(f"incomplete table: missing ({in_label}, {pr_label})")
                 table[i, j] = rows[in_label][pr_label]
-        return cls(_frozen(table), labels, meta["N"], meta["seed"])
+        return cls(table, labels, meta["N"], meta["seed"])
 
 
 def _int64_counts(counts) -> np.ndarray:
@@ -254,15 +255,12 @@ def _int64_counts(counts) -> np.ndarray:
     integer or float and hold whole numbers within 64 bits, so that the cast
     truncates and wraps nothing.
 
-    A caller's int64 array is copied, so that freezing the record's table leaves
-    the caller's writable.  A read-only array that owns its data, as
-    simulate_counts and the CSV reader pass, is kept as it is.
+    An int64 table is copied too, so that freezing the record's table leaves the
+    caller's writable and nothing the caller holds can change the record.
     """
     table = np.asarray(counts)
     if table.dtype == np.int64:
-        if table is counts and (table.flags.writeable or not table.flags.owndata):
-            return table.copy()
-        return table
+        return table.copy()
     if table.dtype.kind in "biuf":
         with np.errstate(invalid="ignore"):  # the cast of nan, inf or a float past 2**63
             exact = table.astype(np.int64)
@@ -341,14 +339,14 @@ def simulate_counts(
     counts = _poisson_table(settings.seed, stream, settings.shots * probs)
     if input_labels is None:
         input_labels = tuple(f"in{i}" for i in range(probs.shape[0]))
-    return CountRecord(_frozen(counts), tuple(input_labels), settings.shots, settings.seed)
+    return CountRecord(counts, tuple(input_labels), settings.shots, settings.seed)
 
 
 def simulate_state_counts(rho: np.ndarray, settings: TomoSettings, *, stream: int = 0) -> CountRecord:
     """Single-state analog: measure one state against the six projectors."""
     probs = _born_table(_pauli_coords(np.reshape(rho, (2, 2))), _PROJECTOR_COORDS)
     counts = _poisson_table(settings.seed, stream, settings.shots * probs)
-    return CountRecord(_frozen(counts), ("state",), settings.shots, settings.seed)
+    return CountRecord(counts, ("state",), settings.shots, settings.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +542,19 @@ def _root_seed(estimate: np.ndarray) -> np.ndarray:
 
 
 def _floor_step(tangent, grad, mu, radius):
-    """The step -(tangent + mu I)^-1 grad of a positive definite ``tangent``, with
-    its length and predicted NLL decrease, from one Cholesky test and one solve.
+    """The step -(tangent + mu I)^-1 grad, with its length and predicted NLL
+    decrease, from one Cholesky factorization of tangent + mu I and its solve.
 
-    That is the eigen path's step at its floor shift (_eigen_stepper), and
-    this returns None wherever that path would do more: when ``tangent`` is
-    not positive definite, or when the step is longer than the trust radius
-    ``radius`` allows.
+    For a positive semidefinite ``tangent`` that is the eigen path's step at
+    its floor shift (_eigen_stepper).  This returns None when tangent + mu I
+    is not positive definite, or when the step is longer than the trust
+    radius ``radius`` allows.  Between the two lies only lambda_min in
+    (-mu, 0), where the eigen path would shift by mu - lambda_min instead.
     """
-    try:
-        np.linalg.cholesky(tangent)
-    except np.linalg.LinAlgError:
+    factor, info = dpotrf(tangent + mu * np.eye(grad.size))
+    if info:
         return None
-    step = np.linalg.solve(tangent + mu * np.eye(grad.size), grad)
+    step = dpotrs(factor, grad)[0]
     sq = step @ step
     length = math.sqrt(sq)
     if not length <= _RADIUS_SLACK * radius:
@@ -602,17 +600,17 @@ def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, 
 
     Each iteration projects the Hessian on that tangent space and steps along
     -(P H P + shift I)^-1 grad, with a floor shift mu no less than _MU_FLOOR
-    times the matrix's spectral radius.  A positive definite P H P takes its
-    step at shift mu from a Cholesky test and one solve (_floor_step).  An
-    indefinite one, a step longer than the trust radius, or a rejected trial
-    turns to one ``eigh`` and the least shift above max(mu, mu - lambda_min)
-    whose step fits the radius (_eigen_stepper).  A trial step is accepted
-    when its NLL decrease is a fair share of the decrease the quadratic model
-    predicts; the radius follows that ratio.  x is renormalised after every
-    step.  The fit stops, converged, when the predicted decrease is at most
-    nll_rel_tol * max(|f|, 1) or when no step lowers f, and stops unconverged
-    after max_iterations accepted steps.  The result carries the terms of the
-    last point.
+    times the matrix's spectral radius.  Where P H P + mu I is positive
+    definite, the step at shift mu comes from one Cholesky factorization and
+    its solve (_floor_step).  Otherwise, or for a step longer than the trust
+    radius or a rejected trial, one ``eigh`` gives the least shift above
+    max(mu, mu - lambda_min) whose step fits the radius (_eigen_stepper).  A
+    trial step is accepted when its NLL decrease is a fair share of the
+    decrease the quadratic model predicts; the radius follows that ratio.  x
+    is renormalised after every step.  The fit stops, converged, when the
+    predicted decrease is at most nll_rel_tol * max(|f|, 1) or when no step
+    lowers f, and stops unconverged after max_iterations accepted steps.  The
+    result carries the terms of the last point.
     """
     x = x0 / math.sqrt(x0 @ x0)
     nll, grad, terms = fun(x, *args)

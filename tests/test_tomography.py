@@ -291,9 +291,7 @@ def test_numpy_numbers_are_stopping_criteria():
     assert qpt_mle(probability_table(fig1_kraus(15.0)) * 10_000, shots=10_000, settings=strict).iterations <= 1
 
 
-def test_count_record_keeps_the_callers_table_writable(monkeypatch):
-    from polarchan import tomography
-
+def test_count_record_keeps_the_callers_table_writable(tmp_path):
     table = np.ones((1, 6), np.int64)
     rec = CountRecord(table, ("a",), 10, 1)
     assert table.flags.writeable and not rec.counts.flags.writeable
@@ -305,12 +303,20 @@ def test_count_record_keeps_the_callers_table_writable(monkeypatch):
     rec = CountRecord(view, ("a",), 10, 1)
     table[0, 0] = 7
     assert rec.counts[0, 0] == 5
-    # simulate_counts hands its own frozen table over without a copy
-    drawn = []
-    poisson_table = tomography._poisson_table
-    monkeypatch.setattr(tomography, "_poisson_table", lambda *args: drawn.append(poisson_table(*args)) or drawn[-1])
-    assert simulate_counts(identity_kraus(), TomoSettings(shots=10)).counts is drawn[-1]
-    assert simulate_state_counts(ket_projector(KET_H), TomoSettings(shots=10)).counts is drawn[-1]
+    # so is a read-only table that owns its data: its owner can make it writable again
+    owned = np.ones((1, 6), np.int64)
+    owned.setflags(write=False)
+    rec = CountRecord(owned, ("a",), 10, 1)
+    owned.setflags(write=True)
+    owned[0, 0] = 3
+    assert rec.counts[0, 0] == 1
+    # and ndarray subclasses, which np.asarray turns into views of the caller's memory
+    mapped = np.memmap(tmp_path / "counts", dtype=np.int64, mode="w+", shape=(1, 6))
+    masked = np.ma.masked_array(np.ones((1, 6), np.int64))
+    for sub in (mapped, masked):
+        rec = CountRecord(sub, ("a",), 10, 1)
+        sub[0, 0] = 9
+        assert rec.counts[0, 0] != 9 and type(rec.counts) is np.ndarray
 
 
 def test_numpy_integers_are_shots_and_seeds():
