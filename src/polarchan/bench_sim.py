@@ -57,6 +57,9 @@ __all__ = [
 #: numerically-zero path amplitudes (perturbs completeness at the 1e-28 level)
 _ZERO_NORM = 1e-14
 
+#: trace-preservation tolerance: the largest defect max |sum_d K_d^dag K_d - I| a check accepts
+TP_ATOL = 1e-12
+
 #: propagation refuses benches that may produce more delay bins than this
 MAX_DELAY_BINS = 65_536
 
@@ -257,8 +260,8 @@ class KrausSet:
             object.__setattr__(self, "_chi", chi)
         return self._defect
 
-    def require_complete(self, atol: float = 1e-12) -> None:
-        _require_trace_preserving(self.completeness_defect(), atol)
+    def require_complete(self) -> None:
+        _require_trace_preserving(self.completeness_defect())
 
     def _complete_chi(self) -> np.ndarray:
         """The read-only one-bench ``(1, 4, 4)`` chi stack, after :meth:`require_complete`."""
@@ -459,13 +462,13 @@ def _checked_chi(ops: np.ndarray) -> np.ndarray:
     """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack; raises
     unless every bench is trace preserving."""
     chi = _chi_stack(ops)
-    _require_trace_preserving(_tp_defects(chi).max(), 1e-12)
+    _require_trace_preserving(_tp_defects(chi).max())
     return chi
 
 
-def _require_trace_preserving(defect: float, atol: float) -> None:
+def _require_trace_preserving(defect: float) -> None:
     # written so that a NaN defect fails too
-    if not defect <= atol:
+    if not defect <= TP_ATOL:
         raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench_sim import _CHI_TO_PTM, KrausSet
-from .polar_core import _pauli_coords, _pauli_operators
+from .polar_core import EIG_ATOL, _check_physical, _pauli_coords, _pauli_operators
 
 __all__ = [
     "chi_from_kraus",
@@ -30,15 +30,15 @@ __all__ = [
     "isotropy_deviation",
 ]
 
-#: eigenvalue clipping window before declaring a chi matrix unphysical
-_EIG_CLIP = 1e-10
-
 #: the off-diagonal entries of a 3x3 matrix
 _OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 _OFF_DIAGONAL.setflags(write=False)
 
 #: a Stokes matrix with no off-diagonal entry above this is axis-aligned: its diagonal is its radii
 _AXIS_ALIGNED_ATOL = 1e-10
+
+#: slack of pauli_feasible's [0, 1] eigenvalue bounds; in_reachable_region's may not exceed it
+FEASIBILITY_SLACK = 1e-12
 
 
 def chi_from_kraus(kraus: KrausSet) -> np.ndarray:
@@ -61,25 +61,13 @@ def apply_process_matrix(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return _pauli_operators(r @ _pauli_coords(rho)[0])[0]
 
 
-def check_process_matrix(chi: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Validate finiteness, hermiticity, unit trace and positivity of a 4x4 chi matrix."""
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (4, 4):
-        raise ValueError(f"process matrix must be 4x4, got {chi.shape}")
-    if not np.isfinite(chi).all():
-        raise ValueError("process matrix must be finite")
-    # each test written so that NaN fails it too
-    if not np.abs(chi - chi.conj().T).max() <= atol:
-        raise ValueError("process matrix is not Hermitian")
-    if not abs(np.trace(chi) - 1.0) <= atol:
-        raise ValueError("process matrix trace differs from 1")
-    if not np.linalg.eigvalsh(chi).min() >= -_EIG_CLIP:
-        raise ValueError("process matrix has a negative eigenvalue")
-    return chi
+def check_process_matrix(chi: np.ndarray) -> np.ndarray:
+    """Validate a 4x4 chi matrix as check_density does a state; returns it as a complex ndarray."""
+    return _check_physical(chi, 4, "process matrix")
 
 
-def chi_eigenvalues(chi: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of chi, sorted descending, tiny negatives clipped to 0.
+def chi_eigenvalues(chi: np.ndarray) -> np.ndarray:
+    """Real eigenvalues of chi, sorted descending, those down to ``-EIG_ATOL`` clipped to 0.
 
     Takes one 4x4 matrix or a stack of shape ``(..., 4, 4)``; the finiteness,
     Hermitian and clipping-window checks then cover every matrix of the stack.
@@ -91,7 +79,7 @@ def chi_eigenvalues(chi: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     if not np.abs(chi - chi.conj().swapaxes(-1, -2)).max() <= 1e-9:
         raise ValueError("process matrix is not Hermitian")
     vals = np.linalg.eigvalsh(chi)[..., ::-1].astype(float)
-    if not vals.min() >= -atol:
+    if not vals.min() >= -EIG_ATOL:
         raise ValueError(f"eigenvalue {vals.min():.3g} below clipping window")
     return np.maximum(vals, 0.0)
 
@@ -123,13 +111,13 @@ class EllipsoidReport:
         return tuple(r < 0 for r in self.radii)
 
 
-def polar_decompose(m: np.ndarray, atol: float = _AXIS_ALIGNED_ATOL) -> EllipsoidReport:
+def polar_decompose(m: np.ndarray) -> EllipsoidReport:
     """Split a 3x3 Stokes matrix into orthogonal and stretch factors.
 
-    A map with no off-diagonal entry above ``atol`` is axis-aligned: it is
-    reported from its diagonal alone, with no SVD.  Any other map is split
-    by an SVD.  When its smallest singular value is at most ``atol`` (rank
-    deficient) the weakest left-singular direction is flipped as needed to
+    A map with no off-diagonal entry above _AXIS_ALIGNED_ATOL (1e-10) is
+    axis-aligned: it is reported from its diagonal alone, with no SVD.  Any
+    other map is split by an SVD.  When its smallest singular value is at most
+    that tolerance (rank deficient) the weakest left-singular direction is flipped as needed to
     make det(rotation) = +1, whatever the sign of det M, so its radii are
     all non-negative; this keeps the report deterministic for maps that
     collapse an axis.  Non-finite maps raise ``LinAlgError``.
@@ -138,7 +126,7 @@ def polar_decompose(m: np.ndarray, atol: float = _AXIS_ALIGNED_ATOL) -> Ellipsoi
     if not np.isfinite(m).all():
         # LAPACK's SVD never returns for an infinite diagonal entry
         raise np.linalg.LinAlgError("Stokes matrix must be finite")
-    if np.abs(m[_OFF_DIAGONAL]).max() <= atol:
+    if np.abs(m[_OFF_DIAGONAL]).max() <= _AXIS_ALIGNED_ATOL:
         radii = np.diagonal(m)
         signs = np.where(radii >= 0, 1.0, -1.0)
         # the product of the signs is the determinant of their diagonal, bit for bit
@@ -146,7 +134,7 @@ def polar_decompose(m: np.ndarray, atol: float = _AXIS_ALIGNED_ATOL) -> Ellipsoi
 
     u, sing, vt = np.linalg.svd(m)
     o = u @ vt
-    if sing.min() <= atol and np.linalg.det(o) < 0:
+    if sing.min() <= _AXIS_ALIGNED_ATOL and np.linalg.det(o) < 0:
         # flip the weakest left-singular direction; S is unchanged at rank
         u = u.copy()
         u[:, -1] *= -1.0
@@ -157,15 +145,15 @@ def polar_decompose(m: np.ndarray, atol: float = _AXIS_ALIGNED_ATOL) -> Ellipsoi
     return EllipsoidReport(tuple(radii), o, det_sign, False)
 
 
-def pauli_feasible(r1, r2, r3, atol: float = 1e-12):
+def pauli_feasible(r1, r2, r3):
     """Physicality of an axis-aligned channel with signed radii (r1, r2, r3).
 
     Returns (feasible, lambdas) where the four lambdas are the process-matrix
     eigenvalues implied by the radii; the channel is completely positive iff
-    all of them lie in [0, 1].  Scalars give a bool and lambdas of shape
-    (4,).  Arrays broadcast elementwise and give a boolean array of the
-    broadcast shape and lambdas of that shape plus a trailing axis of 4,
-    each point's values bit-identical to a scalar call.
+    all of them lie in [0, 1], here within FEASIBILITY_SLACK.  Scalars give a
+    bool and lambdas of shape (4,).  Arrays broadcast elementwise and give a
+    boolean array of the broadcast shape and lambdas of that shape plus a
+    trailing axis of 4, each point's values bit-identical to a scalar call.
     """
     r1, r2, r3 = (np.asarray(r, dtype=float) for r in (r1, r2, r3))
     lam = np.stack(
@@ -177,7 +165,7 @@ def pauli_feasible(r1, r2, r3, atol: float = 1e-12):
         ],
         axis=-1,
     )
-    feasible = np.all((lam >= -atol) & (lam <= 1.0 + atol), axis=-1)
+    feasible = np.all((lam >= -FEASIBILITY_SLACK) & (lam <= 1.0 + FEASIBILITY_SLACK), axis=-1)
     return (bool(feasible) if feasible.ndim == 0 else feasible), lam
 
 

@@ -19,10 +19,12 @@ Exit codes: 0 success, 1 configuration/validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -54,6 +56,7 @@ from .channel_analysis import (
     polar_decompose,
 )
 from .depolarizer import (
+    DegenerateLengthRatioWarning,
     DepolarizerSettings,
     _compensate,
     _radii_grid,
@@ -305,13 +308,12 @@ def _validate_mode(kw, elements, seen, errors):
 # bench construction and CSV helpers
 # ---------------------------------------------------------------------------
 
-def bench_from_config(cfg: RunConfig, theta2: Optional[float] = None) -> BenchConfig:
+def bench_from_config(cfg: RunConfig) -> BenchConfig:
     if cfg.elements:
         return BenchConfig(cfg.elements)
     if cfg.preset == "fig1":
         theta1 = cfg.theta1 if cfg.theta1 is not None else isotropic_theta1_angles()[1]
-        t2 = theta2 if theta2 is not None else cfg.theta2
-        return build_bench(DepolarizerSettings(theta1, t2, cfg.length1, cfg.length2))
+        return build_bench(DepolarizerSettings(theta1, cfg.theta2, cfg.length1, cfg.length2))
     if cfg.preset == "lyot":
         return build_lyot(cfg.length)
     if cfg.preset == "two_crystal":
@@ -604,6 +606,16 @@ def _resolve_seed(args_seed, cfg_seed) -> int:
     return 0
 
 
+def _show_warning(shown: set, pass_on, message, category, *rest) -> None:
+    """Print a degenerate-ratio warning on stderr as ``polarchan: warning: <message>``,
+    once per distinct message in ``shown``; hand any other warning to ``pass_on``."""
+    if not issubclass(category, DegenerateLengthRatioWarning):
+        pass_on(message, category, *rest)
+    elif str(message) not in shown:
+        shown.add(str(message))
+        sys.stderr.write(f"polarchan: warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="polarchan",
@@ -642,16 +654,19 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError([f"--jobs must be at least 1, got {args.jobs}"])
 
-        if cfg.mode == "simulate":
-            chunks = run_simulate(cfg)
-        elif cfg.mode == "sweep":
-            chunks = run_sweep(cfg, args.jobs, seed)
-        elif cfg.mode == "tomo":
-            chunks = run_tomo(cfg, seed)
-        elif cfg.mode == "feasibility":
-            chunks = run_feasibility(cfg)
-        else:
-            chunks = run_region(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", DegenerateLengthRatioWarning)
+            warnings.showwarning = functools.partial(_show_warning, set(), warnings.showwarning)
+            if cfg.mode == "simulate":
+                chunks = run_simulate(cfg)
+            elif cfg.mode == "sweep":
+                chunks = run_sweep(cfg, args.jobs, seed)
+            elif cfg.mode == "tomo":
+                chunks = run_tomo(cfg, seed)
+            elif cfg.mode == "feasibility":
+                chunks = run_feasibility(cfg)
+            else:
+                chunks = run_region(cfg)
     except ConfigError as exc:
         for message in exc.errors:
             sys.stderr.write(f"polarchan: {message}\n")
@@ -664,7 +679,8 @@ def main(argv=None) -> int:
     try:
         _write_csv(out_path, chunks)
     except OSError as exc:
-        sys.stderr.write(f"polarchan: cannot write output {out_path!r}: {exc}\n")
+        name = "<stdout>" if out_path is None else repr(out_path)
+        sys.stderr.write(f"polarchan: cannot write output {name}: {exc}\n")
         return 2
     return 0
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bench_sim import BenchConfig, Crystal, Waveplate, affine_map, propagate
-from .channel_analysis import _AXIS_ALIGNED_ATOL, _OFF_DIAGONAL
+from .channel_analysis import FEASIBILITY_SLACK, _AXIS_ALIGNED_ATOL, _OFF_DIAGONAL
 
 __all__ = [
     "DegenerateLengthRatioWarning",
@@ -224,7 +224,7 @@ def simulated_radii(bench: BenchConfig) -> np.ndarray:
 
     Applies the fixed S2/S3 reflection compensation to the simulated Stokes
     matrix and returns its diagonal.  The residual off-diagonal magnitude
-    must stay within 1e-10, guaranteeing the diagonal is the whole story.
+    must stay within _AXIS_ALIGNED_ATOL, guaranteeing the diagonal is the whole story.
     """
     _, radii, off = _compensate(affine_map(propagate(bench)).matrix)
     if off > _AXIS_ALIGNED_ATOL:
@@ -254,13 +254,12 @@ def in_reachable_region(r1, r2):
     For a fixed control angle the closed form traces the straight segment
     R2 = 2A - 1/2 - R1/2 with R1 in [2A - 1, A], where A = cos^2(2 t2).
     Eliminating the parameters gives the exact region: A = (1 + R1 + 2 R2)/4
-    must lie in [0, 1] with 2A - 1 <= R1 <= A.  Scalars or arrays.
+    must lie in [0, 1] with 2A - 1 <= R1 <= A, each within FEASIBILITY_SLACK.
+    Scalars or arrays.
     """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    a = (1.0 + r1 + 2.0 * r2) / 4.0
-    eps = 1e-12
+    r1, r2 = (np.asarray(r, dtype=float) for r in (r1, r2))
+    # pauli_feasible's first lambda at r3 = r2, summed alike, so both agree at the slack edge
+    a = (1.0 + r1 + r2 + r2) / 4.0
+    eps = FEASIBILITY_SLACK
     ok = (a >= -eps) & (a <= 1.0 + eps) & (r1 <= a + eps) & (r1 >= 2.0 * a - 1.0 - eps)
-    if ok.ndim == 0:
-        return bool(ok)
-    return ok
+    return bool(ok) if ok.ndim == 0 else ok

@@ -47,10 +47,10 @@ __all__ = [
     "fidelity",
 ]
 
-#: default absolute tolerance for matrix invariants (hermiticity, trace, ...)
+#: Hermiticity and unit-trace tolerance of density and process matrices
 ATOL = 1e-12
 
-#: tolerance below which a small negative eigenvalue is treated as zero
+#: negative-eigenvalue window: an eigenvalue of at least -EIG_ATOL counts as zero
 EIG_ATOL = 1e-10
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
@@ -126,25 +126,31 @@ def ket_projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def check_density(rho: np.ndarray, atol: float = ATOL) -> np.ndarray:
+def check_density(rho: np.ndarray) -> np.ndarray:
     """Validate a 2x2 density matrix; returns it as a complex ndarray.
 
     Raises ValueError if the matrix is not finite, is not Hermitian/unit-trace
-    within ``atol`` or has an eigenvalue below -1e-10.
+    within ``ATOL`` or has an eigenvalue below ``-EIG_ATOL``.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix must be finite")
+    return _check_physical(rho, 2, "density matrix")
+
+
+def _check_physical(m, dim: int, what: str) -> np.ndarray:
+    """``m`` as a complex ``(dim, dim)`` array, checked as check_density says; the
+    ValueError of a failed check names ``what``."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} must be finite")
     # each test written so that NaN fails it too
-    if not np.abs(rho - rho.conj().T).max() <= atol:
-        raise ValueError("density matrix is not Hermitian")
-    if not (abs(np.trace(rho).real - 1.0) <= atol and abs(np.trace(rho).imag) <= atol):
-        raise ValueError("density matrix trace differs from 1")
-    if not np.linalg.eigvalsh(rho).min() >= -EIG_ATOL:
-        raise ValueError("density matrix has a negative eigenvalue")
-    return rho
+    if not np.abs(m - m.conj().T).max() <= ATOL:
+        raise ValueError(f"{what} is not Hermitian")
+    if not abs(np.trace(m) - 1.0) <= ATOL:
+        raise ValueError(f"{what} trace differs from 1")
+    if not np.linalg.eigvalsh(m).min() >= -EIG_ATOL:
+        raise ValueError(f"{what} has a negative eigenvalue")
+    return m
 
 
 def density_from_stokes(s) -> np.ndarray:

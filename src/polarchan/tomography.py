@@ -318,28 +318,15 @@ def _poisson_table(seed: int, stream: int, lam: np.ndarray) -> np.ndarray:
     return np.random.Generator(np.random.Philox(seq)).poisson(lam)
 
 
-def simulate_counts(
-    kraus: KrausSet,
-    settings: TomoSettings,
-    inputs: Optional[Sequence[np.ndarray]] = None,
-    projectors: Optional[Sequence[np.ndarray]] = None,
-    input_labels: Optional[Sequence[str]] = None,
-    *,
-    stream: int = 0,
-) -> CountRecord:
-    """Draw a full Poisson count table for the channel.
+def simulate_counts(kraus: KrausSet, settings: TomoSettings, *, stream: int = 0) -> CountRecord:
+    """Draw a full Poisson count table for the channel, rows in INPUT_LABELS order.
 
     Entry (i, j) is Poisson(N p_ij); the table is drawn from the one stream
     keyed by (settings.seed, stream), so identical arguments reproduce
     identical records.
     """
-    if inputs is None and input_labels is None:
-        input_labels = INPUT_LABELS
-    probs = probability_table(kraus, inputs, projectors)
-    counts = _poisson_table(settings.seed, stream, settings.shots * probs)
-    if input_labels is None:
-        input_labels = tuple(f"in{i}" for i in range(probs.shape[0]))
-    return CountRecord(counts, tuple(input_labels), settings.shots, settings.seed)
+    counts = _poisson_table(settings.seed, stream, settings.shots * probability_table(kraus))
+    return CountRecord(counts, INPUT_LABELS, settings.shots, settings.seed)
 
 
 def simulate_state_counts(rho: np.ndarray, settings: TomoSettings, *, stream: int = 0) -> CountRecord:

@@ -12,6 +12,7 @@ from polarchan.bench_sim import (
     _CHI_TO_PTM,
     _IDENTITY,
     MAX_DELAY_BINS,
+    TP_ATOL,
     AffineMap,
     BenchConfig,
     Crystal,
@@ -438,7 +439,6 @@ def test_incomplete_set_rejected_by_every_consumer(monkeypatch):
             for _ in range(2):
                 with pytest.raises(ValueError, match=rf"not trace preserving \(defect {defect:.3g}\)"):
                     call()
-        bad.require_complete(atol=2 * defect)
 
 
 def test_one_chi_per_kraus_set(monkeypatch):
@@ -466,11 +466,25 @@ def test_one_chi_per_kraus_set(monkeypatch):
 def test_completeness_tolerance():
     bad = KrausSet((0,), (np.diag([1.0, 0.0]),))
     assert bad.completeness_defect() == 1.0
-    bad.require_complete(atol=1.0)
     with pytest.raises(ValueError, match="trace preserving"):
-        bad.require_complete(atol=0.5)
-    # a defect below the default atol passes
+        bad.require_complete()
+    # a defect below TP_ATOL passes
     KrausSet((0,), (I2 * np.sqrt(1.0 + 1e-13),)).require_complete()
+
+
+def test_trace_preservation_checks_at_the_tolerance_edge(monkeypatch):
+    # a defect read off chi is a multiple of 2**-53 and never lands on 1e-12,
+    # so the defect is given: exactly TP_ATOL passes, the next float fails
+    kraus = KrausSet((0,), (I2,))
+    for defect in (TP_ATOL, np.nextafter(TP_ATOL, 1.0)):
+        monkeypatch.setattr(KrausSet, "completeness_defect", lambda self: defect)
+        monkeypatch.setattr(bench_sim, "_tp_defects", lambda chi: np.array([defect]))
+        for check in (kraus.require_complete, lambda: _checked_chi(kraus.as_stack())):
+            if defect == TP_ATOL:
+                check()
+            else:
+                with pytest.raises(ValueError, match="not trace preserving"):
+                    check()
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,6 +13,7 @@ from polarchan.bench_sim import (
     propagate_stack,
 )
 from polarchan.channel_analysis import (
+    FEASIBILITY_SLACK,
     apply_process_matrix,
     chi_eigenvalues,
     chi_from_kraus,
@@ -28,7 +29,7 @@ from polarchan.depolarizer import (
     build_two_crystal,
     isotropic_theta1_angles,
 )
-from polarchan.polar_core import PAULI_BASIS, density_from_stokes
+from polarchan.polar_core import ATOL, EIG_ATOL, PAULI_BASIS, density_from_stokes
 
 from conftest import (
     random_bench,
@@ -245,6 +246,34 @@ def test_pauli_feasible_examples():
     ok, lam = pauli_feasible(-1 / 3, -1 / 3, -1 / 3)
     assert ok
     assert np.allclose(lam, [0, 1 / 3, 1 / 3, 1 / 3])
+
+
+def test_pauli_feasible_at_the_slack_edge():
+    # lambda0 = (1 - 1 + 0 - 4s) / 4 is exactly -s: feasible at the slack, not one float past it
+    for slack, feasible in ((FEASIBILITY_SLACK, True), (np.nextafter(FEASIBILITY_SLACK, 1.0), False)):
+        ok, lam = pauli_feasible(-1.0, 0.0, -4 * slack)
+        assert lam[0] == -slack and ok is feasible
+
+
+def test_process_checks_at_each_threshold_edge():
+    # a Hermiticity defect of exactly ATOL and an eigenvalue of exactly
+    # -EIG_ATOL pass; the next float past either fails
+    def hermitian_defect(e):
+        chi = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        chi[0, 1] = e
+        return chi
+
+    def negative_eigenvalue(e):
+        return np.diag([1.0 + e, -e, 0.0, 0.0])
+
+    cases = ((check_process_matrix, ATOL, hermitian_defect, "not Hermitian"),
+             (check_process_matrix, EIG_ATOL, negative_eigenvalue, "negative eigenvalue"),
+             (chi_eigenvalues, EIG_ATOL, negative_eigenvalue, "below clipping window"))
+    for check, edge, matrix, message in cases:
+        check(matrix(edge))
+        with pytest.raises(ValueError, match=message):
+            check(matrix(np.nextafter(edge, 1.0)))
+    assert chi_eigenvalues(negative_eigenvalue(EIG_ATOL))[1:].tolist() == [0.0, 0.0, 0.0]
 
 
 _RADII = st.one_of(st.sampled_from([-1.0, -1 / 3, 0.0, -0.0, 1 / 3, 0.5, 1.0, 1.0 + 1e-12, -1.0 - 4e-12]),

@@ -408,6 +408,59 @@ def test_exit_code_unwritable_output(tmp_path):
     assert "cannot write output" in res.stderr
 
 
+def test_write_failure_on_stdout_names_stdout(tmp_path, capsys, monkeypatch):
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def writelines(self, lines):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("mode = region\ngrid_n = 3\n")
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert main(["region", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "polarchan: cannot write output <stdout>: [Errno 32] Broken pipe\n"
+
+
+_DEGENERATE = "is degenerate: the closed-form radii do not apply (simulation stays exact)"
+
+
+def test_degenerate_ratio_warned_once_per_sweep(tmp_path, capsys):
+    text = ("mode = sweep\npreset = fig1\ntheta2_start = 0\ntheta2_stop = 45\n"
+            "theta2_step = 1\nlength2 = 1\n")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
+        expected = "".join(line + "\n" for line in run_sweep(parse_config(text), 1, 0))
+    built = []
+    with mock.patch.object(cli, "build_bench", lambda s: built.append(s) or build_bench(s)):
+        assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(built) == 46
+    assert capsys.readouterr() == (expected, f"polarchan: warning: length ratio L2/L1 = 1 {_DEGENERATE}\n")
+
+
+def test_degenerate_ratio_warned_on_every_simulate_run(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("mode = simulate\npreset = fig1\ntheta2 = 10\nlength1 = 2\nlength2 = 1\n")
+    for _ in range(2):
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == f"polarchan: warning: length ratio L2/L1 = 1/2 {_DEGENERATE}\n"
+
+
+def test_other_warnings_pass_through_the_cli(tmp_path, monkeypatch):
+    def warn_and_run(cfg):
+        warnings.warn("some other warning", UserWarning)
+        return ["r1,r2"]
+
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("mode = region\n")
+    monkeypatch.setattr(cli, "run_region", warn_and_run)
+    with pytest.warns(UserWarning, match="some other warning"):
+        assert main(["region", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_mode_mismatch_is_validation_error(tmp_path):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("mode = region\ngrid_n = 3\n")

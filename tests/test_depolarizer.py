@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, affine_map, apply_channel, propagate
-from polarchan.channel_analysis import pauli_feasible, polar_decompose
+from polarchan.channel_analysis import FEASIBILITY_SLACK, pauli_feasible, polar_decompose
 from polarchan.depolarizer import (
     REFLECTION_COMPENSATION,
     _radii_grid,
@@ -219,6 +219,24 @@ def test_region_scan_properties():
         assert in_reachable_region(r1, r2)
     with pytest.raises(ValueError):
         reachable_region_scan(1)
+
+
+def test_reachable_points_at_the_slack_edge_are_feasible():
+    # points on the four edges of the region widened by FEASIBILITY_SLACK, each
+    # radius moved up to 8 floats either way: every point that in_reachable_region
+    # accepts, pauli_feasible accepts too
+    s = FEASIBILITY_SLACK
+    t = np.linspace(0.0, 1.0, 201)
+    edges = [(a, 2 * a - 1 + t * (1 - a)) for a in (np.full_like(t, -s), np.full_like(t, 1 + s))]
+    edges += [(t, t + s), (t, 2 * t - 1 - s)]
+    a, r1 = (np.concatenate(column) for column in zip(*edges))
+    r2 = (4 * a - 1 - r1) / 2
+    k = np.arange(-8, 9)
+    r1 = r1[:, None, None] + k[:, None] * np.spacing(r1)[:, None, None]
+    r2 = r2[:, None, None] + k * np.spacing(r2)[:, None, None]
+    reachable = in_reachable_region(r1, r2)
+    assert reachable.any() and not reachable.all()
+    assert pauli_feasible(r1, r2, r2)[0][reachable].all()
 
 
 def test_reachable_region_rule():

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarchan.polar_core import (
+    ATOL,
+    EIG_ATOL,
     KET_H,
     KET_L,
     KET_M,
@@ -30,6 +32,17 @@ def test_density_from_stokes_examples():
     assert np.allclose(density_from_stokes((0, 0, 0)), I2 / 2, atol=1e-15)
     assert np.allclose(density_from_stokes((1, 0, 0)), ket_projector(KET_H), atol=1e-15)
     assert np.allclose(density_from_stokes((0, 0, 1)), ket_projector(KET_R), atol=1e-15)
+
+
+def test_check_density_at_each_threshold_edge():
+    # a Hermiticity defect of exactly ATOL and an eigenvalue of exactly
+    # -EIG_ATOL pass; the next float past either fails
+    cases = ((ATOL, lambda e: np.array([[0.5, e], [0.0, 0.5]]), "not Hermitian"),
+             (EIG_ATOL, lambda e: np.diag([1.0 + e, -e]), "negative eigenvalue"))
+    for edge, matrix, message in cases:
+        check_density(matrix(edge))
+        with pytest.raises(ValueError, match=message):
+            check_density(matrix(np.nextafter(edge, 1.0)))
 
 
 def test_density_rejects_unphysical_length():
