@@ -35,7 +35,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators, rotation2, waveplate_jones
+from .polar_core import (PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators, _square, rotation2,
+                         waveplate_jones)
 
 __all__ = [
     "Crystal",
@@ -407,11 +408,15 @@ def propagate(bench: BenchConfig) -> KrausSet:
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """Channel action rho -> sum_d K_d rho K_d^dag, read off the set's Pauli
-    transfer matrix R as sum_i (R x)_i E_i / 2, with x_j = Tr(E_j rho)."""
-    r = _ptm_stack(kraus._complete_chi())[0]
-    # the reshape refuses a stack of states, which has more than one output
-    return _pauli_operators(_pauli_coords(rho) @ r.T).reshape(2, 2)
+    """Channel action rho -> sum_d K_d rho K_d^dag on one 2x2 ``rho``, read off
+    the set's Pauli transfer matrix (see _apply_ptm)."""
+    return _apply_ptm(_ptm_stack(kraus._complete_chi())[0], rho)
+
+
+def _apply_ptm(r: np.ndarray, rho) -> np.ndarray:
+    """sum_i (R x)_i E_i / 2 for a 4x4 Pauli transfer matrix R and the
+    coordinates x_j = Tr(E_j rho) of one 2x2 ``rho``; a stack raises ValueError."""
+    return _pauli_operators(_pauli_coords(_square(rho, 2, "rho")) @ r.T)[0]
 
 
 @dataclass(frozen=True)

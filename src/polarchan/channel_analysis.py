@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bench_sim import _CHI_TO_PTM, KrausSet
-from .polar_core import EIG_ATOL, _check_physical, _pauli_coords, _pauli_operators
+from .bench_sim import _CHI_TO_PTM, KrausSet, _apply_ptm
+from .polar_core import ATOL, EIG_ATOL, _check_physical
 
 __all__ = [
     "chi_from_kraus",
@@ -52,13 +52,11 @@ def chi_from_kraus(kraus: KrausSet) -> np.ndarray:
 
 
 def apply_process_matrix(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Evaluate E(rho) = sum_mn chi_mn E_m rho E_n^dag, as sum_i (R x)_i E_i / 2.
-
-    R = G chi is the Pauli transfer matrix (complex unless chi is Hermitian)
-    and x_j = Tr(E_j rho).
+    """Evaluate E(rho) = sum_mn chi_mn E_m rho E_n^dag on one 2x2 ``rho``, as
+    sum_i (R x)_i E_i / 2 for the Pauli transfer matrix R = G chi (complex
+    unless chi is Hermitian) and x_j = Tr(E_j rho).
     """
-    r = (_CHI_TO_PTM @ np.asarray(chi, dtype=complex).reshape(16)).reshape(4, 4)
-    return _pauli_operators(r @ _pauli_coords(rho)[0])[0]
+    return _apply_ptm((_CHI_TO_PTM @ np.asarray(chi, dtype=complex).reshape(16)).reshape(4, 4), rho)
 
 
 def check_process_matrix(chi: np.ndarray) -> np.ndarray:
@@ -70,13 +68,13 @@ def chi_eigenvalues(chi: np.ndarray) -> np.ndarray:
     """Real eigenvalues of chi, sorted descending, those down to ``-EIG_ATOL`` clipped to 0.
 
     Takes one 4x4 matrix or a stack of shape ``(..., 4, 4)``; the finiteness,
-    Hermitian and clipping-window checks then cover every matrix of the stack.
+    Hermitian (ATOL) and clipping-window checks then cover every matrix of the stack.
     """
     chi = np.asarray(chi, dtype=complex)
     if not np.isfinite(chi).all():
         raise ValueError("process matrix must be finite")
     # each test written so that NaN fails it too
-    if not np.abs(chi - chi.conj().swapaxes(-1, -2)).max() <= 1e-9:
+    if not np.abs(chi - chi.conj().swapaxes(-1, -2)).max() <= ATOL:
         raise ValueError("process matrix is not Hermitian")
     vals = np.linalg.eigvalsh(chi)[..., ::-1].astype(float)
     if not vals.min() >= -EIG_ATOL:

@@ -59,7 +59,6 @@ from .depolarizer import (
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
     _compensate,
-    _radii_grid,
     build_bench,
     build_bench_rotated_crystals,
     build_lyot,
@@ -68,6 +67,7 @@ from .depolarizer import (
     in_reachable_region,
     isotropic_theta1_angles,
     radii_closed_form,
+    reachable_region_scan,
 )
 from .tomography import MAX_SHOTS, TomoSettings, qpt_mle, simulate_counts
 
@@ -550,14 +550,13 @@ def run_feasibility(cfg: RunConfig) -> list:
 def run_region(cfg: RunConfig) -> list:
     """One chunk per theta1 row, formatted by a single ``%``: the theta2
     cells are baked into the row template once."""
-    angles = np.linspace(0.0, 45.0, cfg.grid_n)
-    r1, r2 = _radii_grid(angles.tolist())
-    angle_cells = ["%.6f" % a for a in angles.tolist()]
+    n = cfg.grid_n
+    angle_cells = ["%.6f" % a for a in np.linspace(0.0, 45.0, n).tolist()]
     tails = [",%s,%%.12g,%%.12g" % a2 for a2 in angle_cells]
-    pairs = np.stack([r1, r2], -1)
     chunks = ["theta1,theta2,r1,r2"]
-    for a1, row in zip(angle_cells, pairs):
-        chunks.append((a1 + ("\n" + a1).join(tails)) % tuple(row.ravel().tolist()))
+    # the scan's points run theta2 fastest, so row i holds theta1 = angle i
+    for a1, row in zip(angle_cells, reachable_region_scan(n).reshape(n, 2 * n)):
+        chunks.append((a1 + ("\n" + a1).join(tails)) % tuple(row.tolist()))
     return chunks
 
 

@@ -53,6 +53,9 @@ ATOL = 1e-12
 #: negative-eigenvalue window: an eigenvalue of at least -EIG_ATOL counts as zero
 EIG_ATOL = 1e-10
 
+#: length slack of a Stokes vector: one up to 1 + STOKES_SLACK long is physical
+STOKES_SLACK = 1e-9
+
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
 KET_P = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -62,21 +65,18 @@ KET_R = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 # is identical, so the choice is unobservable.
 KET_L = np.array([1.0j, 1.0], dtype=complex) / np.sqrt(2.0)
 
-_E0 = np.eye(2, dtype=complex)
-_E1 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)     # S1 axis (H/V)
-_E2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)      # S2 axis (P/M)
-_E3 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)   # S3 axis (R/L)
-for _m in (_E0, _E1, _E2, _E3):
-    _m.setflags(write=False)
-
-#: Stokes-aligned operator basis (identity first).  Tr(Ei Ej) = 2 delta_ij.
-PAULI_BASIS: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = (
-    _E0, _E1, _E2, _E3,
-)
-
-#: the same basis as one read-only ``(4, 2, 2)`` array, for stacked products
-PAULI_STACK = np.stack(PAULI_BASIS)
+#: the basis E0..E3 as one read-only ``(4, 2, 2)`` array; E3's -1j has a real part of -0.0
+PAULI_STACK = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -1.0]],    # S1 axis (H/V)
+    [[0.0, 1.0], [1.0, 0.0]],     # S2 axis (P/M)
+    [[0.0, -1.0j], [1.0j, 0.0]],  # S3 axis (R/L)
+], dtype=complex)
 PAULI_STACK.setflags(write=False)
+
+#: Stokes-aligned operator basis (identity first), read-only views of
+#: PAULI_STACK.  Tr(Ei Ej) = 2 delta_ij.
+PAULI_BASIS: tuple[np.ndarray, ...] = tuple(PAULI_STACK)
 
 #: ``K.reshape(4) @ _PAULI_COEFFS`` are the coefficients c_m = Tr(E_m K)/2 of
 #: K = sum_m c_m E_m: column m is vec(E_m^T)/2, entries 0, +-1/2 and +-i/2
@@ -135,12 +135,18 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     return _check_physical(rho, 2, "density matrix")
 
 
-def _check_physical(m, dim: int, what: str) -> np.ndarray:
-    """``m`` as a complex ``(dim, dim)`` array, checked as check_density says; the
-    ValueError of a failed check names ``what``."""
+def _square(m, dim: int, what: str) -> np.ndarray:
+    """``m`` as one complex ``(dim, dim)`` array; any other shape raises a ValueError naming ``what``."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
+    return m
+
+
+def _check_physical(m, dim: int, what: str) -> np.ndarray:
+    """``m`` as a complex ``(dim, dim)`` array, checked as check_density says; the
+    ValueError of a failed check names ``what``."""
+    m = _square(m, dim, what)
     if not np.isfinite(m).all():
         raise ValueError(f"{what} must be finite")
     # each test written so that NaN fails it too
@@ -156,14 +162,14 @@ def _check_physical(m, dim: int, what: str) -> np.ndarray:
 def density_from_stokes(s) -> np.ndarray:
     """Density matrix rho = (I + s1 E1 + s2 E2 + s3 E3) / 2.
 
-    Rejects non-finite Stokes vectors and those longer than 1 (beyond
-    numerical slack) as unphysical.
+    Rejects non-finite Stokes vectors and those longer than 1 + STOKES_SLACK
+    as unphysical.
     """
     v = _stokes_array(s)
     if not np.isfinite(v).all():
         raise ValueError(f"Stokes vector must be finite, got {v.tolist()}")
     norm = float(np.linalg.norm(v))
-    if norm > 1.0 + 1e-9:
+    if norm > 1.0 + STOKES_SLACK:
         raise ValueError(f"Stokes vector length {norm:.6g} exceeds 1 (unphysical)")
     return _pauli_operators(np.r_[1.0, v])[0]
 

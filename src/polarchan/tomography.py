@@ -35,7 +35,7 @@ from scipy.optimize import OptimizeResult, minimize
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .bench_sim import _CHI_TO_PTM, KrausSet, _ptm_stack, _tp_defects
-from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators
+from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators, _square
 
 __all__ = [
     "PROJECTOR_LABELS",
@@ -88,9 +88,13 @@ _P_FLOOR = 1e-12
 #: is accepted at a ratio above _ACCEPT_RATIO.  The shift never falls below
 #: _MU_FLOOR times the projected Hessian's spectral radius, and a predicted decrease
 #: below _NLL_RESOLUTION relative to the NLL is one that no step can show.
+#: Every fit stops, converged, at a predicted decrease of at most _NLL_REL_TOL
+#: relative to the NLL, and unconverged after _MAX_ITERATIONS accepted steps.
 _RADIUS_START, _RADIUS_SHRINK, _RADIUS_GROW, _RADIUS_SLACK = 0.1, 0.25, 2.0, 1.5
 _ACCEPT_RATIO = 1e-4
 _MU_FLOOR = 1e-12
+_NLL_REL_TOL = 1e-9
+_MAX_ITERATIONS = 100_000
 _NLL_RESOLUTION = 4 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -111,23 +115,13 @@ def preparation_states() -> tuple:
 
 @dataclass(frozen=True)
 class TomoSettings:
-    """Shots per analysis setting, RNG seed, and MLE stopping criteria."""
+    """Shots per analysis setting and RNG seed of a simulated count table."""
 
     shots: int = 10_000
     seed: int = 0
-    nll_rel_tol: float = 1e-9
-    max_iterations: int = 100_000
 
     def __post_init__(self):
         _check_shots_and_seed(self.shots, self.seed)
-        tol, limit = self.nll_rel_tol, self.max_iterations
-        # written so that NaN fails too
-        if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
-            raise ValueError(f"nll_rel_tol must be positive and finite, got {tol!r}")
-        if isinstance(limit, bool) or not isinstance(limit, numbers.Integral):
-            raise ValueError(f"max_iterations must be an integer, got {limit!r}")
-        if limit < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {limit}")
 
 
 def _check_shots_and_seed(shots, seed=0) -> None:
@@ -140,9 +134,6 @@ def _check_shots_and_seed(shots, seed=0) -> None:
         raise ValueError(f"shots must be between 0 and {MAX_SHOTS}, got {shots}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-
-
-_DEFAULT_SETTINGS = TomoSettings()
 
 
 @dataclass(frozen=True)
@@ -280,8 +271,9 @@ def _csv_safe_label(label) -> bool:
 
 
 def expected_probability(kraus: KrausSet, rho_in: np.ndarray, projector: np.ndarray) -> float:
-    """Born probability Tr(projector E(rho_in)) for the channel's output."""
-    return float(probability_table(kraus, [rho_in], [projector])[0, 0])
+    """Born probability Tr(projector E(rho_in)) of one 2x2 input and one 2x2 projector."""
+    inputs, projectors = [_square(rho_in, 2, "rho_in")], [_square(projector, 2, "projector")]
+    return float(probability_table(kraus, inputs, projectors)[0, 0])
 
 
 def probability_table(
@@ -362,14 +354,10 @@ class QstLinearResult:
 
 
 def _counts_row(counts) -> np.ndarray:
-    if isinstance(counts, CountRecord):
-        if counts.counts.shape[0] != 1:
-            raise ValueError("expected a single-state record")
-        return counts.counts[0].astype(float)
-    row = np.asarray(counts, dtype=float).reshape(-1)
-    if row.shape != (6,):
-        raise ValueError(f"expected six projector counts, got {row.shape}")
-    return _valid_counts(row)
+    row = np.asarray(counts.counts if isinstance(counts, CountRecord) else counts, dtype=float)
+    if row.shape not in ((6,), (1, 6)):
+        raise ValueError(f"expected one row of six projector counts, (6,) or (1, 6), got {row.shape}")
+    return _valid_counts(row.reshape(6))
 
 
 def _valid_counts(table: np.ndarray) -> np.ndarray:
@@ -644,7 +632,7 @@ def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, 
     return OptimizeResult(x=x, fun=nll, nit=nit, success=converged, terms=terms)
 
 
-def _mle_minimize(a_tensor_fn, counts, shots, estimate, settings) -> dict:
+def _mle_minimize(a_tensor_fn, counts, shots, estimate) -> dict:
     """Fit X = T^2 / Tr(T^2) to ``counts`` from the linear ``estimate``.
 
     T = sum_k params_k S_k is Hermitian over the Pauli strings S_k.  Every
@@ -657,8 +645,6 @@ def _mle_minimize(a_tensor_fn, counts, shots, estimate, settings) -> dict:
     sum_s w_s p_s - lambda_min(sum_s w_s H_s), an upper bound on the fit's NLL
     excess over the optimum.
     """
-    if settings is None:
-        settings = _DEFAULT_SETTINGS
     a_tensor = a_tensor_fn()
     dim = a_tensor.shape[-1]
     strings = _pauli_strings(dim).reshape(dim * dim, -1)
@@ -666,8 +652,7 @@ def _mle_minimize(a_tensor_fn, counts, shots, estimate, settings) -> dict:
     # Tr(S_k T) = dim params_k, a scale the fit ignores
     x0 = (strings.conj() @ _root_seed(estimate).ravel()).real
     res = minimize(_nll_and_grad, x0, args=args, hess=_nll_hessian, method=_damped_newton,
-                   options={"max_iterations": settings.max_iterations,
-                            "nll_rel_tol": settings.nll_rel_tol})
+                   options={"max_iterations": _MAX_ITERATIONS, "nll_rel_tol": _NLL_REL_TOL})
     t = (res.x @ strings).reshape(dim, dim)
     gram = t @ t
     _, _, p, w, _ = res.terms
@@ -677,22 +662,28 @@ def _mle_minimize(a_tensor_fn, counts, shots, estimate, settings) -> dict:
                 converged=bool(res.success), iterations=int(res.nit), optimality_gap=float(gap))
 
 
-def qst_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings] = None) -> MleResult:
+def _fit_shots(counts, shots) -> int:
+    """The shot number of a fit: ``shots`` when given, which must be an integer in
+    0..MAX_SHOTS, else the CountRecord's own; a bare table requires ``shots``."""
+    if shots is None:
+        if not isinstance(counts, CountRecord):
+            raise ValueError("shots must be given when counts is a bare table")
+        return counts.shots  # checked when the record was made
+    _check_shots_and_seed(shots)
+    return shots
+
+
+def qst_mle(counts, shots: Optional[int] = None) -> MleResult:
     """Maximum-likelihood state fit over rho = T^2 / Tr(T^2), T Hermitian.
 
-    ``counts`` is a six-entry projector row (or single-row CountRecord, in
-    which case its shot number is used); ``shots`` must be an integer in
-    0..MAX_SHOTS.  The fit starts from the square root of the linear-inversion
-    estimate with its eigenvalues floored, so the fitted NLL never exceeds
-    that clipped estimate's.
+    ``counts`` is a six-entry projector row, of shape (6,) or (1, 6), or a
+    single-row CountRecord; ``shots`` defaults to a record's own shot number
+    and is required for a bare row.  The fit starts from the square root of
+    the linear-inversion estimate with its eigenvalues floored, so the fitted
+    NLL never exceeds that clipped estimate's.
     """
-    if isinstance(counts, CountRecord):
-        shots = counts.shots if shots is None else shots
     row = _counts_row(counts)
-    if shots is None:
-        raise ValueError("shots must be given when counts is a bare array")
-    _check_shots_and_seed(shots)
-    return MleResult(**_mle_minimize(_qst_a_tensor, row, shots, qst_linear(row).rho, settings))
+    return MleResult(**_mle_minimize(_qst_a_tensor, row, _fit_shots(counts, shots), qst_linear(row).rho))
 
 
 # Setting-independent tensors are built on first use, once per process, and
@@ -766,23 +757,18 @@ def trace_preservation_deviation(chi: np.ndarray) -> float:
     return float(_tp_defects(np.asarray(chi, dtype=complex).reshape(1, 4, 4))[0])
 
 
-def qpt_mle(counts, shots: Optional[int] = None, settings: Optional[TomoSettings] = None) -> QptMleResult:
+def qpt_mle(counts, shots: Optional[int] = None) -> QptMleResult:
     """Maximum-likelihood process fit over chi = T^2 / Tr(T^2), T Hermitian.
 
     Fits all 24 preparation/analysis settings jointly, from the square root of
-    the clipped ``qpt_linear`` estimate; ``shots`` must be an integer in
-    0..MAX_SHOTS.  A CountRecord's rows are matched to the preparations by
-    their input labels, in any order; a record whose labels are not a
-    permutation of INPUT_LABELS raises ValueError.  A bare (4, 6) table must
-    follow the INPUT_LABELS row order.
+    the clipped ``qpt_linear`` estimate; ``shots`` defaults to a record's own
+    shot number and is required for a bare table.  A CountRecord's rows are
+    matched to the preparations by their input labels, in any order; a record
+    whose labels are not a permutation of INPUT_LABELS raises ValueError.  A
+    bare (4, 6) table must follow the INPUT_LABELS row order.
     Positivity and unit trace hold by construction, while the
     trace-preservation defect of the fit is reported as a noise diagnostic.
     """
-    if isinstance(counts, CountRecord):
-        shots = counts.shots if shots is None else shots
     table = _process_table(counts)
-    if shots is None:
-        raise ValueError("shots must be given when counts is a bare table")
-    _check_shots_and_seed(shots)
-    fit = _mle_minimize(_qpt_a_tensor, table.ravel(), shots, qpt_linear(table), settings)
+    fit = _mle_minimize(_qpt_a_tensor, table.ravel(), _fit_shots(counts, shots), qpt_linear(table))
     return QptMleResult(**fit, tp_deviation=trace_preservation_deviation(fit["matrix"]))

@@ -268,6 +268,7 @@ def test_process_checks_at_each_threshold_edge():
 
     cases = ((check_process_matrix, ATOL, hermitian_defect, "not Hermitian"),
              (check_process_matrix, EIG_ATOL, negative_eigenvalue, "negative eigenvalue"),
+             (chi_eigenvalues, ATOL, hermitian_defect, "not Hermitian"),
              (chi_eigenvalues, EIG_ATOL, negative_eigenvalue, "below clipping window"))
     for check, edge, matrix, message in cases:
         check(matrix(edge))

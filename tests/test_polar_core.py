@@ -13,6 +13,8 @@ from polarchan.polar_core import (
     KET_R,
     KET_V,
     PAULI_BASIS,
+    PAULI_STACK,
+    STOKES_SLACK,
     StokesVector,
     check_density,
     degree_of_polarization,
@@ -48,8 +50,13 @@ def test_check_density_at_each_threshold_edge():
 def test_density_rejects_unphysical_length():
     with pytest.raises(ValueError, match="unphysical"):
         density_from_stokes((1.0, 1e-4, 0.0))
-    # within numerical slack is accepted
+    # within numerical slack is accepted: a length of exactly 1 + STOKES_SLACK
+    # passes, and the next float past it fails
     density_from_stokes((1.0 + 1e-10, 0.0, 0.0))
+    edge = 1.0 + STOKES_SLACK
+    density_from_stokes((edge, 0.0, 0.0))
+    with pytest.raises(ValueError, match="unphysical"):
+        density_from_stokes((np.nextafter(edge, 2.0), 0.0, 0.0))
 
 
 def test_stokes_from_density_examples():
@@ -86,6 +93,12 @@ def test_pauli_convention():
             if i >= 1 and j >= 1:
                 anti = PAULI_BASIS[i] @ PAULI_BASIS[j] + PAULI_BASIS[j] @ PAULI_BASIS[i]
                 assert np.allclose(anti, (2.0 if i == j else 0.0) * I2, atol=1e-15)
+    # one read-only array: the tuple holds its views, and E3's -1j has a real part of -0.0
+    for view, row in zip(PAULI_BASIS, PAULI_STACK):
+        assert view.base is PAULI_STACK and not view.flags.writeable and view.tobytes() == row.tobytes()
+    assert not PAULI_STACK.flags.writeable
+    assert np.signbit(PAULI_STACK.real).tolist() == [[[False] * 2] * 2, [[False, False], [False, True]],
+                                                      [[False] * 2] * 2, [[False, True], [False, False]]]
 
 
 def test_round_trip_random_states(rng):

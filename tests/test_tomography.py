@@ -132,6 +132,20 @@ def test_expected_probability_examples():
     assert expected_probability(iso, h, h) == pytest.approx(5 / 6, abs=1e-12)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda k, v, hv: apply_process_matrix(np.diag([1.0, 0, 0, 0]), hv), "rho"),
+    (lambda k, v, hv: apply_channel(k, hv), "rho"),
+    (lambda k, v, hv: expected_probability(k, v, hv), "projector"),
+    (lambda k, v, hv: expected_probability(k, hv, v), "rho_in"),
+], ids=["apply_process_matrix", "apply_channel", "projector", "rho_in"])
+def test_one_state_arguments_refuse_a_stack(call, name):
+    # each used to read the first matrix of the stack and drop the rest
+    v = ket_projector(KET_V)
+    stack = np.stack([ket_projector(KET_H), v])
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be 2x2, got shape (2, 2, 2)")):
+        call(identity_kraus(), v, stack)
+
+
 def test_simulate_counts_zero_shots():
     rec = simulate_counts(identity_kraus(), TomoSettings(shots=0, seed=3))
     assert rec.counts.sum() == 0
@@ -268,27 +282,13 @@ def test_shots_and_seed_are_integers_in_range(shots, seed, message):
                 qpt_mle(np.ones((4, 6)), shots=shots)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("nll_rel_tol", np.nan, "nll_rel_tol must be positive and finite, got nan"),
-    ("nll_rel_tol", np.inf, "nll_rel_tol must be positive and finite, got inf"),
-    ("nll_rel_tol", 0.0, "nll_rel_tol must be positive and finite, got 0.0"),
-    ("nll_rel_tol", -1e-9, "nll_rel_tol must be positive and finite, got -1e-09"),
-    ("nll_rel_tol", "1e-9", "nll_rel_tol must be positive and finite, got '1e-9'"),
-    ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
-    ("max_iterations", True, "max_iterations must be an integer, got True"),
-    ("max_iterations", 10.0, "max_iterations must be an integer, got 10.0"),
-    ("max_iterations", 0, "max_iterations must be at least 1, got 0"),
-], ids=["tol_nan", "tol_inf", "tol_zero", "tol_negative", "tol_text", "limit_fraction", "limit_bool",
-        "limit_float", "limit_zero"])
-def test_settings_refuse_bad_stopping_criteria(field, value, message):
-    # an infinite tolerance used to stop every fit at its seed, reported as converged
-    with pytest.raises(ValueError, match=re.escape(message)):
-        TomoSettings(**{field: value})
-
-
-def test_numpy_numbers_are_stopping_criteria():
-    strict = TomoSettings(nll_rel_tol=np.float32(1e-6), max_iterations=np.int64(1))
-    assert qpt_mle(probability_table(fig1_kraus(15.0)) * 10_000, shots=10_000, settings=strict).iterations <= 1
+@pytest.mark.parametrize("fit, table", [(qst_mle, np.ones(6)), (qpt_mle, np.ones((4, 6)))],
+                         ids=["state", "process"])
+def test_bare_tables_need_shots(fit, table):
+    # both fits read one rule: a record's own shot number unless shots is given
+    with pytest.raises(ValueError, match="shots must be given when counts is a bare table"):
+        fit(table)
+    assert fit(table, shots=10).converged
 
 
 def test_count_record_keeps_the_callers_table_writable(tmp_path):
@@ -573,10 +573,13 @@ def test_mle_outputs_physical_under_fuzzed_counts(rng):
         check_density(fit_state.rho)
 
 
-def test_mle_flags_non_convergence():
+def test_mle_flags_non_convergence(monkeypatch):
+    from polarchan import tomography
+
     rec = simulate_counts(fig1_kraus(15.0), TomoSettings(shots=10_000, seed=3))
-    strict = TomoSettings(shots=10_000, seed=3, nll_rel_tol=1e-30, max_iterations=1)
-    fit = qpt_mle(rec, settings=strict)
+    monkeypatch.setattr(tomography, "_NLL_REL_TOL", 1e-30)
+    monkeypatch.setattr(tomography, "_MAX_ITERATIONS", 1)
+    fit = qpt_mle(rec)
     assert not fit.converged
     # best iterate is still returned and physical
     assert np.linalg.eigvalsh(fit.chi).min() >= -1e-10
@@ -1082,13 +1085,15 @@ def test_optimality_gap_bounds_the_excess_over_a_tight_fit():
     assert fit.optimality_gap >= fit.nll - lbfgsb_nll(rec.counts[0], 500, 2, 1e-15) - 1e-9 * abs(fit.nll)
 
 
-def test_near_pure_fit_ends_near_its_tight_optimum():
+def test_near_pure_fit_ends_near_its_tight_optimum(monkeypatch):
+    from polarchan import tomography
+
     # fig1 at theta2 = 2 deg, a near-pure channel: the pivoted Cholesky factor stopped
     # 0.0598 above its own tight fit on this record, with a gap of 175
-    settings_ = TomoSettings(shots=10_000, seed=847497087)
-    rec = simulate_counts(fig1_kraus(2.0), settings_)
+    rec = simulate_counts(fig1_kraus(2.0), TomoSettings(shots=10_000, seed=847497087))
     fit = qpt_mle(rec)
-    tight = qpt_mle(rec, settings=dataclasses.replace(settings_, nll_rel_tol=1e-15))
+    monkeypatch.setattr(tomography, "_NLL_REL_TOL", 1e-15)
+    tight = qpt_mle(rec)
     assert fit.converged and tight.converged
     excess = fit.nll - tight.nll
     assert excess <= 1e-3
@@ -1139,6 +1144,19 @@ def test_state_settings_are_exact():
         assert np.abs(op - ket_projector(kets[label])).max() <= 1e-15
     assert set(np.unique(np.abs(_qst_a_tensor())).tolist()) <= {0.0, 0.5, 1.0}
     assert set(np.unique(np.abs(nll_forms(2)[1])).tolist()) <= {0.0, 0.25, 0.5}
+
+
+@pytest.mark.parametrize("fit", [qst_linear, qst_mle])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (6, 1), (2, 6), (1, 1, 6), (12,), ()])
+def test_state_fits_read_one_projector_row(fit, shape):
+    # a (2, 3) table was read as one row (qst_linear gave the Stokes vector (-1, -0.2, -0.111))
+    kwargs = {} if fit is qst_linear else {"shots": 100}
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        fit(np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape), **kwargs)
+    row = fit(np.arange(1.0, 7.0).reshape(1, 6), **kwargs)
+    assert same_bits(row.rho, fit(np.arange(1.0, 7.0), **kwargs).rho)
+    with pytest.raises(ValueError, match=re.escape("got (4, 6)")):
+        fit(simulate_counts(identity_kraus(), TomoSettings(shots=10)))  # a record, but not of one state
 
 
 @pytest.mark.parametrize("fit", [qst_linear, qst_mle, qpt_linear, qpt_mle])
