@@ -37,7 +37,6 @@ from .bench_sim import (
     MAX_DELAY_BINS,
     BenchConfig,
     Crystal,
-    KrausSet,
     Waveplate,
     _checked_chi,
     _nonzero_bins,
@@ -69,7 +68,15 @@ from .depolarizer import (
     radii_closed_form,
     reachable_region_scan,
 )
-from .tomography import MAX_SHOTS, TomoSettings, qpt_mle, simulate_counts
+from .tomography import (
+    _PROCESS_DESIGN,
+    INPUT_LABELS,
+    MAX_SHOTS,
+    TomoSettings,
+    _draw_counts,
+    qpt_mle,
+    simulate_counts,
+)
 
 MODES = ("simulate", "sweep", "tomo", "feasibility", "region")
 PRESETS = ("fig1", "lyot", "two_crystal", "rotated_crystals")
@@ -402,36 +409,32 @@ def _sweep_thetas(cfg: RunConfig) -> list:
     return [cfg.theta2_start + k * cfg.theta2_step for k in range(count)]
 
 
-def _sweep_block(benches, keep_kraus: bool) -> tuple:
-    """Compensated radii ``(B, 3)``, chi spectra ``(B, 4)`` and, with
-    ``keep_kraus``, the Kraus set of every bench in one shared-structure block.
+def _sweep_block(benches) -> tuple:
+    """Compensated radii ``(B, 3)``, chi spectra ``(B, 4)`` and the checked
+    process matrices chi ``(B, 4, 4)`` of every bench in one shared-structure block.
 
     Benches are grouped by which delay bins survive the zero filter, so each
-    group is analysed with exactly the operators ``propagate`` would keep.
-    Each group's chi gives both its spectra and, through its Pauli transfer
-    matrix, its Stokes matrices.
+    group is analysed with exactly the operators ``propagate`` would keep, and
+    each bench's chi is the one its Kraus set would compute.  Each group's chi
+    gives both its spectra and, through its Pauli transfer matrix, its Stokes
+    matrices.
     """
-    delays, ops = propagate_stack(benches)
+    _, ops = propagate_stack(benches)
     keep = _nonzero_bins(ops)
     groups: dict = {}
     for b, row in enumerate(keep):
         groups.setdefault(row.tobytes(), []).append(b)
     radii = np.empty((len(benches), 3))
     lams = np.empty((len(benches), 4))
-    krauses = [None] * len(benches)
+    chis = np.empty((len(benches), 4, 4), dtype=complex)
     for rows in groups.values():
-        bins = np.flatnonzero(keep[rows[0]])
-        group = ops[np.ix_(rows, bins)]
-        chi = _checked_chi(group)
+        chi = _checked_chi(ops[np.ix_(rows, np.flatnonzero(keep[rows[0]]))])
+        chis[rows] = chi
         compensated, radii[rows], off = _compensate(_ptm_stack(chi)[:, 1:, 1:])
         for g in np.flatnonzero(off > _AXIS_ALIGNED_ATOL):
             radii[rows[g]] = polar_decompose(compensated[g]).radii
         lams[rows] = chi_eigenvalues(chi)
-        if keep_kraus:
-            kept = tuple(delays[i] for i in bins)
-            for g, b in enumerate(rows):
-                krauses[b] = KrausSet(kept, group[g])
-    return radii, lams, krauses
+    return radii, lams, chis
 
 
 def _sweep_row(theta1: float, theta2: float, on_iso_line: bool, sim, lams) -> list:
@@ -443,8 +446,10 @@ def _sweep_row(theta1: float, theta2: float, on_iso_line: bool, sim, lams) -> li
     return cells
 
 
-def _fit_row(settings: TomoSettings, kraus: KrausSet, row: int) -> tuple:
-    fit = qpt_mle(simulate_counts(kraus, settings, stream=row))
+def _fit_row(settings: TomoSettings, chi: np.ndarray, row: int) -> tuple:
+    """The MLE fit of sweep row ``row``, from counts drawn as ``simulate_counts``
+    draws them for a Kraus set with process matrix ``chi``."""
+    fit = qpt_mle(_draw_counts(_PROCESS_DESIGN, chi, INPUT_LABELS, settings, row))
     return fit.converged, chi_eigenvalues(fit.chi)
 
 
@@ -476,14 +481,14 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
             block = thetas[start:start + _SWEEP_BLOCK]
             benches = [build_bench(DepolarizerSettings(theta1, t2, cfg.length1, cfg.length2))
                        for t2 in block]
-            radii, lams, krauses = _sweep_block(benches, cfg.tomo)
+            radii, lams, chis = _sweep_block(benches)
             rows = [_sweep_row(theta1, t2, on_iso_line, sim, lam)
                     for t2, sim, lam in zip(block, radii.tolist(), lams.tolist())]
             if not cfg.tomo:
                 lines += [",".join(cells + ["", "", "", "", ""]) for cells in rows]
                 continue
             streams = range(start, start + len(block))
-            fits = fit_map(lambda task: _fit_row(settings, *task), zip(krauses, streams))
+            fits = fit_map(lambda task: _fit_row(settings, *task), zip(chis, streams))
             for i, (cells, (converged, lams_mle)) in enumerate(zip(rows, fits), start=start):
                 lines.append(",".join(cells + [_fmt(v) for v in lams_mle] + [str(seed)]))
                 if not converged:

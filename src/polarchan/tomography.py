@@ -16,10 +16,10 @@ a Hermitian T in the fixed Pauli-string basis, which is physical by
 construction.  Process reconstruction applies the same parameterization to
 the 4x4 process matrix, fitting all 4 x 6 preparation/analysis settings at once.
 
-Process quantities read the Pauli transfer matrix R = G chi: for inputs
-rho_k = sum_j x_kj E_j / 2 and projectors P_s = sum_i y_si E_i / 2, the
-probabilities are y_s R x_k / 2, and the standard settings' x and y are exact.
-A single state with coordinates x is measured the same way, as y_s x / 2.
+The count simulator and both fits read one measurement design per kind: the
+probabilities of a state rho or of a process matrix chi are p = Re(D vec X),
+for the fixed (6, 4) _STATE_DESIGN or (24, 16) _PROCESS_DESIGN, built at
+import from the exact coordinates of the standard settings.
 """
 
 from __future__ import annotations
@@ -27,15 +27,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .bench_sim import _CHI_TO_PTM, KrausSet, _ptm_stack, _tp_defects
-from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators, _square
+from .bench_sim import _CHI_TO_PTM, KrausSet, _tp_defects, apply_channel
+from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_operators, _square
 
 __all__ = [
     "PROJECTOR_LABELS",
@@ -75,6 +74,16 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 #: PROJECTOR_LABELS order (s = +-1 on one Stokes axis), and of each preparation
 _PROJECTOR_COORDS = _frozen(np.c_[np.ones(6), np.kron(np.eye(3), [[1.0], [-1.0]])])
 _INPUT_COORDS = _frozen(_PROJECTOR_COORDS[[PROJECTOR_LABELS.index(lbl) for lbl in INPUT_LABELS]])
+
+#: the measurement designs of a state rho and of a process matrix chi, whose
+#: probabilities are p = Re(D vec X), clipped to [0, 1] where counts are drawn.
+#: Row j of the state design is vec(P_j^T) = sum_i y_ji vec(E_i^T) / 2, so that
+#: its product with vec(rho) is Tr(P_j rho).  Row (k, j) of the process design
+#: is sum_il y_ji x_kl G[(i,l),:] / 2, the vec of Tr(P_j E_m rho_k E_n^dag) over
+#: (m, n), so that its product with vec(chi) is Tr(P_j E(rho_k)).  Both are exact.
+_STATE_DESIGN = _frozen(_PROJECTOR_COORDS @ _PAULI_COEFFS.T)
+_PROCESS_DESIGN = _frozen(np.einsum("ji,kl,ilmn->kjmn", _PROJECTOR_COORDS, _INPUT_COORDS,
+                                    _CHI_TO_PTM.reshape(4, 4, 4, 4)).reshape(24, 16) / 2)
 
 #: probabilities below this are clipped inside logs to keep the NLL finite
 _P_FLOOR = 1e-12
@@ -168,6 +177,8 @@ class CountRecord:
         object.__setattr__(self, "input_labels", labels)
 
     def row(self, label: str) -> np.ndarray:
+        if label not in self.input_labels:
+            raise ValueError(f"no row labelled {label!r}; the record's labels are {self.input_labels}")
         return self.counts[self.input_labels.index(label)]
 
     def to_csv(self, path) -> None:
@@ -271,31 +282,24 @@ def _csv_safe_label(label) -> bool:
 
 
 def expected_probability(kraus: KrausSet, rho_in: np.ndarray, projector: np.ndarray) -> float:
-    """Born probability Tr(projector E(rho_in)) of one 2x2 input and one 2x2 projector."""
-    inputs, projectors = [_square(rho_in, 2, "rho_in")], [_square(projector, 2, "projector")]
-    return float(probability_table(kraus, inputs, projectors)[0, 0])
+    """Born probability Tr(projector E(rho_in)), clipped to [0, 1], of one 2x2
+    input and one 2x2 projector."""
+    output = apply_channel(kraus, _square(rho_in, 2, "rho_in"))
+    return float(np.clip(np.trace(_square(projector, 2, "projector") @ output).real, 0.0, 1.0))
 
 
-def probability_table(
-    kraus: KrausSet,
-    inputs: Optional[Sequence[np.ndarray]] = None,
-    projectors: Optional[Sequence[np.ndarray]] = None,
-) -> np.ndarray:
-    """Exact probabilities for every (input, projector) pair, shape (n, 6).
+def probability_table(kraus: KrausSet) -> np.ndarray:
+    """Exact probabilities of the standard settings, shape (4, 6): rows in
+    INPUT_LABELS order, columns in PROJECTOR_LABELS order.
 
-    Each is y R x / 2, clipped to [0, 1], for the Pauli transfer matrix R and
-    the coordinates x = Tr(E_i rho) of the input and y = Tr(E_i P) of the projector.
+    They are Re(_PROCESS_DESIGN vec chi), clipped to [0, 1], for the set's chi.
     """
-    x = _INPUT_COORDS if inputs is None else _pauli_coords(inputs)
-    y = _PROJECTOR_COORDS if projectors is None else _pauli_coords(projectors)
-    r = _ptm_stack(kraus._complete_chi())[0]
-    return _born_table(x @ r.T, y)
+    return _probabilities(_PROCESS_DESIGN, kraus._complete_chi()).reshape(4, 6)
 
 
-def _born_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Probabilities y . x / 2, clipped to [0, 1], of states with coordinates
-    x = Tr(E_i rho) (rows of ``x``) and projectors with y = Tr(E_i P)."""
-    return np.clip((x @ y.T).real / 2, 0.0, 1.0)
+def _probabilities(design: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The probabilities Re(design vec x), clipped to [0, 1], of a state or process ``x``."""
+    return np.clip((design @ x.ravel()).real, 0.0, 1.0)
 
 
 def _poisson_table(seed: int, stream: int, lam: np.ndarray) -> np.ndarray:
@@ -317,15 +321,21 @@ def simulate_counts(kraus: KrausSet, settings: TomoSettings, *, stream: int = 0)
     keyed by (settings.seed, stream), so identical arguments reproduce
     identical records.
     """
-    counts = _poisson_table(settings.seed, stream, settings.shots * probability_table(kraus))
-    return CountRecord(counts, INPUT_LABELS, settings.shots, settings.seed)
+    return _draw_counts(_PROCESS_DESIGN, kraus._complete_chi(), INPUT_LABELS, settings, stream)
 
 
 def simulate_state_counts(rho: np.ndarray, settings: TomoSettings, *, stream: int = 0) -> CountRecord:
-    """Single-state analog: measure one state against the six projectors."""
-    probs = _born_table(_pauli_coords(np.reshape(rho, (2, 2))), _PROJECTOR_COORDS)
+    """Single-state analog: measure one 2x2 state against the six projectors."""
+    return _draw_counts(_STATE_DESIGN, _square(rho, 2, "rho"), ("state",), settings, stream)
+
+
+def _draw_counts(design, x, labels, settings: TomoSettings, stream: int) -> CountRecord:
+    """The record of ``x`` measured through ``design``, one row per label:
+    Poisson(N p) counts of the probabilities p of _probabilities, drawn from
+    the stream keyed by (settings.seed, stream)."""
+    probs = _probabilities(design, x).reshape(len(labels), len(PROJECTOR_LABELS))
     counts = _poisson_table(settings.seed, stream, settings.shots * probs)
-    return CountRecord(counts, ("state",), settings.shots, settings.seed)
+    return CountRecord(counts, labels, settings.shots, settings.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +438,10 @@ def _nll_terms(params, forms, counts, shots) -> tuple:
     """The pieces every NLL derivative is built from.
 
     T = sum_k params_k S_k over Pauli strings with Tr(S_k S_l) = dim delta_kl,
-    so Tr(T^2) = dim params.params = dim tau and
-    p_s = Re Tr(A_s^T X) = params^T Q_s params / tau, for X = T^2 / Tr(T^2),
-    with the fixed symmetric forms Q_s stacked in ``forms`` (see
-    _quadratic_forms).  Returns v_s = Q_s params, tau, p,
+    so Tr(T^2) = dim params.params = dim tau and, for X = T^2 / Tr(T^2) and the
+    fit's design D, p_s = Re(D vec X)_s = params^T Q_s params / tau, with the
+    fixed symmetric forms Q_s stacked in ``forms`` (see _quadratic_forms).
+    Returns v_s = Q_s params, tau, p,
     w_s = dNLL/dp_s = N - n_s/p_s and p floored at _P_FLOOR; a setting at the
     floor has a constant log term there, so its w_s is N.
     """
@@ -479,33 +489,20 @@ def _nll_hessian(terms, forms, counts, shots):
     return hess
 
 
-@cache
-def _quadratic_forms(a_tensor_fn) -> np.ndarray:
-    """The NLL's forms Q_s of the A tensor ``A = a_tensor_fn()``, stacked as one
-    read-only ``(S*n, n)`` array, built once per A tensor.
+def _quadratic_forms(design: np.ndarray, strings: np.ndarray) -> np.ndarray:
+    """The NLL's forms Q_s of a fit's ``design``, stacked as one read-only
+    ``(S*n, n)`` array, for its ``(n, dim, dim)`` Pauli strings ``strings``.
 
-    With T = sum_k params_k S_k over the Pauli strings S_k of _pauli_strings,
-    Q_s[k, l] = sym Re sum_mn A[s,m,n] (S_k S_l)[m,n] / dim, so that
-    params^T Q_s params = Re Tr(A_s^T T^2) / dim and params.params = Tr(T^2) / dim:
-    the contraction is elementwise, so a setting measured as Tr(P X) needs
-    A_s = P^T.  The products of the unscaled strings have entries 0, +-1 and
-    +-i, so exact settings give exact forms.
+    With T = sum_k params_k S_k, Q_s[k, l] = sym Re sum_mn D_s[m,n] (S_k S_l)[m,n] / dim
+    for the design row D_s as a dim x dim matrix, so that
+    params^T Q_s params = Re(D vec T^2)_s / dim and params.params = Tr(T^2) / dim.
+    The products of the unscaled strings have entries 0, +-1 and +-i, so exact
+    designs give exact forms.
     """
-    a_tensor = a_tensor_fn()
-    dim = a_tensor.shape[-1]
-    strings = _pauli_strings(dim)
+    dim = strings.shape[-1]
     products = strings[:, None] @ strings[None]  # [k, l] = S_k S_l
-    q = np.einsum("smn,klmn->skl", a_tensor, products).real / dim
+    q = np.einsum("smn,klmn->skl", design.reshape(-1, dim, dim), products).real / dim
     return _frozen((0.5 * (q + q.transpose(0, 2, 1))).reshape(-1, dim * dim))
-
-
-@cache
-def _pauli_strings(dim: int) -> np.ndarray:
-    """The read-only ``(dim*dim, dim, dim)`` Pauli strings of a state (dim 2: E_a)
-    or a process (dim 4: E_a (x) E_b), Hermitian with Tr(S_k S_l) = dim delta_kl."""
-    if dim == 2:
-        return PAULI_STACK
-    return _frozen(np.einsum("aij,bkl->abikjl", PAULI_STACK, PAULI_STACK).reshape(16, 4, 4))
 
 
 def _root_seed(estimate: np.ndarray) -> np.ndarray:
@@ -632,8 +629,9 @@ def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, 
     return OptimizeResult(x=x, fun=nll, nit=nit, success=converged, terms=terms)
 
 
-def _mle_minimize(a_tensor_fn, counts, shots, estimate) -> dict:
-    """Fit X = T^2 / Tr(T^2) to ``counts`` from the linear ``estimate``.
+def _mle_minimize(fit, counts, shots, estimate) -> dict:
+    """Fit X = T^2 / Tr(T^2) to ``counts`` from the linear ``estimate``, for the
+    (design, strings, forms) constants ``fit`` of a state or a process fit.
 
     T = sum_k params_k S_k is Hermitian over the Pauli strings S_k.  Every
     PSD X has a Hermitian square root, so the fit covers the unit-trace PSD
@@ -641,14 +639,14 @@ def _mle_minimize(a_tensor_fn, counts, shots, estimate) -> dict:
     orthogonal, so the map is covariant under a change of basis and prefers
     no basis order.  Returns the MleResult fields.  The
     optimality gap is the Frank-Wolfe gap over the unit-trace PSD set: with
-    H_s = (A_s^T + conj(A_s)) / 2, so that p_s = Tr(H_s X), it is
-    sum_s w_s p_s - lambda_min(sum_s w_s H_s), an upper bound on the fit's NLL
-    excess over the optimum.
+    H_s = (D_s^T + conj(D_s)) / 2 for the design row D_s as a matrix, so that
+    p_s = Tr(H_s X), it is sum_s w_s p_s - lambda_min(sum_s w_s H_s), an upper
+    bound on the fit's NLL excess over the optimum.
     """
-    a_tensor = a_tensor_fn()
-    dim = a_tensor.shape[-1]
-    strings = _pauli_strings(dim).reshape(dim * dim, -1)
-    args = (_quadratic_forms(a_tensor_fn), np.asarray(counts, dtype=float), float(shots))
+    design, strings, forms = fit
+    dim = strings.shape[-1]
+    strings = strings.reshape(dim * dim, -1)
+    args = (forms, np.asarray(counts, dtype=float), float(shots))
     # Tr(S_k T) = dim params_k, a scale the fit ignores
     x0 = (strings.conj() @ _root_seed(estimate).ravel()).real
     res = minimize(_nll_and_grad, x0, args=args, hess=_nll_hessian, method=_damped_newton,
@@ -656,7 +654,7 @@ def _mle_minimize(a_tensor_fn, counts, shots, estimate) -> dict:
     t = (res.x @ strings).reshape(dim, dim)
     gram = t @ t
     _, _, p, w, _ = res.terms
-    m = (w @ a_tensor.reshape(w.size, -1)).reshape(dim, dim)
+    m = (w @ design).reshape(dim, dim)
     gap = w @ p - np.linalg.eigvalsh(0.5 * (m.T + m.conj()))[0]
     return dict(matrix=gram / np.trace(gram).real, nll=float(res.fun),
                 converged=bool(res.success), iterations=int(res.nit), optimality_gap=float(gap))
@@ -683,40 +681,23 @@ def qst_mle(counts, shots: Optional[int] = None) -> MleResult:
     NLL never exceeds that clipped estimate's.
     """
     row = _counts_row(counts)
-    return MleResult(**_mle_minimize(_qst_a_tensor, row, _fit_shots(counts, shots), qst_linear(row).rho))
+    return MleResult(**_mle_minimize(_STATE_FIT, row, _fit_shots(counts, shots), qst_linear(row).rho))
 
 
-# Setting-independent tensors are built on first use, once per process, and
-# shared read-only between fits.
+# The fits' constants are built at import and shared read-only between fits.
 
-@cache
-def _qst_a_tensor() -> np.ndarray:
-    """The six analysis projectors transposed, A[j] = P_j^T, so that
-    sum_mn A[j,m,n] rho[m,n] = Tr(P_j rho); vec(P_j^T) = sum_i y_ji vec(E_i^T) / 2
-    is exact."""
-    return _frozen((_PROJECTOR_COORDS @ _PAULI_COEFFS.T).reshape(-1, 2, 2))
+#: the Pauli strings of a process fit, E_a (x) E_b in row-major (a, b) order
+_PROCESS_STRINGS = _frozen(np.einsum("aij,bkl->abikjl", PAULI_STACK, PAULI_STACK).reshape(16, 4, 4))
 
+#: (design, Pauli strings, NLL forms) of the state fit and of the process fit
+_STATE_FIT = (_STATE_DESIGN, PAULI_STACK, _quadratic_forms(_STATE_DESIGN, PAULI_STACK))
+_PROCESS_FIT = (_PROCESS_DESIGN, _PROCESS_STRINGS, _quadratic_forms(_PROCESS_DESIGN, _PROCESS_STRINGS))
 
-@cache
-def _qpt_a_tensor() -> np.ndarray:
-    """A[(k,j), m, n] = Tr(P_j E_m rho_k E_n^dag) for the standard settings.
-
-    With P_j = sum_i y_ji E_i / 2 and rho_k = sum_l x_kl E_l / 2 this is
-    sum_il y_ji x_kl G[(i,l),(m,n)] / 2, exact in floating point.
-    """
-    g = _CHI_TO_PTM.reshape(4, 4, 4, 4)
-    a = np.einsum("ji,kl,ilmn->kjmn", _PROJECTOR_COORDS, _INPUT_COORDS, g) / 2
-    return _frozen(a.reshape(-1, 4, 4))
-
-
-@cache
-def _qpt_linear_map() -> np.ndarray:
-    """The ``(16, 16)`` complex map from the stacked (1, Stokes) outputs Y to the
-    flattened process matrix: R = Y^T X^-T for the input coordinates X, then
-    chi = G^-1 R."""
-    # R[i, j] = sum_k Y[k, i] X^-1[j, k]
-    to_ptm = np.einsum("ia,jk->ijka", np.eye(4), np.linalg.inv(_INPUT_COORDS)).reshape(16, 16)
-    return _frozen(np.linalg.inv(_CHI_TO_PTM) @ to_ptm)
+#: the ``(16, 16)`` complex map from the stacked (1, Stokes) outputs Y to the
+#: flattened process matrix: R = Y^T X^-T for the input coordinates X, then
+#: chi = G^-1 R; R[i, j] = sum_k Y[k, i] X^-1[j, k]
+_QPT_LINEAR_MAP = _frozen(np.linalg.inv(_CHI_TO_PTM) @ np.einsum(
+    "ia,jk->ijka", np.eye(4), np.linalg.inv(_INPUT_COORDS)).reshape(16, 16))
 
 
 def _process_table(counts) -> np.ndarray:
@@ -748,13 +729,13 @@ def qpt_linear(counts) -> np.ndarray:
     """
     y = np.ones((4, 4))  # Tr(E_i rho') components of each output
     y[:, 1:] = _stokes_rows(_process_table(counts))[0]
-    return (_qpt_linear_map() @ y.ravel()).reshape(4, 4)
+    return (_QPT_LINEAR_MAP @ y.ravel()).reshape(4, 4)
 
 
 def trace_preservation_deviation(chi: np.ndarray) -> float:
     """Max-norm of sum_mn chi_mn E_n^dag E_m - I (zero for TP channels), the
-    defect that the Kraus-set checks read from chi."""
-    return float(_tp_defects(np.asarray(chi, dtype=complex).reshape(1, 4, 4))[0])
+    defect that the Kraus-set checks read from chi, of one 4x4 ``chi``."""
+    return float(_tp_defects(_square(chi, 4, "process matrix")[None])[0])
 
 
 def qpt_mle(counts, shots: Optional[int] = None) -> QptMleResult:
@@ -770,5 +751,5 @@ def qpt_mle(counts, shots: Optional[int] = None) -> QptMleResult:
     trace-preservation defect of the fit is reported as a noise diagnostic.
     """
     table = _process_table(counts)
-    fit = _mle_minimize(_qpt_a_tensor, table.ravel(), _fit_shots(counts, shots), qpt_linear(table))
+    fit = _mle_minimize(_PROCESS_FIT, table.ravel(), _fit_shots(counts, shots), qpt_linear(table))
     return QptMleResult(**fit, tp_deviation=trace_preservation_deviation(fit["matrix"]))

@@ -403,7 +403,7 @@ def test_kraus_stack_built_once_and_read_only():
 def sweep_block_of(monkeypatch, ops):
     """A one-bench sweep block whose propagated stack is ``ops``."""
     monkeypatch.setattr(cli, "propagate_stack", lambda benches: (tuple(range(ops.shape[1])), ops))
-    return lambda: cli._sweep_block([build_lyot(1)], keep_kraus=False)
+    return lambda: cli._sweep_block([build_lyot(1)])
 
 
 def checked_consumers(kraus, monkeypatch):

@@ -607,6 +607,17 @@ def test_sweep_rows_share_no_stream():
     assert len({seq.generate_state(2, np.uint64).tobytes() for seq in seqs}) == len(seqs)
 
 
+def test_sweep_block_chi_is_each_kraus_sets():
+    # the sweep fits each row from its block's chi, so that chi must be the
+    # one the bench's Kraus set computes, in every bit
+    for theta1 in (isotropic_theta1_angles()[1], 10.0, 0.0):
+        benches = [build_bench(DepolarizerSettings(theta1, t2, 1, 2))
+                   for t2 in np.arange(0.0, 45.5, 2.5)]
+        chis = cli._sweep_block(benches)[2]
+        for bench, chi in zip(benches, chis):
+            assert chi.tobytes() == chi_from_kraus(propagate(bench)).tobytes()
+
+
 def test_tomo_reproduces_sweep_row_zero():
     tomo = parse_config("mode = tomo\npreset = fig1\ntheta2 = 15\nn = 2000\n")
     sweep = parse_config("mode = sweep\npreset = fig1\ntheta2_start = 15\ntheta2_stop = 30\n"
@@ -630,8 +641,8 @@ def test_sweep_reports_unconverged_fits(tmp_path, capsys):
     # was drawn from; a record is alive, and its id unique, until its fit returns
     streams = {}
 
-    def tagged_counts(kraus, settings, *, stream):
-        record = simulate_counts(kraus, settings, stream=stream)
+    def tagged_counts(design, chi, labels, settings, stream):
+        record = tomography._draw_counts(design, chi, labels, settings, stream)
         streams[id(record)] = stream
         return record
 
@@ -639,7 +650,7 @@ def test_sweep_reports_unconverged_fits(tmp_path, capsys):
         fit = qpt_mle(record)
         return dataclasses.replace(fit, converged=streams[id(record)] not in (1, 3))
 
-    with mock.patch.object(cli, "simulate_counts", tagged_counts), \
+    with mock.patch.object(cli, "_draw_counts", tagged_counts), \
             mock.patch.object(cli, "qpt_mle", flaky_mle):
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
     assert capsys.readouterr().err == (

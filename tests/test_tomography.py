@@ -27,7 +27,6 @@ from polarchan.polar_core import (
     KET_R,
     KET_V,
     PAULI_BASIS,
-    _pauli_coords,
     check_density,
     fidelity,
     ket_projector,
@@ -38,10 +37,10 @@ from polarchan.tomography import (
     PROJECTOR_LABELS,
     CountRecord,
     TomoSettings,
-    _PROJECTOR_COORDS,
-    _born_table,
+    _STATE_DESIGN,
     _csv_safe_label,
     _poisson_table,
+    _probabilities,
     analysis_projectors,
     expected_probability,
     preparation_states,
@@ -146,6 +145,14 @@ def test_one_state_arguments_refuse_a_stack(call, name):
         call(identity_kraus(), v, stack)
 
 
+@pytest.mark.parametrize("rho", [np.array([1.0, 0, 0, 0]), np.eye(2)[None] / 2],
+                         ids=["flat", "stack"])
+def test_state_counts_read_one_matrix(rho):
+    # a flat 4-vector used to be drawn as |H><H|
+    with pytest.raises(ValueError, match=re.escape(f"rho must be 2x2, got shape {rho.shape}")):
+        simulate_state_counts(rho, TomoSettings(shots=100))
+
+
 def test_simulate_counts_zero_shots():
     rec = simulate_counts(identity_kraus(), TomoSettings(shots=0, seed=3))
     assert rec.counts.sum() == 0
@@ -166,6 +173,14 @@ def test_simulate_counts_deterministic_and_labelled():
     assert rec1.input_labels == INPUT_LABELS
     rec3 = simulate_counts(kraus, TomoSettings(shots=5000, seed=43))
     assert not np.array_equal(rec1.counts, rec3.counts)
+
+
+def test_count_record_row_names_a_missing_label():
+    rec = simulate_counts(identity_kraus(), TomoSettings(shots=10))
+    assert same_bits(rec.row("P"), rec.counts[2])
+    with pytest.raises(ValueError, match=re.escape(
+            "no row labelled 'M'; the record's labels are ('H', 'V', 'P', 'R')")):
+        rec.row("M")
 
 
 def test_golden_count_record():
@@ -346,7 +361,7 @@ def test_counts_do_not_depend_on_roundoff_residues(monkeypatch):
         moved = probs.copy()
         moved[i, j] = 1e-30
         assert same_bits(_poisson_table(7, 3, 10_000 * moved), exact)
-        monkeypatch.setattr(tomography, "probability_table", lambda *args: moved)
+        monkeypatch.setattr(tomography, "_probabilities", lambda *args: moved.ravel())
         assert same_bits(simulate_counts(identity_kraus(), settings_, stream=3).counts, exact)
     # the floor is on the mean, not on p: p = 1e-15 at 10**18 shots is a mean of 1,000
     assert 800 < _poisson_table(7, 3, np.array([[1e-15 * MAX_SHOTS]]))[0, 0] < 1200
@@ -602,6 +617,13 @@ def test_tp_deviation_diagnostic():
     assert trace_preservation_deviation(chi_from_kraus(fig1_kraus(15.0))) < 1e-12
 
 
+@pytest.mark.parametrize("chi", [np.eye(4).ravel() / 4, np.eye(2) / 2], ids=["flat", "2x2"])
+def test_tp_deviation_reads_one_process_matrix(chi):
+    # a flat 16-vector used to pass, and a 2x2 raised numpy's reshape error
+    with pytest.raises(ValueError, match=re.escape(f"process matrix must be 4x4, got shape {chi.shape}")):
+        trace_preservation_deviation(chi)
+
+
 # ---------------------------------------------------------------------------
 # parameter packing, objective gradient and cached constants
 # ---------------------------------------------------------------------------
@@ -622,9 +644,7 @@ def full_rank_params(rng, dim, scale=1.0):
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_pauli_strings_round_trip(dim, rng):
-    from polarchan.tomography import _pauli_strings
-
-    strings = _pauli_strings(dim)
+    strings = fit_constants(dim)[1]
     # E_a (x) E_b in row-major (a, b) order; entries 0, +-1, +-i, so equal in value
     assert np.array_equal(strings, reference_pauli_strings(dim))
     assert np.array_equal(strings, strings.conj().transpose(0, 2, 1))
@@ -638,12 +658,17 @@ def test_pauli_strings_round_trip(dim, rng):
     assert np.trace(t @ t).real == pytest.approx(dim * (params @ params), rel=1e-14)
 
 
-def nll_forms(dim):
-    """The A tensor and NLL forms of the state (dim 2) or process (dim 4) fit."""
-    from polarchan.tomography import _qpt_a_tensor, _qst_a_tensor, _quadratic_forms
+def fit_constants(dim):
+    """The (design, Pauli strings, NLL forms) of the state (dim 2) or process (dim 4) fit."""
+    from polarchan.tomography import _PROCESS_FIT, _STATE_FIT
 
-    build = _qst_a_tensor if dim == 2 else _qpt_a_tensor
-    return build(), _quadratic_forms(build)
+    return _STATE_FIT if dim == 2 else _PROCESS_FIT
+
+
+def nll_forms(dim):
+    """The A tensor (each design row as a dim x dim matrix) and NLL forms of a fit."""
+    design, _, forms = fit_constants(dim)
+    return design.reshape(-1, dim, dim), forms
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -670,25 +695,17 @@ def test_cached_constants_are_read_only():
     from polarchan.bench_sim import _CHI_TO_PTM, _PAULI_COEFFS
     from polarchan.tomography import (
         _INPUT_COORDS,
+        _PROCESS_DESIGN,
         _PROJECTOR_COORDS,
-        _pauli_strings,
-        _qpt_a_tensor,
-        _qpt_linear_map,
-        _qst_a_tensor,
-        _quadratic_forms,
+        _QPT_LINEAR_MAP,
     )
 
-    constants = [_PAULI_COEFFS, _CHI_TO_PTM, _INPUT_COORDS, _PROJECTOR_COORDS, _qpt_a_tensor(),
-                 _qst_a_tensor(), _qpt_linear_map(), _pauli_strings(2), _pauli_strings(4)]
-    constants += list(nll_forms(2)) + list(nll_forms(4))
+    constants = [_PAULI_COEFFS, _CHI_TO_PTM, _INPUT_COORDS, _PROJECTOR_COORDS, _PROCESS_DESIGN,
+                 _STATE_DESIGN, _QPT_LINEAR_MAP]
+    constants += list(fit_constants(2)) + list(fit_constants(4))
     for const in constants:
         with pytest.raises(ValueError):
             const.flat[0] = 0
-    for build in (_qpt_a_tensor, _qst_a_tensor, _qpt_linear_map):
-        assert build() is build()
-    for build in (_qpt_a_tensor, _qst_a_tensor):
-        assert _quadratic_forms(build) is _quadratic_forms(build)
-    assert _pauli_strings(4) is _pauli_strings(4)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -711,11 +728,41 @@ def test_quadratic_forms_are_symmetric_and_give_the_probabilities(dim, rng):
     assert np.abs(blocks @ params @ params / (params @ params) - expected).max() <= 1e-14
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_fits_model_what_the_simulator_draws(seed):
+    # the p of the NLL at T = X^(1/2) are the probabilities the counts are drawn from
+    from polarchan.tomography import _nll_terms
+
+    rng = np.random.default_rng(seed)
+    kraus = propagate(random_bench(rng))
+    rho = loose_state(rng, 1.0)
+    for dim, x, drawn in ((4, chi_from_kraus(kraus), probability_table(kraus).ravel()),
+                          (2, rho, _probabilities(_STATE_DESIGN, rho))):
+        params = params_of(hermitian_root(x)).astype(float)
+        p = _nll_terms(params, fit_constants(dim)[2], np.zeros(drawn.size), 0.0)[2]
+        assert np.abs(p - drawn).max() <= 1e-15
+
+
+def hermitian_root(x):
+    """The Hermitian square root of a PSD ``x``, in extended precision: the root
+    V sqrt(L) V^dag of ``eigh`` misses x by a few units of roundoff, so one Newton
+    step T + E, with T E + E T = x - T^2 solved in the eigenbasis, refines it
+    (pairs of eigenvalues near 0 are left as they are)."""
+    vals, vecs = np.linalg.eigh(x)
+    s = np.sqrt(np.maximum(vals, 0.0))
+    v = vecs.astype(np.clongdouble)
+    t = (v * s) @ v.conj().T
+    residual = v.conj().T @ (x - t @ t) @ v
+    sums = s[:, None] + s[None]
+    return t + v @ np.divide(residual, sums, out=np.zeros_like(residual), where=sums > 1e-6) @ v.conj().T
+
+
 def test_linear_map_inverts_the_design():
-    from polarchan.tomography import _qpt_linear_map
+    from polarchan.tomography import _QPT_LINEAR_MAP
 
     # design column k holds the outputs of basis matrix k; the map sends it back to that matrix
-    mapped = _qpt_linear_map() @ reference_qpt_design()
+    mapped = _QPT_LINEAR_MAP @ reference_qpt_design()
     assert np.abs(mapped - reference_hermitian_basis().reshape(16, 16).T).max() <= 1e-12
 
 
@@ -745,8 +792,9 @@ def test_probability_table_matches_per_entry_loop(seed, m, stream):
         kraus, preparation_states(), analysis_projectors())).max() <= 2e-15
     inputs = [loose_state(rng, 1.0) for _ in range(m)]
     projectors = [loose_state(rng, 3.0) for _ in range(3)]
-    assert np.abs(probability_table(kraus, inputs, projectors)
-                  - reference_probability_table(kraus, inputs, projectors)).max() <= 2e-15
+    reference = reference_probability_table(kraus, inputs, projectors)
+    for (i, rho), (j, proj) in itertools.product(enumerate(inputs), enumerate(projectors)):
+        assert abs(expected_probability(kraus, rho, proj) - reference[i, j]) <= 2e-15
     record = simulate_counts(kraus, TomoSettings(shots=5000, seed=seed), stream=stream)
     assert same_bits(record.counts, reference_counts(seed, stream, 5000 * default))
 
@@ -758,8 +806,8 @@ def test_state_counts_match_per_projector_loop(seed, scale, stream):
     rho = loose_state(rng, scale)
     settings_ = TomoSettings(shots=2000, seed=seed)
     record = simulate_state_counts(rho, settings_, stream=stream)
-    # read off the exact projector coordinates: equal at roundoff, not in every bit
-    probs = _born_table(_pauli_coords(rho), _PROJECTOR_COORDS)
+    # read off the state design: equal at roundoff, not in every bit
+    probs = _probabilities(_STATE_DESIGN, rho)[None]
     assert np.abs(probs - reference_state_probabilities(rho)).max() <= 2e-15
     assert same_bits(record.counts, reference_counts(seed, stream, 2000 * probs))
 
@@ -1123,7 +1171,7 @@ def test_linear_qpt_on_exact_probabilities_returns_the_ptm(seed):
 
 
 def test_process_forms_are_exact():
-    # the A tensor comes from exact coordinates and G, and the Pauli strings' products
+    # the process design comes from exact coordinates and G, and the Pauli strings' products
     # have entries 0, +-1 and +-i, so the forms are exact dyadics
     a_tensor, forms = nll_forms(4)
     assert set(np.unique(np.abs(a_tensor)).tolist()) <= {0.0, 0.5, 1.0}
@@ -1131,8 +1179,6 @@ def test_process_forms_are_exact():
 
 
 def test_state_settings_are_exact():
-    from polarchan.tomography import _qst_a_tensor
-
     # projectors and preparations come from exact coordinates: entries 0, +-1/2, +-i/2 and 1
     for op in analysis_projectors() + preparation_states():
         assert set(np.unique(np.abs(op)).tolist()) <= {0.0, 0.5, 1.0}
@@ -1142,7 +1188,7 @@ def test_state_settings_are_exact():
         assert np.abs(op - ket_projector(kets[label])).max() <= 1e-15
     for op, label in zip(preparation_states(), INPUT_LABELS):
         assert np.abs(op - ket_projector(kets[label])).max() <= 1e-15
-    assert set(np.unique(np.abs(_qst_a_tensor())).tolist()) <= {0.0, 0.5, 1.0}
+    assert set(np.unique(np.abs(_STATE_DESIGN)).tolist()) <= {0.0, 0.5, 1.0}
     assert set(np.unique(np.abs(nll_forms(2)[1])).tolist()) <= {0.0, 0.25, 0.5}
 
 
