@@ -35,8 +35,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .polar_core import (PAULI_STACK, _PAULI_COEFFS, _pauli_coords, _pauli_operators, _square, rotation2,
-                         waveplate_jones)
+from .polar_core import (PAULI_STACK, _PAULI_COEFFS, _finite_angle, _pauli_coords, _pauli_operators, _square,
+                         rotation2, waveplate_jones)
 
 __all__ = [
     "Crystal",
@@ -109,13 +109,6 @@ def _as_length(value) -> Fraction:
     if frac <= 0:
         raise ValueError(f"crystal length must be positive, got {frac}")
     return frac
-
-
-def _finite_angle(value, element: str) -> float:
-    angle = float(value)
-    if not math.isfinite(angle):
-        raise ValueError(f"{element} angle must be finite, got {angle}")
-    return angle
 
 
 @dataclass(frozen=True)
@@ -468,6 +461,24 @@ def _checked_chi(ops: np.ndarray) -> np.ndarray:
     unless every bench is trace preserving."""
     chi = _chi_stack(ops)
     _require_trace_preserving(_tp_defects(chi).max())
+    return chi
+
+
+def _kept_chi(ops: np.ndarray) -> np.ndarray:
+    """Checked process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` stack from
+    :func:`propagate_stack`, numerically-zero bins included.
+
+    Benches are grouped by which bins survive the zero filter, and each group's
+    kept operators go through :func:`_checked_chi` once, so each bench's chi is
+    the one its Kraus set from :func:`propagate` computes, bit for bit.
+    """
+    keep = _nonzero_bins(ops)
+    groups: dict = {}
+    for b, row in enumerate(keep):
+        groups.setdefault(row.tobytes(), []).append(b)
+    chi = np.empty((len(ops), 4, 4), dtype=complex)
+    for rows in groups.values():
+        chi[rows] = _checked_chi(ops[np.ix_(rows, np.flatnonzero(keep[rows[0]]))])
     return chi
 
 

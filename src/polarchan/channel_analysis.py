@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench_sim import _CHI_TO_PTM, KrausSet, _apply_ptm
-from .polar_core import ATOL, EIG_ATOL, _check_physical
+from .polar_core import ATOL, EIG_ATOL, _check_physical, _square
 
 __all__ = [
     "chi_from_kraus",
@@ -71,6 +71,8 @@ def chi_eigenvalues(chi: np.ndarray) -> np.ndarray:
     Hermitian (ATOL) and clipping-window checks then cover every matrix of the stack.
     """
     chi = np.asarray(chi, dtype=complex)
+    if chi.shape[-2:] != (4, 4):
+        raise ValueError(f"process matrix must be 4x4, got shape {chi.shape}")
     if not np.isfinite(chi).all():
         raise ValueError("process matrix must be finite")
     # each test written so that NaN fails it too
@@ -118,9 +120,12 @@ def polar_decompose(m: np.ndarray) -> EllipsoidReport:
     that tolerance (rank deficient) the weakest left-singular direction is flipped as needed to
     make det(rotation) = +1, whatever the sign of det M, so its radii are
     all non-negative; this keeps the report deterministic for maps that
-    collapse an axis.  Non-finite maps raise ``LinAlgError``.
+    collapse an axis.  A map of any shape but 3x3 raises ``ValueError``, a
+    non-finite one ``LinAlgError``.
     """
-    m = np.asarray(m, dtype=float).reshape(3, 3)
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError(f"Stokes matrix must be 3x3, got shape {m.shape}")
     if not np.isfinite(m).all():
         # LAPACK's SVD never returns for an infinite diagonal entry
         raise np.linalg.LinAlgError("Stokes matrix must be finite")
@@ -176,7 +181,7 @@ def isotropy_deviation(chi: np.ndarray) -> float:
     strongest reflective settings).  The deviation is therefore the
     smallest spread among the four triples of eigenvalues: for values
     sorted descending, min(l2 - l4, l1 - l3).  Exactly zero for isotropic
-    channels of any strength, including the identity.
+    channels of any strength, including the identity.  Takes one 4x4 chi.
     """
-    lam = chi_eigenvalues(chi)
+    lam = chi_eigenvalues(_square(chi, 4, "process matrix"))
     return float(min(lam[1] - lam[3], lam[0] - lam[2]))

@@ -38,26 +38,18 @@ from .bench_sim import (
     BenchConfig,
     Crystal,
     Waveplate,
-    _checked_chi,
-    _nonzero_bins,
+    _kept_chi,
     _parse_length,
-    _ptm_stack,
     affine_map,
     delay_bin_bound,
     propagate,
     propagate_stack,
 )
-from .channel_analysis import (
-    _AXIS_ALIGNED_ATOL,
-    chi_eigenvalues,
-    chi_from_kraus,
-    pauli_feasible,
-    polar_decompose,
-)
+from .channel_analysis import chi_eigenvalues, chi_from_kraus, pauli_feasible, polar_decompose
 from .depolarizer import (
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
-    _compensate,
+    _compensated_radii,
     build_bench,
     build_bench_rotated_crystals,
     build_lyot,
@@ -409,34 +401,6 @@ def _sweep_thetas(cfg: RunConfig) -> list:
     return [cfg.theta2_start + k * cfg.theta2_step for k in range(count)]
 
 
-def _sweep_block(benches) -> tuple:
-    """Compensated radii ``(B, 3)``, chi spectra ``(B, 4)`` and the checked
-    process matrices chi ``(B, 4, 4)`` of every bench in one shared-structure block.
-
-    Benches are grouped by which delay bins survive the zero filter, so each
-    group is analysed with exactly the operators ``propagate`` would keep, and
-    each bench's chi is the one its Kraus set would compute.  Each group's chi
-    gives both its spectra and, through its Pauli transfer matrix, its Stokes
-    matrices.
-    """
-    _, ops = propagate_stack(benches)
-    keep = _nonzero_bins(ops)
-    groups: dict = {}
-    for b, row in enumerate(keep):
-        groups.setdefault(row.tobytes(), []).append(b)
-    radii = np.empty((len(benches), 3))
-    lams = np.empty((len(benches), 4))
-    chis = np.empty((len(benches), 4, 4), dtype=complex)
-    for rows in groups.values():
-        chi = _checked_chi(ops[np.ix_(rows, np.flatnonzero(keep[rows[0]]))])
-        chis[rows] = chi
-        compensated, radii[rows], off = _compensate(_ptm_stack(chi)[:, 1:, 1:])
-        for g in np.flatnonzero(off > _AXIS_ALIGNED_ATOL):
-            radii[rows[g]] = polar_decompose(compensated[g]).radii
-        lams[rows] = chi_eigenvalues(chi)
-    return radii, lams, chis
-
-
 def _sweep_row(theta1: float, theta2: float, on_iso_line: bool, sim, lams) -> list:
     r1c, r2c, r3c = radii_closed_form(theta1, theta2)
     dop = _fmt(dop_isotropic(theta2)) if on_iso_line else ""
@@ -456,8 +420,9 @@ def _fit_row(settings: TomoSettings, chi: np.ndarray, row: int) -> tuple:
 def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
     """Sweep rows, propagated in blocks of ``_SWEEP_BLOCK`` benches.
 
-    Row i's counts come from stream i of ``seed``, so output is independent
-    of ``jobs``, which sets the threads of the per-row MLE fits, and rows of
+    A block's chi comes from ``_kept_chi``, its radii and spectra from one
+    ``_compensated_radii`` and one ``chi_eigenvalues`` call.  Row i's counts
+    come from stream i of ``seed``, so output is independent of ``jobs``, which sets the threads of the per-row MLE fits, and rows of
     different seeds share no random numbers.  Rows whose fit did not
     converge are reported on stderr after the fits.
     """
@@ -481,7 +446,9 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
             block = thetas[start:start + _SWEEP_BLOCK]
             benches = [build_bench(DepolarizerSettings(theta1, t2, cfg.length1, cfg.length2))
                        for t2 in block]
-            radii, lams, chis = _sweep_block(benches)
+            chis = _kept_chi(propagate_stack(benches)[1])
+            radii = _compensated_radii(chis)[0]
+            lams = chi_eigenvalues(chis)
             rows = [_sweep_row(theta1, t2, on_iso_line, sim, lam)
                     for t2, sim, lam in zip(block, radii.tolist(), lams.tolist())]
             if not cfg.tomo:
@@ -610,14 +577,13 @@ def _resolve_seed(args_seed, cfg_seed) -> int:
     return 0
 
 
-def _show_warning(shown: set, pass_on, message, category, *rest) -> None:
-    """Print a degenerate-ratio warning on stderr as ``polarchan: warning: <message>``,
-    once per distinct message in ``shown``; hand any other warning to ``pass_on``."""
-    if not issubclass(category, DegenerateLengthRatioWarning):
-        pass_on(message, category, *rest)
-    elif str(message) not in shown:
-        shown.add(str(message))
+def _show_warning(pass_on, message, category, *rest) -> None:
+    """Print a degenerate-ratio warning on stderr as ``polarchan: warning: <message>``;
+    hand any other warning to ``pass_on``."""
+    if issubclass(category, DegenerateLengthRatioWarning):
         sys.stderr.write(f"polarchan: warning: {message}\n")
+    else:
+        pass_on(message, category, *rest)
 
 
 def main(argv=None) -> int:
@@ -659,8 +625,10 @@ def main(argv=None) -> int:
             raise ConfigError([f"--jobs must be at least 1, got {args.jobs}"])
 
         with warnings.catch_warnings():
-            warnings.simplefilter("always", DegenerateLengthRatioWarning)
-            warnings.showwarning = functools.partial(_show_warning, set(), warnings.showwarning)
+            # "default" shows each message once per location; the filter change
+            # makes Python forget what earlier runs showed
+            warnings.simplefilter("default", DegenerateLengthRatioWarning)
+            warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
             if cfg.mode == "simulate":
                 chunks = run_simulate(cfg)
             elif cfg.mode == "sweep":

@@ -32,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bench_sim import BenchConfig, Crystal, Waveplate, affine_map, propagate
-from .channel_analysis import FEASIBILITY_SLACK, _AXIS_ALIGNED_ATOL, _OFF_DIAGONAL
+from .bench_sim import BenchConfig, Crystal, Waveplate, _ptm_stack, propagate
+from .channel_analysis import FEASIBILITY_SLACK, _AXIS_ALIGNED_ATOL, _OFF_DIAGONAL, polar_decompose
 
 __all__ = [
     "DegenerateLengthRatioWarning",
@@ -211,28 +211,33 @@ def build_two_crystal(angle_deg: float) -> BenchConfig:
     return BenchConfig((Crystal(1, 0.0), Crystal(1, 90.0 - float(angle_deg))))
 
 
-def _compensate(matrices: np.ndarray) -> tuple:
-    """Compensated Stokes matrices ``(..., 3, 3)``, their diagonals and their
-    largest off-diagonal magnitudes, to compare with ``_AXIS_ALIGNED_ATOL``."""
-    compensated = REFLECTION_COMPENSATION @ matrices
-    off = np.abs(compensated[..., _OFF_DIAGONAL]).max(axis=-1)
-    return compensated, np.diagonal(compensated, axis1=-2, axis2=-1), off
+def _compensated_radii(chi: np.ndarray) -> tuple:
+    """Signed radii ``(B, 3)`` and largest off-diagonal magnitudes ``(B,)`` of
+    the compensated Stokes matrices of a ``(B, 4, 4)`` chi stack: the diagonal
+    of an axis-aligned one (see _AXIS_ALIGNED_ATOL), else its polar_decompose radii."""
+    compensated = REFLECTION_COMPENSATION @ _ptm_stack(chi)[:, 1:, 1:]
+    off = np.abs(compensated[:, _OFF_DIAGONAL]).max(axis=-1)
+    radii = np.diagonal(compensated, axis1=-2, axis2=-1).copy()
+    for b in np.flatnonzero(off > _AXIS_ALIGNED_ATOL):
+        radii[b] = polar_decompose(compensated[b]).radii
+    return radii, off
 
 
 def simulated_radii(bench: BenchConfig) -> np.ndarray:
     """Signed radii of a bench via brute-force simulation plus compensation.
 
-    Applies the fixed S2/S3 reflection compensation to the simulated Stokes
-    matrix and returns its diagonal.  The residual off-diagonal magnitude
-    must stay within _AXIS_ALIGNED_ATOL, guaranteeing the diagonal is the whole story.
+    They are _compensated_radii's for the bench's chi: the diagonal of the
+    simulated Stokes matrix after the fixed S2/S3 reflection compensation.  A
+    residual off-diagonal magnitude above _AXIS_ALIGNED_ATOL raises ValueError,
+    since the diagonal is then not the whole story.
     """
-    _, radii, off = _compensate(affine_map(propagate(bench)).matrix)
-    if off > _AXIS_ALIGNED_ATOL:
+    radii, off = _compensated_radii(propagate(bench)._complete_chi())
+    if off[0] > _AXIS_ALIGNED_ATOL:
         raise ValueError(
-            f"compensated map is not axis-aligned (off-diagonal {off:.3g}); "
+            f"compensated map is not axis-aligned (off-diagonal {off[0]:.3g}); "
             "signed radii are not defined for this bench"
         )
-    return radii.copy()
+    return radii[0]
 
 
 def reachable_region_scan(grid_n: int = 451) -> np.ndarray:

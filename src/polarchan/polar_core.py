@@ -22,6 +22,7 @@ phase-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +137,13 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 
 
 def _square(m, dim: int, what: str) -> np.ndarray:
-    """``m`` as one complex ``(dim, dim)`` array; any other shape raises a ValueError naming ``what``."""
+    """``m`` as one finite complex ``(dim, dim)`` array; any other shape or a
+    non-finite entry raises a ValueError naming ``what``."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} must be finite")
     return m
 
 
@@ -147,8 +151,6 @@ def _check_physical(m, dim: int, what: str) -> np.ndarray:
     """``m`` as a complex ``(dim, dim)`` array, checked as check_density says; the
     ValueError of a failed check names ``what``."""
     m = _square(m, dim, what)
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} must be finite")
     # each test written so that NaN fails it too
     if not np.abs(m - m.conj().T).max() <= ATOL:
         raise ValueError(f"{what} is not Hermitian")
@@ -191,22 +193,30 @@ def rotation2(angle_deg: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def _finite_angle(value, element: str) -> float:
+    angle = float(value)
+    if not math.isfinite(angle):
+        raise ValueError(f"{element} angle must be finite, got {angle}")
+    return angle
+
+
 def waveplate_jones(kind: str, angle_deg: float) -> np.ndarray:
     """Jones matrix of a half- or quarter-wave plate.
 
-    ``angle_deg`` is the fast-axis orientation from horizontal.  The
-    half-wave plate is R(t) diag(1, -1) R(-t) = [[cos2t, sin2t],
+    ``angle_deg`` is the fast-axis orientation from horizontal, and must be
+    finite.  The half-wave plate is R(t) diag(1, -1) R(-t) = [[cos2t, sin2t],
     [sin2t, -cos2t]]; the quarter-wave plate is R(t) diag(1, i) R(-t).
     Global phase is not normalized.
     """
+    if kind not in ("half", "quarter"):
+        raise ValueError(f"unknown wave-plate kind {kind!r} (expected 'half' or 'quarter')")
+    _finite_angle(angle_deg, f"{kind}-wave plate")
     if kind == "half":
         a = np.deg2rad(angle_deg)
         c2, s2 = np.cos(2 * a), np.sin(2 * a)
         return np.array([[c2, s2], [s2, -c2]], dtype=complex)
-    if kind == "quarter":
-        r = rotation2(angle_deg).astype(complex)
-        return r @ np.diag([1.0, 1.0j]) @ r.T
-    raise ValueError(f"unknown wave-plate kind {kind!r} (expected 'half' or 'quarter')")
+    r = rotation2(angle_deg).astype(complex)
+    return r @ np.diag([1.0, 1.0j]) @ r.T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

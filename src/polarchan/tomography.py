@@ -133,12 +133,17 @@ class TomoSettings:
         _check_shots_and_seed(self.shots, self.seed)
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_shots_and_seed(shots, seed=0) -> None:
     """Raise ValueError unless ``shots`` is an integer in 0..MAX_SHOTS and
-    ``seed`` a non-negative integer; a bool is not an integer here."""
-    for name, value in (("shots", shots), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    ``seed`` a non-negative integer, as _check_integer counts integers."""
+    _check_integer("shots", shots)
+    _check_integer("seed", seed)
     if not 0 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be between 0 and {MAX_SHOTS}, got {shots}")
     if seed < 0:
@@ -306,7 +311,9 @@ def _poisson_table(seed: int, stream: int, lam: np.ndarray) -> np.ndarray:
     """Poisson(lam) counts of one record, all drawn from the Philox stream
     keyed by ``(seed, stream)``.  Means below 1e-12 count 0: numpy draws a
     variate for any positive mean, so a roundoff residue in place of an exact
-    zero would shift every later draw of the record."""
+    zero would shift every later draw of the record.  ``stream`` is a
+    non-negative integer, as _check_integer counts integers."""
+    _check_integer("stream", stream)
     if stream < 0:
         raise ValueError(f"stream must be non-negative, got {stream}")
     seq = np.random.SeedSequence(seed, spawn_key=(stream,))

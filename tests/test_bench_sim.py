@@ -1,5 +1,7 @@
+import functools
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarchan import bench_sim, cli
+from polarchan import bench_sim
 from polarchan.bench_sim import (
     _CHI_TO_PTM,
     _IDENTITY,
@@ -21,6 +23,7 @@ from polarchan.bench_sim import (
     _checked_chi,
     _chi_stack,
     _gather_plan,
+    _kept_chi,
     _nonzero_bins,
     _projector_pair,
     _ptm_stack,
@@ -35,11 +38,14 @@ from polarchan.bench_sim import (
 from polarchan.channel_analysis import chi_from_kraus
 from polarchan.depolarizer import (
     REFLECTION_COMPENSATION,
+    DegenerateLengthRatioWarning,
     DepolarizerSettings,
     build_bench,
     build_lyot,
+    isotropic_theta1_angles,
 )
-from polarchan.polar_core import PAULI_BASIS, KET_H, density_from_stokes, ket_projector, rotation2
+from polarchan.polar_core import (PAULI_BASIS, KET_H, density_from_stokes, ket_projector, rotation2,
+                                  waveplate_jones)
 from polarchan.tomography import (
     TomoSettings,
     analysis_projectors,
@@ -82,9 +88,11 @@ def bench_lengths(bench):
     (lambda a: Crystal(1, a), "crystal fast axis"),
     (lambda a: Waveplate("half", a), "half-wave plate"),
     (lambda a: Waveplate("quarter", a), "quarter-wave plate"),
+    (functools.partial(waveplate_jones, "half"), "half-wave plate"),
 ])
 def test_elements_reject_non_finite_angles(make, element, angle):
-    # a NaN plate would otherwise zero every bin and surface as "defect 1"
+    # a NaN plate would otherwise zero every bin and surface as "defect 1";
+    # waveplate_jones itself used to return a NaN matrix
     with pytest.raises(ValueError, match=f"{element} angle must be finite, got {angle}"):
         make(angle)
 
@@ -319,6 +327,21 @@ def test_stack_rejects_empty_list():
         propagate_stack([])
 
 
+@pytest.mark.parametrize("lengths", [(1, 2), (1, 1), (2, 1)], ids=["ratio_2", "ratio_1", "ratio_half"])
+def test_kept_chi_is_each_kraus_sets(lengths):
+    # the sweep reads radii, spectra and fits from each block's chi, so that
+    # chi must be the one the bench's Kraus set computes, in every bit; each
+    # stack here splits into several groups of kept bins
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
+        for theta1 in (isotropic_theta1_angles()[1], 10.0, 0.0):
+            benches = [build_bench(DepolarizerSettings(theta1, t2, *lengths))
+                       for t2 in np.arange(0.0, 45.5, 2.5)]
+            chis = _kept_chi(propagate_stack(benches)[1])
+            for bench, chi in zip(benches, chis):
+                assert chi.tobytes() == chi_from_kraus(propagate(bench)).tobytes()
+
+
 def test_delay_bins_capped_before_propagation():
     # 17 incommensurate crystals would give 2**17 bins; refused before any allocation
     huge = bench_of_lengths(*(2 ** i for i in range(17)))
@@ -400,13 +423,7 @@ def test_kraus_stack_built_once_and_read_only():
             KrausSet((0,) if len(operators) == 1 else (0, 1), operators)
 
 
-def sweep_block_of(monkeypatch, ops):
-    """A one-bench sweep block whose propagated stack is ``ops``."""
-    monkeypatch.setattr(cli, "propagate_stack", lambda benches: (tuple(range(ops.shape[1])), ops))
-    return lambda: cli._sweep_block([build_lyot(1)])
-
-
-def checked_consumers(kraus, monkeypatch):
+def checked_consumers(kraus):
     """Every public entry point that checks completeness, each a call on ``kraus``."""
     return (
         kraus.require_complete,
@@ -416,11 +433,11 @@ def checked_consumers(kraus, monkeypatch):
         lambda: chi_from_kraus(kraus),
         lambda: probability_table(kraus),
         lambda: simulate_counts(kraus, TomoSettings(shots=100, seed=1)),
-        sweep_block_of(monkeypatch, kraus.as_stack()),
+        lambda: _kept_chi(kraus.as_stack()),
     )
 
 
-def test_incomplete_set_rejected_by_every_consumer(monkeypatch):
+def test_incomplete_set_rejected_by_every_consumer():
     # the stacked helpers are unchecked, so each public entry point checks;
     # the message carries the same defect as the K^dag K sum, to three digits
     stacks = (
@@ -434,7 +451,7 @@ def test_incomplete_set_rejected_by_every_consumer(monkeypatch):
         bad = KrausSet(tuple(range(len(operators))), operators)
         defect = reference_completeness_defect(bad.as_stack())[0]
         assert defect > 1e-12
-        for call in checked_consumers(bad, monkeypatch):
+        for call in checked_consumers(bad):
             # twice: the second call reads the chi and defect the first one stored
             for _ in range(2):
                 with pytest.raises(ValueError, match=rf"not trace preserving \(defect {defect:.3g}\)"):
@@ -521,7 +538,7 @@ def test_kraus_set_rejects_non_finite_operators(op):
         KrausSet((0,), (op,))
 
 
-def test_nan_defect_rejected_by_every_consumer(monkeypatch):
+def test_nan_defect_rejected_by_every_consumer():
     # finite operators whose chi (and K^dag K) overflow, to +inf and -inf off
     # the diagonal: their sum is nan, so is the defect, and nan > atol is False
     big = 1e200
@@ -529,7 +546,7 @@ def test_nan_defect_rejected_by_every_consumer(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(kraus.completeness_defect())
         assert np.isnan(reference_completeness_defect(kraus.as_stack())[0])
-        for call in checked_consumers(kraus, monkeypatch):
+        for call in checked_consumers(kraus):
             for _ in range(2):
                 with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
                     call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -360,9 +362,27 @@ def test_check_process_matrix_rejects_non_finite_input(chi):
 @pytest.mark.parametrize("chi", [
     np.diag([np.nan, 0.0, 0.0, 1.0]),  # passed the Hermitian test as the spectrum [1, 0, 0, 0]
     np.full((4, 4), np.nan),  # reached eigvalsh and raised LinAlgError
+    np.eye(3),  # gave the spectrum [1, 1, 1]
+    np.eye(2),  # isotropy_deviation raised IndexError
 ])
 def test_chi_eigenvalues_rejects_non_finite_input(chi):
-    with pytest.raises(ValueError, match="process matrix must be finite"):
+    message = ("process matrix must be finite" if chi.shape == (4, 4)
+               else f"process matrix must be 4x4, got shape {chi.shape}")
+    with pytest.raises(ValueError, match=re.escape(message)):
         chi_eigenvalues(chi)
-    with pytest.raises(ValueError, match="process matrix must be finite"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         isotropy_deviation(chi)
+
+
+def test_isotropy_deviation_reads_one_process_matrix():
+    # chi_eigenvalues takes a stack, but the deviation reads one spectrum
+    with pytest.raises(ValueError, match=re.escape("process matrix must be 4x4, got shape (2, 4, 4)")):
+        isotropy_deviation(np.stack([np.eye(4) / 4] * 2))
+
+
+@pytest.mark.parametrize("m", [np.eye(2), np.eye(3).ravel(), np.eye(3)[None]],
+                         ids=["2x2", "flat", "stack"])
+def test_polar_decompose_reads_one_stokes_matrix(m):
+    # a 2x2 raised numpy's reshape error, and a flat 9-vector or a one-matrix stack was reshaped
+    with pytest.raises(ValueError, match=re.escape(f"Stokes matrix must be 3x3, got shape {m.shape}")):
+        polar_decompose(m)

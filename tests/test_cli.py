@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from polarchan import cli, tomography
@@ -556,6 +556,10 @@ _LENGTHS = st.sampled_from([(1, 2), (2, 3), (1, 1), (2, 1), (3, 3), ("3/2", 7), 
 
 @settings(max_examples=30, deadline=None)
 @given(_THETA1, _STEPS, st.integers(0, 4), st.integers(0, 4), _LENGTHS, st.integers(1, 300))
+# the degenerate ratios 1 and 1/2 send 89 and 90 of these 91 rows to the
+# polar_decompose fallback of the compensated radii; ratios 2 and 3/2 send none
+@example(isotropic_theta1_angles()[1], 0.5, 0, 0, (1, 1), 40)
+@example(isotropic_theta1_angles()[1], 0.5, 0, 0, (2, 1), 40)
 def test_sweep_rows_match_one_bench_reference(theta1, step, before, after, lengths, block):
     length1, length2 = (Fraction(v) for v in lengths)
     cfg = cli.RunConfig(mode="sweep", preset="fig1", theta1=theta1,
@@ -605,17 +609,6 @@ def test_sweep_rows_share_no_stream():
     assert len({(seq.entropy, seq.spawn_key) for seq in seqs}) == len(seqs)
     # the 128-bit Philox key each stream starts from
     assert len({seq.generate_state(2, np.uint64).tobytes() for seq in seqs}) == len(seqs)
-
-
-def test_sweep_block_chi_is_each_kraus_sets():
-    # the sweep fits each row from its block's chi, so that chi must be the
-    # one the bench's Kraus set computes, in every bit
-    for theta1 in (isotropic_theta1_angles()[1], 10.0, 0.0):
-        benches = [build_bench(DepolarizerSettings(theta1, t2, 1, 2))
-                   for t2 in np.arange(0.0, 45.5, 2.5)]
-        chis = cli._sweep_block(benches)[2]
-        for bench, chi in zip(benches, chis):
-            assert chi.tobytes() == chi_from_kraus(propagate(bench)).tobytes()
 
 
 def test_tomo_reproduces_sweep_row_zero():

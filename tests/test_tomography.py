@@ -131,25 +131,37 @@ def test_expected_probability_examples():
     assert expected_probability(iso, h, h) == pytest.approx(5 / 6, abs=1e-12)
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda k, v, hv: apply_process_matrix(np.diag([1.0, 0, 0, 0]), hv), "rho"),
-    (lambda k, v, hv: apply_channel(k, hv), "rho"),
-    (lambda k, v, hv: expected_probability(k, v, hv), "projector"),
-    (lambda k, v, hv: expected_probability(k, hv, v), "rho_in"),
-], ids=["apply_process_matrix", "apply_channel", "projector", "rho_in"])
-def test_one_state_arguments_refuse_a_stack(call, name):
-    # each used to read the first matrix of the stack and drop the rest
+_NAN = np.full((2, 2), np.nan)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda k, v, hv: apply_process_matrix(np.diag([1.0, 0, 0, 0]), hv),
+     "rho must be 2x2, got shape (2, 2, 2)"),
+    (lambda k, v, hv: apply_channel(k, hv), "rho must be 2x2, got shape (2, 2, 2)"),
+    (lambda k, v, hv: expected_probability(k, v, hv), "projector must be 2x2, got shape (2, 2, 2)"),
+    (lambda k, v, hv: expected_probability(k, hv, v), "rho_in must be 2x2, got shape (2, 2, 2)"),
+    # these returned nan
+    (lambda k, v, hv: apply_channel(k, _NAN), "rho must be finite"),
+    (lambda k, v, hv: expected_probability(k, v, _NAN), "projector must be finite"),
+], ids=["apply_process_matrix", "apply_channel", "projector", "rho_in", "apply_channel_nan",
+        "projector_nan"])
+def test_one_state_arguments_refuse_a_stack(call, message):
+    # each used to read the first matrix of the stack and drop the rest; a
+    # stack or a non-finite matrix now raises, naming the argument
     v = ket_projector(KET_V)
     stack = np.stack([ket_projector(KET_H), v])
-    with pytest.raises(ValueError, match=re.escape(f"{name} must be 2x2, got shape (2, 2, 2)")):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call(identity_kraus(), v, stack)
 
 
-@pytest.mark.parametrize("rho", [np.array([1.0, 0, 0, 0]), np.eye(2)[None] / 2],
-                         ids=["flat", "stack"])
-def test_state_counts_read_one_matrix(rho):
+@pytest.mark.parametrize("rho, message", [
+    (np.array([1.0, 0, 0, 0]), "rho must be 2x2, got shape (4,)"),
+    (np.eye(2)[None] / 2, "rho must be 2x2, got shape (1, 2, 2)"),
+    (_NAN, "rho must be finite"),  # numpy's Poisson draw raised "lam value too large"
+], ids=["flat", "stack", "nan"])
+def test_state_counts_read_one_matrix(rho, message):
     # a flat 4-vector used to be drawn as |H><H|
-    with pytest.raises(ValueError, match=re.escape(f"rho must be 2x2, got shape {rho.shape}")):
+    with pytest.raises(ValueError, match=re.escape(message)):
         simulate_state_counts(rho, TomoSettings(shots=100))
 
 
@@ -265,24 +277,30 @@ def test_settings_and_streams_reject_out_of_range_values():
         simulate_state_counts(ket_projector(KET_H), TomoSettings(shots=10), stream=-2)
 
 
-@pytest.mark.parametrize("shots, seed, message", [
-    (0.5, 0, "shots must be an integer, got 0.5"),
-    (True, 0, "shots must be an integer, got True"),
-    (np.nan, 0, "shots must be an integer, got nan"),
-    (10.0, 0, "shots must be an integer, got 10.0"),
-    (-5, 0, f"shots must be between 0 and {MAX_SHOTS}, got -5"),
-    (MAX_SHOTS + 1, 0, f"shots must be between 0 and {MAX_SHOTS}, got {MAX_SHOTS + 1}"),
-    (10, 1.5, "seed must be an integer, got 1.5"),
-    (10, False, "seed must be an integer, got False"),
-    (10, -1, "seed must be non-negative, got -1"),
+@pytest.mark.parametrize("shots, seed, stream, message", [
+    (0.5, 0, 0, "shots must be an integer, got 0.5"),
+    (True, 0, 0, "shots must be an integer, got True"),
+    (np.nan, 0, 0, "shots must be an integer, got nan"),
+    (10.0, 0, 0, "shots must be an integer, got 10.0"),
+    (-5, 0, 0, f"shots must be between 0 and {MAX_SHOTS}, got -5"),
+    (MAX_SHOTS + 1, 0, 0, f"shots must be between 0 and {MAX_SHOTS}, got {MAX_SHOTS + 1}"),
+    (10, 1.5, 0, "seed must be an integer, got 1.5"),
+    (10, False, 0, "seed must be an integer, got False"),
+    (10, -1, 0, "seed must be non-negative, got -1"),
+    # a bool stream used to draw stream 1, and 1.5 raised numpy's TypeError
+    (10, 0, True, "stream must be an integer, got True"),
+    (10, 0, 1.5, "stream must be an integer, got 1.5"),
 ], ids=["fraction", "bool", "nan", "float", "negative", "above_cap", "seed_fraction", "seed_bool",
-        "seed_negative"])
-def test_shots_and_seed_are_integers_in_range(shots, seed, message):
-    # settings, records (and so count CSVs) and the fits' shot numbers share one check
+        "seed_negative", "stream_bool", "stream_fraction"])
+def test_shots_and_seed_are_integers_in_range(shots, seed, stream, message):
+    # settings, records (and so count CSVs), the fits' shot numbers and the
+    # streams of simulated counts share one integer rule
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message)):
-            TomoSettings(shots=shots, seed=seed)
+            simulate_counts(identity_kraus(), TomoSettings(shots=shots, seed=seed), stream=stream)
+        if type(stream) is not int:
+            return  # records and fits take no stream
         with pytest.raises(ValueError, match=re.escape(message)):
             CountRecord(np.ones((4, 6), int), INPUT_LABELS, shots, seed)
         if type(shots) is int and type(seed) is int:
