@@ -52,11 +52,12 @@ def chi_from_kraus(kraus: KrausSet) -> np.ndarray:
 
 
 def apply_process_matrix(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Evaluate E(rho) = sum_mn chi_mn E_m rho E_n^dag on one 2x2 ``rho``, as
-    sum_i (R x)_i E_i / 2 for the Pauli transfer matrix R = G chi (complex
-    unless chi is Hermitian) and x_j = Tr(E_j rho).
+    """Evaluate E(rho) = sum_mn chi_mn E_m rho E_n^dag for one finite 4x4 ``chi``
+    and one 2x2 ``rho``, as sum_i (R x)_i E_i / 2 for the Pauli transfer matrix
+    R = G chi (complex unless chi is Hermitian) and x_j = Tr(E_j rho).
     """
-    return _apply_ptm((_CHI_TO_PTM @ np.asarray(chi, dtype=complex).reshape(16)).reshape(4, 4), rho)
+    chi = _square(chi, 4, "process matrix")
+    return _apply_ptm((_CHI_TO_PTM @ chi.reshape(16)).reshape(4, 4), rho)
 
 
 def check_process_matrix(chi: np.ndarray) -> np.ndarray:
@@ -111,6 +112,34 @@ class EllipsoidReport:
         return tuple(r < 0 for r in self.radii)
 
 
+def _polar_stack(m: np.ndarray) -> tuple:
+    """polar_decompose for each matrix of a finite ``(B, 3, 3)`` stack: radii, rotations,
+    det signs, axis-aligned flags and largest off-diagonal magnitudes.  The matrices
+    that are not axis-aligned take one batched SVD and determinant pass."""
+    off = np.abs(m[:, _OFF_DIAGONAL]).max(axis=-1)
+    aligned = off <= _AXIS_ALIGNED_ATOL
+    radii = np.diagonal(m, axis1=-2, axis2=-1).copy()
+    signs = np.copysign(1.0, radii + 0.0)  # -0.0 + 0.0 is 0.0, so every r >= 0 gives +1
+    rotation = np.where(_OFF_DIAGONAL, 0.0, signs[:, None, :])
+    # the product of the signs is the determinant of their diagonal, bit for bit
+    det_sign = signs.prod(axis=-1)
+    if not aligned.all():
+        rest = np.flatnonzero(~aligned)
+        u, sing, vt = np.linalg.svd(m[rest])
+        o = u @ vt
+        det_o = np.linalg.det(o)
+        if sing[:, -1].min() <= _AXIS_ALIGNED_ATOL:
+            # rank deficient with det(rotation) = -1: flip the weakest left-singular
+            # direction, which leaves S as it is and turns det(rotation) to +1
+            flip = np.where((sing[:, -1] <= _AXIS_ALIGNED_ATOL) & (det_o < 0), -1.0, 1.0)
+            u[:, :, -1] *= flip[:, None]
+            o, det_o = u @ vt, det_o * flip
+        sign_o = np.copysign(1.0, det_o)  # det(rotation) is +-1, never 0
+        sing[:, -1] *= sign_o
+        radii[rest], rotation[rest], det_sign[rest] = sing, o, sign_o
+    return radii, rotation, det_sign, aligned, off
+
+
 def polar_decompose(m: np.ndarray) -> EllipsoidReport:
     """Split a 3x3 Stokes matrix into orthogonal and stretch factors.
 
@@ -121,7 +150,7 @@ def polar_decompose(m: np.ndarray) -> EllipsoidReport:
     make det(rotation) = +1, whatever the sign of det M, so its radii are
     all non-negative; this keeps the report deterministic for maps that
     collapse an axis.  A map of any shape but 3x3 raises ``ValueError``, a
-    non-finite one ``LinAlgError``.
+    non-finite one ``LinAlgError``.  One matrix of _polar_stack.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
@@ -129,23 +158,8 @@ def polar_decompose(m: np.ndarray) -> EllipsoidReport:
     if not np.isfinite(m).all():
         # LAPACK's SVD never returns for an infinite diagonal entry
         raise np.linalg.LinAlgError("Stokes matrix must be finite")
-    if np.abs(m[_OFF_DIAGONAL]).max() <= _AXIS_ALIGNED_ATOL:
-        radii = np.diagonal(m)
-        signs = np.where(radii >= 0, 1.0, -1.0)
-        # the product of the signs is the determinant of their diagonal, bit for bit
-        return EllipsoidReport(radii, np.diag(signs), float(signs.prod()), True)
-
-    u, sing, vt = np.linalg.svd(m)
-    o = u @ vt
-    if sing.min() <= _AXIS_ALIGNED_ATOL and np.linalg.det(o) < 0:
-        # flip the weakest left-singular direction; S is unchanged at rank
-        u = u.copy()
-        u[:, -1] *= -1.0
-        o = u @ vt
-    det_sign = 1.0 if np.linalg.det(o) > 0 else -1.0
-    radii = sing.copy()
-    radii[-1] *= det_sign
-    return EllipsoidReport(tuple(radii), o, det_sign, False)
+    radii, rotation, det_sign, aligned, _ = _polar_stack(m[None])
+    return EllipsoidReport(radii[0], rotation[0], float(det_sign[0]), bool(aligned[0]))
 
 
 def pauli_feasible(r1, r2, r3):

@@ -47,6 +47,7 @@ from .bench_sim import (
 )
 from .channel_analysis import chi_eigenvalues, chi_from_kraus, pauli_feasible, polar_decompose
 from .depolarizer import (
+    _MAX_GRID_POINTS,
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
     _compensated_radii,
@@ -74,9 +75,6 @@ MODES = ("simulate", "sweep", "tomo", "feasibility", "region")
 PRESETS = ("fig1", "lyot", "two_crystal", "rotated_crystals")
 
 ENV_SEED = "POLARCHAN_SEED"
-
-#: hard ceiling on feasibility and region grid sizes and on sweep rows
-_MAX_GRID_POINTS = 4_000_000
 
 #: sweep rows propagated together; bounds the stack's memory
 _SWEEP_BLOCK = 256
@@ -401,15 +399,6 @@ def _sweep_thetas(cfg: RunConfig) -> list:
     return [cfg.theta2_start + k * cfg.theta2_step for k in range(count)]
 
 
-def _sweep_row(theta1: float, theta2: float, on_iso_line: bool, sim, lams) -> list:
-    r1c, r2c, r3c = radii_closed_form(theta1, theta2)
-    dop = _fmt(dop_isotropic(theta2)) if on_iso_line else ""
-    cells = [_fmt_angle(theta2), _fmt(r1c), _fmt(r2c), _fmt(r3c), dop]
-    cells += [_fmt(v) for v in sim]
-    cells += [_fmt(v) for v in lams]
-    return cells
-
-
 def _fit_row(settings: TomoSettings, chi: np.ndarray, row: int) -> tuple:
     """The MLE fit of sweep row ``row``, from counts drawn as ``simulate_counts``
     draws them for a Kraus set with process matrix ``chi``."""
@@ -420,11 +409,12 @@ def _fit_row(settings: TomoSettings, chi: np.ndarray, row: int) -> tuple:
 def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
     """Sweep rows, propagated in blocks of ``_SWEEP_BLOCK`` benches.
 
-    A block's chi comes from ``_kept_chi``, its radii and spectra from one
-    ``_compensated_radii`` and one ``chi_eigenvalues`` call.  Row i's counts
-    come from stream i of ``seed``, so output is independent of ``jobs``, which sets the threads of the per-row MLE fits, and rows of
-    different seeds share no random numbers.  Rows whose fit did not
-    converge are reported on stderr after the fits.
+    A block's chi comes from ``_kept_chi``, and its radii, spectra and degrees of
+    polarization from one call each of ``_compensated_radii``, ``chi_eigenvalues``,
+    ``radii_closed_form`` and ``dop_isotropic``.  Row i's counts come from stream i
+    of ``seed``, so output is independent of ``jobs``, which sets the threads of
+    the per-row MLE fits, and rows of different seeds share no random numbers.
+    Rows whose fit did not converge are reported on stderr after the fits.
     """
     theta1 = cfg.theta1 if cfg.theta1 is not None else isotropic_theta1_angles()[1]
     thetas = _sweep_thetas(cfg)
@@ -447,10 +437,11 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
             benches = [build_bench(DepolarizerSettings(theta1, t2, cfg.length1, cfg.length2))
                        for t2 in block]
             chis = _kept_chi(propagate_stack(benches)[1])
-            radii = _compensated_radii(chis)[0]
-            lams = chi_eigenvalues(chis)
-            rows = [_sweep_row(theta1, t2, on_iso_line, sim, lam)
-                    for t2, sim, lam in zip(block, radii.tolist(), lams.tolist())]
+            values = np.column_stack((*radii_closed_form(theta1, block), _compensated_radii(chis)[0],
+                                      chi_eigenvalues(chis))).tolist()
+            dops = [_fmt(d) for d in dop_isotropic(block).tolist()] if on_iso_line else [""] * len(block)
+            rows = [[_fmt_angle(t2), *map(_fmt, row[:3]), dop, *map(_fmt, row[3:])]
+                    for t2, dop, row in zip(block, dops, values)]
             if not cfg.tomo:
                 lines += [",".join(cells + ["", "", "", "", ""]) for cells in rows]
                 continue

@@ -33,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bench_sim import BenchConfig, Crystal, Waveplate, _ptm_stack, propagate
-from .channel_analysis import FEASIBILITY_SLACK, _AXIS_ALIGNED_ATOL, _OFF_DIAGONAL, polar_decompose
+from .channel_analysis import FEASIBILITY_SLACK, _polar_stack
+from .polar_core import _check_integer
 
 __all__ = [
     "DegenerateLengthRatioWarning",
@@ -56,6 +57,9 @@ __all__ = [
 REFLECTION_COMPENSATION = np.diag([1.0, -1.0, -1.0])
 REFLECTION_COMPENSATION.setflags(write=False)
 
+#: most points of a region scan, and of the CLI's feasibility grids and sweeps
+_MAX_GRID_POINTS = 4_000_000
+
 
 class DegenerateLengthRatioWarning(UserWarning):
     """Raised when L2/L1 is exactly 1 or 1/2.
@@ -75,44 +79,39 @@ def isotropic_theta1_angles() -> tuple:
     return (low, 45.0 - low)
 
 
+def _per_angle(angles_deg, name: str, fn) -> tuple:
+    """``fn(t)``, a tuple of floats, once per distinct angle of ``angles_deg`` (t in
+    radians), as one array per value in the angles' shape (floats for a scalar).  fn
+    uses ``math`` and Python's pow, so no bit depends on numpy's SIMD loops (at
+    4.775598086124401 deg, numpy's array square of cos 2t differs in the last bit)."""
+    angles = np.asarray(angles_deg, dtype=float)
+    keys, inverse = ([angles.item()], None) if angles.ndim == 0 else np.unique(angles, return_inverse=True)
+    if not all(map(math.isfinite, keys)):
+        raise ValueError(f"{name} must be finite")
+    values = [fn(math.radians(t)) for t in keys]
+    return values[0] if inverse is None else tuple(np.array(values).T[:, inverse.reshape(angles.shape)])
+
+
 def radii_closed_form(theta1_deg, theta2_deg):
     """Signed ellipsoid radii (R1, R2, R3) of the compensated bench map.
 
-    Accepts scalars or numpy arrays (broadcast together).
+    Scalars or arrays, broadcast together, every point bit-identical to a scalar
+    call (see _per_angle).  A non-finite angle raises ValueError naming its
+    argument.
     """
-    t1 = np.deg2rad(theta1_deg)
-    t2 = np.deg2rad(theta2_deg)
-    c2 = np.cos(2 * t2) ** 2
-    s2 = np.sin(2 * t2) ** 2
-    r1 = c2 - s2 * np.cos(4 * t1) ** 2
-    r2 = c2 - 0.5 * s2 * np.sin(4 * t1) ** 2
-    return r1, r2, r2
-
-
-def _radii_grid(angles_deg) -> tuple:
-    """Closed-form (R1, R2) on the ``angles x angles`` grid, rows theta1 and columns theta2.
-
-    Each squared cosine and sine is taken once per angle with ``math``, so the
-    bytes do not depend on which SIMD loop numpy dispatches for a long array.
-    The grid arithmetic is radii_closed_form's, in the same order, written in
-    place so that the grid holds no temporaries.
-    """
-    rad = [math.radians(a) for a in angles_deg]
-
-    def squares(fn, k):
-        return np.array([fn(k * t) ** 2 for t in rad])
-
-    c2, s2 = squares(math.cos, 2), squares(math.sin, 2)
-    r1 = s2 * squares(math.cos, 4)[:, None]
-    np.subtract(c2, r1, out=r1)
-    r2 = 0.5 * s2 * squares(math.sin, 4)[:, None]
-    np.subtract(c2, r2, out=r2)
-    return r1, r2
+    # squares: c4 = cos^2(4 t1), s4 = sin^2(4 t1), c2 = cos^2(2 t2), s2 = sin^2(2 t2)
+    c4, s4 = _per_angle(theta1_deg, "theta1_deg", lambda t: (math.cos(4 * t) ** 2, math.sin(4 * t) ** 2))
+    c2, s2 = _per_angle(theta2_deg, "theta2_deg", lambda t: (math.cos(2 * t) ** 2, math.sin(2 * t) ** 2))
+    r1, r2 = s2 * c4, 0.5 * s2 * s4
+    if isinstance(r1, np.ndarray):  # in place, so that a grid holds no temporary of its size
+        return np.subtract(c2, r1, out=r1), np.subtract(c2, r2, out=r2), r2
+    return np.float64(c2 - r1), np.float64(c2 - r2), np.float64(c2 - r2)
 
 
 def dop_isotropic(theta2_deg):
-    """Degree of polarization on the isotropic line: 1/3 + (2/3) cos(4 t2)."""
-    return 1.0 / 3.0 + (2.0 / 3.0) * np.cos(4 * np.deg2rad(theta2_deg))
+    """Degree of polarization on the isotropic line, 1/3 + (2/3) cos(4 t2); as radii_closed_form."""
+    (cos4,) = _per_angle(theta2_deg, "theta2_deg", lambda t: (math.cos(4 * t),))
+    return np.add(1.0 / 3.0, (2.0 / 3.0) * cos4)
 
 
 @dataclass(frozen=True)
@@ -212,15 +211,8 @@ def build_two_crystal(angle_deg: float) -> BenchConfig:
 
 
 def _compensated_radii(chi: np.ndarray) -> tuple:
-    """Signed radii ``(B, 3)`` and largest off-diagonal magnitudes ``(B,)`` of
-    the compensated Stokes matrices of a ``(B, 4, 4)`` chi stack: the diagonal
-    of an axis-aligned one (see _AXIS_ALIGNED_ATOL), else its polar_decompose radii."""
-    compensated = REFLECTION_COMPENSATION @ _ptm_stack(chi)[:, 1:, 1:]
-    off = np.abs(compensated[:, _OFF_DIAGONAL]).max(axis=-1)
-    radii = np.diagonal(compensated, axis1=-2, axis2=-1).copy()
-    for b in np.flatnonzero(off > _AXIS_ALIGNED_ATOL):
-        radii[b] = polar_decompose(compensated[b]).radii
-    return radii, off
+    """_polar_stack's report on the compensated Stokes matrices of a ``(B, 4, 4)`` chi stack."""
+    return _polar_stack(REFLECTION_COMPENSATION @ _ptm_stack(chi)[:, 1:, 1:])
 
 
 def simulated_radii(bench: BenchConfig) -> np.ndarray:
@@ -228,15 +220,12 @@ def simulated_radii(bench: BenchConfig) -> np.ndarray:
 
     They are _compensated_radii's for the bench's chi: the diagonal of the
     simulated Stokes matrix after the fixed S2/S3 reflection compensation.  A
-    residual off-diagonal magnitude above _AXIS_ALIGNED_ATOL raises ValueError,
-    since the diagonal is then not the whole story.
+    compensated map that is not axis-aligned raises ValueError.
     """
-    radii, off = _compensated_radii(propagate(bench)._complete_chi())
-    if off[0] > _AXIS_ALIGNED_ATOL:
-        raise ValueError(
-            f"compensated map is not axis-aligned (off-diagonal {off[0]:.3g}); "
-            "signed radii are not defined for this bench"
-        )
+    radii, _, _, aligned, off = _compensated_radii(propagate(bench)._complete_chi())
+    if not aligned[0]:
+        raise ValueError(f"compensated map is not axis-aligned (off-diagonal {off[0]:.3g}); "
+                         "signed radii are not defined for this bench")
     return radii[0]
 
 
@@ -246,10 +235,15 @@ def reachable_region_scan(grid_n: int = 451) -> np.ndarray:
     The grid covers theta1, theta2 in [0, 45] degrees; 451 points per axis
     (0.1 degree steps) resolve the region boundary at plot scale.  Returns
     an array of shape (grid_n**2, 2), the values the ``region`` mode writes.
+    Any grid_n but an integer in 2..2000 raises ValueError before allocating.
     """
+    _check_integer("grid_n", grid_n)
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    r1, r2 = _radii_grid(np.linspace(0.0, 45.0, grid_n).tolist())
+    if grid_n ** 2 > _MAX_GRID_POINTS:
+        raise ValueError(f"grid_n of {grid_n} gives more than {_MAX_GRID_POINTS} points")
+    angles = np.linspace(0.0, 45.0, grid_n)
+    r1, r2, _ = radii_closed_form(angles[:, None], angles[None, :])
     return np.column_stack([r1.ravel(), r2.ravel()])
 
 

@@ -23,6 +23,7 @@ phase-independent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,12 @@ def rotation2(angle_deg: float) -> np.ndarray:
     a = np.deg2rad(angle_deg)
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s], [s, c]])
+
+
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _finite_angle(value, element: str) -> float:

@@ -25,7 +25,6 @@ import from the exact coordinates of the standard settings.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +33,7 @@ from scipy.optimize import OptimizeResult, minimize
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .bench_sim import _CHI_TO_PTM, KrausSet, _tp_defects, apply_channel
-from .polar_core import PAULI_STACK, _PAULI_COEFFS, _pauli_operators, _square
+from .polar_core import PAULI_STACK, _PAULI_COEFFS, _check_integer, _pauli_operators, _square
 
 __all__ = [
     "PROJECTOR_LABELS",
@@ -131,12 +130,6 @@ class TomoSettings:
 
     def __post_init__(self):
         _check_shots_and_seed(self.shots, self.seed)
-
-
-def _check_integer(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not one here."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_shots_and_seed(shots, seed=0) -> None:

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, normalize_delays
 from polarchan.channel_analysis import EllipsoidReport, pauli_feasible
-from polarchan.depolarizer import _radii_grid, in_reachable_region
+from polarchan.depolarizer import in_reachable_region, radii_closed_form
 from polarchan.polar_core import KET_H, KET_P, KET_R, KET_V, PAULI_BASIS, ket_projector, rotation2
 
 
@@ -286,7 +286,7 @@ def reference_counts(seed: int, stream: int, lam) -> np.ndarray:
 def reference_region_lines(grid_n: int) -> list:
     """The region CSV lines as first written: one ``%`` per grid point."""
     angles = np.linspace(0.0, 45.0, grid_n)
-    r1, r2 = _radii_grid(angles.tolist())
+    r1, r2, _ = radii_closed_form(angles[:, None], angles[None, :])
     lines = ["theta1,theta2,r1,r2"]
     angle_cells = ["%.6f" % a for a in angles.tolist()]
     for i, a1 in enumerate(angle_cells):

@@ -1,4 +1,4 @@
-"""Print sha256 digests of simulated count tables and of the fits made from them.
+"""Print sha256 digests of simulated count tables, of the fits made from them, and of radii.
 
     PYTHONPATH=src python tests/fit_digest.py
 
@@ -7,8 +7,14 @@ item of seeds 11-14 over 10 rounds, drawn with ``simulate_counts`` and fitted wi
 ``qpt_mle``, plus 200 seeded single states drawn with ``simulate_state_counts`` and
 fitted with ``qst_mle``.  One digest covers the count tables; the other covers
 each fit's matrix, nll, iterations, converged flag, optimality gap and (process
-fits only) trace-preservation deviation.  A change that must leave every count
-and every fit bit for bit as it was prints the same two lines before and after.
+fits only) trace-preservation deviation.  The third covers radii: the
+closed-form (one scalar call per row) and simulated radii of 25 sweep blocks,
+theta1 in {31.316..., 13.684..., 10, 0, 22.5} x (L1, L2) in {(1, 1), (2, 1),
+(1, 2), (2, 3), (3, 7)} with theta2 = 0...45 by 0.25, and every field of the
+``polar_decompose`` report of each ``grid_sim`` matrix of
+``perfbench.inputs.grid_items`` at seeds 11-14.  A change that must leave every
+count, fit and radius bit for bit as it was prints the same three lines before
+and after.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import pathlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -23,8 +30,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfben
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 
-from polarchan.bench_sim import propagate  # noqa: E402
-from polarchan.depolarizer import DepolarizerSettings, build_bench  # noqa: E402
+from polarchan.bench_sim import _kept_chi, affine_map, propagate, propagate_stack  # noqa: E402
+from polarchan.channel_analysis import polar_decompose  # noqa: E402
+from polarchan.depolarizer import (  # noqa: E402
+    REFLECTION_COMPENSATION,
+    DepolarizerSettings,
+    _compensated_radii,
+    build_bench,
+    isotropic_theta1_angles,
+    radii_closed_form,
+)
 from polarchan.polar_core import density_from_stokes  # noqa: E402
 from polarchan.tomography import (  # noqa: E402
     TomoSettings,
@@ -37,12 +52,35 @@ from polarchan.tomography import (  # noqa: E402
 SEEDS = (11, 12, 13, 14)
 ROUNDS = 10
 STATES = 200
+SWEEP_THETA1 = (*isotropic_theta1_angles()[::-1], 10.0, 0.0, 22.5)
+SWEEP_LENGTHS = ((1, 1), (2, 1), (1, 2), (2, 3), (3, 7))
+SWEEP_THETA2 = [0.25 * k for k in range(181)]
 
 
 def _fit_bytes(fit) -> bytes:
     fields = [np.ascontiguousarray(fit.matrix).tobytes(),
               np.array([fit.nll, fit.optimality_gap, getattr(fit, "tp_deviation", 0.0)]).tobytes(),
               np.array([fit.iterations, fit.converged], dtype=np.int64).tobytes()]
+    return b"".join(fields)
+
+
+def _radii_bytes() -> bytes:
+    fields = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the degenerate length ratios warn
+        for theta1 in SWEEP_THETA1:
+            for l1, l2 in SWEEP_LENGTHS:
+                benches = [build_bench(DepolarizerSettings(theta1, t2, l1, l2)) for t2 in SWEEP_THETA2]
+                closed = [radii_closed_form(theta1, t2) for t2 in SWEEP_THETA2]
+                fields.append(np.array(closed).tobytes())
+                fields.append(_compensated_radii(_kept_chi(propagate_stack(benches)[1]))[0].tobytes())
+    for seed in SEEDS:
+        for item in inputs.grid_items(seed):
+            bench = build_bench(item.fig1) if item.fig1 is not None else item.bench
+            m = affine_map(propagate(bench)).matrix
+            report = polar_decompose(REFLECTION_COMPENSATION @ m if item.fig1 is not None else m)
+            fields += [np.array(report.radii).tobytes(), report.rotation.tobytes(),
+                       np.array([report.det_sign, report.axis_aligned], dtype=float).tobytes()]
     return b"".join(fields)
 
 
@@ -65,6 +103,7 @@ def main() -> int:
         fits.update(_fit_bytes(qst_mle(record)))
     print(f"counts {counts.hexdigest()}")
     print(f"fits   {fits.hexdigest()}")
+    print(f"radii  {hashlib.sha256(_radii_bytes()).hexdigest()}")
     return 0
 
 

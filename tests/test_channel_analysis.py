@@ -16,6 +16,8 @@ from polarchan.bench_sim import (
 )
 from polarchan.channel_analysis import (
     FEASIBILITY_SLACK,
+    EllipsoidReport,
+    _polar_stack,
     apply_process_matrix,
     chi_eigenvalues,
     chi_from_kraus,
@@ -209,13 +211,19 @@ def rotated_maps(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(diagonal_maps(), maps_at_the_threshold(), rotated_maps(),
-                 st.just(np.zeros((3, 3)))))
-def test_polar_decompose_matches_svd_first_reference(m):
-    # the reference's unused det(M) divides by zero for entries near 1e-300
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        expected = reference_polar_decompose(m)
-    assert report_bytes(polar_decompose(m)) == report_bytes(expected)
+@given(st.lists(st.one_of(diagonal_maps(), maps_at_the_threshold(), rotated_maps(),
+                          st.just(np.zeros((3, 3)))), min_size=1, max_size=6))
+def test_polar_decompose_matches_svd_first_reference(maps):
+    # the stacked kernel reports each matrix of a mixed stack as polar_decompose
+    # reports it alone, and both as the SVD-first reference
+    radii, rotation, det_sign, aligned, _ = _polar_stack(np.array(maps))
+    for b, m in enumerate(maps):
+        # the reference's unused det(M) divides by zero for entries near 1e-300
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            expected = report_bytes(reference_polar_decompose(m))
+        assert report_bytes(polar_decompose(m)) == expected
+        row = EllipsoidReport(radii[b], rotation[b], float(det_sign[b]), bool(aligned[b]))
+        assert report_bytes(row) == expected
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])

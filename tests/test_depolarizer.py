@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, affine_map, apply_channel, propagate
 from polarchan.channel_analysis import FEASIBILITY_SLACK, pauli_feasible, polar_decompose
 from polarchan.depolarizer import (
+    _MAX_GRID_POINTS,
     REFLECTION_COMPENSATION,
-    _radii_grid,
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
     build_bench,
@@ -29,13 +31,42 @@ THETA_ISO_LOW, THETA_ISO_HIGH = isotropic_theta1_angles()
 MAGIC_TWO_CRYSTAL = np.degrees(np.arctan(np.sqrt(2.0)))
 
 
-@pytest.mark.parametrize("grid_n", [1, 2, 46, 101])
-def test_radii_grid_matches_scalar_closed_form(grid_n):
-    # the region grid is, cell by cell, one scalar closed-form call, whatever its size
-    angles = np.linspace(0.0, 45.0, grid_n).tolist()
-    r1, r2 = _radii_grid(angles)
-    scalar = np.array([[radii_closed_form(t1, t2)[:2] for t2 in angles] for t1 in angles])
-    assert same_bits(r1, scalar[..., 0]) and same_bits(r2, scalar[..., 1])
+#: numpy's array square of cos(2 t2) here is 0.972467624291657, Python's pow 0.9724676242916571
+POW_NOT_SQUARE_THETA2 = 4.775598086124401
+
+
+def test_closed_form_calls_agree_bit_for_bit_in_any_shape():
+    # scalar, 1-D and grid calls each give every point the same bits, whatever
+    # loop numpy picks for a long array
+    theta2 = np.linspace(0.0, 45.0, 20_901)
+    assert POW_NOT_SQUARE_THETA2 in theta2.tolist()
+    # at theta1 = 0, R2 is cos^2(2 t2) as Python's pow gives it
+    c2 = math.cos(2 * math.radians(POW_NOT_SQUARE_THETA2)) ** 2
+    assert radii_closed_form(0.0, POW_NOT_SQUARE_THETA2)[1] == c2
+    theta1 = np.array([0.0, 10.0, THETA_ISO_LOW, THETA_ISO_HIGH, 22.5])
+    grid = np.stack(radii_closed_form(theta1[:, None], theta2[None, :]), axis=-1)
+    for row, t1 in zip(grid, theta1.tolist()):
+        assert same_bits(np.stack(radii_closed_form(t1, theta2), axis=-1), row)
+        scalar = np.array([radii_closed_form(t1, t2) for t2 in theta2.tolist()])
+        assert same_bits(scalar, row)
+    dop = np.array([dop_isotropic(t2) for t2 in theta2.tolist()])
+    assert same_bits(dop_isotropic(theta2), dop)
+    assert same_bits(dop_isotropic(theta2.reshape(3, -1)), dop.reshape(3, -1))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: radii_closed_form(bad, 0.0), "theta1_deg"),
+    (lambda bad: radii_closed_form(0.0, bad), "theta2_deg"),
+    (lambda bad: radii_closed_form(np.array([[0.0], [bad]]), np.zeros((1, 3))), "theta1_deg"),
+    (lambda bad: radii_closed_form(np.zeros(3), [1.0, bad, 2.0]), "theta2_deg"),
+    (lambda bad: dop_isotropic(bad), "theta2_deg"),
+    (lambda bad: dop_isotropic([0.0, bad]), "theta2_deg"),
+], ids=["theta1", "theta2", "theta1_grid", "theta2_array", "dop", "dop_array"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_closed_forms_reject_non_finite_angles(call, name, bad):
+    # inf raised numpy's RuntimeWarning, and nan gave nan radii
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        call(bad)
 
 
 def test_radii_closed_form_examples():
@@ -201,15 +232,29 @@ def test_two_crystal_examples():
 
 @pytest.mark.parametrize("grid_n", [2, 46, 76, 109, 451])
 def test_region_scan_is_the_region_grid(grid_n):
-    # the scan and `polarchan region` read one grid, so their values agree bit for bit
-    r1, r2 = _radii_grid(np.linspace(0.0, 45.0, grid_n).tolist())
+    # the scan and `polarchan region` read one grid call, so their values agree bit for bit
+    angles = np.linspace(0.0, 45.0, grid_n)
+    r1, r2, _ = radii_closed_form(angles[:, None], angles[None, :])
     points = reachable_region_scan(grid_n)
     assert same_bits(points, np.column_stack([r1.ravel(), r2.ravel()]))
+
+
+@pytest.mark.parametrize("grid_n, message", [
+    (2001, f"grid_n of 2001 gives more than {_MAX_GRID_POINTS} points"),
+    (2.5, "grid_n must be an integer, got 2.5"),
+    (True, "grid_n must be an integer, got True"),
+    (np.float64(46.0), "grid_n must be an integer, got np.float64(46.0)"),
+])
+def test_region_scan_refuses_bad_sizes(grid_n, message):
+    # 2.5 raised numpy's TypeError; a grid past the cap is refused before anything is allocated
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reachable_region_scan(grid_n)
 
 
 def test_region_scan_properties():
     points = reachable_region_scan(61)
     assert points.shape == (61 * 61, 2)
+    assert reachable_region_scan(np.int64(3)).shape == (9, 2)
     # identity corner and isotropic endpoint present
     assert np.min(np.linalg.norm(points - [1.0, 1.0], axis=1)) < 1e-12
     assert np.min(np.linalg.norm(points - [-1 / 3, -1 / 3], axis=1)) < 0.02

@@ -143,8 +143,12 @@ _NAN = np.full((2, 2), np.nan)
     # these returned nan
     (lambda k, v, hv: apply_channel(k, _NAN), "rho must be finite"),
     (lambda k, v, hv: expected_probability(k, v, _NAN), "projector must be finite"),
+    # a flat 16-vector was read as a 4x4 chi, and a NaN chi gave a NaN state
+    (lambda k, v, hv: apply_process_matrix(np.eye(4).ravel() / 4, v),
+     "process matrix must be 4x4, got shape (16,)"),
+    (lambda k, v, hv: apply_process_matrix(np.full((4, 4), np.nan), v), "process matrix must be finite"),
 ], ids=["apply_process_matrix", "apply_channel", "projector", "rho_in", "apply_channel_nan",
-        "projector_nan"])
+        "projector_nan", "chi_flat", "chi_nan"])
 def test_one_state_arguments_refuse_a_stack(call, message):
     # each used to read the first matrix of the stack and drop the rest; a
     # stack or a non-finite matrix now raises, naming the argument
