@@ -54,6 +54,17 @@ def test_closed_form_calls_agree_bit_for_bit_in_any_shape():
     assert same_bits(dop_isotropic(theta2.reshape(3, -1)), dop.reshape(3, -1))
 
 
+@pytest.mark.parametrize("grid_n", [1, 2, 46, 101])
+def test_radii_grid_matches_scalar_closed_form(grid_n):
+    # the region grid is, cell by cell, one scalar closed-form call, whatever its size
+    angles = np.linspace(0.0, 45.0, grid_n)
+    r1, r2, _ = radii_closed_form(angles[:, None], angles[None, :])
+    scalar = np.array([[radii_closed_form(t1, t2)[:2] for t2 in angles.tolist()] for t1 in angles.tolist()])
+    assert same_bits(r1, scalar[..., 0]) and same_bits(r2, scalar[..., 1])
+    if grid_n >= 2:
+        assert same_bits(reachable_region_scan(grid_n), scalar.reshape(-1, 2))
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda bad: radii_closed_form(bad, 0.0), "theta1_deg"),
     (lambda bad: radii_closed_form(0.0, bad), "theta2_deg"),
