@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench_sim import _CHI_TO_PTM, KrausSet, _apply_ptm
-from .polar_core import ATOL, EIG_ATOL, _check_physical, _square
+from .polar_core import _check_physical, _hermitian_spectrum, _square
 
 __all__ = [
     "chi_from_kraus",
@@ -68,21 +68,14 @@ def check_process_matrix(chi: np.ndarray) -> np.ndarray:
 def chi_eigenvalues(chi: np.ndarray) -> np.ndarray:
     """Real eigenvalues of chi, sorted descending, those down to ``-EIG_ATOL`` clipped to 0.
 
-    Takes one 4x4 matrix or a stack of shape ``(..., 4, 4)``; the finiteness,
-    Hermitian (ATOL) and clipping-window checks then cover every matrix of the stack.
+    Takes one 4x4 matrix or a ``(..., 4, 4)`` stack, each checked as check_process_matrix does but for trace.
     """
     chi = np.asarray(chi, dtype=complex)
     if chi.shape[-2:] != (4, 4):
         raise ValueError(f"process matrix must be 4x4, got shape {chi.shape}")
     if not np.isfinite(chi).all():
         raise ValueError("process matrix must be finite")
-    # each test written so that NaN fails it too
-    if not np.abs(chi - chi.conj().swapaxes(-1, -2)).max() <= ATOL:
-        raise ValueError("process matrix is not Hermitian")
-    vals = np.linalg.eigvalsh(chi)[..., ::-1].astype(float)
-    if not vals.min() >= -EIG_ATOL:
-        raise ValueError(f"eigenvalue {vals.min():.3g} below clipping window")
-    return np.maximum(vals, 0.0)
+    return np.maximum(_hermitian_spectrum(chi, "process matrix")[..., ::-1], 0.0)
 
 
 @dataclass(frozen=True)

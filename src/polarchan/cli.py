@@ -50,6 +50,7 @@ from .depolarizer import (
     _MAX_GRID_POINTS,
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
+    _check_region_grid,
     _compensated_radii,
     build_bench,
     build_bench_rotated_crystals,
@@ -97,7 +98,7 @@ class RunConfig:
     mode: str
     preset: Optional[str] = None
     elements: tuple = ()
-    theta1: Optional[float] = None
+    theta1: float = isotropic_theta1_angles()[1]  # fig1: the isotropic 31.316... deg
     theta2: Optional[float] = None
     theta2_start: Optional[float] = None
     theta2_stop: Optional[float] = None
@@ -294,11 +295,10 @@ def _validate_mode(kw, elements, seen, errors):
         errors.append(f"line {seen['n']}: n must be at most {MAX_SHOTS} (10**18) "
                       f"for tomography, got {_echo(n)}")
     if mode == "region" and grid_n is not None:
-        if grid_n < 2:
-            errors.append(f"line {seen['grid_n']}: grid_n must be at least 2")
-        elif grid_n ** 2 > _MAX_GRID_POINTS:
-            errors.append(f"line {seen['grid_n']}: region grid of {grid_n ** 2} points exceeds "
-                          f"the {_MAX_GRID_POINTS} limit; decrease grid_n")
+        try:
+            _check_region_grid(grid_n)
+        except ValueError as exc:
+            errors.append(f"line {seen['grid_n']}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +309,7 @@ def bench_from_config(cfg: RunConfig) -> BenchConfig:
     if cfg.elements:
         return BenchConfig(cfg.elements)
     if cfg.preset == "fig1":
-        theta1 = cfg.theta1 if cfg.theta1 is not None else isotropic_theta1_angles()[1]
-        return build_bench(DepolarizerSettings(theta1, cfg.theta2, cfg.length1, cfg.length2))
+        return build_bench(DepolarizerSettings(cfg.theta1, cfg.theta2, cfg.length1, cfg.length2))
     if cfg.preset == "lyot":
         return build_lyot(cfg.length)
     if cfg.preset == "two_crystal":
@@ -416,9 +415,8 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
     the per-row MLE fits, and rows of different seeds share no random numbers.
     Rows whose fit did not converge are reported on stderr after the fits.
     """
-    theta1 = cfg.theta1 if cfg.theta1 is not None else isotropic_theta1_angles()[1]
     thetas = _sweep_thetas(cfg)
-    on_iso_line = any(abs(theta1 - root) < 1e-6 for root in isotropic_theta1_angles())
+    on_iso_line = any(abs(cfg.theta1 - root) < 1e-6 for root in isotropic_theta1_angles())
     header = (
         ["theta2", "r1_closed", "r2_closed", "r3_closed", "dop_closed",
          "r1_sim", "r2_sim", "r3_sim"]
@@ -434,10 +432,10 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
         fit_map = map if executor is None else executor.map
         for start in range(0, len(thetas), _SWEEP_BLOCK):
             block = thetas[start:start + _SWEEP_BLOCK]
-            benches = [build_bench(DepolarizerSettings(theta1, t2, cfg.length1, cfg.length2))
+            benches = [build_bench(DepolarizerSettings(cfg.theta1, t2, cfg.length1, cfg.length2))
                        for t2 in block]
             chis = _kept_chi(propagate_stack(benches)[1])
-            values = np.column_stack((*radii_closed_form(theta1, block), _compensated_radii(chis)[0],
+            values = np.column_stack((*radii_closed_form(cfg.theta1, block), _compensated_radii(chis)[0],
                                       chi_eigenvalues(chis))).tolist()
             dops = [_fmt(d) for d in dop_isotropic(block).tolist()] if on_iso_line else [""] * len(block)
             rows = [[_fmt_angle(t2), *map(_fmt, row[:3]), dop, *map(_fmt, row[3:])]

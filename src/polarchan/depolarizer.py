@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bench_sim import BenchConfig, Crystal, Waveplate, _ptm_stack, propagate
+from .bench_sim import BenchConfig, Crystal, Waveplate, _as_length, _ptm_stack, propagate
 from .channel_analysis import FEASIBILITY_SLACK, _polar_stack
 from .polar_core import _check_integer
 
@@ -128,10 +128,8 @@ class DepolarizerSettings:
     length2: Fraction = Fraction(2)
 
     def __post_init__(self):
-        c1 = Crystal(self.length1, 0.0)   # reuse the exact length coercion
-        c2 = Crystal(self.length2, 0.0)
-        object.__setattr__(self, "length1", c1.length)
-        object.__setattr__(self, "length2", c2.length)
+        object.__setattr__(self, "length1", _as_length(self.length1))
+        object.__setattr__(self, "length2", _as_length(self.length2))
         object.__setattr__(self, "theta1_deg", float(self.theta1_deg))
         object.__setattr__(self, "theta2_deg", float(self.theta2_deg))
 
@@ -229,6 +227,15 @@ def simulated_radii(bench: BenchConfig) -> np.ndarray:
     return radii[0]
 
 
+def _check_region_grid(grid_n) -> None:
+    _check_integer("grid_n", grid_n)
+    if grid_n < 2:
+        raise ValueError("grid_n must be at least 2")
+    if grid_n ** 2 > _MAX_GRID_POINTS:
+        raise ValueError(f"region grid of {grid_n ** 2} points exceeds the {_MAX_GRID_POINTS} limit; "
+                         "decrease grid_n")
+
+
 def reachable_region_scan(grid_n: int = 451) -> np.ndarray:
     """(R1, R2) points swept by the closed form over a grid_n x grid_n grid.
 
@@ -237,11 +244,7 @@ def reachable_region_scan(grid_n: int = 451) -> np.ndarray:
     an array of shape (grid_n**2, 2), the values the ``region`` mode writes.
     Any grid_n but an integer in 2..2000 raises ValueError before allocating.
     """
-    _check_integer("grid_n", grid_n)
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    if grid_n ** 2 > _MAX_GRID_POINTS:
-        raise ValueError(f"grid_n of {grid_n} gives more than {_MAX_GRID_POINTS} points")
+    _check_region_grid(grid_n)
     angles = np.linspace(0.0, 45.0, grid_n)
     r1, r2, _ = radii_closed_form(angles[:, None], angles[None, :])
     return np.column_stack([r1.ravel(), r2.ravel()])

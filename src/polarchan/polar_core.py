@@ -131,8 +131,8 @@ def ket_projector(ket: np.ndarray) -> np.ndarray:
 def check_density(rho: np.ndarray) -> np.ndarray:
     """Validate a 2x2 density matrix; returns it as a complex ndarray.
 
-    Raises ValueError if the matrix is not finite, is not Hermitian/unit-trace
-    within ``ATOL`` or has an eigenvalue below ``-EIG_ATOL``.
+    Raises ValueError at the first failed check: not finite, not Hermitian within
+    ``ATOL``, an eigenvalue below ``-EIG_ATOL``, or a trace off 1 by more than ``ATOL``.
     """
     return _check_physical(rho, 2, "density matrix")
 
@@ -148,17 +148,23 @@ def _square(m, dim: int, what: str) -> np.ndarray:
     return m
 
 
-def _check_physical(m, dim: int, what: str) -> np.ndarray:
-    """``m`` as a complex ``(dim, dim)`` array, checked as check_density says; the
-    ValueError of a failed check names ``what``."""
-    m = _square(m, dim, what)
-    # each test written so that NaN fails it too
-    if not np.abs(m - m.conj().T).max() <= ATOL:
+def _hermitian_spectrum(m: np.ndarray, what: str) -> np.ndarray:
+    """``eigvalsh`` of a finite complex ``(..., d, d)`` stack whose every matrix is Hermitian within
+    ATOL with no eigenvalue below -EIG_ATOL; else a ValueError naming ``what`` (NaN fails too)."""
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= ATOL:
         raise ValueError(f"{what} is not Hermitian")
-    if not abs(np.trace(m) - 1.0) <= ATOL:
-        raise ValueError(f"{what} trace differs from 1")
-    if not np.linalg.eigvalsh(m).min() >= -EIG_ATOL:
+    vals = np.linalg.eigvalsh(m)
+    if not vals.min() >= -EIG_ATOL:
         raise ValueError(f"{what} has a negative eigenvalue")
+    return vals
+
+
+def _check_physical(m, dim: int, what: str) -> np.ndarray:
+    """``m`` as a complex ``(dim, dim)`` array, checked as check_density says, errors naming ``what``."""
+    m = _square(m, dim, what)
+    _hermitian_spectrum(m, what)
+    if not abs(np.trace(m) - 1.0) <= ATOL:  # NaN fails it too
+        raise ValueError(f"{what} trace differs from 1")
     return m
 
 

@@ -565,7 +565,7 @@ def _eigen_stepper(tangent, grad, mu):
     return step
 
 
-def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, **_):
+def _damped_newton(fun, x0, args=(), hess=None, **_):
     """Damped Newton minimisation of a scale-invariant ``fun`` returning (f, grad,
     terms), as a ``scipy.optimize.minimize`` method; ``hess(terms, *args)`` must
     agree with f's Hessian H on the tangent space of |x| = 1, where f varies.
@@ -580,14 +580,14 @@ def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, 
     trial step is accepted when its NLL decrease is a fair share of the
     decrease the quadratic model predicts; the radius follows that ratio.  x
     is renormalised after every step.  The fit stops, converged, when the
-    predicted decrease is at most nll_rel_tol * max(|f|, 1) or when no step
-    lowers f, and stops unconverged after max_iterations accepted steps.  The
+    predicted decrease is at most _NLL_REL_TOL * max(|f|, 1) or when no step
+    lowers f, and stops unconverged after _MAX_ITERATIONS accepted steps.  The
     result carries the terms of the last point.
     """
     x = x0 / math.sqrt(x0 @ x0)
     nll, grad, terms = fun(x, *args)
     nit, radius, converged = 0, _RADIUS_START, False
-    while nit < max_iterations:
+    while nit < _MAX_ITERATIONS:
         # f is constant along x, so steps live in the tangent space of |x| = 1: the
         # solves take P h P for P = I - x x^T, with x given curvature m = max|h|; the
         # largest absolute row sum of h bounds the spectral radius of both
@@ -605,7 +605,7 @@ def _damped_newton(fun, x0, args=(), hess=None, *, max_iterations, nll_rel_tol, 
                 eigen_step = eigen_step or _eigen_stepper(tangent, grad, mu)
                 step = eigen_step(radius)
             direction, length, predicted = step
-            if predicted <= nll_rel_tol * scale:
+            if predicted <= _NLL_REL_TOL * scale:
                 converged = True
                 break
             trial = x - direction
@@ -649,8 +649,7 @@ def _mle_minimize(fit, counts, shots, estimate) -> dict:
     args = (forms, np.asarray(counts, dtype=float), float(shots))
     # Tr(S_k T) = dim params_k, a scale the fit ignores
     x0 = (strings.conj() @ _root_seed(estimate).ravel()).real
-    res = minimize(_nll_and_grad, x0, args=args, hess=_nll_hessian, method=_damped_newton,
-                   options={"max_iterations": _MAX_ITERATIONS, "nll_rel_tol": _NLL_REL_TOL})
+    res = minimize(_nll_and_grad, x0, args=args, hess=_nll_hessian, method=_damped_newton)
     t = (res.x @ strings).reshape(dim, dim)
     gram = t @ t
     _, _, p, w, _ = res.terms

@@ -1,4 +1,4 @@
-"""Print sha256 digests of simulated count tables, of the fits made from them, and of radii.
+"""Print sha256 digests of simulated count tables, of the fits made from them, of radii and of spectra.
 
     PYTHONPATH=src python tests/fit_digest.py
 
@@ -12,9 +12,11 @@ closed-form (one scalar call per row) and simulated radii of 25 sweep blocks,
 theta1 in {31.316..., 13.684..., 10, 0, 22.5} x (L1, L2) in {(1, 1), (2, 1),
 (1, 2), (2, 3), (3, 7)} with theta2 = 0...45 by 0.25, and every field of the
 ``polar_decompose`` report of each ``grid_sim`` matrix of
-``perfbench.inputs.grid_items`` at seeds 11-14.  A change that must leave every
-count, fit and radius bit for bit as it was prints the same three lines before
-and after.
+``perfbench.inputs.grid_items`` at seeds 11-14.  The fourth covers spectra: the
+``chi_eigenvalues`` of each of those 25 sweep blocks' chi stacks and of the chi of
+each of those ``grid_sim`` benches.  A change that must leave every count, fit,
+radius and spectrum bit for bit as it was prints the same four lines before and
+after.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfben
 import inputs  # noqa: E402  (perfbench/inputs.py)
 
 from polarchan.bench_sim import _kept_chi, affine_map, propagate, propagate_stack  # noqa: E402
-from polarchan.channel_analysis import polar_decompose  # noqa: E402
+from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus, polar_decompose  # noqa: E402
 from polarchan.depolarizer import (  # noqa: E402
     REFLECTION_COMPENSATION,
     DepolarizerSettings,
@@ -64,24 +66,28 @@ def _fit_bytes(fit) -> bytes:
     return b"".join(fields)
 
 
-def _radii_bytes() -> bytes:
-    fields = []
+def _radii_and_spectra_bytes() -> tuple:
+    fields, spectra = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the degenerate length ratios warn
         for theta1 in SWEEP_THETA1:
             for l1, l2 in SWEEP_LENGTHS:
                 benches = [build_bench(DepolarizerSettings(theta1, t2, l1, l2)) for t2 in SWEEP_THETA2]
                 closed = [radii_closed_form(theta1, t2) for t2 in SWEEP_THETA2]
+                chis = _kept_chi(propagate_stack(benches)[1])
                 fields.append(np.array(closed).tobytes())
-                fields.append(_compensated_radii(_kept_chi(propagate_stack(benches)[1]))[0].tobytes())
+                fields.append(_compensated_radii(chis)[0].tobytes())
+                spectra.append(chi_eigenvalues(chis).tobytes())
     for seed in SEEDS:
         for item in inputs.grid_items(seed):
             bench = build_bench(item.fig1) if item.fig1 is not None else item.bench
-            m = affine_map(propagate(bench)).matrix
+            kraus = propagate(bench)
+            m = affine_map(kraus).matrix
             report = polar_decompose(REFLECTION_COMPENSATION @ m if item.fig1 is not None else m)
             fields += [np.array(report.radii).tobytes(), report.rotation.tobytes(),
                        np.array([report.det_sign, report.axis_aligned], dtype=float).tobytes()]
-    return b"".join(fields)
+            spectra.append(chi_eigenvalues(chi_from_kraus(kraus)).tobytes())
+    return b"".join(fields), b"".join(spectra)
 
 
 def main() -> int:
@@ -103,7 +109,9 @@ def main() -> int:
         fits.update(_fit_bytes(qst_mle(record)))
     print(f"counts {counts.hexdigest()}")
     print(f"fits   {fits.hexdigest()}")
-    print(f"radii  {hashlib.sha256(_radii_bytes()).hexdigest()}")
+    radii, spectra = _radii_and_spectra_bytes()
+    print(f"radii  {hashlib.sha256(radii).hexdigest()}")
+    print(f"spectra {hashlib.sha256(spectra).hexdigest()}")
     return 0
 
 

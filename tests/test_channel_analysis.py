@@ -33,7 +33,7 @@ from polarchan.depolarizer import (
     build_two_crystal,
     isotropic_theta1_angles,
 )
-from polarchan.polar_core import ATOL, EIG_ATOL, PAULI_BASIS, density_from_stokes
+from polarchan.polar_core import ATOL, EIG_ATOL, PAULI_BASIS, check_density, density_from_stokes
 
 from conftest import (
     random_bench,
@@ -87,7 +87,7 @@ def test_chi_eigenvalue_contract():
     assert abs(lam.sum() - 1.0) < 1e-9
     with pytest.raises(ValueError, match="Hermitian"):
         chi_eigenvalues(np.diag([1.0, 0, 0, 0]) + 1e-3 * np.eye(4, k=1))
-    with pytest.raises(ValueError, match="clipping"):
+    with pytest.raises(ValueError, match="negative eigenvalue"):
         chi_eigenvalues(np.diag([1.1, 0, 0, -0.1]))
 
 
@@ -265,26 +265,39 @@ def test_pauli_feasible_at_the_slack_edge():
         assert lam[0] == -slack and ok is feasible
 
 
-def test_process_checks_at_each_threshold_edge():
+def _hermitian_defect(dim, e):
+    m = np.diag([1.0] + [0.0] * (dim - 1)).astype(complex)
+    m[0, 1] = e
+    return m
+
+
+def _negative_eigenvalue(dim, e):
+    return np.diag([1.0 + e, -e] + [0.0] * (dim - 2))
+
+
+def _chi_eigenvalues_in_stack(chi):
+    # the matrix under test between two valid ones, in a (3, 4, 4) stack
+    return chi_eigenvalues(np.stack([np.eye(4) / 4, chi, np.diag([1.0, 0.0, 0.0, 0.0])]))[1]
+
+
+@pytest.mark.parametrize("edge, matrix, message", [
+    (ATOL, _hermitian_defect, "is not Hermitian"),
+    (EIG_ATOL, _negative_eigenvalue, "has a negative eigenvalue"),
+], ids=["hermitian", "eigenvalue"])
+@pytest.mark.parametrize("check, dim, what", [
+    (check_density, 2, "density matrix"),
+    (check_process_matrix, 4, "process matrix"),
+    (chi_eigenvalues, 4, "process matrix"),
+    (_chi_eigenvalues_in_stack, 4, "process matrix"),
+], ids=["check_density", "check_process_matrix", "chi_eigenvalues", "chi_eigenvalues_stack"])
+def test_physicality_checks_at_each_threshold_edge(check, dim, what, edge, matrix, message):
     # a Hermiticity defect of exactly ATOL and an eigenvalue of exactly
-    # -EIG_ATOL pass; the next float past either fails
-    def hermitian_defect(e):
-        chi = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        chi[0, 1] = e
-        return chi
-
-    def negative_eigenvalue(e):
-        return np.diag([1.0 + e, -e, 0.0, 0.0])
-
-    cases = ((check_process_matrix, ATOL, hermitian_defect, "not Hermitian"),
-             (check_process_matrix, EIG_ATOL, negative_eigenvalue, "negative eigenvalue"),
-             (chi_eigenvalues, ATOL, hermitian_defect, "not Hermitian"),
-             (chi_eigenvalues, EIG_ATOL, negative_eigenvalue, "below clipping window"))
-    for check, edge, matrix, message in cases:
-        check(matrix(edge))
-        with pytest.raises(ValueError, match=message):
-            check(matrix(np.nextafter(edge, 1.0)))
-    assert chi_eigenvalues(negative_eigenvalue(EIG_ATOL))[1:].tolist() == [0.0, 0.0, 0.0]
+    # -EIG_ATOL pass; the next float past either fails, with one message per rule
+    passed = check(matrix(dim, edge))
+    if check in (chi_eigenvalues, _chi_eigenvalues_in_stack):
+        assert passed.min() == 0.0  # an eigenvalue of -EIG_ATOL is clipped to 0
+    with pytest.raises(ValueError, match=f"^{what} {message}$"):
+        check(matrix(dim, np.nextafter(edge, 1.0)))
 
 
 _RADII = st.one_of(st.sampled_from([-1.0, -1 / 3, 0.0, -0.0, 1 / 3, 0.5, 1.0, 1.0 + 1e-12, -1.0 - 4e-12]),

@@ -28,6 +28,7 @@ from polarchan.depolarizer import (
     dop_isotropic,
     isotropic_theta1_angles,
     radii_closed_form,
+    reachable_region_scan,
 )
 from polarchan.tomography import TomoSettings, qpt_mle, simulate_counts
 
@@ -329,6 +330,17 @@ def test_region_grid_capped_before_allocation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("polarchan: line 2: region grid of 10000000000 points exceeds")
     assert "decrease grid_n" in err
+
+
+@pytest.mark.parametrize("grid_n", [1, 2001, 100000])
+def test_region_grid_refusal_is_the_library_message(grid_n, tmp_path, capsys):
+    # one check owns the region grid rule; the CLI adds only the config line
+    with pytest.raises(ValueError) as refused:
+        reachable_region_scan(grid_n)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"mode = region\ngrid_n = {grid_n}\n")
+    assert main(["region", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"polarchan: line 2: {refused.value}\n")
 
 
 @pytest.mark.parametrize("r_step", ["5e-324", "1e-300", "0.0009", repr(2 / 1999.6)])

@@ -128,6 +128,18 @@ def test_build_bench_structure():
     assert [p.angle_deg for p in plates] == [settings.theta1_deg, 15.0, -settings.theta1_deg]
 
 
+def test_settings_read_lengths_as_crystals_do():
+    settings = DepolarizerSettings(0, 0, "3/2", 0.1)
+    assert (settings.length1, settings.length2) == (Fraction(3, 2), Fraction(1, 10))
+    assert type(settings.length1) is type(settings.length2) is Fraction
+    for bad in (0, -1.5, "1e1000000", "x", None):
+        with pytest.raises((ValueError, TypeError)) as refused:
+            Crystal(bad, 0.0)
+        for lengths in ((bad, 2), (1, bad)):
+            with pytest.raises(refused.type, match=f"^{re.escape(str(refused.value))}$"):
+                DepolarizerSettings(0, 0, *lengths)
+
+
 def test_build_bench_isotropic_point(rng):
     bench = build_bench(DepolarizerSettings(THETA_ISO_HIGH, 15.0, 1, 2))
     kraus = propagate(bench)
@@ -251,7 +263,8 @@ def test_region_scan_is_the_region_grid(grid_n):
 
 
 @pytest.mark.parametrize("grid_n, message", [
-    (2001, f"grid_n of 2001 gives more than {_MAX_GRID_POINTS} points"),
+    (1, "grid_n must be at least 2"),
+    (2001, f"region grid of 4004001 points exceeds the {_MAX_GRID_POINTS} limit; decrease grid_n"),
     (2.5, "grid_n must be an integer, got 2.5"),
     (True, "grid_n must be an integer, got True"),
     (np.float64(46.0), "grid_n must be an integer, got np.float64(46.0)"),

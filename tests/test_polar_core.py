@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarchan.polar_core import (
-    ATOL,
-    EIG_ATOL,
     KET_H,
     KET_L,
     KET_M,
@@ -36,15 +34,15 @@ def test_density_from_stokes_examples():
     assert np.allclose(density_from_stokes((0, 0, 1)), ket_projector(KET_R), atol=1e-15)
 
 
-def test_check_density_at_each_threshold_edge():
-    # a Hermiticity defect of exactly ATOL and an eigenvalue of exactly
-    # -EIG_ATOL pass; the next float past either fails
-    cases = ((ATOL, lambda e: np.array([[0.5, e], [0.0, 0.5]]), "not Hermitian"),
-             (EIG_ATOL, lambda e: np.diag([1.0 + e, -e]), "negative eigenvalue"))
-    for edge, matrix, message in cases:
-        check_density(matrix(edge))
-        with pytest.raises(ValueError, match=message):
-            check_density(matrix(np.nextafter(edge, 1.0)))
+@pytest.mark.parametrize("rho, message", [
+    (np.array([[1.5, 1.0], [0.0, -0.1]]), "is not Hermitian"),  # and a bad trace and eigenvalue
+    (np.diag([1.5, -0.1]), "has a negative eigenvalue"),        # and a trace of 1.4
+    (np.diag([0.7, 0.7]), "trace differs from 1"),
+], ids=["hermitian", "eigenvalue", "trace"])
+def test_check_density_reports_the_first_failed_check(rho, message):
+    # finite, Hermitian, eigenvalues, trace: a matrix failing several reports the first
+    with pytest.raises(ValueError, match=f"^density matrix {message}$"):
+        check_density(rho)
 
 
 def test_density_rejects_unphysical_length():

@@ -1082,8 +1082,10 @@ def test_indefinite_tangent_matrix_takes_the_eigen_path(monkeypatch):
 
     monkeypatch.setattr(tomography, "_floor_step", floor_spy)
     monkeypatch.setattr(tomography, "_eigen_stepper", eigen_spy)
+    monkeypatch.setattr(tomography, "_MAX_ITERATIONS", 100)
+    monkeypatch.setattr(tomography, "_NLL_REL_TOL", 1e-12)
     res = tomography._damped_newton(rayleigh_quotient, np.array([1e-3, 1.0, 1e-3, 0.0]), args=(a,),
-                                    hess=rayleigh_hessian, max_iterations=100, nll_rel_tol=1e-12)
+                                    hess=rayleigh_hessian)
     assert floor_steps[0] is None
     lam_min, (_, _, predicted) = eigen_steps[0]
     assert lam_min < 0.0 and predicted > 0.0
