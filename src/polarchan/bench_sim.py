@@ -28,7 +28,9 @@ coincidence test anywhere.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -106,7 +108,7 @@ def _as_length(value) -> Fraction:
         frac = _parse_length(value)
     else:
         raise TypeError(f"cannot interpret {value!r} as a crystal length")
-    if frac <= 0:
+    if frac.numerator <= 0:  # a Fraction's denominator is positive
         raise ValueError(f"crystal length must be positive, got {frac}")
     return frac
 
@@ -215,7 +217,7 @@ class KrausSet:
     operators: np.ndarray
 
     def __post_init__(self):
-        delays = tuple(int(d) for d in self.delays)
+        delays = tuple(map(int, self.delays))
         stack = np.array(self.operators, dtype=complex)
         if stack.size == 0:
             stack = stack.reshape(0, 2, 2)
@@ -226,7 +228,7 @@ class KrausSet:
         if not np.isfinite(stack).all():
             raise ValueError("Kraus operators must be finite")
         stack = stack[None]
-        if any(d1 >= d2 for d1, d2 in zip(delays, delays[1:])):
+        if not all(map(operator.lt, delays, delays[1:])):
             raise ValueError("delays must be strictly increasing")
         stack.setflags(write=False)
         object.__setattr__(self, "delays", delays)
@@ -278,8 +280,11 @@ def _projector_pair(angle_deg: float, sign: float) -> np.ndarray:
 
 
 def _structure(bench: BenchConfig) -> tuple:
-    # what fixes the delay bins: wave-plate kinds and crystal lengths, in order
-    return tuple(el.kind if isinstance(el, Waveplate) else el.length for el in bench.elements)
+    """What fixes a bench's delay bins, as its gather-plan key: per element, in
+    order, the wave-plate kind or the crystal length as an exact integer pair
+    ``(numerator, denominator)``, so the key hashes without a ``Fraction``."""
+    return tuple(el.kind if isinstance(el, Waveplate) else el.length.as_integer_ratio()
+                 for el in bench.elements)
 
 
 @functools.lru_cache(maxsize=32)
@@ -288,15 +293,15 @@ def _gather_plan(structure: tuple) -> tuple:
 
     ``delays`` are the sorted final delays; ``steps`` has one entry per
     element, ``None`` for a wave plate.  For a crystal that meets ``n`` bins
-    it is a pair of read-only index arrays ``(first, second)`` into the
-    ``2n + 1`` slots ``[fast @ t; slow @ t; -0.0]``: new bin ``e`` is
-    ``slot[first[e]] + slot[second[e]]``, the fast part of the bin at ``e``
+    it is one read-only ``(2, m)`` index array into the ``2n + 1`` slots
+    ``[fast @ t; slow @ t; -0.0]``: new bin ``e`` is
+    ``slot[index[0, e]] + slot[index[1, e]]``, the fast part of the bin at ``e``
     and the slow part of the bin at ``e - shift``.  A missing part points at
     the ``-0.0`` slot, and ``x + -0.0`` is ``x`` bit for bit, signed zeros
     included.  Raises before building anything for a bench that may produce
     more than ``MAX_DELAY_BINS`` bins.
     """
-    shifts = _integer_lengths([kind for kind in structure if not isinstance(kind, str)])
+    shifts = _integer_lengths([Fraction(*kind) for kind in structure if not isinstance(kind, str)])
     if _bin_bound(shifts) > MAX_DELAY_BINS:
         raise ValueError(f"bench may produce more than {MAX_DELAY_BINS} delay bins")
     shifts = iter(shifts)
@@ -317,27 +322,41 @@ def _gather_plan(structure: tuple) -> tuple:
             second.append(2 * n if stay is None or move is None else n + move)
         index = np.array([first, second], dtype=np.intp)
         index.setflags(write=False)
-        steps.append((index[0], index[1]))
+        steps.append(index)
     return tuple(delays), tuple(steps)
 
 
-def _per_bench(angles, build) -> list:
-    """``build(angle, sign)`` for every bench, computed once per distinct angle."""
-    # keyed with the sign bit, so 0.0 and -0.0 keep their own signed zeros
+def _per_position(angles: list, build) -> np.ndarray:
+    """``build(angle, sign)`` for one position of every bench, one build per
+    distinct angle: a ``(1, ...)`` stack when every bench has that angle, else
+    one row per bench.
+
+    Keyed with the sign bit, so 0.0 and -0.0 keep their own signed zeros.
+    """
+    first = angles[0]
+    sign = math.copysign(1.0, first)
+    # equal angles share a sign unless they are zeros
+    if angles.count(first) == len(angles) and (first or all(math.copysign(1.0, a) == sign
+                                                            for a in angles[1:])):
+        return build(first, sign)[None]
     built: dict = {}
-    out = []
+    rows = []
     for a in angles:
         key = (a, math.copysign(1.0, a))
         if key not in built:
             built[key] = build(*key)
-        out.append(built[key])
-    return out
+        rows.append(built[key])
+    return np.array(rows)
 
 
 #: the transfer matrix before the first element, one bench of one bin; every
 #: product with it broadcasts to the stack's size
 _IDENTITY = np.eye(2, dtype=complex).reshape(1, 1, 2, 2)
 _IDENTITY.setflags(write=False)
+
+#: the gather's empty part, every entry -0.0 - 0.0j
+_NEGATIVE_ZERO = np.full((2, 2), complex(-0.0, -0.0))
+_NEGATIVE_ZERO.setflags(write=False)
 
 
 def propagate_stack(benches) -> tuple:
@@ -350,34 +369,35 @@ def propagate_stack(benches) -> tuple:
     included.  A wave plate is one product over all bins; a crystal is one
     product with its fast and slow projectors and one gathered sum, through
     the structure's cached :func:`_gather_plan`.  Each wave-plate and
-    projector matrix is built by the scalar constructors, so every bench
-    gets the same bits as on its own.
+    projector matrix is built by the scalar constructors, once per distinct
+    angle of its position; a position whose angle every bench shares is one
+    ``(1, ...)`` matrix that broadcasts, so a shared prefix is multiplied
+    once, and every bench gets the same bits as on its own.
     """
     benches = list(benches)
     if not benches:
         raise ValueError("propagate_stack needs at least one bench")
-    first = benches[0]
-    structure = _structure(first)
+    structure = _structure(benches[0])
     if any(_structure(b) != structure for b in benches[1:]):
         raise ValueError("stacked benches must share element kinds and crystal lengths")
     delays, steps = _gather_plan(structure)
 
-    count = len(benches)
     t = _IDENTITY
-    for pos, (el, step) in enumerate(zip(first.elements, steps)):
+    columns = zip(*(b.elements for b in benches))  # one tuple of elements per position
+    for el, column, step in zip(benches[0].elements, columns, steps):
         if step is None:
-            u = np.array(_per_bench([b.elements[pos].angle_deg for b in benches],
-                                    lambda a, _: waveplate_jones(el.kind, a)))
+            u = _per_position([e.angle_deg for e in column], lambda a, _: waveplate_jones(el.kind, a))
             t = u[:, None] @ t
             continue
-        pairs = np.array(_per_bench([b.elements[pos].fast_axis_deg for b in benches],
-                                    _projector_pair))
-        n = t.shape[1]
+        pairs = _per_position([e.fast_axis_deg for e in column], _projector_pair)
+        count, n = max(len(pairs), len(t)), t.shape[1]
         slots = np.empty((count, 2 * n + 1, 2, 2), dtype=complex)
-        slots[:, -1] = complex(-0.0, -0.0)
+        slots[:, -1] = _NEGATIVE_ZERO
         np.matmul(pairs[:, :, None], t[:, None], out=slots[:, :-1].reshape(count, 2, n, 2, 2))
-        t = slots.take(step[0], axis=1) + slots.take(step[1], axis=1)
-    return delays, t
+        parts = slots.take(step, axis=1)
+        t = parts[:, 0] + parts[:, 1]
+    # a stack whose every position is shared was propagated once; one copy per bench
+    return delays, t if len(t) == len(benches) else t.repeat(len(benches), axis=0)
 
 
 def _nonzero_bins(ops: np.ndarray) -> np.ndarray:
@@ -397,7 +417,7 @@ def propagate(bench: BenchConfig) -> KrausSet:
     """
     delays, ops = propagate_stack([bench])
     keep = _nonzero_bins(ops[0])
-    return KrausSet(tuple(d for d, k in zip(delays, keep.tolist()) if k), ops[0, keep])
+    return KrausSet(tuple(itertools.compress(delays, keep.tolist())), ops[0, keep])
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -447,13 +467,21 @@ def _chi_stack(ops: np.ndarray) -> np.ndarray:
     return coeffs.swapaxes(-1, -2) @ coeffs.conj()
 
 
+#: G[:4]^T, the columns that give the PTM's first row from vec(chi)
+_PTM_ROW0 = _CHI_TO_PTM[:4].T
+
+#: the 2x2 identity and the basis E0..E3, flattened
+_FLAT_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0])
+_FLAT_IDENTITY.setflags(write=False)
+_FLAT_PAULI = PAULI_STACK.reshape(4, 4)
+
+
 def _tp_defects(chi: np.ndarray) -> np.ndarray:
     """Max-norm deviations ``(B,)`` of sum_mn chi_mn E_n^dag E_m from the identity,
     for a ``(B, 4, 4)`` chi stack: sum_d K_d^dag K_d for a Kraus set, read as
     sum_j R_0j E_j from the first row R_0 = G[:4] vec(chi) of the PTM."""
-    r0 = chi.reshape(-1, 16) @ _CHI_TO_PTM[:4].T
-    # the sums and the identity, flattened
-    return np.abs(r0 @ PAULI_STACK.reshape(4, 4) - [1, 0, 0, 1]).max(axis=-1)
+    r0 = chi.reshape(-1, 16) @ _PTM_ROW0
+    return np.abs(r0 @ _FLAT_PAULI - _FLAT_IDENTITY).max(axis=-1)
 
 
 def _checked_chi(ops: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ __all__ = [
     "isotropy_deviation",
 ]
 
-#: the off-diagonal entries of a 3x3 matrix
-_OFF_DIAGONAL = ~np.eye(3, dtype=bool)
+#: flat positions of a 3x3 matrix's off-diagonal entries
+_OFF_DIAGONAL = np.array([1, 2, 3, 5, 6, 7])
 _OFF_DIAGONAL.setflags(write=False)
 
 #: a Stokes matrix with no off-diagonal entry above this is axis-aligned: its diagonal is its radii
@@ -70,11 +70,11 @@ def chi_eigenvalues(chi: np.ndarray) -> np.ndarray:
 
     Takes one 4x4 matrix or a ``(..., 4, 4)`` stack, each checked as check_process_matrix does but for trace.
     """
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape[-2:] != (4, 4):
-        raise ValueError(f"process matrix must be 4x4, got shape {chi.shape}")
-    if not np.isfinite(chi).all():
-        raise ValueError("process matrix must be finite")
+    return _clipped_spectrum(_square(chi, 4, "process matrix", stack=True))
+
+
+def _clipped_spectrum(chi: np.ndarray) -> np.ndarray:
+    """chi_eigenvalues of a finite complex ``(..., 4, 4)`` stack."""
     return np.maximum(_hermitian_spectrum(chi, "process matrix")[..., ::-1], 0.0)
 
 
@@ -105,31 +105,48 @@ class EllipsoidReport:
         return tuple(r < 0 for r in self.radii)
 
 
+def _diagonal_reports(m: np.ndarray) -> tuple:
+    """Radii, rotations and det signs of a ``(B, 3, 3)`` stack of axis-aligned maps, read off the diagonal."""
+    radii = m.reshape(-1, 9)[:, ::4].copy()
+    signs = np.copysign(1.0, radii + 0.0)  # -0.0 + 0.0 is 0.0, so every r >= 0 gives +1
+    rotation = np.zeros((len(m), 3, 3))
+    rotation.reshape(-1, 9)[:, ::4] = signs
+    # the product of the signs is the determinant of their diagonal, bit for bit
+    return radii, rotation, signs.prod(axis=-1)
+
+
+def _svd_reports(m: np.ndarray) -> tuple:
+    """Radii, rotations and det signs of a ``(B, 3, 3)`` stack, from one batched SVD and determinant pass."""
+    u, sing, vt = np.linalg.svd(m)
+    o = u @ vt
+    det_o = np.linalg.det(o)
+    # rank deficient with det(rotation) = -1: flip the weakest left-singular
+    # direction, which leaves S as it is and turns det(rotation) to +1
+    flip = (sing[:, -1] <= _AXIS_ALIGNED_ATOL) & (det_o < 0)
+    if np.count_nonzero(flip):
+        flip = np.where(flip, -1.0, 1.0)
+        u[:, :, -1] *= flip[:, None]
+        o, det_o = u @ vt, det_o * flip
+    sign_o = np.copysign(1.0, det_o)  # det(rotation) is +-1, never 0
+    sing[:, -1] *= sign_o
+    return sing, o, sign_o
+
+
 def _polar_stack(m: np.ndarray) -> tuple:
     """polar_decompose for each matrix of a finite ``(B, 3, 3)`` stack: radii, rotations,
-    det signs, axis-aligned flags and largest off-diagonal magnitudes.  The matrices
-    that are not axis-aligned take one batched SVD and determinant pass."""
-    off = np.abs(m[:, _OFF_DIAGONAL]).max(axis=-1)
+    det signs, axis-aligned flags and largest off-diagonal magnitudes.  Axis-aligned
+    matrices are read off their diagonal, the others take one batched SVD pass; rows
+    are selected only in a stack that holds both."""
+    off = np.abs(m.reshape(-1, 9).take(_OFF_DIAGONAL, axis=1)).max(axis=-1)
     aligned = off <= _AXIS_ALIGNED_ATOL
-    radii = np.diagonal(m, axis1=-2, axis2=-1).copy()
-    signs = np.copysign(1.0, radii + 0.0)  # -0.0 + 0.0 is 0.0, so every r >= 0 gives +1
-    rotation = np.where(_OFF_DIAGONAL, 0.0, signs[:, None, :])
-    # the product of the signs is the determinant of their diagonal, bit for bit
-    det_sign = signs.prod(axis=-1)
-    if not aligned.all():
-        rest = np.flatnonzero(~aligned)
-        u, sing, vt = np.linalg.svd(m[rest])
-        o = u @ vt
-        det_o = np.linalg.det(o)
-        if sing[:, -1].min() <= _AXIS_ALIGNED_ATOL:
-            # rank deficient with det(rotation) = -1: flip the weakest left-singular
-            # direction, which leaves S as it is and turns det(rotation) to +1
-            flip = np.where((sing[:, -1] <= _AXIS_ALIGNED_ATOL) & (det_o < 0), -1.0, 1.0)
-            u[:, :, -1] *= flip[:, None]
-            o, det_o = u @ vt, det_o * flip
-        sign_o = np.copysign(1.0, det_o)  # det(rotation) is +-1, never 0
-        sing[:, -1] *= sign_o
-        radii[rest], rotation[rest], det_sign[rest] = sing, o, sign_o
+    count = np.count_nonzero(aligned)
+    if count == len(m):
+        return (*_diagonal_reports(m), aligned, off)
+    if count == 0:
+        return (*_svd_reports(m), aligned, off)
+    radii, rotation, det_sign = np.empty((len(m), 3)), np.empty((len(m), 3, 3)), np.empty(len(m))
+    for rows, reports in ((aligned, _diagonal_reports), (~aligned, _svd_reports)):
+        radii[rows], rotation[rows], det_sign[rows] = reports(m[rows])
     return radii, rotation, det_sign, aligned, off
 
 
@@ -152,7 +169,7 @@ def polar_decompose(m: np.ndarray) -> EllipsoidReport:
         # LAPACK's SVD never returns for an infinite diagonal entry
         raise np.linalg.LinAlgError("Stokes matrix must be finite")
     radii, rotation, det_sign, aligned, _ = _polar_stack(m[None])
-    return EllipsoidReport(radii[0], rotation[0], float(det_sign[0]), bool(aligned[0]))
+    return EllipsoidReport(tuple(radii[0].tolist()), rotation[0], det_sign.item(), aligned.item())
 
 
 def pauli_feasible(r1, r2, r3):
@@ -190,5 +207,5 @@ def isotropy_deviation(chi: np.ndarray) -> float:
     sorted descending, min(l2 - l4, l1 - l3).  Exactly zero for isotropic
     channels of any strength, including the identity.  Takes one 4x4 chi.
     """
-    lam = chi_eigenvalues(_square(chi, 4, "process matrix"))
+    lam = _clipped_spectrum(_square(chi, 4, "process matrix"))
     return float(min(lam[1] - lam[3], lam[0] - lam[2]))

@@ -52,6 +52,7 @@ from .depolarizer import (
     DepolarizerSettings,
     _check_region_grid,
     _compensated_radii,
+    _control_plate_benches,
     build_bench,
     build_bench_rotated_crystals,
     build_lyot,
@@ -408,12 +409,14 @@ def _fit_row(settings: TomoSettings, chi: np.ndarray, row: int) -> tuple:
 def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
     """Sweep rows, propagated in blocks of ``_SWEEP_BLOCK`` benches.
 
-    A block's chi comes from ``_kept_chi``, and its radii, spectra and degrees of
-    polarization from one call each of ``_compensated_radii``, ``chi_eigenvalues``,
-    ``radii_closed_form`` and ``dop_isotropic``.  Row i's counts come from stream i
-    of ``seed``, so output is independent of ``jobs``, which sets the threads of
-    the per-row MLE fits, and rows of different seeds share no random numbers.
-    Rows whose fit did not converge are reported on stderr after the fits.
+    The sweep builds one fig1 bench, and a block's benches are its copies with the
+    control plate at the block's angles (``_control_plate_benches``).  A block's chi
+    comes from ``_kept_chi``, and its radii, spectra and degrees of polarization from
+    one call each of ``_compensated_radii``, ``chi_eigenvalues``, ``radii_closed_form``
+    and ``dop_isotropic``.  Row i's counts come from stream i of ``seed``, so output
+    is independent of ``jobs``, which sets the threads of the per-row MLE fits, and
+    rows of different seeds share no random numbers.  Rows whose fit did not
+    converge are reported on stderr after the fits.
     """
     thetas = _sweep_thetas(cfg)
     on_iso_line = any(abs(cfg.theta1 - root) < 1e-6 for root in isotropic_theta1_angles())
@@ -426,15 +429,14 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
     )
     lines = [",".join(header)]
     settings = TomoSettings(shots=cfg.n, seed=seed) if cfg.tomo else None
+    bench = build_bench(DepolarizerSettings(cfg.theta1, cfg.theta2_start, cfg.length1, cfg.length2))
     unconverged = []
     pool = ThreadPoolExecutor(max_workers=jobs) if cfg.tomo and jobs > 1 else nullcontext()
     with pool as executor:
         fit_map = map if executor is None else executor.map
         for start in range(0, len(thetas), _SWEEP_BLOCK):
             block = thetas[start:start + _SWEEP_BLOCK]
-            benches = [build_bench(DepolarizerSettings(cfg.theta1, t2, cfg.length1, cfg.length2))
-                       for t2 in block]
-            chis = _kept_chi(propagate_stack(benches)[1])
+            chis = _kept_chi(propagate_stack(_control_plate_benches(bench, block))[1])
             values = np.column_stack((*radii_closed_form(cfg.theta1, block), _compensated_radii(chis)[0],
                                       chi_eigenvalues(chis))).tolist()
             dops = [_fmt(d) for d in dop_isotropic(block).tolist()] if on_iso_line else [""] * len(block)

@@ -135,8 +135,11 @@ class DepolarizerSettings:
 
     @property
     def is_degenerate_ratio(self) -> bool:
-        ratio = self.length2 / self.length1
-        return ratio == 1 or ratio == Fraction(1, 2)
+        """Whether L2/L1 is exactly 1 or 1/2, tested on the lengths' integer pairs."""
+        n1, d1 = self.length1.as_integer_ratio()
+        n2, d2 = self.length2.as_integer_ratio()
+        # L2/L1 = n2 d1 / (n1 d2)
+        return n1 * d2 in (n2 * d1, 2 * n2 * d1)
 
 
 def build_bench(settings: DepolarizerSettings) -> BenchConfig:
@@ -158,12 +161,23 @@ def build_bench(settings: DepolarizerSettings) -> BenchConfig:
             Crystal(l1, 0.0),
             Waveplate("half", t1),
             Crystal(l2, 90.0),
-            Waveplate("half", t2),
+            Waveplate("half", t2),  # the control plate, at _CONTROL_PLATE
             Crystal(l2, 0.0),
             Waveplate("half", -t1),
             Crystal(l1, 90.0),
         )
     )
+
+
+#: position of the control plate in a build_bench bench
+_CONTROL_PLATE = 3
+
+
+def _control_plate_benches(bench: BenchConfig, theta2_degs) -> list:
+    """One copy of the build_bench ``bench`` per angle of ``theta2_degs``, with the control
+    plate at that angle and every other element ``bench``'s own, so a sweep builds one bench."""
+    head, tail = bench.elements[:_CONTROL_PLATE], bench.elements[_CONTROL_PLATE + 1:]
+    return [BenchConfig((*head, Waveplate("half", t2), *tail)) for t2 in theta2_degs]
 
 
 def build_bench_rotated_crystals(relative_rotation_deg: float) -> BenchConfig:

@@ -137,11 +137,12 @@ def check_density(rho: np.ndarray) -> np.ndarray:
     return _check_physical(rho, 2, "density matrix")
 
 
-def _square(m, dim: int, what: str) -> np.ndarray:
-    """``m`` as one finite complex ``(dim, dim)`` array; any other shape or a
-    non-finite entry raises a ValueError naming ``what``."""
+def _square(m, dim: int, what: str, stack: bool = False) -> np.ndarray:
+    """``m`` as one finite complex ``(dim, dim)`` array, or with ``stack`` as a
+    ``(..., dim, dim)`` stack of them; any other shape or a non-finite entry
+    raises a ValueError naming ``what``."""
     m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
+    if (m.shape[-2:] if stack else m.shape) != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} must be finite")

@@ -1,4 +1,4 @@
-"""Print sha256 digests of simulated count tables, of the fits made from them, of radii and of spectra.
+"""Print sha256 digests of count tables and their fits, of radii, of spectra and of Kraus operators.
 
     PYTHONPATH=src python tests/fit_digest.py
 
@@ -14,9 +14,11 @@ theta1 in {31.316..., 13.684..., 10, 0, 22.5} x (L1, L2) in {(1, 1), (2, 1),
 ``polar_decompose`` report of each ``grid_sim`` matrix of
 ``perfbench.inputs.grid_items`` at seeds 11-14.  The fourth covers spectra: the
 ``chi_eigenvalues`` of each of those 25 sweep blocks' chi stacks and of the chi of
-each of those ``grid_sim`` benches.  A change that must leave every count, fit,
-radius and spectrum bit for bit as it was prints the same four lines before and
-after.
+each of those ``grid_sim`` benches.  The fifth covers propagation: the delays and
+``propagate_stack`` operators of those 25 sweep blocks, and the delays and
+``propagate`` operators of each of those ``grid_sim`` benches.  A change that must
+leave every count, fit, radius, spectrum and Kraus operator bit for bit as it was
+prints the same five lines before and after.
 """
 
 from __future__ import annotations
@@ -66,15 +68,22 @@ def _fit_bytes(fit) -> bytes:
     return b"".join(fields)
 
 
-def _radii_and_spectra_bytes() -> tuple:
-    fields, spectra = [], []
+def _delay_bytes(delays) -> bytes:
+    # as text: the delays of sparse heterogeneous benches pass 2**63
+    return ",".join(map(str, delays)).encode() + b";"
+
+
+def _bench_bytes() -> tuple:
+    fields, spectra, kraus_ops = [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the degenerate length ratios warn
         for theta1 in SWEEP_THETA1:
             for l1, l2 in SWEEP_LENGTHS:
                 benches = [build_bench(DepolarizerSettings(theta1, t2, l1, l2)) for t2 in SWEEP_THETA2]
                 closed = [radii_closed_form(theta1, t2) for t2 in SWEEP_THETA2]
-                chis = _kept_chi(propagate_stack(benches)[1])
+                delays, ops = propagate_stack(benches)
+                kraus_ops += [_delay_bytes(delays), ops.tobytes()]
+                chis = _kept_chi(ops)
                 fields.append(np.array(closed).tobytes())
                 fields.append(_compensated_radii(chis)[0].tobytes())
                 spectra.append(chi_eigenvalues(chis).tobytes())
@@ -82,12 +91,13 @@ def _radii_and_spectra_bytes() -> tuple:
         for item in inputs.grid_items(seed):
             bench = build_bench(item.fig1) if item.fig1 is not None else item.bench
             kraus = propagate(bench)
+            kraus_ops += [_delay_bytes(kraus.delays), kraus.operators.tobytes()]
             m = affine_map(kraus).matrix
             report = polar_decompose(REFLECTION_COMPENSATION @ m if item.fig1 is not None else m)
             fields += [np.array(report.radii).tobytes(), report.rotation.tobytes(),
                        np.array([report.det_sign, report.axis_aligned], dtype=float).tobytes()]
             spectra.append(chi_eigenvalues(chi_from_kraus(kraus)).tobytes())
-    return b"".join(fields), b"".join(spectra)
+    return b"".join(fields), b"".join(spectra), b"".join(kraus_ops)
 
 
 def main() -> int:
@@ -109,9 +119,10 @@ def main() -> int:
         fits.update(_fit_bytes(qst_mle(record)))
     print(f"counts {counts.hexdigest()}")
     print(f"fits   {fits.hexdigest()}")
-    radii, spectra = _radii_and_spectra_bytes()
+    radii, spectra, kraus_ops = _bench_bytes()
     print(f"radii  {hashlib.sha256(radii).hexdigest()}")
     print(f"spectra {hashlib.sha256(spectra).hexdigest()}")
+    print(f"kraus  {hashlib.sha256(kraus_ops).hexdigest()}")
     return 0
 
 

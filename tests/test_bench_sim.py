@@ -276,11 +276,14 @@ def bench_from(structure, angles):
 
 @st.composite
 def bench_stacks(draw):
+    # identical benches, benches that share the angles of a prefix of positions
+    # and then draw their own, or benches that draw every angle
     structure = draw(_STRUCTURES)
     n = draw(st.integers(1, 5))
-    return [bench_from(structure, draw(st.lists(_ANGLES, min_size=len(structure),
-                                                max_size=len(structure))))
-            for _ in range(n)]
+    angles = st.lists(_ANGLES, min_size=len(structure), max_size=len(structure))
+    shared = draw(angles)
+    prefix = draw(st.sampled_from([len(structure), draw(st.integers(1, len(structure))), 0]))
+    return [bench_from(structure, shared[:prefix] + draw(angles)[prefix:]) for _ in range(n)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,6 +291,8 @@ def bench_stacks(draw):
 def test_stack_matches_one_bench_reference(benches):
     delays, ops = propagate_stack(benches)
     assert ops.shape == (len(benches), len(delays), 2, 2)
+    # shared positions broadcast, but every bench gets rows of its own
+    assert ops.flags.c_contiguous and ops.flags.writeable
     for b, bench in enumerate(benches):
         one_delays, one_ops = propagate_stack([bench])
         assert one_delays == delays
@@ -301,6 +306,20 @@ def test_stack_matches_one_bench_reference(benches):
         assert same_bits(kraus.operators, ref_ops)
         # read off the Pauli transfer matrix: equal at roundoff, not in every bit
         assert np.abs(affine_map(kraus).matrix - reference_affine_matrix(kraus)).max() <= 2e-15
+
+
+def test_equal_lengths_share_one_plan_and_stack():
+    lengths = [Fraction(3, 2), 1.5, "3/2", Fraction(6, 4)]
+    benches = [BenchConfig((Crystal(1, 10.0 * k), Waveplate("half", 20.0), Crystal(length, 30.0)))
+               for k, length in enumerate(lengths)]
+    assert len({_structure(b) for b in benches}) == 1
+    _gather_plan.cache_clear()
+    for bench in benches:
+        propagate(bench)
+    assert _gather_plan.cache_info()[:2] == (3, 1)  # hits, misses
+    _, ops = propagate_stack(benches)
+    for b, bench in enumerate(benches):
+        assert same_bits(ops[b], propagate_stack([bench])[1][0])
 
 
 def test_stack_keeps_signed_zero_angles_apart():

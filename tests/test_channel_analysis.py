@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarchan.bench_sim import (
@@ -213,6 +213,12 @@ def rotated_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(diagonal_maps(), maps_at_the_threshold(), rotated_maps(),
                           st.just(np.zeros((3, 3)))), min_size=1, max_size=6))
+# one-matrix calls of each kind: aligned with signed zeros, off-axis, rank deficient
+# with det(rotation) = -1 (flipped) and with +1 (not flipped)
+@example([np.diag([0.5, -0.0, -0.25])])
+@example([random_rotation(3) @ np.diag([0.9, -0.5, 0.2])])
+@example([random_rotation(7) @ np.diag([0.9, 0.5, -1e-11])])
+@example([random_rotation(8) @ np.diag([0.9, 0.0, 0.0])])
 def test_polar_decompose_matches_svd_first_reference(maps):
     # the stacked kernel reports each matrix of a mixed stack as polar_decompose
     # reports it alone, and both as the SVD-first reference

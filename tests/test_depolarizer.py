@@ -1,17 +1,23 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polarchan.bench_sim import BenchConfig, Crystal, Waveplate, affine_map, apply_channel, propagate
+from polarchan.bench_sim import (BenchConfig, Crystal, Waveplate, _as_length, affine_map, apply_channel,
+                                 propagate, propagate_stack)
 from polarchan.channel_analysis import FEASIBILITY_SLACK, pauli_feasible, polar_decompose
 from polarchan.depolarizer import (
+    _CONTROL_PLATE,
     _MAX_GRID_POINTS,
     REFLECTION_COMPENSATION,
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
+    _control_plate_benches,
     build_bench,
     build_bench_rotated_crystals,
     build_lyot,
@@ -168,6 +174,45 @@ def test_degenerate_ratio_warning():
         build_bench(DepolarizerSettings(10.0, 10.0, 2, 1))
     assert DepolarizerSettings(0, 0, 2, 3).is_degenerate_ratio is False
     assert DepolarizerSettings(0, 0, Fraction(3), Fraction(3, 2)).is_degenerate_ratio is True
+
+
+_LENGTHS = st.one_of(
+    st.integers(1, 40),
+    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+    # written unreduced, as a config may write them
+    st.builds(lambda n, d, k: f"{n * k}/{d * k}", st.integers(1, 20), st.integers(1, 20), st.integers(1, 6)),
+    st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 0.3, 0.6]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LENGTHS, _LENGTHS)
+@example("6/4", Fraction(3, 2))    # ratio 1
+@example(1.5, "6/8")               # ratio 1/2
+@example(0.2, 0.1)                 # ratio 1/2, from floats
+@example(Fraction(2, 4), 1)        # ratio 2
+@example(0.3, 0.6)                 # ratio 2, from floats
+def test_degenerate_ratio_matches_fraction_division(l1, l2):
+    settings_ = DepolarizerSettings(0.0, 0.0, l1, l2)
+    ratio = _as_length(l2) / _as_length(l1)
+    assert settings_.is_degenerate_ratio is (ratio == 1 or ratio == Fraction(1, 2))
+
+
+@pytest.mark.parametrize("lengths", [(1, 2), (2, 3), (1, 1)])
+def test_control_plate_benches_are_build_bench_benches(lengths):
+    thetas = [0.0, -0.0, 13.5, 45.0, 13.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
+        bench = build_bench(DepolarizerSettings(THETA_ISO_HIGH, 7.0, *lengths))
+        expected = [build_bench(DepolarizerSettings(THETA_ISO_HIGH, t2, *lengths)) for t2 in thetas]
+    benches = _control_plate_benches(bench, thetas)
+    assert benches == expected
+    for row, t2 in zip(benches, thetas):
+        plate = row.elements[_CONTROL_PLATE]
+        assert plate.kind == "half" and same_bits(plate.angle_deg, t2)
+        assert all(el is own for k, (el, own) in enumerate(zip(row.elements, bench.elements))
+                   if k != _CONTROL_PLATE)
+    assert same_bits(propagate_stack(benches)[1], propagate_stack(expected)[1])
 
 
 def test_oracle_equivalence_coarse_grid():
