@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,18 +95,17 @@ def _parse_length(text: str) -> Fraction:
 def _as_length(value) -> Fraction:
     """Coerce a crystal length to an exact positive Fraction.
 
-    Floats are interpreted via their shortest decimal representation
-    (1.5 -> 3/2, 0.1 -> 1/10); strings accept both '3/2' and '1.5', within
-    the bounds of _parse_length.
+    Integers, numpy's included, are taken exactly; a bool is not a length.
+    Other real numbers are interpreted via their float's shortest decimal
+    representation (1.5 -> 3/2, 0.1 -> 1/10); strings accept both '3/2' and
+    '1.5', within the bounds of _parse_length.
     """
     if isinstance(value, Fraction):
         frac = value
-    elif isinstance(value, int):
-        frac = Fraction(value)
-    elif isinstance(value, float):
-        frac = Fraction(repr(value))
     elif isinstance(value, str):
         frac = _parse_length(value)
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        frac = Fraction(int(value)) if isinstance(value, numbers.Integral) else Fraction(repr(float(value)))
     else:
         raise TypeError(f"cannot interpret {value!r} as a crystal length")
     if frac.numerator <= 0:  # a Fraction's denominator is positive
@@ -208,16 +208,26 @@ class KrausSet:
     The operators, finite 2x2 matrices, are kept as the read-only
     ``(n, 2, 2)`` view ``as_stack()[0]``, built once at construction.  The
     set's process matrix chi and its trace-preservation defect are computed
-    once, on first use, and kept read-only: every consumer of the set
+    at construction too, and kept read-only: every consumer of the set
     (``completeness_defect``, ``require_complete``, ``affine_map``,
     ``chi_from_kraus``, ``probability_table``, ``apply_channel``) reads them.
+
+    The delays are strictly increasing integers, read with ``operator.index``:
+    a float or a bool raises TypeError.
     """
 
     delays: tuple
     operators: np.ndarray
 
     def __post_init__(self):
-        delays = tuple(map(int, self.delays))
+        delays = tuple(self.delays)
+        # operator.index refuses floats; a bool passes it, so it is refused first
+        if bool in map(type, delays):
+            raise TypeError("delays must be integers, got a bool")
+        try:
+            delays = tuple(map(operator.index, delays))
+        except TypeError as exc:
+            raise TypeError(f"delays must be integers ({exc})") from None
         stack = np.array(self.operators, dtype=complex)
         if stack.size == 0:
             stack = stack.reshape(0, 2, 2)
@@ -234,7 +244,10 @@ class KrausSet:
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "operators", stack[0])
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "_chi", None)
+        chi = _chi_stack(stack)
+        chi.setflags(write=False)
+        object.__setattr__(self, "_chi", chi)
+        object.__setattr__(self, "_defect", float(_tp_defects(chi)[0]))
 
     def __len__(self) -> int:
         return len(self.delays)
@@ -248,12 +261,6 @@ class KrausSet:
 
     def completeness_defect(self) -> float:
         """Max-norm deviation of sum_d K_d^dag K_d from the identity, read from chi."""
-        if self._chi is None:
-            chi = _chi_stack(self._stack)
-            chi.setflags(write=False)
-            # the defect first, so that a set whose chi is stored has its defect too
-            object.__setattr__(self, "_defect", float(_tp_defects(chi)[0]))
-            object.__setattr__(self, "_chi", chi)
         return self._defect
 
     def require_complete(self) -> None:
@@ -484,21 +491,14 @@ def _tp_defects(chi: np.ndarray) -> np.ndarray:
     return np.abs(r0 @ _FLAT_PAULI - _FLAT_IDENTITY).max(axis=-1)
 
 
-def _checked_chi(ops: np.ndarray) -> np.ndarray:
-    """Process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` Kraus stack; raises
-    unless every bench is trace preserving."""
-    chi = _chi_stack(ops)
-    _require_trace_preserving(_tp_defects(chi).max())
-    return chi
-
-
 def _kept_chi(ops: np.ndarray) -> np.ndarray:
     """Checked process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` stack from
     :func:`propagate_stack`, numerically-zero bins included.
 
     Benches are grouped by which bins survive the zero filter, and each group's
-    kept operators go through :func:`_checked_chi` once, so each bench's chi is
-    the one its Kraus set from :func:`propagate` computes, bit for bit.
+    kept operators go through :func:`_chi_stack` once, so each bench's chi is
+    the one its Kraus set from :func:`propagate` computes, bit for bit.  Raises
+    unless every bench is trace preserving, checked once for the whole block.
     """
     keep = _nonzero_bins(ops)
     groups: dict = {}
@@ -506,7 +506,8 @@ def _kept_chi(ops: np.ndarray) -> np.ndarray:
         groups.setdefault(row.tobytes(), []).append(b)
     chi = np.empty((len(ops), 4, 4), dtype=complex)
     for rows in groups.values():
-        chi[rows] = _checked_chi(ops[np.ix_(rows, np.flatnonzero(keep[rows[0]]))])
+        chi[rows] = _chi_stack(ops[np.ix_(rows, np.flatnonzero(keep[rows[0]]))])
+    _require_trace_preserving(_tp_defects(chi).max())
     return chi
 
 

@@ -74,7 +74,17 @@ from .tomography import (
 )
 
 MODES = ("simulate", "sweep", "tomo", "feasibility", "region")
-PRESETS = ("fig1", "lyot", "two_crystal", "rotated_crystals")
+
+#: per preset, the key it requires (None: no key) and its bench builder; each
+#: builder is looked up in this module when called, so a patched one is the one called
+_PRESET_TABLE = {
+    "fig1": ("theta2", lambda cfg: build_bench(DepolarizerSettings(cfg.theta1, cfg.theta2,
+                                                                   cfg.length1, cfg.length2))),
+    "lyot": (None, lambda cfg: build_lyot(cfg.length)),
+    "two_crystal": ("angle", lambda cfg: build_two_crystal(cfg.angle)),
+    "rotated_crystals": ("rotation", lambda cfg: build_bench_rotated_crystals(cfg.rotation)),
+}
+PRESETS = tuple(_PRESET_TABLE)
 
 ENV_SEED = "POLARCHAN_SEED"
 
@@ -256,12 +266,9 @@ def _validate_mode(kw, elements, seen, errors):
             errors.append(f"mode {mode!r} needs a 'preset' or inline 'element' lines")
         if preset is not None and elements:
             errors.append("preset and inline elements are mutually exclusive")
-        if preset == "fig1" and "theta2" not in kw:
-            errors.append("preset fig1 requires 'theta2'")
-        if preset == "two_crystal" and "angle" not in kw:
-            errors.append("preset two_crystal requires 'angle'")
-        if preset == "rotated_crystals" and "rotation" not in kw:
-            errors.append("preset rotated_crystals requires 'rotation'")
+        required = _PRESET_TABLE.get(preset, (None,))[0]
+        if required is not None and required not in kw:
+            errors.append(f"preset {preset} requires {required!r}")
     if not needs_bench and elements:
         errors.append(f"inline elements are not supported in {mode!r} mode")
     if needs_bench and elements and delay_bin_bound(BenchConfig(tuple(elements))) > MAX_DELAY_BINS:
@@ -309,15 +316,9 @@ def _validate_mode(kw, elements, seen, errors):
 def bench_from_config(cfg: RunConfig) -> BenchConfig:
     if cfg.elements:
         return BenchConfig(cfg.elements)
-    if cfg.preset == "fig1":
-        return build_bench(DepolarizerSettings(cfg.theta1, cfg.theta2, cfg.length1, cfg.length2))
-    if cfg.preset == "lyot":
-        return build_lyot(cfg.length)
-    if cfg.preset == "two_crystal":
-        return build_two_crystal(cfg.angle)
-    if cfg.preset == "rotated_crystals":
-        return build_bench_rotated_crystals(cfg.rotation)
-    raise ConfigError([f"no bench defined for preset {cfg.preset!r}"])
+    if cfg.preset not in _PRESET_TABLE:
+        raise ConfigError([f"no bench defined for preset {cfg.preset!r}"])
+    return _PRESET_TABLE[cfg.preset][1](cfg)
 
 
 def _fmt(x) -> str:

@@ -81,7 +81,8 @@ def isotropic_theta1_angles() -> tuple:
 
 def _per_angle(angles_deg, name: str, fn) -> tuple:
     """``fn(t)``, a tuple of floats, once per distinct angle of ``angles_deg`` (t in
-    radians), as one array per value in the angles' shape (floats for a scalar).  fn
+    radians), as one array per value in the angles' shape (floats for a scalar; empty
+    arrays for an empty input).  fn
     uses ``math`` and Python's pow, so no bit depends on numpy's SIMD loops (at
     4.775598086124401 deg, numpy's array square of cos 2t differs in the last bit)."""
     angles = np.asarray(angles_deg, dtype=float)
@@ -89,7 +90,10 @@ def _per_angle(angles_deg, name: str, fn) -> tuple:
     if not all(map(math.isfinite, keys)):
         raise ValueError(f"{name} must be finite")
     values = [fn(math.radians(t)) for t in keys]
-    return values[0] if inverse is None else tuple(np.array(values).T[:, inverse.reshape(angles.shape)])
+    if inverse is None:
+        return values[0]
+    # an empty input takes the table's width from one row at angle 0, and no row of it
+    return tuple(np.array(values or [fn(0.0)]).T[:, inverse.reshape(angles.shape)])
 
 
 def radii_closed_form(theta1_deg, theta2_deg):

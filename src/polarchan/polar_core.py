@@ -151,11 +151,12 @@ def _square(m, dim: int, what: str, stack: bool = False) -> np.ndarray:
 
 def _hermitian_spectrum(m: np.ndarray, what: str) -> np.ndarray:
     """``eigvalsh`` of a finite complex ``(..., d, d)`` stack whose every matrix is Hermitian within
-    ATOL with no eigenvalue below -EIG_ATOL; else a ValueError naming ``what`` (NaN fails too)."""
-    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= ATOL:
+    ATOL with no eigenvalue below -EIG_ATOL; else a ValueError naming ``what`` (NaN fails too).
+    An empty stack passes, with an empty spectrum."""
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0) <= ATOL:
         raise ValueError(f"{what} is not Hermitian")
     vals = np.linalg.eigvalsh(m)
-    if not vals.min() >= -EIG_ATOL:
+    if not vals.min(initial=0.0) >= -EIG_ATOL:
         raise ValueError(f"{what} has a negative eigenvalue")
     return vals
 
@@ -195,7 +196,8 @@ def degree_of_polarization(s) -> float:
 
 
 def rotation2(angle_deg: float) -> np.ndarray:
-    """2x2 rotation of the (H, V) amplitude plane by ``angle_deg``."""
+    """2x2 rotation of the (H, V) amplitude plane by a finite ``angle_deg``."""
+    _finite_angle(angle_deg, "rotation")
     a = np.deg2rad(angle_deg)
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s], [s, c]])

@@ -157,6 +157,8 @@ class CountRecord:
         labels = tuple(self.input_labels)
         if counts.ndim != 2 or counts.shape[1] != len(PROJECTOR_LABELS):
             raise ValueError(f"count table must be (n, 6), got {counts.shape}")
+        if counts.shape[0] == 0:
+            raise ValueError("count table has no rows")
         if counts.shape[0] != len(labels):
             raise ValueError("one input label per table row required")
         if len(set(labels)) != len(labels):

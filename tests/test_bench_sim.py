@@ -20,7 +20,6 @@ from polarchan.bench_sim import (
     Crystal,
     KrausSet,
     Waveplate,
-    _checked_chi,
     _chi_stack,
     _gather_plan,
     _kept_chi,
@@ -89,10 +88,11 @@ def bench_lengths(bench):
     (lambda a: Waveplate("half", a), "half-wave plate"),
     (lambda a: Waveplate("quarter", a), "quarter-wave plate"),
     (functools.partial(waveplate_jones, "half"), "half-wave plate"),
+    (rotation2, "rotation"),
 ])
 def test_elements_reject_non_finite_angles(make, element, angle):
     # a NaN plate would otherwise zero every bin and surface as "defect 1";
-    # waveplate_jones itself used to return a NaN matrix
+    # waveplate_jones and rotation2 themselves used to return a NaN matrix
     with pytest.raises(ValueError, match=f"{element} angle must be finite, got {angle}"):
         make(angle)
 
@@ -413,7 +413,7 @@ def test_apply_channel_at_the_bin_cap_allocates_no_bin_sized_temporary():
     kraus = propagate(bench)
     assert len(kraus) == MAX_DELAY_BINS
     rho = density_from_stokes(random_physical_stokes(rng))
-    first = apply_channel(kraus, rho)  # computes and keeps the set's chi
+    first = apply_channel(kraus, rho)  # the set's chi was computed when it was built
     tracemalloc.start()
     try:
         second = apply_channel(kraus, rho)
@@ -440,13 +440,17 @@ def test_kraus_stack_built_once_and_read_only():
     for operators in ((np.ones(4),), (np.stack([I2, I2]),), (I2, np.eye(3))):
         with pytest.raises(ValueError, match="2x2 matrices|inhomogeneous"):
             KrausSet((0,) if len(operators) == 1 else (0, 1), operators)
+    # delays are integers: int() read 0.5 as delay 0 and True as delay 1
+    for delays in ((0.5,), (True,), (np.True_,), (np.float64(1.0),)):
+        with pytest.raises(TypeError, match="^delays must be integers"):
+            KrausSet(delays, (I2,))
+    assert KrausSet((np.int64(3),), (I2,)).delays == (3,)
 
 
 def checked_consumers(kraus):
     """Every public entry point that checks completeness, each a call on ``kraus``."""
     return (
         kraus.require_complete,
-        lambda: _checked_chi(kraus.as_stack()),
         lambda: affine_map(kraus),
         lambda: apply_channel(kraus, I2 / 2),
         lambda: chi_from_kraus(kraus),
@@ -471,7 +475,7 @@ def test_incomplete_set_rejected_by_every_consumer():
         defect = reference_completeness_defect(bad.as_stack())[0]
         assert defect > 1e-12
         for call in checked_consumers(bad):
-            # twice: the second call reads the chi and defect the first one stored
+            # twice: each call reads the chi and defect the set stored when it was built
             for _ in range(2):
                 with pytest.raises(ValueError, match=rf"not trace preserving \(defect {defect:.3g}\)"):
                     call()
@@ -515,7 +519,7 @@ def test_trace_preservation_checks_at_the_tolerance_edge(monkeypatch):
     for defect in (TP_ATOL, np.nextafter(TP_ATOL, 1.0)):
         monkeypatch.setattr(KrausSet, "completeness_defect", lambda self: defect)
         monkeypatch.setattr(bench_sim, "_tp_defects", lambda chi: np.array([defect]))
-        for check in (kraus.require_complete, lambda: _checked_chi(kraus.as_stack())):
+        for check in (kraus.require_complete, lambda: _kept_chi(kraus.as_stack())):
             if defect == TP_ATOL:
                 check()
             else:
@@ -561,7 +565,9 @@ def test_nan_defect_rejected_by_every_consumer():
     # finite operators whose chi (and K^dag K) overflow, to +inf and -inf off
     # the diagonal: their sum is nan, so is the defect, and nan > atol is False
     big = 1e200
-    kraus = KrausSet((0, 1), (np.array([[big, big], [0.0, 0.0]]), np.array([[big, -big], [0.0, 0.0]])))
+    # the set computes its chi, and so meets the overflow, when it is built
+    with pytest.warns(RuntimeWarning, match="overflow"), np.errstate(invalid="ignore"):
+        kraus = KrausSet((0, 1), (np.array([[big, big], [0.0, 0.0]]), np.array([[big, -big], [0.0, 0.0]])))
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(kraus.completeness_defect())
         assert np.isnan(reference_completeness_defect(kraus.as_stack())[0])
@@ -569,8 +575,9 @@ def test_nan_defect_rejected_by_every_consumer():
             for _ in range(2):
                 with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
                     call()
-        with pytest.raises(ValueError, match="trace preserving"):
-            _checked_chi(np.full((2, 3, 2, 2), np.nan))
+        # a block of two such benches: the max over nan defects is nan
+        with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
+            _kept_chi(np.concatenate([kraus.as_stack()] * 2))
 
 
 # ---------------------------------------------------------------------------

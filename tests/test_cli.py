@@ -143,6 +143,22 @@ def test_parse_bench_exclusivity():
     assert any("mutually exclusive" in m for m in err.value.errors)
 
 
+def test_presets_checked_and_built_from_one_table(monkeypatch):
+    for preset, key in (("fig1", "theta2"), ("two_crystal", "angle"), ("rotated_crystals", "rotation")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"mode = simulate\npreset = {preset}\n")
+        assert err.value.errors == [f"preset {preset} requires '{key}'"]
+    assert cli.PRESETS == ("fig1", "lyot", "two_crystal", "rotated_crystals")
+    # a config built by hand with no bench is refused by name
+    with pytest.raises(ConfigError, match="^no bench defined for preset None$"):
+        cli.bench_from_config(cli.RunConfig(mode="simulate"))
+    # each builder is looked up when it is called, so a patched one is the one called
+    built = []
+    monkeypatch.setattr(cli, "build_lyot", lambda length: built.append(length) or "bench")
+    assert cli.bench_from_config(parse_config("mode = simulate\npreset = lyot\nlength = 3\n")) == "bench"
+    assert built == [Fraction(3)]
+
+
 # ---------------------------------------------------------------------------
 # command line behaviour
 # ---------------------------------------------------------------------------

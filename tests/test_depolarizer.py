@@ -138,7 +138,7 @@ def test_settings_read_lengths_as_crystals_do():
     settings = DepolarizerSettings(0, 0, "3/2", 0.1)
     assert (settings.length1, settings.length2) == (Fraction(3, 2), Fraction(1, 10))
     assert type(settings.length1) is type(settings.length2) is Fraction
-    for bad in (0, -1.5, "1e1000000", "x", None):
+    for bad in (0, -1.5, "1e1000000", "x", None, True):
         with pytest.raises((ValueError, TypeError)) as refused:
             Crystal(bad, 0.0)
         for lengths in ((bad, 2), (1, bad)):
