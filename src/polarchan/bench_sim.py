@@ -97,15 +97,21 @@ def _as_length(value) -> Fraction:
 
     Integers, numpy's included, are taken exactly; a bool is not a length.
     Other real numbers are interpreted via their float's shortest decimal
-    representation (1.5 -> 3/2, 0.1 -> 1/10); strings accept both '3/2' and
-    '1.5', within the bounds of _parse_length.
+    representation (1.5 -> 3/2, 0.1 -> 1/10), and NaN and infinities are
+    refused; strings accept both '3/2' and '1.5', within the bounds of
+    _parse_length.
     """
     if isinstance(value, Fraction):
         frac = value
     elif isinstance(value, str):
         frac = _parse_length(value)
+    elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        frac = Fraction(int(value))
     elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-        frac = Fraction(int(value)) if isinstance(value, numbers.Integral) else Fraction(repr(float(value)))
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"crystal length must be finite, got {number}")
+        frac = Fraction(repr(number))
     else:
         raise TypeError(f"cannot interpret {value!r} as a crystal length")
     if frac.numerator <= 0:  # a Fraction's denominator is positive

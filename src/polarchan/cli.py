@@ -10,8 +10,8 @@ Every mode emits a CSV dataset (LF line endings, ``,`` separator, mandatory
 header).  Angle columns carry six decimals; other numeric columns use
 12-significant-digit shortest form, so outputs are bit-stable across runs
 and across ``--jobs`` settings.  Each mode returns its CSV as chunks of
-whole lines (the grid modes one chunk per grid row), which are written one
-at a time.
+whole lines (the grid modes one chunk per block of grid rows), which are
+written one at a time.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 I/O error.
 """
@@ -329,17 +329,150 @@ def _fmt_angle(x) -> str:
     return format(float(x), ".6f")
 
 
-def _format_distinct(grid: np.ndarray) -> np.ndarray:
-    """``"%.12g" % v`` for every cell of a float grid, as an object array of
-    the grid's shape, each distinct value formatted once.
+#: grid points per chunk of a grid mode's CSV; bounds the byte matrices of a chunk
+_GRID_BLOCK_POINTS = 1 << 13
 
-    Values are keyed on their bits, not compared as floats, so ``0.0`` and
-    ``-0.0`` keep their own texts (``0`` and ``-0``).
+#: bytes of a ``%.12g`` cell; the longest text, ``-1.23456789012e-100``, has 19
+_G12_WIDTH = 20
+
+#: 10**k for k = -3..2, as the doubles nearest them: how many lie at or below
+#: |x| is the decimal exponent of |x| plus 4 (see _g12_fast)
+_DECADES = (1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2)
+
+#: per decimal exponent plus 4, the exact double that scales |x| to a 12-digit
+#: significand, and the integer that scales that to 15 fraction digits
+_SCALES = np.array([1e15, 1e14, 1e13, 1e12, 1e11, 1e10, 1e9])
+_SHIFTS = 10 ** np.arange(7, dtype=np.int64)
+
+
+def _text_cells(texts) -> np.ndarray:
+    """ASCII strings as the rows of a NUL-padded uint8 matrix."""
+    cells = np.array(texts, dtype=bytes)
+    return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
+
+
+@functools.cache
+def _g12_tables() -> tuple:
+    """The fast path's gather tables, each entry four ASCII bytes as one uint32.
+
+    ``head[k + 1000 * negative]`` is the sign and the integer part k, leading
+    zeros as NUL.  ``dot[g + 1000 * plain]`` is ``.`` and the first three
+    fraction digits g, and ``quad[g + 10000 * plain]`` a later four-digit
+    group.  The plain half keeps every digit; the other half turns trailing
+    zeros to NUL, and its entry for 0 (``dot``'s included) is all NUL.
     """
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    keys, inverse = np.unique(grid.view(np.int64), return_inverse=True)
-    texts = np.array(["%.12g" % v for v in keys.view(np.float64).tolist()], dtype=object)
-    return texts[inverse.reshape(grid.shape)]
+    def digits(width):
+        d = (np.arange(10 ** width)[:, None] // 10 ** np.arange(width - 1, -1, -1)) % 10
+        trailing = np.logical_and.accumulate(d[:, ::-1] == 0, axis=1)[:, ::-1]
+        return d + ord("0"), np.where(trailing, 0, d + ord("0")), d == 0
+
+    def words(rows):
+        return np.ascontiguousarray(rows, dtype=np.uint8).view(np.uint32).ravel()
+
+    d3, s3, zero3 = digits(3)
+    leading = np.logical_and.accumulate(zero3, axis=1)
+    leading[:, -1] = False  # a zero integer part prints as 0
+    sign = np.repeat([0, ord("-")], 1000)[:, None]
+    head = words(np.hstack([sign, np.tile(np.where(leading, 0, d3), (2, 1))]))
+    point = np.full((2000, 1), ord("."))
+    point[0] = 0  # a fraction of zeros prints nothing
+    dot = words(np.hstack([point, np.vstack([s3, d3])]))
+    d4, s4, _ = digits(4)
+    return head, dot, words(np.vstack([s4, d4]))
+
+
+def _split(value: np.ndarray, unit: int) -> tuple:
+    """``divmod(value, unit)`` for non-negative integers; numpy's floor division
+    by a scalar is several times faster than its divmod."""
+    high = value // unit
+    return high, value - high * unit
+
+
+def _g12_fast(x: np.ndarray) -> tuple:
+    """(fast, words): which values of the 1-D float64 array ``x`` the vectorized
+    path formats as ``"%.12g" % v`` does, and the texts of those values as
+    rows of five uint32 words of NUL-padded ASCII.  Other rows are junk.
+
+    The path takes 1e-4 <= |x| < 1e3, whose decimal exponent e lies in
+    [-4, 2], so 10**(11 - e) is an exact double and |x| * 10**(11 - e)
+    differs from its exact value by at most 2**-14.  Its rint is then the
+    12-digit significand %.12g rounds to unless the product's fraction lies
+    within 1e-3 of 1/2; those near-ties leave the path.  A value just below a
+    power of ten read one decade high rounds to that power either way.  The
+    significand becomes a fixed-point integer with 15 fraction digits, cut
+    into a 3-digit integer part (a value rounding up to 1000 leaves the path),
+    a 3-digit and three 4-digit fraction groups; the last nonzero group takes
+    its trailing-zeros-to-NUL text and every later group is all NUL.
+    """
+    head, dot, quad = _g12_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e3)
+    a[~fast] = 1.0
+    decade = np.zeros(len(x), dtype=np.uint8)  # e + 4
+    for power in _DECADES:
+        decade += a >= power
+    scaled = a * _SCALES[decade]
+    significand = np.rint(scaled)
+    fast &= np.abs(scaled - significand) < 0.499
+    whole, fraction = _split(significand.astype(np.int64) * _SHIFTS[decade], 10 ** 15)
+    fast &= whole < 1000
+    high, low = _split(fraction, 10 ** 8)
+    g1, g2 = _split(high.astype(np.uint32), 10 ** 4)
+    g3, g4 = _split(low.astype(np.uint32), 10 ** 4)
+    plain3 = g4 != 0
+    plain2 = plain3 | (g3 != 0)
+    plain1 = plain2 | (g2 != 0)
+    out = np.empty((len(x), 5), dtype=np.uint32)
+    out[:, 0] = head[np.minimum(whole, 999) + 1000 * (x < 0)]
+    out[:, 1] = dot[g1 + 1000 * plain1]
+    out[:, 2] = quad[g2 + 10000 * plain2]
+    out[:, 3] = quad[g3 + 10000 * plain3]
+    out[:, 4] = quad[g4]
+    return fast, out
+
+
+def _g12_cells(x) -> np.ndarray:
+    """``"%.12g" % v`` for every value of a float array, as the rows of a
+    NUL-padded (size, _G12_WIDTH) uint8 matrix.
+
+    _g12_fast formats the values it can decide; Python's ``%`` formats the
+    rest (zeros of either sign, NaN, infinities, values outside its window
+    and near-ties), so every float64 gets its exact ``%.12g`` text.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    fast, words = _g12_fast(x)
+    cells = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        texts = _text_cells(["%.12g" % v for v in x[slow].tolist()])
+        cells[slow] = 0
+        cells[slow, :texts.shape[1]] = texts
+    return cells
+
+
+def _row_blocks(n: int) -> list:
+    """Slices of the n rows of an n-by-n grid, each of about _GRID_BLOCK_POINTS points."""
+    rows = max(1, _GRID_BLOCK_POINTS // n)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _csv_lines(shape: tuple, columns) -> str:
+    """CSV lines over the points of ``shape``, without the final newline.
+
+    Each column is a NUL-padded uint8 array of cell texts that broadcasts to
+    ``shape + (width,)``.  The lines are laid out in one byte matrix, cells
+    joined by ``,``, and one boolean compaction drops every NUL.
+    """
+    widths = [col.shape[-1] for col in columns]
+    mat = np.empty(shape + (sum(widths) + len(widths),), dtype=np.uint8)
+    end = 0
+    for col, width in zip(columns, widths):
+        mat[..., end:end + width] = col
+        mat[..., end + width] = ord(",")
+        end += width + 1
+    mat[..., -1] = ord("\n")
+    mat.flat[-1] = 0  # the last newline is the writer's
+    return str(mat[mat != 0].data, "ascii")
 
 
 def _write_csv(path: Optional[str], chunks) -> None:
@@ -494,33 +627,30 @@ def run_feasibility(cfg: RunConfig) -> list:
         raise AssertionError(
             f"reachable point ({values[i]}, {values[j]}) is outside the feasible set"
         )
-    header = ["r1", "r2", "lambda0", "lambda1", "lambda2", "lambda3",
-              "feasible", "reachable"]
-    # the grid holds few distinct values (201 per radius column and a few
-    # hundred per lambda column at the default r_step), so each is formatted
-    # once and every row is assembled from those texts
     n = len(values)
-    cells = np.empty((n, n, 8), dtype=object)
-    value_cells = _format_distinct(values)
-    cells[:, :, 0] = value_cells[:, None]
-    cells[:, :, 1] = value_cells[None, :]
-    cells[:, :, 2:6] = _format_distinct(lam)
-    flags = np.array(["false", "true"], dtype=object)
-    cells[:, :, 6] = flags[feasible.astype(np.intp)]
-    cells[:, :, 7] = flags[reachable.astype(np.intp)]
-    return [",".join(header)] + ["\n".join(map(",".join, row)) for row in cells.tolist()]
+    axis = _g12_cells(values)
+    flags = _text_cells(["false", "true"])
+    chunks = ["r1,r2,lambda0,lambda1,lambda2,lambda3,feasible,reachable"]
+    for rows in _row_blocks(n):
+        lams = _g12_cells(lam[rows]).reshape(-1, n, 4, _G12_WIDTH)
+        chunks.append(_csv_lines(lams.shape[:2], (
+            axis[rows, None], axis[None], *(lams[:, :, k] for k in range(4)),
+            flags[feasible[rows].astype(np.intp)], flags[reachable[rows].astype(np.intp)])))
+    return chunks
 
 
 def run_region(cfg: RunConfig) -> list:
-    """One chunk per theta1 row, formatted by a single ``%``: the theta2
-    cells are baked into the row template once."""
+    """One chunk per block of theta1 rows; the angle cells are formatted once
+    and the r1, r2 cells by _g12_cells."""
     n = cfg.grid_n
-    angle_cells = ["%.6f" % a for a in np.linspace(0.0, 45.0, n).tolist()]
-    tails = [",%s,%%.12g,%%.12g" % a2 for a2 in angle_cells]
-    chunks = ["theta1,theta2,r1,r2"]
+    angles = _text_cells(["%.6f" % a for a in np.linspace(0.0, 45.0, n).tolist()])
     # the scan's points run theta2 fastest, so row i holds theta1 = angle i
-    for a1, row in zip(angle_cells, reachable_region_scan(n).reshape(n, 2 * n)):
-        chunks.append((a1 + ("\n" + a1).join(tails)) % tuple(row.tolist()))
+    scan = reachable_region_scan(n).reshape(n, n, 2)
+    chunks = ["theta1,theta2,r1,r2"]
+    for rows in _row_blocks(n):
+        radii = _g12_cells(scan[rows]).reshape(-1, n, 2, _G12_WIDTH)
+        chunks.append(_csv_lines(radii.shape[:2], (angles[rows, None], angles[None],
+                                                   radii[:, :, 0], radii[:, :, 1])))
     return chunks
 
 

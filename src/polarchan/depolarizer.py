@@ -123,7 +123,7 @@ class DepolarizerSettings:
     """Angles and crystal lengths of the four-crystal bench.
 
     The third plate is fixed at ``-theta1_deg`` and the crystal lengths are
-    mirrored: (L1, L2, L2, L1).
+    mirrored: (L1, L2, L2, L1).  Both angles must be finite.
     """
 
     theta1_deg: float
@@ -134,8 +134,11 @@ class DepolarizerSettings:
     def __post_init__(self):
         object.__setattr__(self, "length1", _as_length(self.length1))
         object.__setattr__(self, "length2", _as_length(self.length2))
-        object.__setattr__(self, "theta1_deg", float(self.theta1_deg))
-        object.__setattr__(self, "theta2_deg", float(self.theta2_deg))
+        for name in ("theta1_deg", "theta2_deg"):
+            angle = float(getattr(self, name))
+            if not math.isfinite(angle):
+                raise ValueError(f"{name} must be finite, got {angle}")
+            object.__setattr__(self, name, angle)
 
     @property
     def is_degenerate_ratio(self) -> bool:

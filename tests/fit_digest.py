@@ -1,4 +1,4 @@
-"""Print sha256 digests of count tables and their fits, of radii, of spectra and of Kraus operators.
+"""Print sha256 digests of count tables and their fits, of radii, of spectra, of Kraus operators and of CLI output.
 
     PYTHONPATH=src python tests/fit_digest.py
 
@@ -16,16 +16,20 @@ theta1 in {31.316..., 13.684..., 10, 0, 22.5} x (L1, L2) in {(1, 1), (2, 1),
 ``chi_eigenvalues`` of each of those 25 sweep blocks' chi stacks and of the chi of
 each of those ``grid_sim`` benches.  The fifth covers propagation: the delays and
 ``propagate_stack`` operators of those 25 sweep blocks, and the delays and
-``propagate`` operators of each of those ``grid_sim`` benches.  A change that must
-leave every count, fit, radius, spectrum and Kraus operator bit for bit as it was
-prints the same five lines before and after.
+``propagate`` operators of each of those ``grid_sim`` benches.  The sixth covers
+the CLI: the CSV bytes ``cli.main`` writes for every ``tests/data`` config and for
+the default ``region`` (451 points a side) and ``feasibility`` (r_step 0.01)
+grids.  A change that must leave every count, fit, radius, spectrum, Kraus
+operator and CSV byte as it was prints the same six lines before and after.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import pathlib
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -33,7 +37,9 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
+from regen_goldens import DATA, GOLDEN_CASES  # noqa: E402
 
+from polarchan import cli  # noqa: E402
 from polarchan.bench_sim import _kept_chi, affine_map, propagate, propagate_stack  # noqa: E402
 from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus, polar_decompose  # noqa: E402
 from polarchan.depolarizer import (  # noqa: E402
@@ -100,6 +106,23 @@ def _bench_bytes() -> tuple:
     return b"".join(fields), b"".join(spectra), b"".join(kraus_ops)
 
 
+def _csv_digest() -> str:
+    os.environ.pop(cli.ENV_SEED, None)
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(mode, DATA / cfg_name) for mode, cfg_name, _ in GOLDEN_CASES]
+        for mode in ("region", "feasibility"):
+            cfg = pathlib.Path(tmp) / f"{mode}.cfg"
+            cfg.write_text(f"mode = {mode}\n")
+            runs.append((mode, cfg))
+        out = pathlib.Path(tmp) / "out.csv"
+        for mode, cfg in runs:
+            if cli.main([mode, "--config", str(cfg), "--out", str(out)]):
+                raise SystemExit(f"polarchan {mode} --config {cfg} failed")
+            digest.update(out.read_bytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     counts, fits = hashlib.sha256(), hashlib.sha256()
     krauses = [propagate(build_bench(DepolarizerSettings(t1, t2))) for t1, t2 in inputs.tomo_settings()]
@@ -123,6 +146,7 @@ def main() -> int:
     print(f"radii  {hashlib.sha256(radii).hexdigest()}")
     print(f"spectra {hashlib.sha256(spectra).hexdigest()}")
     print(f"kraus  {hashlib.sha256(kraus_ops).hexdigest()}")
+    print(f"csv    {_csv_digest()}")
     return 0
 
 

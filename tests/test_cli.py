@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import subprocess
 import sys
@@ -710,9 +711,71 @@ def test_grid_modes_match_row_at_a_time_reference(mode, key, value, reference, t
     assert (out.read_bytes() if to_file else written) == expected
 
 
-def test_format_distinct_keeps_signed_zeros_apart():
+def _cell_texts(cells) -> list:
+    return [bytes(cell).replace(b"\0", b"").decode() for cell in cells]
+
+
+def test_g12_cells_keep_signed_zeros_apart():
     grid = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0]])
-    assert cli._format_distinct(grid).tolist() == [["0", "-0", "1.5"], ["-0", "0", "-0"]]
+    assert _cell_texts(cli._g12_cells(grid)) == ["0", "-0", "1.5", "-0", "0", "-0"]
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, np.copysign(np.inf, ulps)))
+    return value
+
+
+_SIGN = st.sampled_from([1.0, -1.0])
+#: biased exponent fields of the doubles from 2**-14 to 2**10, which hold the fast window
+_WINDOW_EXPONENTS = st.integers(1023 - 14, 1023 + 9)
+_G12_VALUES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_from_bits),
+    st.tuples(st.integers(0, 1), _WINDOW_EXPONENTS, st.integers(0, 2 ** 52 - 1)).map(
+        lambda t: _from_bits(t[0] << 63 | t[1] << 52 | t[2])),
+    st.tuples(st.integers(-2 ** 53, 2 ** 53), st.integers(0, 60)).map(lambda t: t[0] / 2 ** t[1]),
+    st.tuples(st.floats(1e-5, 1e4), st.integers(10, 13), _SIGN).map(
+        lambda t: t[2] * float(f"{t[0]:.{t[1]}g}")),
+    st.tuples(st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-16, -10), _SIGN).map(
+        lambda t: t[2] * float(f"{t[0]}5e{t[1]}")),
+    st.tuples(st.sampled_from([float(f"1e{k}") for k in range(-4, 4)]), st.integers(-4, 4), _SIGN).map(
+        lambda t: t[2] * _nudged(t[0], t[1])),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+    st.tuples(st.integers(0, 1), st.integers(1, 2 ** 52 - 1)).map(lambda t: _from_bits(t[0] << 63 | t[1])),
+)
+
+
+def _decidable(value: float) -> bool:
+    """Whether ``value`` lies in [1e-4, 1e3) in magnitude, its exact 12-digit
+    significand is more than 2**-14 (the float product's error) from a tie,
+    and it rounds to less than 1000: a value whose %.12g text the fast
+    path's arithmetic fixes."""
+    a = Fraction(abs(value))
+    if not Fraction(1, 10 ** 4) <= a < 1000:
+        return False
+    exponent = -4
+    while a >= Fraction(10) ** (exponent + 1):
+        exponent += 1
+    scaled = a * Fraction(10) ** (11 - exponent)
+    fraction = scaled - math.floor(scaled)
+    rounded = round(scaled) * Fraction(10) ** (exponent - 11)
+    return abs(fraction - Fraction(1, 2)) > Fraction(1, 2 ** 14) and rounded < 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_G12_VALUES, min_size=1, max_size=64))
+def test_g12_cells_match_percent_format(values):
+    # random bits in and out of the fast window, dyadic values, values of
+    # 10-13 digits, decimal ties at the 13th digit, a few ulp around each power
+    # of ten of the window, signed zeros, NaN, infinities and subnormals
+    x = np.array(values)
+    assert _cell_texts(cli._g12_cells(x)) == ["%.12g" % v for v in values]
+    fast, _ = cli._g12_fast(x)
+    assert all(_decidable(v) for v in x[fast].tolist())
 
 
 def test_region_peak_memory_bounded_by_output(tmp_path):

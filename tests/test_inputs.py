@@ -25,12 +25,25 @@ CASES = {
                              ValueError("count table has no rows")),
     "count_csv_no_rows": (lambda: CountRecord.from_csv_text("# N=1\n# seed=0\ninput,projector,counts\n"),
                           ValueError("count table has no rows")),
+    "crystal_nan_length": (lambda: Crystal(float("nan"), 0.0),
+                           ValueError("crystal length must be finite, got nan")),
+    "crystal_numpy_inf_length": (lambda: Crystal(np.float64("inf"), 0.0),
+                                 ValueError("crystal length must be finite, got inf")),
+    "settings_negative_inf_length": (lambda: DepolarizerSettings(0, 0, 1, float("-inf")),
+                                     ValueError("crystal length must be finite, got -inf")),
+    "settings_nan_theta1": (lambda: DepolarizerSettings(np.nan, 0),
+                            ValueError("theta1_deg must be finite, got nan")),
+    "settings_inf_theta2": (lambda: DepolarizerSettings(0, float("inf")),
+                            ValueError("theta2_deg must be finite, got inf")),
+    "settings_negative_inf_theta1": (lambda: DepolarizerSettings(np.float64("-inf"), 0),
+                                     ValueError("theta1_deg must be finite, got -inf")),
 }
 
 
 @pytest.mark.parametrize("call, expected", CASES.values(), ids=CASES.keys())
 def test_edge_inputs_get_documented_results(call, expected):
-    # each of these raised a numpy internal error, or a TypeError on a numpy scalar
+    # each of these raised a numpy internal error, a TypeError on a numpy scalar,
+    # an error that named no argument, or nothing at all
     if isinstance(expected, Exception):
         with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
             call()
