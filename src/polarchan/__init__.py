@@ -26,7 +26,6 @@ from .bench_sim import (
     delay_bin_bound,
     normalize_delays,
     propagate,
-    propagate_stack,
 )
 from .channel_analysis import (
     EllipsoidReport,

@@ -34,7 +34,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "MAX_DELAY_BINS",
     "normalize_delays",
     "delay_bin_bound",
-    "propagate_stack",
     "propagate",
     "apply_channel",
     "affine_map",
@@ -339,31 +338,8 @@ def _gather_plan(structure: tuple) -> tuple:
     return tuple(delays), tuple(steps)
 
 
-def _per_position(angles: list, build) -> np.ndarray:
-    """``build(angle, sign)`` for one position of every bench, one build per
-    distinct angle: a ``(1, ...)`` stack when every bench has that angle, else
-    one row per bench.
-
-    Keyed with the sign bit, so 0.0 and -0.0 keep their own signed zeros.
-    """
-    first = angles[0]
-    sign = math.copysign(1.0, first)
-    # equal angles share a sign unless they are zeros
-    if angles.count(first) == len(angles) and (first or all(math.copysign(1.0, a) == sign
-                                                            for a in angles[1:])):
-        return build(first, sign)[None]
-    built: dict = {}
-    rows = []
-    for a in angles:
-        key = (a, math.copysign(1.0, a))
-        if key not in built:
-            built[key] = build(*key)
-        rows.append(built[key])
-    return np.array(rows)
-
-
-#: the transfer matrix before the first element, one bench of one bin; every
-#: product with it broadcasts to the stack's size
+#: the transfer matrix before the first element, one row of one bin; every
+#: product with it broadcasts to the result's size
 _IDENTITY = np.eye(2, dtype=complex).reshape(1, 1, 2, 2)
 _IDENTITY.setflags(write=False)
 
@@ -372,45 +348,36 @@ _NEGATIVE_ZERO = np.full((2, 2), complex(-0.0, -0.0))
 _NEGATIVE_ZERO.setflags(write=False)
 
 
-def propagate_stack(benches) -> tuple:
-    """Propagate benches that share one delay structure, all at once.
+def _transfer(bench: BenchConfig, plate: Optional[int] = None, jones: Optional[np.ndarray] = None) -> tuple:
+    """Propagate one bench: ``(delays, ops)``, the sorted integer delays and a
+    ``(P, n_bins, 2, 2)`` array of the transfer matrix per delay, numerically-zero
+    bins included.
 
-    Every bench must have the same elements in the same order, with the same
-    wave-plate kinds and crystal lengths; only the angles may differ.  Returns
-    ``(delays, ops)``: the sorted integer delays and a ``(B, n_bins, 2, 2)``
-    array of each bench's transfer matrix per delay, numerically-zero bins
-    included.  A wave plate is one product over all bins; a crystal is one
-    product with its fast and slow projectors and one gathered sum, through
-    the structure's cached :func:`_gather_plan`.  Each wave-plate and
-    projector matrix is built by the scalar constructors, once per distinct
-    angle of its position; a position whose angle every bench shares is one
-    ``(1, ...)`` matrix that broadcasts, so a shared prefix is multiplied
-    once, and every bench gets the same bits as on its own.
+    P is 1, unless ``jones``, a ``(P, 2, 2)`` stack, stands in for the Jones
+    matrix of the wave plate at element ``plate``: row p is then the bench with
+    that plate's matrix ``jones[p]``, and the elements before the plate are
+    multiplied once for every row.  A wave plate is one product over all bins; a
+    crystal is one product with its fast and slow projectors and one gathered
+    sum, through the structure's cached :func:`_gather_plan`.  Each matrix is
+    built by the scalar constructors, so every row gets the bits a one-bench
+    call gives it.
     """
-    benches = list(benches)
-    if not benches:
-        raise ValueError("propagate_stack needs at least one bench")
-    structure = _structure(benches[0])
-    if any(_structure(b) != structure for b in benches[1:]):
-        raise ValueError("stacked benches must share element kinds and crystal lengths")
-    delays, steps = _gather_plan(structure)
-
+    delays, steps = _gather_plan(_structure(bench))
     t = _IDENTITY
-    columns = zip(*(b.elements for b in benches))  # one tuple of elements per position
-    for el, column, step in zip(benches[0].elements, columns, steps):
+    for k, (el, step) in enumerate(zip(bench.elements, steps)):
         if step is None:
-            u = _per_position([e.angle_deg for e in column], lambda a, _: waveplate_jones(el.kind, a))
+            u = jones if k == plate else waveplate_jones(el.kind, el.angle_deg)[None]
             t = u[:, None] @ t
             continue
-        pairs = _per_position([e.fast_axis_deg for e in column], _projector_pair)
-        count, n = max(len(pairs), len(t)), t.shape[1]
+        # keyed with the angle's sign bit, so 0.0 and -0.0 keep their own signed zeros
+        pair = _projector_pair(el.fast_axis_deg, math.copysign(1.0, el.fast_axis_deg))
+        count, n = t.shape[:2]
         slots = np.empty((count, 2 * n + 1, 2, 2), dtype=complex)
         slots[:, -1] = _NEGATIVE_ZERO
-        np.matmul(pairs[:, :, None], t[:, None], out=slots[:, :-1].reshape(count, 2, n, 2, 2))
+        np.matmul(pair[None, :, None], t[:, None], out=slots[:, :-1].reshape(count, 2, n, 2, 2))
         parts = slots.take(step, axis=1)
         t = parts[:, 0] + parts[:, 1]
-    # a stack whose every position is shared was propagated once; one copy per bench
-    return delays, t if len(t) == len(benches) else t.repeat(len(benches), axis=0)
+    return delays, t
 
 
 def _nonzero_bins(ops: np.ndarray) -> np.ndarray:
@@ -428,7 +395,7 @@ def propagate(bench: BenchConfig) -> KrausSet:
     positive-rational lengths are accepted.  Raises ValueError for a bench
     that may produce more than ``MAX_DELAY_BINS`` delay bins.
     """
-    delays, ops = propagate_stack([bench])
+    delays, ops = _transfer(bench)
     keep = _nonzero_bins(ops[0])
     return KrausSet(tuple(itertools.compress(delays, keep.tolist())), ops[0, keep])
 
@@ -497,22 +464,35 @@ def _tp_defects(chi: np.ndarray) -> np.ndarray:
     return np.abs(r0 @ _FLAT_PAULI - _FLAT_IDENTITY).max(axis=-1)
 
 
-def _kept_chi(ops: np.ndarray) -> np.ndarray:
-    """Checked process matrices ``(B, 4, 4)`` of a ``(B, n, 2, 2)`` stack from
-    :func:`propagate_stack`, numerically-zero bins included.
+def _plate_forms(ops: np.ndarray) -> np.ndarray:
+    """The forms ``(zz, xx, cross)``, ``(3, 4, 4)``, of a bench's chi in one half-wave plate.
 
-    Benches are grouped by which bins survive the zero filter, and each group's
-    kept operators go through :func:`_chi_stack` once, so each bench's chi is
-    the one its Kraus set from :func:`propagate` computes, bit for bit.  Raises
-    unless every bench is trace preserving, checked once for the whole block.
+    A half-wave plate at angle t is c E1 + s E2, with c = cos 2t and s = sin 2t,
+    so each delay bin's operator is K_d = c U_d + s V_d, where ``ops`` is the
+    ``(2, n, 2, 2)`` pair (U, V) of the bench's transfer matrices with the plate
+    set to E1 and to E2 (``_transfer``), numerically-zero bins included.  With
+    a_d and b_d the Pauli coefficients of U_d and V_d, chi(t) = c^2 zz + s^2 xx
+    + cs cross, where zz = sum_d a_d a_d^H, xx = sum_d b_d b_d^H and cross =
+    sum_d (a_d b_d^H + b_d a_d^H).  Unchecked; :func:`_plate_chi` checks.
     """
-    keep = _nonzero_bins(ops)
-    groups: dict = {}
-    for b, row in enumerate(keep):
-        groups.setdefault(row.tobytes(), []).append(b)
-    chi = np.empty((len(ops), 4, 4), dtype=complex)
-    for rows in groups.values():
-        chi[rows] = _chi_stack(ops[np.ix_(rows, np.flatnonzero(keep[rows[0]]))])
+    a, b = ops.reshape(2, -1, 4) @ _PAULI_COEFFS
+    ab = a.T @ b.conj()
+    return np.stack([a.T @ a.conj(), b.T @ b.conj(), ab + ab.conj().T])
+
+
+def _plate_chi(forms: np.ndarray, angles_deg) -> np.ndarray:
+    """Checked process matrices ``(B, 4, 4)`` of a bench with its half-wave plate at
+    each of the B angles ``angles_deg``, from its :func:`_plate_forms`.
+
+    Each angle's c and s come from ``math``, and each entry's real and imaginary
+    parts are summed elementwise, so a matrix's bits do not depend on the other
+    angles.  Raises unless every matrix is trace preserving (a NaN defect fails).
+    """
+    double = [2.0 * math.radians(a) for a in angles_deg]
+    c = np.array([math.cos(t) for t in double])[:, None, None]
+    s = np.array([math.sin(t) for t in double])[:, None, None]
+    zz, xx, cross = forms.view(float)
+    chi = (c * c * zz + s * s * xx + c * s * cross).view(complex)
     _require_trace_preserving(_tp_defects(chi).max())
     return chi
 

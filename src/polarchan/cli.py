@@ -10,8 +10,9 @@ Every mode emits a CSV dataset (LF line endings, ``,`` separator, mandatory
 header).  Angle columns carry six decimals; other numeric columns use
 12-significant-digit shortest form, so outputs are bit-stable across runs
 and across ``--jobs`` settings.  Each mode returns its CSV as chunks of
-whole lines (the grid modes one chunk per block of grid rows), which are
-written one at a time.
+whole lines (the sweep one chunk per block of sweep rows), which are written
+one at a time; the grid modes yield one chunk per block of grid rows as it is
+formatted.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 I/O error.
 """
@@ -38,12 +39,11 @@ from .bench_sim import (
     BenchConfig,
     Crystal,
     Waveplate,
-    _kept_chi,
     _parse_length,
+    _plate_chi,
     affine_map,
     delay_bin_bound,
     propagate,
-    propagate_stack,
 )
 from .channel_analysis import chi_eigenvalues, chi_from_kraus, pauli_feasible, polar_decompose
 from .depolarizer import (
@@ -52,7 +52,7 @@ from .depolarizer import (
     DepolarizerSettings,
     _check_region_grid,
     _compensated_radii,
-    _control_plate_benches,
+    _control_plate_forms,
     build_bench,
     build_bench_rotated_crystals,
     build_lyot,
@@ -88,7 +88,7 @@ PRESETS = tuple(_PRESET_TABLE)
 
 ENV_SEED = "POLARCHAN_SEED"
 
-#: sweep rows propagated together; bounds the stack's memory
+#: sweep rows evaluated and formatted together; bounds a block's memory
 _SWEEP_BLOCK = 256
 
 #: longest offending value or line that an error message echoes in full
@@ -291,9 +291,8 @@ def _validate_mode(kw, elements, seen, errors):
     if mode == "feasibility" and r_step is not None:
         if r_step <= 0:
             errors.append(f"line {seen['r_step']}: degenerate range (r_step {r_step})")
-        # points per axis as run_feasibility's np.arange counts them; the min keeps
-        # a subnormal r_step, whose quotient is inf, countable
-        elif math.ceil(min((1.0 + r_step / 2 + 1.0) / r_step, _MAX_GRID_POINTS)) ** 2 > _MAX_GRID_POINTS:
+        # points per axis as run_feasibility counts them
+        elif _sweep_row_count(-1.0, 1.0, r_step) ** 2 > _MAX_GRID_POINTS:
             errors.append(f"line {seen['r_step']}: feasibility grid of more than {_MAX_GRID_POINTS} "
                           "points exceeds the limit; increase r_step")
     runs_tomography = mode == "tomo" or (mode == "sweep" and kw.get("tomo"))
@@ -511,7 +510,8 @@ def run_simulate(cfg: RunConfig) -> list:
 
 
 def _sweep_row_count(start: float, stop: float, step: float) -> int:
-    """Rows of a sweep: the least k with ``start + k*step > stop + 1e-9``.
+    """Rows of a sweep, and points of a feasibility axis: the least k with
+    ``start + k*step > stop + 1e-9``.
 
     Counts above ``_MAX_GRID_POINTS`` come back as ``_MAX_GRID_POINTS + 1``.
     ``start + k*step`` never decreases with k, so a bisection finds k
@@ -541,16 +541,18 @@ def _fit_row(settings: TomoSettings, chi: np.ndarray, row: int) -> tuple:
 
 
 def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
-    """Sweep rows, propagated in blocks of ``_SWEEP_BLOCK`` benches.
+    """The sweep's CSV chunks: the header, then one chunk per block of ``_SWEEP_BLOCK`` rows.
 
-    The sweep builds one fig1 bench, and a block's benches are its copies with the
-    control plate at the block's angles (``_control_plate_benches``).  A block's chi
-    comes from ``_kept_chi``, and its radii, spectra and degrees of polarization from
-    one call each of ``_compensated_radii``, ``chi_eigenvalues``, ``radii_closed_form``
-    and ``dop_isotropic``.  Row i's counts come from stream i of ``seed``, so output
-    is independent of ``jobs``, which sets the threads of the per-row MLE fits, and
-    rows of different seeds share no random numbers.  Rows whose fit did not
-    converge are reported on stderr after the fits.
+    The sweep builds one fig1 bench and propagates it twice, for the forms of its
+    chi in the control plate (``_control_plate_forms``); a block's chi is
+    ``_plate_chi`` of those forms at the block's angles.  Its radii, spectra and
+    degrees of polarization come from one call each of ``_compensated_radii``,
+    ``chi_eigenvalues``, ``radii_closed_form`` and ``dop_isotropic``, and its
+    numeric cells from one ``_g12_cells`` call, laid out by ``_csv_lines``.  Row
+    i's counts come from stream i of ``seed``, so output is independent of
+    ``jobs``, which sets the threads of the per-row MLE fits, and rows of
+    different seeds share no random numbers.  Rows whose fit did not converge
+    are reported on stderr after the fits.
     """
     thetas = _sweep_thetas(cfg)
     on_iso_line = any(abs(cfg.theta1 - root) < 1e-6 for root in isotropic_theta1_angles())
@@ -561,34 +563,35 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
         + [f"lambda{i}_mle" for i in (1, 2, 3, 4)]
         + ["seed"]
     )
-    lines = [",".join(header)]
+    chunks = [",".join(header)]
     settings = TomoSettings(shots=cfg.n, seed=seed) if cfg.tomo else None
-    bench = build_bench(DepolarizerSettings(cfg.theta1, cfg.theta2_start, cfg.length1, cfg.length2))
+    forms = _control_plate_forms(build_bench(DepolarizerSettings(cfg.theta1, cfg.theta2_start,
+                                                                 cfg.length1, cfg.length2)))
+    empty = _text_cells([""])
+    # without tomography, the four lambda*_mle cells and the seed cell are empty
+    tail = (_text_cells([str(seed)]),) if cfg.tomo else (empty,) * 5
     unconverged = []
     pool = ThreadPoolExecutor(max_workers=jobs) if cfg.tomo and jobs > 1 else nullcontext()
     with pool as executor:
         fit_map = map if executor is None else executor.map
         for start in range(0, len(thetas), _SWEEP_BLOCK):
             block = thetas[start:start + _SWEEP_BLOCK]
-            chis = _kept_chi(propagate_stack(_control_plate_benches(bench, block))[1])
-            values = np.column_stack((*radii_closed_form(cfg.theta1, block), _compensated_radii(chis)[0],
-                                      chi_eigenvalues(chis))).tolist()
-            dops = [_fmt(d) for d in dop_isotropic(block).tolist()] if on_iso_line else [""] * len(block)
-            rows = [[_fmt_angle(t2), *map(_fmt, row[:3]), dop, *map(_fmt, row[3:])]
-                    for t2, dop, row in zip(block, dops, values)]
-            if not cfg.tomo:
-                lines += [",".join(cells + ["", "", "", "", ""]) for cells in rows]
-                continue
-            streams = range(start, start + len(block))
-            fits = fit_map(lambda task: _fit_row(settings, *task), zip(chis, streams))
-            for i, (cells, (converged, lams_mle)) in enumerate(zip(rows, fits), start=start):
-                lines.append(",".join(cells + [_fmt(v) for v in lams_mle] + [str(seed)]))
-                if not converged:
-                    unconverged.append(i)
+            chis = _plate_chi(forms, block)
+            values = [*radii_closed_form(cfg.theta1, block), _compensated_radii(chis)[0],
+                      chi_eigenvalues(chis)]
+            if cfg.tomo:
+                streams = range(start, start + len(block))
+                fits = list(fit_map(lambda task: _fit_row(settings, *task), zip(chis, streams)))
+                unconverged += [i for i, (converged, _) in zip(streams, fits) if not converged]
+                values.append([lams for _, lams in fits])
+            cells = _g12_cells(np.column_stack(values)).reshape(len(block), -1, _G12_WIDTH).swapaxes(0, 1)
+            dops = _g12_cells(dop_isotropic(block)) if on_iso_line else empty
+            angles = _text_cells([_fmt_angle(t2) for t2 in block])
+            chunks.append(_csv_lines((len(block),), (angles, *cells[:3], dops, *cells[3:], *tail)))
     for i in unconverged:
         sys.stderr.write(f"polarchan: warning: sweep row {i} (theta2 = {_fmt_angle(thetas[i])}): "
                          "MLE fit did not converge\n")
-    return lines
+    return chunks
 
 
 def run_tomo(cfg: RunConfig, seed: int) -> list:
@@ -616,8 +619,12 @@ def run_tomo(cfg: RunConfig, seed: int) -> list:
     return [",".join(header), ",".join(row)]
 
 
-def run_feasibility(cfg: RunConfig) -> list:
-    values = np.arange(-1.0, 1.0 + cfg.r_step / 2, cfg.r_step)
+def run_feasibility(cfg: RunConfig):
+    """The header chunk, then one chunk per block of r1 rows, yielded as they are
+    formatted.  The grid and its reachable-implies-feasible assertion are
+    evaluated before the first chunk is returned."""
+    # np.arange's values, up to 1 + 1e-9 as the sweep's rows stop
+    values = np.arange(-1.0, 1.0 + cfg.r_step / 2, cfg.r_step)[:_sweep_row_count(-1.0, 1.0, cfg.r_step)]
     r1, r2 = np.meshgrid(values, values, indexing="ij")
     feasible, lam = pauli_feasible(r1, r2, r2)
     reachable = in_reachable_region(r1, r2)
@@ -630,28 +637,33 @@ def run_feasibility(cfg: RunConfig) -> list:
     n = len(values)
     axis = _g12_cells(values)
     flags = _text_cells(["false", "true"])
-    chunks = ["r1,r2,lambda0,lambda1,lambda2,lambda3,feasible,reachable"]
-    for rows in _row_blocks(n):
-        lams = _g12_cells(lam[rows]).reshape(-1, n, 4, _G12_WIDTH)
-        chunks.append(_csv_lines(lams.shape[:2], (
-            axis[rows, None], axis[None], *(lams[:, :, k] for k in range(4)),
-            flags[feasible[rows].astype(np.intp)], flags[reachable[rows].astype(np.intp)])))
-    return chunks
+
+    def chunks():
+        yield "r1,r2,lambda0,lambda1,lambda2,lambda3,feasible,reachable"
+        for rows in _row_blocks(n):
+            lams = _g12_cells(lam[rows]).reshape(-1, n, 4, _G12_WIDTH)
+            yield _csv_lines(lams.shape[:2], (
+                axis[rows, None], axis[None], *(lams[:, :, k] for k in range(4)),
+                flags[feasible[rows].astype(np.intp)], flags[reachable[rows].astype(np.intp)]))
+    return chunks()
 
 
-def run_region(cfg: RunConfig) -> list:
-    """One chunk per block of theta1 rows; the angle cells are formatted once
-    and the r1, r2 cells by _g12_cells."""
+def run_region(cfg: RunConfig):
+    """The header chunk, then one chunk per block of theta1 rows, yielded as they
+    are formatted; the scan is evaluated before the first chunk is returned.  The
+    angle cells are formatted once and the r1, r2 cells by _g12_cells."""
     n = cfg.grid_n
     angles = _text_cells(["%.6f" % a for a in np.linspace(0.0, 45.0, n).tolist()])
     # the scan's points run theta2 fastest, so row i holds theta1 = angle i
     scan = reachable_region_scan(n).reshape(n, n, 2)
-    chunks = ["theta1,theta2,r1,r2"]
-    for rows in _row_blocks(n):
-        radii = _g12_cells(scan[rows]).reshape(-1, n, 2, _G12_WIDTH)
-        chunks.append(_csv_lines(radii.shape[:2], (angles[rows, None], angles[None],
-                                                   radii[:, :, 0], radii[:, :, 1])))
-    return chunks
+
+    def chunks():
+        yield "theta1,theta2,r1,r2"
+        for rows in _row_blocks(n):
+            radii = _g12_cells(scan[rows]).reshape(-1, n, 2, _G12_WIDTH)
+            yield _csv_lines(radii.shape[:2], (angles[rows, None], angles[None],
+                                               radii[:, :, 0], radii[:, :, 1]))
+    return chunks()
 
 
 # ---------------------------------------------------------------------------

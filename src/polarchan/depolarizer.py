@@ -32,9 +32,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bench_sim import BenchConfig, Crystal, Waveplate, _as_length, _ptm_stack, propagate
+from .bench_sim import (BenchConfig, Crystal, Waveplate, _as_length, _plate_forms, _ptm_stack, _transfer,
+                        propagate)
 from .channel_analysis import FEASIBILITY_SLACK, _polar_stack
-from .polar_core import _check_integer
+from .polar_core import PAULI_STACK, _check_integer
 
 __all__ = [
     "DegenerateLengthRatioWarning",
@@ -180,11 +181,11 @@ def build_bench(settings: DepolarizerSettings) -> BenchConfig:
 _CONTROL_PLATE = 3
 
 
-def _control_plate_benches(bench: BenchConfig, theta2_degs) -> list:
-    """One copy of the build_bench ``bench`` per angle of ``theta2_degs``, with the control
-    plate at that angle and every other element ``bench``'s own, so a sweep builds one bench."""
-    head, tail = bench.elements[:_CONTROL_PLATE], bench.elements[_CONTROL_PLATE + 1:]
-    return [BenchConfig((*head, Waveplate("half", t2), *tail)) for t2 in theta2_degs]
+def _control_plate_forms(bench: BenchConfig) -> np.ndarray:
+    """The ``_plate_forms`` of a build_bench ``bench``'s control plate, from the bench
+    propagated once with that plate's Jones matrix set to E1 (sigma_z) and to E2
+    (sigma_x); ``_plate_chi`` then gives its chi at any control angle."""
+    return _plate_forms(_transfer(bench, _CONTROL_PLATE, PAULI_STACK[1:3])[1])
 
 
 def build_bench_rotated_crystals(relative_rotation_deg: float) -> BenchConfig:

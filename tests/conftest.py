@@ -296,8 +296,10 @@ def reference_region_lines(grid_n: int) -> list:
 
 
 def reference_feasibility_lines(r_step: float) -> list:
-    """The feasibility CSV lines as first written: one ``%`` per grid point."""
+    """The feasibility CSV lines as first written: one ``%`` per grid point, on an
+    axis of np.arange's values that stops at 1 + 1e-9, as a sweep's rows do."""
     values = np.arange(-1.0, 1.0 + r_step / 2, r_step)
+    values = values[[-1.0 + k * r_step <= 1.0 + 1e-9 for k in range(len(values))]]
     r1, r2 = np.meshgrid(values, values, indexing="ij")
     feasible, lam = pauli_feasible(r1, r2, r2)
     reachable = in_reachable_region(r1, r2)

@@ -10,13 +10,15 @@ each fit's matrix, nll, iterations, converged flag, optimality gap and (process
 fits only) trace-preservation deviation.  The third covers radii: the
 closed-form (one scalar call per row) and simulated radii of 25 sweep blocks,
 theta1 in {31.316..., 13.684..., 10, 0, 22.5} x (L1, L2) in {(1, 1), (2, 1),
-(1, 2), (2, 3), (3, 7)} with theta2 = 0...45 by 0.25, and every field of the
+(1, 2), (2, 3), (3, 7)} with theta2 = 0...45 by 0.25, each block's chi from the
+sweep's kernel (``_control_plate_forms`` and ``_plate_chi``), and every field of the
 ``polar_decompose`` report of each ``grid_sim`` matrix of
 ``perfbench.inputs.grid_items`` at seeds 11-14.  The fourth covers spectra: the
 ``chi_eigenvalues`` of each of those 25 sweep blocks' chi stacks and of the chi of
 each of those ``grid_sim`` benches.  The fifth covers propagation: the delays and
-``propagate_stack`` operators of those 25 sweep blocks, and the delays and
-``propagate`` operators of each of those ``grid_sim`` benches.  The sixth covers
+the operator pair of each of those 25 sweep blocks, the fig1 bench propagated with
+its control plate set to sigma_z and to sigma_x, and the delays and ``propagate``
+operators of each of those ``grid_sim`` benches.  The sixth covers
 the CLI: the CSV bytes ``cli.main`` writes for every ``tests/data`` config and for
 the default ``region`` (451 points a side) and ``feasibility`` (r_step 0.01)
 grids.  A change that must leave every count, fit, radius, spectrum, Kraus
@@ -40,17 +42,19 @@ import inputs  # noqa: E402  (perfbench/inputs.py)
 from regen_goldens import DATA, GOLDEN_CASES  # noqa: E402
 
 from polarchan import cli  # noqa: E402
-from polarchan.bench_sim import _kept_chi, affine_map, propagate, propagate_stack  # noqa: E402
+from polarchan.bench_sim import _plate_chi, _transfer, affine_map, propagate  # noqa: E402
 from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus, polar_decompose  # noqa: E402
 from polarchan.depolarizer import (  # noqa: E402
     REFLECTION_COMPENSATION,
+    _CONTROL_PLATE,
     DepolarizerSettings,
     _compensated_radii,
+    _control_plate_forms,
     build_bench,
     isotropic_theta1_angles,
     radii_closed_form,
 )
-from polarchan.polar_core import density_from_stokes  # noqa: E402
+from polarchan.polar_core import PAULI_STACK, density_from_stokes  # noqa: E402
 from polarchan.tomography import (  # noqa: E402
     TomoSettings,
     qpt_mle,
@@ -85,11 +89,11 @@ def _bench_bytes() -> tuple:
         warnings.simplefilter("ignore")  # the degenerate length ratios warn
         for theta1 in SWEEP_THETA1:
             for l1, l2 in SWEEP_LENGTHS:
-                benches = [build_bench(DepolarizerSettings(theta1, t2, l1, l2)) for t2 in SWEEP_THETA2]
+                bench = build_bench(DepolarizerSettings(theta1, SWEEP_THETA2[0], l1, l2))
                 closed = [radii_closed_form(theta1, t2) for t2 in SWEEP_THETA2]
-                delays, ops = propagate_stack(benches)
+                delays, ops = _transfer(bench, _CONTROL_PLATE, PAULI_STACK[1:3])
                 kraus_ops += [_delay_bytes(delays), ops.tobytes()]
-                chis = _kept_chi(ops)
+                chis = _plate_chi(_control_plate_forms(bench), SWEEP_THETA2)
                 fields.append(np.array(closed).tobytes())
                 fields.append(_compensated_radii(chis)[0].tobytes())
                 spectra.append(chi_eigenvalues(chis).tobytes())

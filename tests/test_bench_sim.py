@@ -22,17 +22,18 @@ from polarchan.bench_sim import (
     Waveplate,
     _chi_stack,
     _gather_plan,
-    _kept_chi,
     _nonzero_bins,
+    _plate_chi,
+    _plate_forms,
     _projector_pair,
     _ptm_stack,
     _structure,
+    _transfer,
     affine_map,
     apply_channel,
     delay_bin_bound,
     normalize_delays,
     propagate,
-    propagate_stack,
 )
 from polarchan.channel_analysis import chi_from_kraus
 from polarchan.depolarizer import (
@@ -243,7 +244,7 @@ def test_affine_map_immutability():
 
 
 # ---------------------------------------------------------------------------
-# stacked propagation against the one-bench delay-dictionary loop
+# propagation against the one-bench delay-dictionary loop
 # ---------------------------------------------------------------------------
 
 def reference_affine_matrix(kraus):
@@ -276,8 +277,8 @@ def bench_from(structure, angles):
 
 @st.composite
 def bench_stacks(draw):
-    # identical benches, benches that share the angles of a prefix of positions
-    # and then draw their own, or benches that draw every angle
+    # benches of one structure: identical benches, benches that share the angles
+    # of a prefix of positions and then draw their own, or benches that draw every angle
     structure = draw(_STRUCTURES)
     n = draw(st.integers(1, 5))
     angles = st.lists(_ANGLES, min_size=len(structure), max_size=len(structure))
@@ -289,76 +290,49 @@ def bench_stacks(draw):
 @settings(max_examples=150, deadline=None)
 @given(bench_stacks())
 def test_stack_matches_one_bench_reference(benches):
-    delays, ops = propagate_stack(benches)
-    assert ops.shape == (len(benches), len(delays), 2, 2)
-    # shared positions broadcast, but every bench gets rows of its own
-    assert ops.flags.c_contiguous and ops.flags.writeable
-    for b, bench in enumerate(benches):
-        one_delays, one_ops = propagate_stack([bench])
-        assert one_delays == delays
-        assert same_bits(one_ops[0], ops[b])
-        keep = _nonzero_bins(ops[b])
+    for bench in benches:
+        delays, ops = _transfer(bench)
+        assert ops.shape == (1, len(delays), 2, 2)
+        assert ops.flags.c_contiguous and ops.flags.writeable
+        keep = _nonzero_bins(ops[0])
         kraus = propagate(bench)
         assert kraus.delays == tuple(d for d, k in zip(delays, keep) if k)
-        assert same_bits(kraus.operators, ops[b][keep])
+        assert same_bits(kraus.operators, ops[0][keep])
         ref_delays, ref_ops = reference_propagate(bench)
         assert list(kraus.delays) == ref_delays
         assert same_bits(kraus.operators, ref_ops)
         # read off the Pauli transfer matrix: equal at roundoff, not in every bit
         assert np.abs(affine_map(kraus).matrix - reference_affine_matrix(kraus)).max() <= 2e-15
+    # a stack of Jones matrices at one plate gives each row the bits of its own bench
+    first = benches[0].elements
+    for k, el in enumerate(first):
+        if isinstance(el, Waveplate):
+            plates = [bench.elements[k] for bench in benches]
+            delays, ops = _transfer(benches[0], k, np.array([plate.jones() for plate in plates]))
+            assert ops.shape == (len(benches), len(delays), 2, 2)
+            for row, plate in zip(ops, plates):
+                assert same_bits(row, _transfer(BenchConfig((*first[:k], plate, *first[k + 1:])))[1][0])
 
 
 def test_equal_lengths_share_one_plan_and_stack():
     lengths = [Fraction(3, 2), 1.5, "3/2", Fraction(6, 4)]
-    benches = [BenchConfig((Crystal(1, 10.0 * k), Waveplate("half", 20.0), Crystal(length, 30.0)))
+    benches = [BenchConfig((Crystal(1, 10.0), Waveplate("half", 20.0 * k), Crystal(length, 30.0)))
                for k, length in enumerate(lengths)]
     assert len({_structure(b) for b in benches}) == 1
     _gather_plan.cache_clear()
     for bench in benches:
         propagate(bench)
     assert _gather_plan.cache_info()[:2] == (3, 1)  # hits, misses
-    _, ops = propagate_stack(benches)
+    _, ops = _transfer(benches[0], 1, np.array([bench.elements[1].jones() for bench in benches]))
     for b, bench in enumerate(benches):
-        assert same_bits(ops[b], propagate_stack([bench])[1][0])
+        assert same_bits(ops[b], _transfer(bench)[1][0])
 
 
 def test_stack_keeps_signed_zero_angles_apart():
-    plus, minus = (BenchConfig((Waveplate("half", a), Crystal(1, a))) for a in (0.0, -0.0))
-    _, ops = propagate_stack([plus, minus])
-    assert same_bits(ops[1], propagate_stack([minus])[1][0])
+    plus, minus = (BenchConfig((Crystal(1, 0.0), Waveplate("half", a))) for a in (0.0, -0.0))
+    _, ops = _transfer(plus, 1, np.array([plus.elements[1].jones(), minus.elements[1].jones()]))
+    assert same_bits(ops[1], _transfer(minus)[1][0])
     assert not same_bits(ops[0], ops[1])
-
-
-@pytest.mark.parametrize("other", [
-    BenchConfig((Crystal(1, 0.0), Waveplate("half", 10.0), Crystal(3, 5.0))),     # length
-    BenchConfig((Crystal(1, 0.0), Waveplate("quarter", 10.0), Crystal(2, 5.0))),  # plate kind
-    BenchConfig((Waveplate("half", 10.0), Crystal(1, 0.0), Crystal(2, 5.0))),     # order
-    BenchConfig((Crystal(1, 0.0), Waveplate("half", 10.0))),                      # count
-])
-def test_stack_rejects_mismatched_structure(other):
-    base = BenchConfig((Crystal(1, 0.0), Waveplate("half", 30.0), Crystal(2, 45.0)))
-    with pytest.raises(ValueError, match="share element kinds and crystal lengths"):
-        propagate_stack([base, other])
-
-
-def test_stack_rejects_empty_list():
-    with pytest.raises(ValueError, match="at least one bench"):
-        propagate_stack([])
-
-
-@pytest.mark.parametrize("lengths", [(1, 2), (1, 1), (2, 1)], ids=["ratio_2", "ratio_1", "ratio_half"])
-def test_kept_chi_is_each_kraus_sets(lengths):
-    # the sweep reads radii, spectra and fits from each block's chi, so that
-    # chi must be the one the bench's Kraus set computes, in every bit; each
-    # stack here splits into several groups of kept bins
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
-        for theta1 in (isotropic_theta1_angles()[1], 10.0, 0.0):
-            benches = [build_bench(DepolarizerSettings(theta1, t2, *lengths))
-                       for t2 in np.arange(0.0, 45.5, 2.5)]
-            chis = _kept_chi(propagate_stack(benches)[1])
-            for bench, chi in zip(benches, chis):
-                assert chi.tobytes() == chi_from_kraus(propagate(bench)).tobytes()
 
 
 def test_delay_bins_capped_before_propagation():
@@ -368,7 +342,7 @@ def test_delay_bins_capped_before_propagation():
     with pytest.raises(ValueError, match=f"more than {MAX_DELAY_BINS} delay bins"):
         propagate(huge)
     with pytest.raises(ValueError, match="delay bins"):
-        propagate_stack([huge, huge])
+        _transfer(huge)
     assert delay_bin_bound(bench_of_lengths(*(2 ** i for i in range(16)))) == MAX_DELAY_BINS
     # commensurate lengths collapse: 40 unit crystals reach at most 41 delays
     assert delay_bin_bound(bench_of_lengths(*([1] * 40))) == 41
@@ -456,8 +430,13 @@ def checked_consumers(kraus):
         lambda: chi_from_kraus(kraus),
         lambda: probability_table(kraus),
         lambda: simulate_counts(kraus, TomoSettings(shots=100, seed=1)),
-        lambda: _kept_chi(kraus.as_stack()),
+        lambda: plate_chi(kraus, [0.0]),
     )
+
+
+def plate_chi(kraus, angles):
+    """_plate_chi of the operator pair (U, V) = (K, K) at ``angles``; at angle 0 it is K's chi."""
+    return _plate_chi(_plate_forms(np.stack([kraus.operators] * 2)), angles)
 
 
 def test_incomplete_set_rejected_by_every_consumer():
@@ -519,7 +498,7 @@ def test_trace_preservation_checks_at_the_tolerance_edge(monkeypatch):
     for defect in (TP_ATOL, np.nextafter(TP_ATOL, 1.0)):
         monkeypatch.setattr(KrausSet, "completeness_defect", lambda self: defect)
         monkeypatch.setattr(bench_sim, "_tp_defects", lambda chi: np.array([defect]))
-        for check in (kraus.require_complete, lambda: _kept_chi(kraus.as_stack())):
+        for check in (kraus.require_complete, lambda: plate_chi(kraus, [0.0])):
             if defect == TP_ATOL:
                 check()
             else:
@@ -575,9 +554,9 @@ def test_nan_defect_rejected_by_every_consumer():
             for _ in range(2):
                 with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
                     call()
-        # a block of two such benches: the max over nan defects is nan
+        # a block of two angles: the max over nan defects is nan
         with pytest.raises(ValueError, match=r"not trace preserving \(defect nan\)"):
-            _kept_chi(np.concatenate([kraus.as_stack()] * 2))
+            plate_chi(kraus, [0.0, 30.0])
 
 
 # ---------------------------------------------------------------------------
@@ -613,19 +592,19 @@ def test_byte_identity_at_scale(n_crystals, count):
     rng = np.random.default_rng(1000 * n_crystals + count)
     structure = sparse_structure(rng, n_crystals)
     benches = [bench_from(structure, scale_angles(rng, len(structure))) for _ in range(count)]
-    delays, ops = propagate_stack(benches)
-    assert len(delays) == 2 ** n_crystals and ops.shape == (count, 2 ** n_crystals, 2, 2)
     states = random_states(rng, 3)
-    for b, bench in enumerate(benches):
+    for bench in benches:
+        delays, (ops,) = _transfer(bench)
+        assert len(delays) == 2 ** n_crystals and ops.shape == (2 ** n_crystals, 2, 2)
         ref_delays, ref_ops = reference_transfer(bench)
         assert list(delays) == ref_delays
-        assert same_bits(ops[b], np.array(ref_ops))
+        assert same_bits(ops, np.array(ref_ops))
         kraus = propagate(bench)
         kept_delays, kept_ops = reference_propagate(bench)
         assert list(kraus.delays) == kept_delays
         assert same_bits(kraus.as_stack()[0], np.array(kept_ops).reshape(-1, 2, 2))
         for rho in states:
-            assert (np.abs(apply_channel(kraus, rho) - reference_channel(ops[b], rho)).max()
+            assert (np.abs(apply_channel(kraus, rho) - reference_channel(ops, rho)).max()
                     <= channel_bound(kraus))
         assert np.abs(probability_table(kraus) - reference_probability_table(
             kraus, preparation_states(), analysis_projectors())).max() <= 2e-15
@@ -638,7 +617,7 @@ def test_byte_identity_at_scale(n_crystals, count):
 @settings(max_examples=100, deadline=None)
 @given(bench_stacks())
 def test_ptm_is_the_channel_on_the_pauli_basis(benches):
-    _, ops = propagate_stack(benches)
+    ops = np.concatenate([_transfer(bench)[1] for bench in benches])
     chi = _chi_stack(ops)
     r = _ptm_stack(chi)
     # R_ij = Tr(E_i E(E_j)) / 2, straight from the channel outputs
@@ -664,7 +643,7 @@ def test_gather_plan_read_only_and_caches_small():
     bench = build_bench(DepolarizerSettings(20.0, 13.0, 2, 3))
     propagate(bench)
     delays, steps = _gather_plan(_structure(bench))
-    assert delays == propagate_stack([bench])[0]
+    assert delays == _transfer(bench)[0]
     crystal_steps = [step for step in steps if step is not None]
     assert len(crystal_steps) == 4 and len(steps) == len(bench.elements)
     for index in (i for step in crystal_steps for i in step):
@@ -685,11 +664,11 @@ def test_gather_plan_read_only_and_caches_small():
 ])
 def test_identity_constant_is_read_only_and_never_returned(benches):
     assert not _IDENTITY.flags.writeable
-    _, ops = propagate_stack(benches)
-    assert ops.shape[0] == len(benches)
-    assert not np.shares_memory(ops, _IDENTITY)
-    kraus = propagate(benches[0])
-    assert not np.shares_memory(kraus.operators, _IDENTITY)
+    for bench in benches:
+        assert not np.shares_memory(_transfer(bench)[1], _IDENTITY)
+        assert not np.shares_memory(propagate(bench).operators, _IDENTITY)
+    plates = np.array([waveplate_jones("half", a) for a in (0.0, 30.0)])
+    assert not np.shares_memory(_transfer(BenchConfig((Waveplate("half", 0.0),)), 0, plates)[1], _IDENTITY)
     assert same_bits(_IDENTITY, np.eye(2, dtype=complex).reshape(1, 1, 2, 2))
 
 

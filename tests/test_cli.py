@@ -18,13 +18,14 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from polarchan import cli, tomography
-from polarchan.bench_sim import affine_map, propagate
+from polarchan.bench_sim import _plate_chi, _ptm_stack, propagate
 from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus, polar_decompose
 from polarchan.cli import ConfigError, _fmt, _fmt_angle, main, parse_config, run_sweep
 from polarchan.depolarizer import (
     REFLECTION_COMPENSATION,
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
+    _control_plate_forms,
     build_bench,
     dop_isotropic,
     isotropic_theta1_angles,
@@ -360,10 +361,9 @@ def test_region_grid_refusal_is_the_library_message(grid_n, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"polarchan: line 2: {refused.value}\n")
 
 
-@pytest.mark.parametrize("r_step", ["5e-324", "1e-300", "0.0009", repr(2 / 1999.6)])
+@pytest.mark.parametrize("r_step", ["5e-324", "1e-300", "0.0009", "0.001"])
 def test_feasibility_grid_capped_before_allocation(r_step, tmp_path, capsys):
-    # a subnormal step has 2 / r_step = inf points per axis, and 2 / 1999.6 gives
-    # 2,001 points per axis, one more than floor(2 / r_step) + 1
+    # a subnormal step never leaves -1, and 0.001 gives 2,001 points per axis, one past the cap
     cfg = tmp_path / "big.cfg"
     cfg.write_text(f"mode = feasibility\nr_step = {r_step}\n")
     assert main(["feasibility", "--config", str(cfg)]) == 1
@@ -524,7 +524,7 @@ def test_sweep_rows_match_reference_dops():
         "mode = sweep\npreset = fig1\ntheta1 = 31.316097420688664\n"
         "theta2_start = 0\ntheta2_stop = 45\ntheta2_step = 1\n"
     )
-    lines = run_sweep(cfg, jobs=1, seed=0)
+    lines = sweep_lines(cfg, jobs=1, seed=0)
     header = lines[0].split(",")
     dop_col = header.index("dop_closed")
     lam1_col = header.index("lambda1")
@@ -545,7 +545,7 @@ def test_sweep_csv_reparses():
         "mode = sweep\npreset = fig1\ntheta1 = 10\n"
         "theta2_start = 0\ntheta2_stop = 20\ntheta2_step = 5\n"
     )
-    lines = run_sweep(cfg, jobs=2, seed=0)
+    lines = sweep_lines(cfg, jobs=2, seed=0)
     header = lines[0].split(",")
     dop_col = header.index("dop_closed")
     for line in lines[1:]:
@@ -558,12 +558,21 @@ def test_sweep_csv_reparses():
                 float(cell)  # numeric columns parse
 
 
+def sweep_lines(cfg, jobs, seed) -> list:
+    """The lines of run_sweep's chunks."""
+    return "\n".join(run_sweep(cfg, jobs, seed)).split("\n")
+
+
 def reference_sweep_row(cfg, theta1, theta2, seed=None, stream=0):
-    """One sweep row through the one-bench API, formatted cell by cell."""
+    """One sweep row through the one-bench API, formatted cell by cell, from the
+    chi the control plate's quadratic form gives this one angle, which is the
+    bench's own chi at roundoff."""
     bench = build_bench(DepolarizerSettings(theta1, theta2, cfg.length1, cfg.length2))
     kraus = propagate(bench)
-    sim = polar_decompose(REFLECTION_COMPENSATION @ affine_map(kraus).matrix).radii
-    lams = chi_eigenvalues(chi_from_kraus(kraus))
+    chi = _plate_chi(_control_plate_forms(bench), [theta2])
+    assert np.abs(chi[0] - chi_from_kraus(kraus)).max() <= 1e-15
+    sim = polar_decompose(REFLECTION_COMPENSATION @ _ptm_stack(chi)[0, 1:, 1:]).radii
+    lams = chi_eigenvalues(chi[0])
     on_iso_line = any(abs(theta1 - root) < 1e-6 for root in isotropic_theta1_angles())
     cells = [_fmt_angle(theta2)] + [_fmt(v) for v in radii_closed_form(theta1, theta2)]
     cells.append(_fmt(dop_isotropic(theta2)) if on_iso_line else "")
@@ -597,7 +606,7 @@ def test_sweep_rows_match_one_bench_reference(theta1, step, before, after, lengt
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
         with mock.patch.object(cli, "_SWEEP_BLOCK", block):
-            lines = run_sweep(cfg, jobs=1, seed=0)
+            lines = sweep_lines(cfg, jobs=1, seed=0)
         thetas = cli._sweep_thetas(cfg)
         assert 0.0 in thetas and 45.0 in thetas
         assert lines[1:] == [reference_sweep_row(cfg, theta1, t2) for t2 in thetas]
@@ -611,7 +620,20 @@ def test_tomo_sweep_rows_match_reference_across_blocks():
                 for i, t2 in enumerate(cli._sweep_thetas(cfg))]
     with mock.patch.object(cli, "_SWEEP_BLOCK", 3):
         for jobs in (1, 2):
-            assert run_sweep(cfg, jobs=jobs, seed=40)[1:] == expected
+            assert sweep_lines(cfg, jobs=jobs, seed=40)[1:] == expected
+
+
+def test_sweep_row_bytes_do_not_depend_on_the_sweep():
+    # rows on both sides of each block edge, and the last row of a short block,
+    # print as the one-row sweep at their angle does
+    cfg = parse_config("mode = sweep\npreset = fig1\ntheta2_start = -7\ntheta2_stop = 52.9\n"
+                       "theta2_step = 0.1\n")
+    lines = sweep_lines(cfg, jobs=1, seed=0)
+    thetas = cli._sweep_thetas(cfg)
+    assert len(thetas) == 600 and len(lines) == 601 and cli._SWEEP_BLOCK == 256
+    for row in (0, 255, 256, 511, 512, 599):
+        one = dataclasses.replace(cfg, theta2_start=thetas[row], theta2_stop=thetas[row])
+        assert sweep_lines(one, jobs=1, seed=0) == [lines[0], lines[row + 1]]
 
 
 def drawn_streams(cfg, seed):
@@ -645,7 +667,7 @@ def test_tomo_reproduces_sweep_row_zero():
     sweep = parse_config("mode = sweep\npreset = fig1\ntheta2_start = 15\ntheta2_stop = 30\n"
                          "theta2_step = 15\ntomo = true\nn = 2000\n")
     tomo_row = cli.run_tomo(tomo, seed=7)[1].split(",")
-    sweep_rows = [line.split(",") for line in run_sweep(sweep, jobs=1, seed=7)[1:]]
+    sweep_rows = [line.split(",") for line in sweep_lines(sweep, jobs=1, seed=7)[1:]]
     assert sweep_rows[0][12:17] == tomo_row[:4] + ["7"]
     assert sweep_rows[1][16] == "7"  # every row prints the run seed
 
@@ -778,9 +800,15 @@ def test_g12_cells_match_percent_format(values):
     assert all(_decidable(v) for v in x[fast].tolist())
 
 
+#: tracemalloc peak of formatting one region block of _GRID_BLOCK_POINTS points
+#: (its cells and the fast path's arrays), measured at 2.6 MiB
+_REGION_BLOCK_BYTES = 3 * 2 ** 20
+
+
 def test_region_peak_memory_bounded_by_output(tmp_path):
-    # rows are formatted and written in chunks: the whole CSV is never
-    # joined into one string next to its lines
+    # rows are formatted and written one block at a time: the run holds the scan
+    # (451**2 points, two float64 each) and a block, never the whole 9.7 MiB CSV;
+    # measured 6.2 MiB in all, where a run that held every chunk peaked at 14.6 MiB
     cfg = tmp_path / "region.cfg"
     cfg.write_text("mode = region\n")
     out = tmp_path / "region.csv"
@@ -791,6 +819,7 @@ def test_region_peak_memory_bounded_by_output(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * out.stat().st_size
+    assert peak <= 451 ** 2 * 2 * 8 + 2 * _REGION_BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------

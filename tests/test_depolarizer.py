@@ -8,16 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarchan.bench_sim import (BenchConfig, Crystal, Waveplate, _as_length, affine_map, apply_channel,
-                                 propagate, propagate_stack)
+from polarchan.bench_sim import (BenchConfig, Crystal, Waveplate, _as_length, _plate_chi, affine_map,
+                                 apply_channel, propagate)
 from polarchan.channel_analysis import FEASIBILITY_SLACK, pauli_feasible, polar_decompose
 from polarchan.depolarizer import (
-    _CONTROL_PLATE,
     _MAX_GRID_POINTS,
     REFLECTION_COMPENSATION,
     DegenerateLengthRatioWarning,
     DepolarizerSettings,
-    _control_plate_benches,
+    _control_plate_forms,
     build_bench,
     build_bench_rotated_crystals,
     build_lyot,
@@ -198,21 +197,26 @@ def test_degenerate_ratio_matches_fraction_division(l1, l2):
     assert settings_.is_degenerate_ratio is (ratio == 1 or ratio == Fraction(1, 2))
 
 
-@pytest.mark.parametrize("lengths", [(1, 2), (2, 3), (1, 1)])
-def test_control_plate_benches_are_build_bench_benches(lengths):
-    thetas = [0.0, -0.0, 13.5, 45.0, 13.5]
+_TURN = st.floats(-180.0, 180.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TURN, st.lists(_TURN, min_size=1, max_size=8), st.integers(1, 7), st.integers(1, 7))
+@example(THETA_ISO_HIGH, [0.0, 15.0, 30.0, 45.0], 3, 3)  # ratio 1
+@example(10.0, [0.0, -0.0, 22.5, -180.0], 4, 2)         # ratio 1/2
+def test_control_plate_chi_matches_propagate(theta1, thetas, length1, length2):
+    # a sweep reads each row's chi off one pair of propagations, as a quadratic
+    # form in the control plate: it is the bench's own chi at roundoff, and its
+    # bits do not depend on the other angles of the call
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
-        bench = build_bench(DepolarizerSettings(THETA_ISO_HIGH, 7.0, *lengths))
-        expected = [build_bench(DepolarizerSettings(THETA_ISO_HIGH, t2, *lengths)) for t2 in thetas]
-    benches = _control_plate_benches(bench, thetas)
-    assert benches == expected
-    for row, t2 in zip(benches, thetas):
-        plate = row.elements[_CONTROL_PLATE]
-        assert plate.kind == "half" and same_bits(plate.angle_deg, t2)
-        assert all(el is own for k, (el, own) in enumerate(zip(row.elements, bench.elements))
-                   if k != _CONTROL_PLATE)
-    assert same_bits(propagate_stack(benches)[1], propagate_stack(expected)[1])
+        benches = [build_bench(DepolarizerSettings(theta1, t2, length1, length2)) for t2 in thetas]
+    forms = _control_plate_forms(benches[0])
+    chis = _plate_chi(forms, thetas)
+    assert chis.shape == (len(thetas), 4, 4)
+    for t2, chi, bench in zip(thetas, chis, benches):
+        assert np.abs(chi - propagate(bench)._complete_chi()[0]).max() <= 1e-15
+        assert same_bits(chi, _plate_chi(forms, [t2])[0])
 
 
 def test_oracle_equivalence_coarse_grid():
