@@ -9,9 +9,11 @@ required ``mode`` key.  Benches come either from a named preset (``fig1``,
 Every mode emits a CSV dataset (LF line endings, ``,`` separator, mandatory
 header).  Angle columns carry six decimals; other numeric columns use
 12-significant-digit shortest form, so outputs are bit-stable across runs
-and across ``--jobs`` settings.  Each mode returns its CSV as chunks of
-whole lines (the sweep one chunk per block of sweep rows), which are written
-one at a time; the grid modes yield one chunk per block of grid rows as it is
+and across ``--jobs`` settings.  Every row is laid out by one kernel
+(``_csv_lines``) from NUL-padded cell texts.  Each mode returns its CSV as
+chunks of whole lines, which are written one at a time; the sweep and the
+grid modes cut their rows into blocks of about ``_BLOCK_CELLS`` ``%.12g``
+cells, one chunk per block, and the grid modes yield each chunk as it is
 formatted.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 I/O error.
@@ -87,9 +89,6 @@ _PRESET_TABLE = {
 PRESETS = tuple(_PRESET_TABLE)
 
 ENV_SEED = "POLARCHAN_SEED"
-
-#: sweep rows evaluated and formatted together; bounds a block's memory
-_SWEEP_BLOCK = 256
 
 #: longest offending value or line that an error message echoes in full
 _ECHO_CHARS = 60
@@ -320,16 +319,8 @@ def bench_from_config(cfg: RunConfig) -> BenchConfig:
     return _PRESET_TABLE[cfg.preset][1](cfg)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
-
-
-def _fmt_angle(x) -> str:
-    return format(float(x), ".6f")
-
-
-#: grid points per chunk of a grid mode's CSV; bounds the byte matrices of a chunk
-_GRID_BLOCK_POINTS = 1 << 13
+#: ``%.12g`` cells formatted per block of rows; bounds a block's byte matrices
+_BLOCK_CELLS = 1 << 14
 
 #: bytes of a ``%.12g`` cell; the longest text, ``-1.23456789012e-100``, has 19
 _G12_WIDTH = 20
@@ -348,6 +339,15 @@ def _text_cells(texts) -> np.ndarray:
     """ASCII strings as the rows of a NUL-padded uint8 matrix."""
     cells = np.array(texts, dtype=bytes)
     return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
+
+
+def _angles(values) -> list:
+    """The six-decimal texts of angles in degrees."""
+    return ["%.6f" % a for a in values]
+
+
+#: the cells of a boolean column, indexed by the value as an integer
+_FLAGS = _text_cells(["false", "true"])
 
 
 @functools.cache
@@ -431,28 +431,30 @@ def _g12_fast(x: np.ndarray) -> tuple:
 
 
 def _g12_cells(x) -> np.ndarray:
-    """``"%.12g" % v`` for every value of a float array, as the rows of a
-    NUL-padded (size, _G12_WIDTH) uint8 matrix.
+    """``"%.12g" % v`` for every value of a float array, as NUL-padded uint8
+    cells of shape ``x.shape + (_G12_WIDTH,)``.
 
     _g12_fast formats the values it can decide; Python's ``%`` formats the
     rest (zeros of either sign, NaN, infinities, values outside its window
     and near-ties), so every float64 gets its exact ``%.12g`` text.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    fast, words = _g12_fast(x)
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    fast, words = _g12_fast(flat)
     cells = words.view(np.uint8)
     slow = np.flatnonzero(~fast)
     if len(slow):
-        texts = _text_cells(["%.12g" % v for v in x[slow].tolist()])
+        texts = _text_cells(["%.12g" % v for v in flat[slow].tolist()])
         cells[slow] = 0
         cells[slow, :texts.shape[1]] = texts
-    return cells
+    return cells.reshape(x.shape + (_G12_WIDTH,))
 
 
-def _row_blocks(n: int) -> list:
-    """Slices of the n rows of an n-by-n grid, each of about _GRID_BLOCK_POINTS points."""
-    rows = max(1, _GRID_BLOCK_POINTS // n)
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+def _row_blocks(rows: int, cells_per_row: int) -> list:
+    """Slices of ``rows`` rows of ``cells_per_row`` ``%.12g`` cells each, every
+    slice of at most _BLOCK_CELLS cells or of one row."""
+    step = max(1, _BLOCK_CELLS // cells_per_row)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def _csv_lines(shape: tuple, columns) -> str:
@@ -477,10 +479,7 @@ def _csv_lines(shape: tuple, columns) -> str:
 def _write_csv(path: Optional[str], chunks) -> None:
     """Write CSV chunks, each one or more whole lines without the final
     newline, one at a time, so the whole text is never built."""
-    if path is None:
-        sys.stdout.writelines(chunk + "\n" for chunk in chunks)
-        return
-    with open(path, "w", newline="\n") as fh:
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="\n") as fh:
         fh.writelines(chunk + "\n" for chunk in chunks)
 
 
@@ -499,14 +498,10 @@ def run_simulate(cfg: RunConfig) -> list:
         + ["t1", "t2", "t3", "r1", "r2", "r3", "det_sign", "axis_aligned"]
         + [f"lambda{i}" for i in (1, 2, 3, 4)]
     )
-    row = (
-        [_fmt(v) for v in amap.matrix.ravel()]
-        + [_fmt(v) for v in amap.translation]
-        + [_fmt(v) for v in report.radii]
-        + [_fmt(report.det_sign), "true" if report.axis_aligned else "false"]
-        + [_fmt(v) for v in lams]
-    )
-    return [",".join(header), ",".join(row)]
+    cells = _g12_cells(np.concatenate([amap.matrix.ravel(), amap.translation, report.radii,
+                                       [report.det_sign], lams]))
+    return [",".join(header), _csv_lines((), (*cells[:16], _FLAGS[int(report.axis_aligned)],
+                                              *cells[16:]))]
 
 
 def _sweep_row_count(start: float, stop: float, step: float) -> int:
@@ -541,7 +536,8 @@ def _fit_row(settings: TomoSettings, chi: np.ndarray, row: int) -> tuple:
 
 
 def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
-    """The sweep's CSV chunks: the header, then one chunk per block of ``_SWEEP_BLOCK`` rows.
+    """The sweep's CSV chunks: the header, then one chunk per block of rows of
+    about ``_BLOCK_CELLS`` ``%.12g`` cells (``_row_blocks``).
 
     The sweep builds one fig1 bench and propagates it twice, for the forms of its
     chi in the control plate (``_control_plate_forms``); a block's chi is
@@ -571,25 +567,27 @@ def run_sweep(cfg: RunConfig, jobs: int, seed: int) -> list:
     # without tomography, the four lambda*_mle cells and the seed cell are empty
     tail = (_text_cells([str(seed)]),) if cfg.tomo else (empty,) * 5
     unconverged = []
+    # %.12g cells per row: closed-form and simulated radii, spectrum, fitted spectrum, dop
+    cells_per_row = 10 + 4 * cfg.tomo + on_iso_line
     pool = ThreadPoolExecutor(max_workers=jobs) if cfg.tomo and jobs > 1 else nullcontext()
     with pool as executor:
         fit_map = map if executor is None else executor.map
-        for start in range(0, len(thetas), _SWEEP_BLOCK):
-            block = thetas[start:start + _SWEEP_BLOCK]
+        for rows in _row_blocks(len(thetas), cells_per_row):
+            block = thetas[rows]
             chis = _plate_chi(forms, block)
             values = [*radii_closed_form(cfg.theta1, block), _compensated_radii(chis)[0],
                       chi_eigenvalues(chis)]
             if cfg.tomo:
-                streams = range(start, start + len(block))
+                streams = range(rows.start, rows.stop)
                 fits = list(fit_map(lambda task: _fit_row(settings, *task), zip(chis, streams)))
                 unconverged += [i for i, (converged, _) in zip(streams, fits) if not converged]
                 values.append([lams for _, lams in fits])
-            cells = _g12_cells(np.column_stack(values)).reshape(len(block), -1, _G12_WIDTH).swapaxes(0, 1)
+            cells = _g12_cells(np.column_stack(values)).swapaxes(0, 1)
             dops = _g12_cells(dop_isotropic(block)) if on_iso_line else empty
-            angles = _text_cells([_fmt_angle(t2) for t2 in block])
+            angles = _text_cells(_angles(block))
             chunks.append(_csv_lines((len(block),), (angles, *cells[:3], dops, *cells[3:], *tail)))
-    for i in unconverged:
-        sys.stderr.write(f"polarchan: warning: sweep row {i} (theta2 = {_fmt_angle(thetas[i])}): "
+    for i, angle in zip(unconverged, _angles([thetas[i] for i in unconverged])):
+        sys.stderr.write(f"polarchan: warning: sweep row {i} (theta2 = {angle}): "
                          "MLE fit did not converge\n")
     return chunks
 
@@ -609,14 +607,9 @@ def run_tomo(cfg: RunConfig, seed: int) -> list:
         + [f"lambda{i}_true" for i in (1, 2, 3, 4)]
         + ["tp_deviation", "nll", "converged", "iterations", "n", "seed"]
     )
-    row = (
-        [_fmt(v) for v in recon]
-        + [_fmt(v) for v in truth]
-        + [_fmt(fit.tp_deviation), _fmt(fit.nll),
-           "true" if fit.converged else "false", str(fit.iterations),
-           str(cfg.n), str(seed)]
-    )
-    return [",".join(header), ",".join(row)]
+    cells = _g12_cells(np.concatenate([recon, truth, [fit.tp_deviation, fit.nll]]))
+    counts = _text_cells([str(fit.iterations), str(cfg.n), str(seed)])
+    return [",".join(header), _csv_lines((), (*cells, _FLAGS[int(fit.converged)], *counts))]
 
 
 def run_feasibility(cfg: RunConfig):
@@ -636,15 +629,14 @@ def run_feasibility(cfg: RunConfig):
         )
     n = len(values)
     axis = _g12_cells(values)
-    flags = _text_cells(["false", "true"])
 
     def chunks():
         yield "r1,r2,lambda0,lambda1,lambda2,lambda3,feasible,reachable"
-        for rows in _row_blocks(n):
-            lams = _g12_cells(lam[rows]).reshape(-1, n, 4, _G12_WIDTH)
+        for rows in _row_blocks(n, 4 * n):
+            lams = _g12_cells(lam[rows])
             yield _csv_lines(lams.shape[:2], (
                 axis[rows, None], axis[None], *(lams[:, :, k] for k in range(4)),
-                flags[feasible[rows].astype(np.intp)], flags[reachable[rows].astype(np.intp)]))
+                _FLAGS[feasible[rows].astype(np.intp)], _FLAGS[reachable[rows].astype(np.intp)]))
     return chunks()
 
 
@@ -653,14 +645,14 @@ def run_region(cfg: RunConfig):
     are formatted; the scan is evaluated before the first chunk is returned.  The
     angle cells are formatted once and the r1, r2 cells by _g12_cells."""
     n = cfg.grid_n
-    angles = _text_cells(["%.6f" % a for a in np.linspace(0.0, 45.0, n).tolist()])
+    angles = _text_cells(_angles(np.linspace(0.0, 45.0, n).tolist()))
     # the scan's points run theta2 fastest, so row i holds theta1 = angle i
     scan = reachable_region_scan(n).reshape(n, n, 2)
 
     def chunks():
         yield "theta1,theta2,r1,r2"
-        for rows in _row_blocks(n):
-            radii = _g12_cells(scan[rows]).reshape(-1, n, 2, _G12_WIDTH)
+        for rows in _row_blocks(n, 2 * n):
+            radii = _g12_cells(scan[rows])
             yield _csv_lines(radii.shape[:2], (angles[rows, None], angles[None],
                                                radii[:, :, 0], radii[:, :, 1]))
     return chunks()

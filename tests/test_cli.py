@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from polarchan import cli, tomography
 from polarchan.bench_sim import _plate_chi, _ptm_stack, propagate
 from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus, polar_decompose
-from polarchan.cli import ConfigError, _fmt, _fmt_angle, main, parse_config, run_sweep
+from polarchan.cli import ConfigError, main, parse_config, run_sweep
 from polarchan.depolarizer import (
     REFLECTION_COMPENSATION,
     DegenerateLengthRatioWarning,
@@ -574,14 +574,14 @@ def reference_sweep_row(cfg, theta1, theta2, seed=None, stream=0):
     sim = polar_decompose(REFLECTION_COMPENSATION @ _ptm_stack(chi)[0, 1:, 1:]).radii
     lams = chi_eigenvalues(chi[0])
     on_iso_line = any(abs(theta1 - root) < 1e-6 for root in isotropic_theta1_angles())
-    cells = [_fmt_angle(theta2)] + [_fmt(v) for v in radii_closed_form(theta1, theta2)]
-    cells.append(_fmt(dop_isotropic(theta2)) if on_iso_line else "")
-    cells += [_fmt(v) for v in sim] + [_fmt(v) for v in lams]
+    cells = ["%.6f" % theta2] + ["%.12g" % v for v in radii_closed_form(theta1, theta2)]
+    cells.append("%.12g" % dop_isotropic(theta2) if on_iso_line else "")
+    cells += ["%.12g" % v for v in sim] + ["%.12g" % v for v in lams]
     if seed is None:
         cells += [""] * 5
     else:
         record = simulate_counts(kraus, TomoSettings(shots=cfg.n, seed=seed), stream=stream)
-        cells += [_fmt(v) for v in chi_eigenvalues(qpt_mle(record).chi)] + [str(seed)]
+        cells += ["%.12g" % v for v in chi_eigenvalues(qpt_mle(record).chi)] + [str(seed)]
     return ",".join(cells)
 
 
@@ -593,19 +593,20 @@ _LENGTHS = st.sampled_from([(1, 2), (2, 3), (1, 1), (2, 1), (3, 3), ("3/2", 7), 
 
 
 @settings(max_examples=30, deadline=None)
-@given(_THETA1, _STEPS, st.integers(0, 4), st.integers(0, 4), _LENGTHS, st.integers(1, 300))
+# a budget of 1-3,300 cells cuts the 10 or 11 cells of a row into blocks of 1-330 rows
+@given(_THETA1, _STEPS, st.integers(0, 4), st.integers(0, 4), _LENGTHS, st.integers(1, 3300))
 # the degenerate ratios 1 and 1/2 send 89 and 90 of these 91 rows to the
 # polar_decompose fallback of the compensated radii; ratios 2 and 3/2 send none
-@example(isotropic_theta1_angles()[1], 0.5, 0, 0, (1, 1), 40)
-@example(isotropic_theta1_angles()[1], 0.5, 0, 0, (2, 1), 40)
-def test_sweep_rows_match_one_bench_reference(theta1, step, before, after, lengths, block):
+@example(isotropic_theta1_angles()[1], 0.5, 0, 0, (1, 1), 440)
+@example(isotropic_theta1_angles()[1], 0.5, 0, 0, (2, 1), 440)
+def test_sweep_rows_match_one_bench_reference(theta1, step, before, after, lengths, budget):
     length1, length2 = (Fraction(v) for v in lengths)
     cfg = cli.RunConfig(mode="sweep", preset="fig1", theta1=theta1,
                         theta2_start=-before * step, theta2_stop=45.0 + after * step,
                         theta2_step=step, length1=length1, length2=length2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
-        with mock.patch.object(cli, "_SWEEP_BLOCK", block):
+        with mock.patch.object(cli, "_BLOCK_CELLS", budget):
             lines = sweep_lines(cfg, jobs=1, seed=0)
         thetas = cli._sweep_thetas(cfg)
         assert 0.0 in thetas and 45.0 in thetas
@@ -618,7 +619,8 @@ def test_tomo_sweep_rows_match_reference_across_blocks():
     theta1 = isotropic_theta1_angles()[1]
     expected = [reference_sweep_row(cfg, theta1, t2, 40, stream=i)
                 for i, t2 in enumerate(cli._sweep_thetas(cfg))]
-    with mock.patch.object(cli, "_SWEEP_BLOCK", 3):
+    # blocks of three rows of 15 cells: radii, dop, spectrum and fitted spectrum
+    with mock.patch.object(cli, "_BLOCK_CELLS", 45):
         for jobs in (1, 2):
             assert sweep_lines(cfg, jobs=jobs, seed=40)[1:] == expected
 
@@ -627,11 +629,15 @@ def test_sweep_row_bytes_do_not_depend_on_the_sweep():
     # rows on both sides of each block edge, and the last row of a short block,
     # print as the one-row sweep at their angle does
     cfg = parse_config("mode = sweep\npreset = fig1\ntheta2_start = -7\ntheta2_stop = 52.9\n"
-                       "theta2_step = 0.1\n")
-    lines = sweep_lines(cfg, jobs=1, seed=0)
+                       "theta2_step = 0.01\n")
+    chunks = run_sweep(cfg, 1, 0)
+    lines = "\n".join(chunks).split("\n")
     thetas = cli._sweep_thetas(cfg)
-    assert len(thetas) == 600 and len(lines) == 601 and cli._SWEEP_BLOCK == 256
-    for row in (0, 255, 256, 511, 512, 599):
+    # 11 %.12g cells a row on the isotropic line: radii, dop and spectrum
+    blocks = cli._row_blocks(len(thetas), 11)
+    assert len(thetas) == 5991 and len(lines) == 5992 and len(chunks) == len(blocks) + 1
+    assert len(blocks) > 3 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+    for row in sorted({row for rows in blocks for row in (rows.start, rows.stop - 1)}):
         one = dataclasses.replace(cfg, theta2_start=thetas[row], theta2_stop=thetas[row])
         assert sweep_lines(one, jobs=1, seed=0) == [lines[0], lines[row + 1]]
 
@@ -734,12 +740,15 @@ def test_grid_modes_match_row_at_a_time_reference(mode, key, value, reference, t
 
 
 def _cell_texts(cells) -> list:
-    return [bytes(cell).replace(b"\0", b"").decode() for cell in cells]
+    """The texts of cells of any shape, in C order."""
+    return [bytes(cell).replace(b"\0", b"").decode() for cell in cells.reshape(-1, cells.shape[-1])]
 
 
 def test_g12_cells_keep_signed_zeros_apart():
     grid = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0]])
-    assert _cell_texts(cli._g12_cells(grid)) == ["0", "-0", "1.5", "-0", "0", "-0"]
+    cells = cli._g12_cells(grid)
+    assert cells.shape == (2, 3, cli._G12_WIDTH)
+    assert _cell_texts(cells) == ["0", "-0", "1.5", "-0", "0", "-0"]
 
 
 def _from_bits(bits: int) -> float:
@@ -795,14 +804,21 @@ def test_g12_cells_match_percent_format(values):
     # 10-13 digits, decimal ties at the 13th digit, a few ulp around each power
     # of ten of the window, signed zeros, NaN, infinities and subnormals
     x = np.array(values)
-    assert _cell_texts(cli._g12_cells(x)) == ["%.12g" % v for v in values]
+    cells = cli._g12_cells(x)
+    assert cells.shape == (len(values), cli._G12_WIDTH)
+    assert _cell_texts(cells) == ["%.12g" % v for v in values]
+    grid = np.stack([x, x[::-1]])
+    cells = cli._g12_cells(grid)
+    assert cells.shape == (2, len(values), cli._G12_WIDTH)
+    assert _cell_texts(cells) == ["%.12g" % v for v in grid.ravel().tolist()]
     fast, _ = cli._g12_fast(x)
     assert all(_decidable(v) for v in x[fast].tolist())
 
 
-#: tracemalloc peak of formatting one region block of _GRID_BLOCK_POINTS points
-#: (its cells and the fast path's arrays), measured at 2.6 MiB
-_REGION_BLOCK_BYTES = 3 * 2 ** 20
+#: tracemalloc peak of formatting one block of _BLOCK_CELLS cells (its cells,
+#: the fast path's arrays and the line matrix), measured at 2.6 MiB for a
+#: region block and 2.4 MiB for a feasibility block
+_BLOCK_BYTES = 3 * 2 ** 20
 
 
 def test_region_peak_memory_bounded_by_output(tmp_path):
@@ -819,7 +835,26 @@ def test_region_peak_memory_bounded_by_output(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * out.stat().st_size
-    assert peak <= 451 ** 2 * 2 * 8 + 2 * _REGION_BLOCK_BYTES
+    assert peak <= 451 ** 2 * 2 * 8 + 2 * _BLOCK_BYTES
+
+
+def test_feasibility_peak_memory_bounded_by_grid(tmp_path):
+    # the run holds the grid's lambdas (four float64 a point) and its two flag
+    # arrays (one byte a point each), 34 bytes a point over the default 201**2
+    # points, 1.3 MiB, and formats one block of _BLOCK_CELLS cells at a time:
+    # measured 3.7 MiB in all; blocks of twice the cells take about two blocks'
+    # bytes and peak at 6.0 MiB
+    cfg = tmp_path / "feasibility.cfg"
+    cfg.write_text("mode = feasibility\n")
+    out = tmp_path / "feasibility.csv"
+    tracemalloc.start()
+    try:
+        assert main(["feasibility", "--config", str(cfg), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes().count(b"\n") == 201 ** 2 + 1
+    assert peak <= 201 ** 2 * 34 + _BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
