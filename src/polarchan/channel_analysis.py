@@ -183,15 +183,12 @@ def pauli_feasible(r1, r2, r3):
     trailing axis of 4, each point's values bit-identical to a scalar call.
     """
     r1, r2, r3 = (np.asarray(r, dtype=float) for r in (r1, r2, r3))
-    lam = np.stack(
-        [
-            (1.0 + r1 + r2 + r3) / 4.0,
-            (1.0 + r1 - r2 - r3) / 4.0,
-            (1.0 - r1 + r2 - r3) / 4.0,
-            (1.0 - r1 - r2 + r3) / 4.0,
-        ],
-        axis=-1,
-    )
+    # each lambda goes straight into its slot: no four separate arrays are held beside the result
+    lam = np.empty(np.broadcast_shapes(r1.shape, r2.shape, r3.shape) + (4,))
+    lam[..., 0] = (1.0 + r1 + r2 + r3) / 4.0
+    lam[..., 1] = (1.0 + r1 - r2 - r3) / 4.0
+    lam[..., 2] = (1.0 - r1 + r2 - r3) / 4.0
+    lam[..., 3] = (1.0 - r1 - r2 + r3) / 4.0
     feasible = np.all((lam >= -FEASIBILITY_SLACK) & (lam <= 1.0 + FEASIBILITY_SLACK), axis=-1)
     return (bool(feasible) if feasible.ndim == 0 else feasible), lam
 

@@ -24,9 +24,10 @@ import from the exact coordinates of the standard settings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize
@@ -375,7 +376,7 @@ def _counts_row(counts) -> np.ndarray:
 def _valid_counts(table: np.ndarray) -> np.ndarray:
     """``table``, checked finite and non-negative; fractional entries (exact probabilities) pass."""
     # written so that NaN fails too
-    if not np.all((table >= 0) & (table < np.inf)):
+    if not ((table >= 0) & (table < np.inf)).all():
         raise ValueError("counts must be finite and non-negative")
     return table
 
@@ -444,15 +445,17 @@ def _nll_terms(params, forms, counts, shots) -> tuple:
     fit's design D, p_s = Re(D vec X)_s = params^T Q_s params / tau, with the
     fixed symmetric forms Q_s stacked in ``forms`` (see _quadratic_forms).
     Returns v_s = Q_s params, tau, p,
-    w_s = dNLL/dp_s = N - n_s/p_s and p floored at _P_FLOOR; a setting at the
-    floor has a constant log term there, so its w_s is N.
+    w_s = dNLL/dp_s = N - n_s/p_s, p floored at _P_FLOOR, the mask of the
+    settings above the floor and w.p; a setting at the floor has a constant
+    log term there, so its w_s is N.
     """
     v = (forms @ params).reshape(-1, params.size)
     tau = params @ params
     p = v @ params / tau
+    interior = p > _P_FLOOR
     floored = np.maximum(p, _P_FLOOR)
-    w = np.where(p > _P_FLOOR, shots - counts / floored, shots)
-    return v, tau, p, w, floored
+    w = np.where(interior, shots - counts / floored, shots)
+    return v, tau, p, w, floored, interior, w @ p
 
 
 def _nll_and_grad(params, forms, counts, shots):
@@ -464,10 +467,10 @@ def _nll_and_grad(params, forms, counts, shots):
     gives a finite NLL without a log(0).
     """
     terms = _nll_terms(params, forms, counts, shots)
-    v, tau, p, w, floored = terms
+    v, tau, p, w, floored, _, wp = terms
     logs = np.log(shots * floored, where=counts > 0, out=np.zeros(p.shape))
     nll = float((shots * p - counts * logs).sum())
-    return nll, (2.0 / tau) * (w @ v - (w @ p) * params), terms
+    return nll, (2.0 / tau) * (w @ v - wp * params), terms
 
 
 def _nll_hessian(terms, forms, counts, shots):
@@ -482,12 +485,13 @@ def _nll_hessian(terms, forms, counts, shots):
     P H P = P B P for the B returned here,
     B = (2/tau)(sum_s w_s Q_s - (w.p) I) + (4/tau^2) sum_s c_s v_s v_s^T.
     """
-    v, tau, p, w, floored = terms
+    v, tau, _, w, floored, interior, wp = terms
     n = v.shape[1]
-    u = v * (np.sqrt(np.where(p > _P_FLOOR, counts, 0.0)) / floored)[:, None]
-    hess = (2.0 / tau) * (w @ forms.reshape(-1, n * n)).reshape(n, n)
+    two_over_tau = 2.0 / tau
+    u = v * (np.sqrt(np.where(interior, counts, 0.0)) / floored)[:, None]
+    hess = two_over_tau * (w @ forms.reshape(-1, n * n)).reshape(n, n)
     hess += (4.0 / (tau * tau)) * (u.T @ u)  # u^T u is symmetric in every bit
-    hess.flat[::n + 1] -= (2.0 / tau) * (w @ p)
+    hess.flat[::n + 1] -= two_over_tau * wp
     return hess
 
 
@@ -515,6 +519,12 @@ def _root_seed(estimate: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.maximum(vals, 1e-8))) @ vecs.conj().T
 
 
+@functools.lru_cache(maxsize=4)
+def _identity(n: int) -> np.ndarray:
+    """The read-only ``(n, n)`` identity of _floor_step's shift, built once per size."""
+    return _frozen(np.eye(n))
+
+
 def _floor_step(tangent, grad, mu, radius):
     """The step -(tangent + mu I)^-1 grad, with its length and predicted NLL
     decrease, from one Cholesky factorization of tangent + mu I and its solve.
@@ -525,7 +535,7 @@ def _floor_step(tangent, grad, mu, radius):
     radius ``radius`` allows.  Between the two lies only lambda_min in
     (-mu, 0), where the eigen path would shift by mu - lambda_min instead.
     """
-    factor, info = dpotrf(tangent + mu * np.eye(grad.size))
+    factor, info = dpotrf(tangent + mu * _identity(grad.size))
     if info:
         return None
     step = dpotrs(factor, grad)[0]
@@ -596,7 +606,7 @@ def _damped_newton(fun, x0, args=(), hess=None, **_):
         h = hess(terms, *args)
         abs_h = np.abs(h)
         hx = h @ x
-        a = np.outer(x, hx - 0.5 * (x @ hx + abs_h.max()) * x)
+        a = x[:, None] * (hx - 0.5 * (x @ hx + abs_h.max()) * x)  # np.outer's own body
         tangent = h - (a + a.T)
         mu = _MU_FLOOR * abs_h.sum(axis=1).max() + _TINY
         scale = max(abs(nll), 1.0)
@@ -633,7 +643,7 @@ def _damped_newton(fun, x0, args=(), hess=None, **_):
 
 def _mle_minimize(fit, counts, shots, estimate) -> dict:
     """Fit X = T^2 / Tr(T^2) to ``counts`` from the linear ``estimate``, for the
-    (design, strings, forms) constants ``fit`` of a state or a process fit.
+    constants ``fit`` (a _Fit) of a state or a process fit.
 
     T = sum_k params_k S_k is Hermitian over the Pauli strings S_k.  Every
     PSD X has a Hermitian square root, so the fit covers the unit-trace PSD
@@ -645,19 +655,17 @@ def _mle_minimize(fit, counts, shots, estimate) -> dict:
     p_s = Tr(H_s X), it is sum_s w_s p_s - lambda_min(sum_s w_s H_s), an upper
     bound on the fit's NLL excess over the optimum.
     """
-    design, strings, forms = fit
-    dim = strings.shape[-1]
-    strings = strings.reshape(dim * dim, -1)
-    args = (forms, np.asarray(counts, dtype=float), float(shots))
+    dim = fit.strings.shape[-1]
+    args = (fit.forms, np.asarray(counts, dtype=float), float(shots))
     # Tr(S_k T) = dim params_k, a scale the fit ignores
-    x0 = (strings.conj() @ _root_seed(estimate).ravel()).real
+    x0 = (fit.seed_map @ _root_seed(estimate).ravel()).real
     res = minimize(_nll_and_grad, x0, args=args, hess=_nll_hessian, method=_damped_newton)
-    t = (res.x @ strings).reshape(dim, dim)
+    t = (res.x @ fit.strings.reshape(dim * dim, -1)).reshape(dim, dim)
     gram = t @ t
-    _, _, p, w, _ = res.terms
-    m = (w @ design).reshape(dim, dim)
-    gap = w @ p - np.linalg.eigvalsh(0.5 * (m.T + m.conj()))[0]
-    return dict(matrix=gram / np.trace(gram).real, nll=float(res.fun),
+    _, _, _, w, _, _, wp = res.terms
+    m = (w @ fit.design).reshape(dim, dim)
+    gap = wp - np.linalg.eigvalsh(0.5 * (m.T + m.conj()))[0]
+    return dict(matrix=gram / gram.trace().real, nll=float(res.fun),
                 converged=bool(res.success), iterations=int(res.nit), optimality_gap=float(gap))
 
 
@@ -690,9 +698,24 @@ def qst_mle(counts, shots: Optional[int] = None) -> MleResult:
 #: the Pauli strings of a process fit, E_a (x) E_b in row-major (a, b) order
 _PROCESS_STRINGS = _frozen(np.einsum("aij,bkl->abikjl", PAULI_STACK, PAULI_STACK).reshape(16, 4, 4))
 
-#: (design, Pauli strings, NLL forms) of the state fit and of the process fit
-_STATE_FIT = (_STATE_DESIGN, PAULI_STACK, _quadratic_forms(_STATE_DESIGN, PAULI_STACK))
-_PROCESS_FIT = (_PROCESS_DESIGN, _PROCESS_STRINGS, _quadratic_forms(_PROCESS_DESIGN, _PROCESS_STRINGS))
+
+class _Fit(NamedTuple):
+    """The read-only constants of the state fit or of the process fit."""
+
+    design: np.ndarray  #: (S, dim^2) measurement design
+    strings: np.ndarray  #: (n, dim, dim) Pauli strings S_k, n = dim^2
+    forms: np.ndarray  #: (S*n, n) NLL forms (_quadratic_forms)
+    seed_map: np.ndarray  #: (n, dim^2) conj(S_k) flattened: params_k = Re(seed_map @ vec T) / dim
+
+    @classmethod
+    def build(cls, design, strings) -> "_Fit":
+        n = len(strings)
+        return cls(design, strings, _quadratic_forms(design, strings),
+                   _frozen(strings.conj().reshape(n, -1)))
+
+
+_STATE_FIT = _Fit.build(_STATE_DESIGN, PAULI_STACK)
+_PROCESS_FIT = _Fit.build(_PROCESS_DESIGN, _PROCESS_STRINGS)
 
 #: the ``(16, 16)`` complex map from the stacked (1, Stokes) outputs Y to the
 #: flattened process matrix: R = Y^T X^-T for the input coordinates X, then
@@ -708,11 +731,13 @@ def _process_table(counts) -> np.ndarray:
     permutation of INPUT_LABELS; a bare table must already be in that order.
     """
     if isinstance(counts, CountRecord):
-        labels = counts.input_labels
-        if sorted(labels) != sorted(INPUT_LABELS):
-            raise ValueError(
-                f"process tomography needs one row per input {INPUT_LABELS}, got labels {labels}")
-        table = counts.counts[[labels.index(label) for label in INPUT_LABELS]].astype(float)
+        labels, table = counts.input_labels, counts.counts
+        if labels != INPUT_LABELS:
+            if sorted(labels) != sorted(INPUT_LABELS):
+                raise ValueError(
+                    f"process tomography needs one row per input {INPUT_LABELS}, got labels {labels}")
+            table = table[[labels.index(label) for label in INPUT_LABELS]]
+        table = table.astype(float)
     else:
         table = np.asarray(counts, dtype=float)
     if table.shape != (4, 6):
@@ -753,4 +778,5 @@ def qpt_mle(counts, shots: Optional[int] = None) -> QptMleResult:
     """
     table = _process_table(counts)
     fit = _mle_minimize(_PROCESS_FIT, table.ravel(), _fit_shots(counts, shots), qpt_linear(table))
-    return QptMleResult(**fit, tp_deviation=trace_preservation_deviation(fit["matrix"]))
+    # the fit's own 4x4 matrix: the public trace_preservation_deviation would check its shape again
+    return QptMleResult(**fit, tp_deviation=float(_tp_defects(fit["matrix"][None])[0]))

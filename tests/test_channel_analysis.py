@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,23 @@ def test_pauli_feasible_at_the_slack_edge():
     for slack, feasible in ((FEASIBILITY_SLACK, True), (np.nextafter(FEASIBILITY_SLACK, 1.0), False)):
         ok, lam = pauli_feasible(-1.0, 0.0, -4 * slack)
         assert lam[0] == -slack and ok is feasible
+
+
+def test_pauli_feasible_holds_no_copy_of_its_lambdas():
+    # the default feasibility grid, 201 x 201 points with r3 = r2 (run_feasibility);
+    # four lambda arrays stacked into a fifth would peak at twice the result's bytes
+    values = np.linspace(-1.0, 1.0, 201)
+    r1, r2 = np.meshgrid(values, values, indexing="ij")
+    first = pauli_feasible(r1, r2, r2)
+    tracemalloc.start()
+    try:
+        feasible, lam = pauli_feasible(r1, r2, r2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the lambdas, one lambda-sized temporary and the feasibility masks
+    assert peak <= 1.5 * lam.nbytes
+    assert np.array_equal(feasible, first[0]) and same_bits(lam, first[1])
 
 
 def _hermitian_defect(dim, e):

@@ -680,8 +680,37 @@ def test_pauli_strings_round_trip(dim, rng):
     assert np.trace(t @ t).real == pytest.approx(dim * (params @ params), rel=1e-14)
 
 
+def fit_record(record):
+    """The qpt_mle fit of a process record, or the qst_mle fit of a single-state one."""
+    return qst_mle(record) if record.input_labels == ("state",) else qpt_mle(record)
+
+
+def fit_fields(fit):
+    """The bytes of every field of a fit."""
+    return [np.asarray(value).tobytes() for value in dataclasses.astuple(fit)]
+
+
+def test_fits_do_not_depend_on_earlier_fits():
+    from polarchan import tomography
+
+    records = [simulate_counts(fig1_kraus(theta2), TomoSettings(shots=shots, seed=seed))
+               for theta2, shots, seed in ((0.0, 10_000, 0), (22.0, 500, 1), (45.0, 10_000, 2))]
+    records += [simulate_state_counts(loose_state(np.random.default_rng(seed), 1.0),
+                                      TomoSettings(shots=shots, seed=seed))
+                for seed, shots in ((3, 100), (4, 10_000))]
+    alone = []
+    for record in records:
+        tomography._identity.cache_clear()  # the fits' one cache that fills at run time
+        alone.append(fit_fields(fit_record(record)))
+    # each record again, after fits of other records of both kinds, interleaved and reversed
+    order = [0, 3, 1, 4, 2] + [4, 2, 3, 1, 0]
+    for i in order:
+        assert fit_fields(fit_record(records[i])) == alone[i]
+
+
 def fit_constants(dim):
-    """The (design, Pauli strings, NLL forms) of the state (dim 2) or process (dim 4) fit."""
+    """The constants (design, Pauli strings, NLL forms, seed map) of the state (dim 2)
+    or process (dim 4) fit."""
     from polarchan.tomography import _PROCESS_FIT, _STATE_FIT
 
     return _STATE_FIT if dim == 2 else _PROCESS_FIT
@@ -689,8 +718,8 @@ def fit_constants(dim):
 
 def nll_forms(dim):
     """The A tensor (each design row as a dim x dim matrix) and NLL forms of a fit."""
-    design, _, forms = fit_constants(dim)
-    return design.reshape(-1, dim, dim), forms
+    fit = fit_constants(dim)
+    return fit.design.reshape(-1, dim, dim), fit.forms
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -714,16 +743,20 @@ def test_nll_gradient_matches_central_differences(dim, rng):
 
 
 def test_cached_constants_are_read_only():
-    from polarchan.bench_sim import _CHI_TO_PTM, _PAULI_COEFFS
+    from polarchan.bench_sim import _CHI_TO_PTM, _FLAT_IDENTITY, _FLAT_PAULI, _PAULI_COEFFS, _PTM_ROW0
     from polarchan.tomography import (
         _INPUT_COORDS,
         _PROCESS_DESIGN,
         _PROJECTOR_COORDS,
         _QPT_LINEAR_MAP,
+        _identity,
     )
 
     constants = [_PAULI_COEFFS, _CHI_TO_PTM, _INPUT_COORDS, _PROJECTOR_COORDS, _PROCESS_DESIGN,
-                 _STATE_DESIGN, _QPT_LINEAR_MAP]
+                 _STATE_DESIGN, _QPT_LINEAR_MAP, _identity(4), _identity(16)]
+    # the constants of _tp_defects, which gives a process fit's tp_deviation
+    constants += [_PTM_ROW0, _FLAT_PAULI, _FLAT_IDENTITY]
+    # every field of each fit's constants, the seed map included
     constants += list(fit_constants(2)) + list(fit_constants(4))
     for const in constants:
         with pytest.raises(ValueError):
