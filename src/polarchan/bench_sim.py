@@ -11,7 +11,13 @@ one material, a path's accumulated optical phase is a function of its total
 delay alone, so amplitudes meeting at equal delay carry no relative phase.
 Which bins meet depends only on the crystal lengths, so the bins of every
 step are worked out once per bench structure, as index arrays (a gather
-plan), and each crystal is then one product and one gathered sum.  Tracing
+plan), and each crystal is then one product with its fast- and slow-axis
+projectors and one gathered sum.  A crystal's step in the plan is one merge
+of the sorted delays with the same delays plus its shift, the integer its
+length rescales to; one integer rule on the lengths' (numerator, denominator)
+pairs gives the shifts to the plan, to ``normalize_delays`` and to
+``delay_bin_bound``.  The projectors are real products of the crystal
+rotation's cos and sin, cast to complex.  Tracing
 out the (unresolved) arrival time turns the surviving transfer matrices
 into the Kraus operators of the polarization channel.
 
@@ -170,12 +176,24 @@ class BenchConfig:
         return tuple(el.length for el in self.elements if isinstance(el, Crystal))
 
 
-def _integer_lengths(lengths) -> list:
-    """Crystal lengths rescaled by the smallest common factor making them coprime integers."""
-    if not lengths:
+def _structure(bench: BenchConfig) -> tuple:
+    """What fixes a bench's delay bins, as its gather-plan key: per element, in
+    order, the wave-plate kind or the crystal length as an exact integer pair
+    ``(numerator, denominator)``, so the key hashes without a ``Fraction``."""
+    return tuple(el.kind if isinstance(el, Waveplate) else el.length.as_integer_ratio()
+                 for el in bench.elements)
+
+
+def _shifts(structure: tuple) -> list:
+    """The delay each crystal of a bench structure (see :func:`_structure`) adds: its
+    length, rescaled with the others by the smallest common factor that makes them all
+    integers, which also makes them coprime.  Integer arithmetic on the lengths'
+    ``(numerator, denominator)`` pairs throughout."""
+    pairs = [kind for kind in structure if not isinstance(kind, str)]
+    if not pairs:
         return []
-    common_den = math.lcm(*(ln.denominator for ln in lengths))
-    ints = [int(ln * common_den) for ln in lengths]
+    den = math.lcm(*(d for _, d in pairs))
+    ints = [n * (den // d) for n, d in pairs]
     g = math.gcd(*ints)
     return [i // g for i in ints]
 
@@ -186,7 +204,7 @@ def normalize_delays(bench: BenchConfig) -> BenchConfig:
     Length ratios are preserved exactly; the traced-out channel is invariant
     under this rescaling because delay-bin coincidences are.
     """
-    shifts = iter(_integer_lengths(bench.crystal_lengths()))
+    shifts = iter(_shifts(_structure(bench)))
     return BenchConfig(tuple(
         Crystal(next(shifts), el.fast_axis_deg) if isinstance(el, Crystal) else el
         for el in bench.elements
@@ -203,7 +221,7 @@ def delay_bin_bound(bench: BenchConfig) -> int:
 
     ``min(2**n_crystals, 1 + sum of normalized lengths)``.
     """
-    return _bin_bound(_integer_lengths(bench.crystal_lengths()))
+    return _bin_bound(_shifts(_structure(bench)))
 
 
 @dataclass(frozen=True)
@@ -283,20 +301,14 @@ def _projector_pair(angle_deg: float, sign: float) -> np.ndarray:
 
     ``sign`` is the angle's sign bit, so 0.0 and -0.0 keep entries of their own.
     """
-    # pair[k] is the outer product of column k with itself, cast after the
-    # real product: a complex product would flip signed zeros
-    r = rotation2(angle_deg).T
-    pair = (r[:, :, None] * r[:, None, :]).astype(complex)
+    # pair[k] is the outer product of column k, (c, s) or (-s, c), of the rotation
+    # with itself: real products of rotation2's cos and sin, cast to complex
+    # afterwards, since a complex product would flip signed zeros
+    (c, ns), (s, _) = rotation2(angle_deg).tolist()
+    cs, cns = c * s, ns * c
+    pair = np.array([[[c * c, cs], [cs, s * s]], [[ns * ns, cns], [cns, c * c]]], dtype=complex)
     pair.setflags(write=False)
     return pair
-
-
-def _structure(bench: BenchConfig) -> tuple:
-    """What fixes a bench's delay bins, as its gather-plan key: per element, in
-    order, the wave-plate kind or the crystal length as an exact integer pair
-    ``(numerator, denominator)``, so the key hashes without a ``Fraction``."""
-    return tuple(el.kind if isinstance(el, Waveplate) else el.length.as_integer_ratio()
-                 for el in bench.elements)
 
 
 @functools.lru_cache(maxsize=32)
@@ -310,10 +322,11 @@ def _gather_plan(structure: tuple) -> tuple:
     ``slot[index[0, e]] + slot[index[1, e]]``, the fast part of the bin at ``e``
     and the slow part of the bin at ``e - shift``.  A missing part points at
     the ``-0.0`` slot, and ``x + -0.0`` is ``x`` bit for bit, signed zeros
-    included.  Raises before building anything for a bench that may produce
-    more than ``MAX_DELAY_BINS`` bins.
+    included.  Each crystal's step is one merge (:func:`_merge_step`).  Raises
+    before building anything for a bench that may produce more than
+    ``MAX_DELAY_BINS`` bins.
     """
-    shifts = _integer_lengths([Fraction(*kind) for kind in structure if not isinstance(kind, str)])
+    shifts = _shifts(structure)
     if _bin_bound(shifts) > MAX_DELAY_BINS:
         raise ValueError(f"bench may produce more than {MAX_DELAY_BINS} delay bins")
     shifts = iter(shifts)
@@ -322,20 +335,48 @@ def _gather_plan(structure: tuple) -> tuple:
     for kind in structure:
         if isinstance(kind, str):
             steps.append(None)
-            continue
-        shift = next(shifts)
-        n = len(delays)
-        at = {d: i for i, d in enumerate(delays)}
-        delays = sorted(at.keys() | {d + shift for d in delays})
-        first, second = [], []
-        for d in delays:
-            stay, move = at.get(d), at.get(d - shift)
-            first.append(n + move if stay is None else stay)
-            second.append(2 * n if stay is None or move is None else n + move)
-        index = np.array([first, second], dtype=np.intp)
-        index.setflags(write=False)
-        steps.append(index)
+        else:
+            delays, index = _merge_step(delays, next(shifts))
+            steps.append(index)
     return tuple(delays), tuple(steps)
+
+
+def _merge_step(delays: list, shift: int) -> tuple:
+    """One crystal's gather step: the sorted delays after a crystal adding ``shift``
+    meets the bins at the sorted ``delays``, and its read-only ``(2, m)`` index
+    (see :func:`_gather_plan`).
+
+    One pass merges the fast parts, slot i at ``delays[i]``, with the slow parts,
+    slot n + j at ``delays[j] + shift``, emitting each new delay with both its
+    index entries; a fast and a slow part at one delay meet in one bin.
+    """
+    n = len(delays)
+    empty = 2 * n
+    # one past the last slow part's delay closes the fast parts, so the loop needs no bounds test
+    fast = delays + [delays[-1] + shift + 1]
+    merged, first, second = [], [], []
+    emit, put_first, put_second = merged.append, first.append, second.append
+    i, d = 0, fast[0]
+    for j, e in enumerate(delays, n):
+        e += shift
+        while d < e:
+            emit(d)
+            put_first(i)
+            put_second(empty)
+            i += 1
+            d = fast[i]
+        emit(e)
+        if d == e:
+            put_first(i)
+            put_second(j)
+            i += 1
+            d = fast[i]
+        else:
+            put_first(j)
+            put_second(empty)
+    index = np.array([first, second], dtype=np.intp)
+    index.setflags(write=False)
+    return merged, index
 
 
 #: the transfer matrix before the first element, one row of one bin; every

@@ -104,13 +104,21 @@ def radii_closed_form(theta1_deg, theta2_deg):
     call (see _per_angle).  A non-finite angle raises ValueError naming its
     argument.
     """
+    r1, r2 = _radii_pair(theta1_deg, theta2_deg)
+    return r1, r2, r2
+
+
+def _radii_pair(theta1_deg, theta2_deg, out=(None, None)) -> tuple:
+    """The closed form's (R1, R2), as radii_closed_form; for arrays, written into the
+    arrays ``out`` where given, so that a grid holds no temporary of its size."""
     # squares: c4 = cos^2(4 t1), s4 = sin^2(4 t1), c2 = cos^2(2 t2), s2 = sin^2(2 t2)
     c4, s4 = _per_angle(theta1_deg, "theta1_deg", lambda t: (math.cos(4 * t) ** 2, math.sin(4 * t) ** 2))
     c2, s2 = _per_angle(theta2_deg, "theta2_deg", lambda t: (math.cos(2 * t) ** 2, math.sin(2 * t) ** 2))
-    r1, r2 = s2 * c4, 0.5 * s2 * s4
-    if isinstance(r1, np.ndarray):  # in place, so that a grid holds no temporary of its size
-        return np.subtract(c2, r1, out=r1), np.subtract(c2, r2, out=r2), r2
-    return np.float64(c2 - r1), np.float64(c2 - r2), np.float64(c2 - r2)
+    if isinstance(c4, float) and isinstance(c2, float):
+        return np.float64(c2 - s2 * c4), np.float64(c2 - 0.5 * s2 * s4)
+    r1 = np.multiply(s2, c4, out=out[0])
+    r2 = np.multiply(0.5 * s2, s4, out=out[1])
+    return np.subtract(c2, r1, out=r1), np.subtract(c2, r2, out=r2)
 
 
 def dop_isotropic(theta2_deg):
@@ -268,8 +276,11 @@ def reachable_region_scan(grid_n: int = 451) -> np.ndarray:
     """
     _check_region_grid(grid_n)
     angles = np.linspace(0.0, 45.0, grid_n)
-    r1, r2, _ = radii_closed_form(angles[:, None], angles[None, :])
-    return np.column_stack([r1.ravel(), r2.ravel()])
+    points = np.empty((grid_n ** 2, 2))
+    # R1 and R2 go straight into the two columns, viewed as grid_n x grid_n grids
+    grid = points.reshape(grid_n, grid_n, 2)
+    _radii_pair(angles[:, None], angles[None, :], (grid[..., 0], grid[..., 1]))
+    return points
 
 
 def in_reachable_region(r1, r2):

@@ -1,4 +1,5 @@
-"""Print sha256 digests of count tables and their fits, of radii, of spectra, of Kraus operators and of CLI output.
+"""Print sha256 digests of count tables and their fits, of radii, of spectra, of Kraus operators, of CLI
+output and of gather plans.
 
     PYTHONPATH=src python tests/fit_digest.py
 
@@ -21,8 +22,12 @@ its control plate set to sigma_z and to sigma_x, and the delays and ``propagate`
 operators of each of those ``grid_sim`` benches.  The sixth covers
 the CLI: the CSV bytes ``cli.main`` writes for every ``tests/data`` config and for
 the default ``region`` (451 points a side) and ``feasibility`` (r_step 0.01)
-grids.  A change that must leave every count, fit, radius, spectrum, Kraus
-operator and CSV byte as it was prints the same six lines before and after.
+grids.  The seventh covers the delay bookkeeping: the ``bench_sim._gather_plan`` of
+each of those 25 sweep blocks' benches and of each of those ``grid_sim`` benches,
+its delays as decimal text and its index arrays' bytes.  It is integer
+arithmetic only, so unlike the ``kraus`` line it does not depend on the BLAS
+build.  A change that must leave every count, fit, radius, spectrum, Kraus
+operator, CSV byte and plan as it was prints the same seven lines before and after.
 """
 
 from __future__ import annotations
@@ -42,7 +47,14 @@ import inputs  # noqa: E402  (perfbench/inputs.py)
 from regen_goldens import DATA, GOLDEN_CASES  # noqa: E402
 
 from polarchan import cli  # noqa: E402
-from polarchan.bench_sim import _plate_chi, _transfer, affine_map, propagate  # noqa: E402
+from polarchan.bench_sim import (  # noqa: E402
+    _gather_plan,
+    _plate_chi,
+    _structure,
+    _transfer,
+    affine_map,
+    propagate,
+)
 from polarchan.channel_analysis import chi_eigenvalues, chi_from_kraus, polar_decompose  # noqa: E402
 from polarchan.depolarizer import (  # noqa: E402
     REFLECTION_COMPENSATION,
@@ -83,8 +95,14 @@ def _delay_bytes(delays) -> bytes:
     return ",".join(map(str, delays)).encode() + b";"
 
 
+def _plan_bytes(bench) -> bytes:
+    delays, steps = _gather_plan(_structure(bench))
+    # a wave plate's step is None, written as one empty field
+    return _delay_bytes(delays) + b";".join(b"" if step is None else step.tobytes() for step in steps)
+
+
 def _bench_bytes() -> tuple:
-    fields, spectra, kraus_ops = [], [], []
+    fields, spectra, kraus_ops, plans = [], [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the degenerate length ratios warn
         for theta1 in SWEEP_THETA1:
@@ -93,6 +111,7 @@ def _bench_bytes() -> tuple:
                 closed = [radii_closed_form(theta1, t2) for t2 in SWEEP_THETA2]
                 delays, ops = _transfer(bench, _CONTROL_PLATE, PAULI_STACK[1:3])
                 kraus_ops += [_delay_bytes(delays), ops.tobytes()]
+                plans.append(_plan_bytes(bench))
                 chis = _plate_chi(_control_plate_forms(bench), SWEEP_THETA2)
                 fields.append(np.array(closed).tobytes())
                 fields.append(_compensated_radii(chis)[0].tobytes())
@@ -102,12 +121,13 @@ def _bench_bytes() -> tuple:
             bench = build_bench(item.fig1) if item.fig1 is not None else item.bench
             kraus = propagate(bench)
             kraus_ops += [_delay_bytes(kraus.delays), kraus.operators.tobytes()]
+            plans.append(_plan_bytes(bench))
             m = affine_map(kraus).matrix
             report = polar_decompose(REFLECTION_COMPENSATION @ m if item.fig1 is not None else m)
             fields += [np.array(report.radii).tobytes(), report.rotation.tobytes(),
                        np.array([report.det_sign, report.axis_aligned], dtype=float).tobytes()]
             spectra.append(chi_eigenvalues(chi_from_kraus(kraus)).tobytes())
-    return b"".join(fields), b"".join(spectra), b"".join(kraus_ops)
+    return b"".join(fields), b"".join(spectra), b"".join(kraus_ops), b"".join(plans)
 
 
 def _csv_digest() -> str:
@@ -146,11 +166,12 @@ def main() -> int:
         fits.update(_fit_bytes(qst_mle(record)))
     print(f"counts {counts.hexdigest()}")
     print(f"fits   {fits.hexdigest()}")
-    radii, spectra, kraus_ops = _bench_bytes()
+    radii, spectra, kraus_ops, plans = _bench_bytes()
     print(f"radii  {hashlib.sha256(radii).hexdigest()}")
     print(f"spectra {hashlib.sha256(spectra).hexdigest()}")
     print(f"kraus  {hashlib.sha256(kraus_ops).hexdigest()}")
     print(f"csv    {_csv_digest()}")
+    print(f"plans  {hashlib.sha256(plans).hexdigest()}")
     return 0
 
 

@@ -1,4 +1,5 @@
 import functools
+import math
 import time
 import tracemalloc
 import warnings
@@ -673,8 +674,8 @@ def test_identity_constant_is_read_only_and_never_returned(benches):
 
 
 def test_projector_pair_matches_stacked_outer_products():
-    angles = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 1e-300, -1e-300]
-    angles += np.random.default_rng(5).uniform(-360.0, 360.0, 5000).tolist()
+    angles = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0, 270.0, 1e-300, -1e-300]
+    angles += np.random.default_rng(5).uniform(-360.0, 360.0, 20_000).tolist()
     for angle in angles:
         r = rotation2(angle)
         expected = np.stack([np.outer(r[:, 0], r[:, 0]), np.outer(r[:, 1], r[:, 1])]).astype(complex)
@@ -704,3 +705,98 @@ def test_bin_cap_raises_before_caching_or_allocating():
     assert peak < 64 * 1024
     assert _gather_plan.cache_info().currsize == 0
     assert _projector_pair.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the gather plan's merge, against the dict/set/sorted build it replaced
+# ---------------------------------------------------------------------------
+
+def reference_gather_plan(structure):
+    """Per crystal, a dict from each delay to its bin, the set union of the
+    delays and the delays plus the shift, ``sorted``, and one lookup of both
+    parts per new delay; the lengths rescaled with ``Fraction`` arithmetic."""
+    lengths = [Fraction(*kind) for kind in structure if not isinstance(kind, str)]
+    if lengths:
+        common_den = math.lcm(*(ln.denominator for ln in lengths))
+        ints = [int(ln * common_den) for ln in lengths]
+        shifts = iter([i // math.gcd(*ints) for i in ints])
+    delays = [0]
+    steps = []
+    for kind in structure:
+        if isinstance(kind, str):
+            steps.append(None)
+            continue
+        shift = next(shifts)
+        n = len(delays)
+        at = {d: i for i, d in enumerate(delays)}
+        delays = sorted(at.keys() | {d + shift for d in delays})
+        first, second = [], []
+        for d in delays:
+            stay, move = at.get(d), at.get(d - shift)
+            first.append(n + move if stay is None else stay)
+            second.append(2 * n if stay is None or move is None else n + move)
+        steps.append(np.array([first, second], dtype=np.intp))
+    return tuple(delays), tuple(steps)
+
+
+#: primes near 1000: over 8 distinct ones and numerators below them, every
+#: crystal's delay passes the product of 7 of them, 853**7 > 2**63
+_DENOMINATOR_PRIMES = (853, 857, 859, 863, 877, 881, 883, 887, 907, 911, 919, 929, 937, 941, 947, 953, 967,
+                       971, 977, 983, 991, 997)
+
+
+@st.composite
+def plan_structures(draw):
+    """``(style, structure)``: "mixed", 1-10 crystals of integer or p/q lengths
+    with 0-2 plates before, between and after them; "dense", 4-10 crystals of
+    lengths 1-3, whose delays coincide; "sparse", 8-10 crystals of lengths p/q
+    over distinct primes q > p, whose delays pass 2**63."""
+    style = draw(st.sampled_from(["mixed", "dense", "sparse"]))
+    n = draw(st.integers(*{"mixed": (1, 10), "dense": (4, 10), "sparse": (8, 10)}[style]))
+    primes = draw(st.lists(st.sampled_from(_DENOMINATOR_PRIMES), min_size=n, max_size=n, unique=True))
+    plates = st.lists(st.sampled_from(["half", "quarter"]), max_size=2)
+    structure = draw(plates)
+    for q in primes:
+        if style == "dense":
+            length = Fraction(draw(st.integers(1, 3)))
+        elif style == "sparse":
+            length = Fraction(draw(st.integers(1, _DENOMINATOR_PRIMES[0] - 1)), q)
+        else:
+            length = Fraction(draw(st.integers(1, 1000)), draw(st.integers(1, 1000)))
+        structure += [length.as_integer_ratio(), *draw(plates)]
+    return style, tuple(structure)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan_structures())
+def test_gather_plan_merge_matches_dict_build(case):
+    style, structure = case
+    delays, steps = _gather_plan.__wrapped__(structure)
+    ref_delays, ref_steps = reference_gather_plan(structure)
+    assert type(delays) is tuple and delays == ref_delays
+    assert all(type(d) is int for d in delays)
+    assert len(steps) == len(ref_steps) == len(structure)
+    for index, ref in zip(steps, ref_steps):
+        if ref is None:
+            assert index is None
+            continue
+        assert index.dtype == ref.dtype and index.shape == ref.shape
+        assert index.tobytes() == ref.tobytes() and not index.flags.writeable
+    n_crystals = sum(not isinstance(kind, str) for kind in structure)
+    if style == "dense":
+        assert len(delays) < 2 ** n_crystals
+    elif style == "sparse":
+        assert len(delays) == 2 ** n_crystals and delays[-1] > 2 ** 63
+
+
+def test_gather_plan_past_bin_cap_raises_before_any_step(monkeypatch):
+    # 1, 2, 4, ..., 2**15 reach exactly MAX_DELAY_BINS; one more unit crystal bounds 65,537
+    at_cap = tuple((2 ** i, 1) for i in range(16))
+    assert bench_sim._bin_bound(bench_sim._shifts(at_cap)) == MAX_DELAY_BINS
+    past = (*at_cap, "half", (1, 1))
+    assert bench_sim._bin_bound(bench_sim._shifts(past)) == MAX_DELAY_BINS + 1
+    steps = []
+    monkeypatch.setattr(bench_sim, "_merge_step", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match=f"more than {MAX_DELAY_BINS} delay bins"):
+        _gather_plan.__wrapped__(past)
+    assert steps == []

@@ -822,9 +822,21 @@ _BLOCK_BYTES = 3 * 2 ** 20
 
 
 def test_region_peak_memory_bounded_by_output(tmp_path):
+    # the scan writes R1 and R2 straight into the two columns of its result
+    # (451**2 points, two float64 each, 3.1 MiB): measured 3.25 MiB in all, where
+    # a scan that stacked two finished grids into the result peaked at 6.2 MiB
+    reachable_region_scan(451)
+    tracemalloc.start()
+    try:
+        points = reachable_region_scan(451)
+        _, scan_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scan_peak <= points.nbytes + 256 * 1024
+    del points
     # rows are formatted and written one block at a time: the run holds the scan
-    # (451**2 points, two float64 each) and a block, never the whole 9.7 MiB CSV;
-    # measured 6.2 MiB in all, where a run that held every chunk peaked at 14.6 MiB
+    # and a block, never the whole 9.7 MiB CSV; measured 5.8 MiB in all, where a
+    # run that held every chunk peaked at 14.6 MiB
     cfg = tmp_path / "region.cfg"
     cfg.write_text("mode = region\n")
     out = tmp_path / "region.csv"
@@ -835,7 +847,7 @@ def test_region_peak_memory_bounded_by_output(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * out.stat().st_size
-    assert peak <= 451 ** 2 * 2 * 8 + 2 * _BLOCK_BYTES
+    assert peak <= 451 ** 2 * 2 * 8 + _BLOCK_BYTES
 
 
 def test_feasibility_peak_memory_bounded_by_grid(tmp_path):

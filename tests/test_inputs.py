@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polarchan.bench_sim import Crystal
+from polarchan.bench_sim import MAX_DELAY_BINS, BenchConfig, Crystal, Waveplate, delay_bin_bound, normalize_delays
 from polarchan.channel_analysis import chi_eigenvalues
 from polarchan.depolarizer import DepolarizerSettings, dop_isotropic, radii_closed_form
 from polarchan.tomography import CountRecord
@@ -40,10 +40,36 @@ CASES = {
 }
 
 
+def _crystals(*lengths):
+    return BenchConfig(tuple(Crystal(length, 0.0) for length in lengths))
+
+
+def _lengths(bench):
+    return [el.length for el in bench.elements if isinstance(el, Crystal)]
+
+
+PLATE_ONLY = BenchConfig((Waveplate("half", 10.0), Waveplate("quarter", 20.0)))
+
+#: normalize_delays and delay_bin_bound read one integer rescaling of the lengths
+CASES.update({
+    "bin_bound_no_crystal": (lambda: delay_bin_bound(PLATE_ONLY), 1),
+    "normalize_no_crystal": (lambda: normalize_delays(PLATE_ONLY), PLATE_ONLY),
+    "normalize_fraction_texts": (lambda: _lengths(normalize_delays(_crystals("2/3", "1/6", 1))), [4, 1, 6]),
+    "bin_bound_fraction_texts": (lambda: delay_bin_bound(_crystals("2/3", "1/6", 1)), 8),
+    "normalize_numpy_int_lengths": (lambda: _lengths(normalize_delays(_crystals(np.int64(4), np.int32(6)))),
+                                    [2, 3]),
+    "bin_bound_numpy_int_lengths": (lambda: delay_bin_bound(_crystals(np.uint8(4), np.int64(6))), 4),
+    "bin_bound_coprime_at_cap": (lambda: delay_bin_bound(_crystals(*(2 ** i for i in range(16)))),
+                                 MAX_DELAY_BINS),
+    "bin_bound_coprime_past_cap": (lambda: delay_bin_bound(_crystals(*(2 ** i for i in range(16)), 1)),
+                                   MAX_DELAY_BINS + 1),
+})
+
+
 @pytest.mark.parametrize("call, expected", CASES.values(), ids=CASES.keys())
 def test_edge_inputs_get_documented_results(call, expected):
-    # each of these raised a numpy internal error, a TypeError on a numpy scalar,
-    # an error that named no argument, or nothing at all
+    # each of the first rows raised a numpy internal error, a TypeError on a numpy
+    # scalar, an error that named no argument, or nothing at all
     if isinstance(expected, Exception):
         with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
             call()
