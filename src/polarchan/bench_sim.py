@@ -16,10 +16,13 @@ projectors and one gathered sum.  A crystal's step in the plan is one merge
 of the sorted delays with the same delays plus its shift, the integer its
 length rescales to; one integer rule on the lengths' (numerator, denominator)
 pairs gives the shifts to the plan, to ``normalize_delays`` and to
-``delay_bin_bound``.  The projectors are real products of the crystal
-rotation's cos and sin, cast to complex.  Tracing
-out the (unresolved) arrival time turns the surviving transfer matrices
-into the Kraus operators of the polarization channel.
+``delay_bin_bound``.  Every product runs in the dtype of its data: the
+identity, the crystal projectors and the half-wave plates are real, so a
+bench stays in real arithmetic up to its first quarter-wave plate, where
+numpy's type promotion takes it to complex, and its transfer matrices are cast
+to complex once, at the end.  Tracing out the (unresolved) arrival time turns
+the surviving transfer matrices into the Kraus operators of the polarization
+channel.
 
 Channels are analysed through one representation, the process matrix chi,
 a fixed linear image of the Kraus operators; the Pauli transfer matrix
@@ -236,11 +239,21 @@ class KrausSet:
     ``chi_from_kraus``, ``probability_table``, ``apply_channel``) reads them.
 
     The delays are strictly increasing integers, read with ``operator.index``:
-    a float or a bool raises TypeError.
+    a float or a bool raises TypeError.  The sets that :func:`propagate` builds
+    skip these checks (:meth:`_built`).
     """
 
     delays: tuple
     operators: np.ndarray
+
+    @classmethod
+    def _built(cls, delays: tuple, stack: np.ndarray) -> "KrausSet":
+        """The set of ``delays``, strictly increasing Python ints, and a fresh, finite
+        complex ``(1, n, 2, 2)`` stack, which it freezes: the library's own sets,
+        without the checks of the public constructor."""
+        kraus = object.__new__(cls)
+        kraus._freeze(delays, stack)
+        return kraus
 
     def __post_init__(self):
         delays = tuple(self.delays)
@@ -260,9 +273,11 @@ class KrausSet:
             raise ValueError("delays and operators must have equal length")
         if not np.isfinite(stack).all():
             raise ValueError("Kraus operators must be finite")
-        stack = stack[None]
         if not all(map(operator.lt, delays, delays[1:])):
             raise ValueError("delays must be strictly increasing")
+        self._freeze(delays, stack[None])
+
+    def _freeze(self, delays: tuple, stack: np.ndarray) -> None:
         stack.setflags(write=False)
         object.__setattr__(self, "delays", delays)
         object.__setattr__(self, "operators", stack[0])
@@ -302,11 +317,11 @@ def _projector_pair(angle_deg: float, sign: float) -> np.ndarray:
     ``sign`` is the angle's sign bit, so 0.0 and -0.0 keep entries of their own.
     """
     # pair[k] is the outer product of column k, (c, s) or (-s, c), of the rotation
-    # with itself: real products of rotation2's cos and sin, cast to complex
-    # afterwards, since a complex product would flip signed zeros
+    # with itself: real products of rotation2's cos and sin, kept real, so that a
+    # bench's products stay real up to its first complex Jones matrix
     (c, ns), (s, _) = rotation2(angle_deg).tolist()
     cs, cns = c * s, ns * c
-    pair = np.array([[[c * c, cs], [cs, s * s]], [[ns * ns, cns], [cns, c * c]]], dtype=complex)
+    pair = np.array([[[c * c, cs], [cs, s * s]], [[ns * ns, cns], [cns, c * c]]])
     pair.setflags(write=False)
     return pair
 
@@ -379,14 +394,10 @@ def _merge_step(delays: list, shift: int) -> tuple:
     return merged, index
 
 
-#: the transfer matrix before the first element, one row of one bin; every
+#: the transfer matrix before the first element, real, one row of one bin; every
 #: product with it broadcasts to the result's size
-_IDENTITY = np.eye(2, dtype=complex).reshape(1, 1, 2, 2)
+_IDENTITY = np.eye(2).reshape(1, 1, 2, 2)
 _IDENTITY.setflags(write=False)
-
-#: the gather's empty part, every entry -0.0 - 0.0j
-_NEGATIVE_ZERO = np.full((2, 2), complex(-0.0, -0.0))
-_NEGATIVE_ZERO.setflags(write=False)
 
 
 def _transfer(bench: BenchConfig, plate: Optional[int] = None, jones: Optional[np.ndarray] = None) -> tuple:
@@ -402,8 +413,16 @@ def _transfer(bench: BenchConfig, plate: Optional[int] = None, jones: Optional[n
     sum, through the structure's cached :func:`_gather_plan`.  Each matrix is
     built by the scalar constructors, so every row gets the bits a one-bench
     call gives it.
+
+    Each product runs in the dtype of its data.  The identity, the projectors and
+    the half-wave plates are real, as is a ``jones`` stack whose imaginary part is
+    all zero, so the products stay real until the first complex Jones matrix, where
+    numpy's type promotion takes them to complex.  The result is cast to complex
+    once, at the end.
     """
     delays, steps = _gather_plan(_structure(bench))
+    if jones is not None and not jones.imag.any():
+        jones = jones.real
     t = _IDENTITY
     for k, (el, step) in enumerate(zip(bench.elements, steps)):
         if step is None:
@@ -413,12 +432,12 @@ def _transfer(bench: BenchConfig, plate: Optional[int] = None, jones: Optional[n
         # keyed with the angle's sign bit, so 0.0 and -0.0 keep their own signed zeros
         pair = _projector_pair(el.fast_axis_deg, math.copysign(1.0, el.fast_axis_deg))
         count, n = t.shape[:2]
-        slots = np.empty((count, 2 * n + 1, 2, 2), dtype=complex)
-        slots[:, -1] = _NEGATIVE_ZERO
+        slots = np.empty((count, 2 * n + 1, 2, 2), dtype=t.dtype)
+        slots[:, -1].view(float).fill(-0.0)  # every real and imaginary part
         np.matmul(pair[None, :, None], t[:, None], out=slots[:, :-1].reshape(count, 2, n, 2, 2))
         parts = slots.take(step, axis=1)
         t = parts[:, 0] + parts[:, 1]
-    return delays, t
+    return delays, t.astype(complex, copy=False)
 
 
 def _nonzero_bins(ops: np.ndarray) -> np.ndarray:
@@ -438,7 +457,7 @@ def propagate(bench: BenchConfig) -> KrausSet:
     """
     delays, ops = _transfer(bench)
     keep = _nonzero_bins(ops[0])
-    return KrausSet(tuple(itertools.compress(delays, keep.tolist())), ops[0, keep])
+    return KrausSet._built(tuple(itertools.compress(delays, keep.tolist())), ops[0, keep][None])
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:

@@ -101,10 +101,14 @@ def radii_closed_form(theta1_deg, theta2_deg):
     """Signed ellipsoid radii (R1, R2, R3) of the compensated bench map.
 
     Scalars or arrays, broadcast together, every point bit-identical to a scalar
-    call (see _per_angle).  A non-finite angle raises ValueError naming its
-    argument.
+    call (see _per_angle).  R2 and R3 are the same object; arrays are returned
+    read-only, so that a write into one cannot move the other.  A non-finite
+    angle raises ValueError naming its argument.
     """
     r1, r2 = _radii_pair(theta1_deg, theta2_deg)
+    if isinstance(r1, np.ndarray):
+        r1.setflags(write=False)
+        r2.setflags(write=False)
     return r1, r2, r2
 
 

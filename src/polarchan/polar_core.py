@@ -221,8 +221,8 @@ def waveplate_jones(kind: str, angle_deg: float) -> np.ndarray:
 
     ``angle_deg`` is the fast-axis orientation from horizontal, and must be
     finite.  The half-wave plate is R(t) diag(1, -1) R(-t) = [[cos2t, sin2t],
-    [sin2t, -cos2t]]; the quarter-wave plate is R(t) diag(1, i) R(-t).
-    Global phase is not normalized.
+    [sin2t, -cos2t]], real and returned as float64; the quarter-wave plate is
+    R(t) diag(1, i) R(-t), complex.  Global phase is not normalized.
     """
     if kind not in ("half", "quarter"):
         raise ValueError(f"unknown wave-plate kind {kind!r} (expected 'half' or 'quarter')")
@@ -230,7 +230,7 @@ def waveplate_jones(kind: str, angle_deg: float) -> np.ndarray:
     if kind == "half":
         a = np.deg2rad(angle_deg)
         c2, s2 = np.cos(2 * a), np.sin(2 * a)
-        return np.array([[c2, s2], [s2, -c2]], dtype=complex)
+        return np.array([[c2, s2], [s2, -c2]])
     r = rotation2(angle_deg).astype(complex)
     return r @ np.diag([1.0, 1.0j]) @ r.T
 

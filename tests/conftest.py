@@ -54,27 +54,40 @@ def reference_channel(operators, rho) -> np.ndarray:
     return out
 
 
-def reference_transfer(bench):
+def reference_transfer(bench, jones_at=None, dtype=float):
     """The delay-dictionary loop of propagation, one bench at a time: every
-    bin, numerically zero or not, as sorted ``(delays, transfer matrices)``."""
+    bin, numerically zero or not, as sorted ``(delays, transfer matrices)``.
+
+    Typed as the kernel is: the identity, the crystal projectors and every Jones
+    matrix whose imaginary part is all zero are real, and each product takes the
+    dtype numpy's promotion gives it, so a bench stays real until its first
+    complex Jones matrix; every matrix is cast to complex at the end.  With
+    ``dtype=complex`` it is the loop as first written, every matrix complex from
+    the start.  ``jones_at`` maps element indices to Jones matrices that stand in
+    for those wave plates'."""
+    def typed(m):
+        m = np.asarray(m)
+        return m.real if dtype is float and not m.imag.any() else m.astype(complex)
+
     bench = normalize_delays(bench)
-    transfer = {0: np.eye(2, dtype=complex)}
-    for el in bench.elements:
+    jones_at = jones_at or {}
+    transfer = {0: typed(np.eye(2))}
+    for k, el in enumerate(bench.elements):
         if isinstance(el, Waveplate):
-            u = el.jones()
+            u = typed(jones_at[k] if k in jones_at else el.jones())
             transfer = {d: u @ t for d, t in transfer.items()}
             continue
         shift = int(el.length)
         r = rotation2(el.fast_axis_deg)
-        fast = np.outer(r[:, 0], r[:, 0]).astype(complex)
-        slow = np.outer(r[:, 1], r[:, 1]).astype(complex)
+        fast = typed(np.outer(r[:, 0], r[:, 0]))
+        slow = typed(np.outer(r[:, 1], r[:, 1]))
         merged = {}
         for d, t in transfer.items():
             merged[d] = merged[d] + fast @ t if d in merged else fast @ t
             merged[d + shift] = merged[d + shift] + slow @ t if d + shift in merged else slow @ t
         transfer = merged
     delays = sorted(transfer)
-    return delays, [transfer[d] for d in delays]
+    return delays, [transfer[d].astype(complex) for d in delays]
 
 
 def reference_propagate(bench):

@@ -1,5 +1,5 @@
 """Print sha256 digests of count tables and their fits, of radii, of spectra, of Kraus operators, of CLI
-output and of gather plans.
+output, of gather plans and of process matrices.
 
     PYTHONPATH=src python tests/fit_digest.py
 
@@ -26,8 +26,12 @@ grids.  The seventh covers the delay bookkeeping: the ``bench_sim._gather_plan``
 each of those 25 sweep blocks' benches and of each of those ``grid_sim`` benches,
 its delays as decimal text and its index arrays' bytes.  It is integer
 arithmetic only, so unlike the ``kraus`` line it does not depend on the BLAS
-build.  A change that must leave every count, fit, radius, spectrum, Kraus
-operator, CSV byte and plan as it was prints the same seven lines before and after.
+build.  The eighth covers the channels of the fifth: the chi bytes of each
+operator set the ``kraus`` line hashes (two per sweep block, one per ``grid_sim``
+bench), so a change that moves only the signs of exactly-zero operator entries
+shows the channel itself unmoved.  A change that must leave every count, fit,
+radius, spectrum, Kraus operator, CSV byte, plan and chi as it was prints the same
+eight lines before and after.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from regen_goldens import DATA, GOLDEN_CASES  # noqa: E402
 
 from polarchan import cli  # noqa: E402
 from polarchan.bench_sim import (  # noqa: E402
+    _chi_stack,
     _gather_plan,
     _plate_chi,
     _structure,
@@ -102,7 +107,7 @@ def _plan_bytes(bench) -> bytes:
 
 
 def _bench_bytes() -> tuple:
-    fields, spectra, kraus_ops, plans = [], [], [], []
+    fields, spectra, kraus_ops, plans, chis = [], [], [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the degenerate length ratios warn
         for theta1 in SWEEP_THETA1:
@@ -111,23 +116,25 @@ def _bench_bytes() -> tuple:
                 closed = [radii_closed_form(theta1, t2) for t2 in SWEEP_THETA2]
                 delays, ops = _transfer(bench, _CONTROL_PLATE, PAULI_STACK[1:3])
                 kraus_ops += [_delay_bytes(delays), ops.tobytes()]
+                chis.append(_chi_stack(ops).tobytes())
                 plans.append(_plan_bytes(bench))
-                chis = _plate_chi(_control_plate_forms(bench), SWEEP_THETA2)
+                block = _plate_chi(_control_plate_forms(bench), SWEEP_THETA2)
                 fields.append(np.array(closed).tobytes())
-                fields.append(_compensated_radii(chis)[0].tobytes())
-                spectra.append(chi_eigenvalues(chis).tobytes())
+                fields.append(_compensated_radii(block)[0].tobytes())
+                spectra.append(chi_eigenvalues(block).tobytes())
     for seed in SEEDS:
         for item in inputs.grid_items(seed):
             bench = build_bench(item.fig1) if item.fig1 is not None else item.bench
             kraus = propagate(bench)
             kraus_ops += [_delay_bytes(kraus.delays), kraus.operators.tobytes()]
+            chis.append(chi_from_kraus(kraus).tobytes())
             plans.append(_plan_bytes(bench))
             m = affine_map(kraus).matrix
             report = polar_decompose(REFLECTION_COMPENSATION @ m if item.fig1 is not None else m)
             fields += [np.array(report.radii).tobytes(), report.rotation.tobytes(),
                        np.array([report.det_sign, report.axis_aligned], dtype=float).tobytes()]
             spectra.append(chi_eigenvalues(chi_from_kraus(kraus)).tobytes())
-    return b"".join(fields), b"".join(spectra), b"".join(kraus_ops), b"".join(plans)
+    return b"".join(fields), b"".join(spectra), b"".join(kraus_ops), b"".join(plans), b"".join(chis)
 
 
 def _csv_digest() -> str:
@@ -166,12 +173,13 @@ def main() -> int:
         fits.update(_fit_bytes(qst_mle(record)))
     print(f"counts {counts.hexdigest()}")
     print(f"fits   {fits.hexdigest()}")
-    radii, spectra, kraus_ops, plans = _bench_bytes()
+    radii, spectra, kraus_ops, plans, chis = _bench_bytes()
     print(f"radii  {hashlib.sha256(radii).hexdigest()}")
     print(f"spectra {hashlib.sha256(spectra).hexdigest()}")
     print(f"kraus  {hashlib.sha256(kraus_ops).hexdigest()}")
     print(f"csv    {_csv_digest()}")
     print(f"plans  {hashlib.sha256(plans).hexdigest()}")
+    print(f"chi    {hashlib.sha256(chis).hexdigest()}")
     return 0
 
 

@@ -45,8 +45,8 @@ from polarchan.depolarizer import (
     build_lyot,
     isotropic_theta1_angles,
 )
-from polarchan.polar_core import (PAULI_BASIS, KET_H, density_from_stokes, ket_projector, rotation2,
-                                  waveplate_jones)
+from polarchan.polar_core import (PAULI_BASIS, PAULI_STACK, KET_H, density_from_stokes, ket_projector,
+                                  rotation2, waveplate_jones)
 from polarchan.tomography import (
     TomoSettings,
     analysis_projectors,
@@ -330,10 +330,55 @@ def test_equal_lengths_share_one_plan_and_stack():
 
 
 def test_stack_keeps_signed_zero_angles_apart():
-    plus, minus = (BenchConfig((Crystal(1, 0.0), Waveplate("half", a))) for a in (0.0, -0.0))
-    _, ops = _transfer(plus, 1, np.array([plus.elements[1].jones(), minus.elements[1].jones()]))
-    assert same_bits(ops[1], _transfer(minus)[1][0])
-    assert not same_bits(ops[0], ops[1])
+    for kind in ("half", "quarter"):
+        plus, minus = (BenchConfig((Crystal(1, 0.0), Waveplate(kind, a))) for a in (0.0, -0.0))
+        _, ops = _transfer(plus, 1, np.array([plus.elements[1].jones(), minus.elements[1].jones()]))
+        assert same_bits(ops[1], _transfer(minus)[1][0])
+        # a half-wave plate's real products merge the signed zeros of 0.0 and -0.0;
+        # a quarter-wave plate's complex products keep them apart
+        assert same_bits(ops[0], ops[1]) == (kind == "half")
+
+
+_SIGNED_AXES = st.sampled_from([0.0, -0.0, 90.0, -90.0])
+
+
+@st.composite
+def fig1_benches(draw):
+    """A fig1 bench at L2/L1 = 2, or at the degenerate ratios 1 and 1/2, with ±0.0 among its angles."""
+    t1, t2 = draw(st.lists(st.one_of(_SIGNED_AXES, _ANGLES), min_size=2, max_size=2))
+    lengths = draw(st.sampled_from([(1, 2), (1, 1), (2, 1)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLengthRatioWarning)
+        return [build_bench(DepolarizerSettings(t1, t2, *lengths))]
+
+
+@st.composite
+def signed_zero_benches(draw):
+    """A bench of any structure whose every crystal and plate sits at ±0.0 or ±90.0 degrees."""
+    structure = draw(_STRUCTURES)
+    return [bench_from(structure, draw(st.lists(_SIGNED_AXES, min_size=len(structure),
+                                                max_size=len(structure))))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bench_stacks(), fig1_benches(), signed_zero_benches()))
+def test_real_products_match_the_complex_loop(benches):
+    # the loop as first written, every matrix complex: real products move only the
+    # signs of exactly-zero operator entries, and no bit of chi or of a plate's forms
+    for bench in benches:
+        delays, ops = _transfer(bench)
+        ref_delays, ref_ops = reference_transfer(bench, dtype=complex)
+        ref_ops = np.array(ref_ops)[None]
+        assert list(delays) == ref_delays
+        assert np.array_equal(ops, ref_ops)
+        assert same_bits(_chi_stack(ops), _chi_stack(ref_ops))
+        assert same_bits(propagate(bench).as_stack()[0], np.array(reference_propagate(bench)[1]))
+        # each plate set to E1 and to E2, as _control_plate_forms sets the fig1 bench's control plate
+        for k, el in enumerate(bench.elements):
+            if isinstance(el, Waveplate):
+                forms = _plate_forms(_transfer(bench, k, PAULI_STACK[1:3])[1])
+                ref_pair = np.array([reference_transfer(bench, {k: e}, complex)[1] for e in PAULI_STACK[1:3]])
+                assert same_bits(forms, _plate_forms(ref_pair))
 
 
 def test_delay_bins_capped_before_propagation():
@@ -415,10 +460,37 @@ def test_kraus_stack_built_once_and_read_only():
     for operators in ((np.ones(4),), (np.stack([I2, I2]),), (I2, np.eye(3))):
         with pytest.raises(ValueError, match="2x2 matrices|inhomogeneous"):
             KrausSet((0,) if len(operators) == 1 else (0, 1), operators)
-    # delays are integers: int() read 0.5 as delay 0 and True as delay 1
-    for delays in ((0.5,), (True,), (np.True_,), (np.float64(1.0),)):
-        with pytest.raises(TypeError, match="^delays must be integers"):
-            KrausSet(delays, (I2,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(bench_stacks(), fig1_benches()))
+def test_propagated_set_equals_the_public_constructors(benches):
+    # propagate skips the public constructor's checks of delays it built itself
+    for bench in benches:
+        kraus = propagate(bench)
+        public = KrausSet(kraus.delays, kraus.operators)
+        assert type(kraus.delays) is tuple and kraus.delays == public.delays
+        assert all(type(d) is int for d in kraus.delays) and len(kraus) == len(public)
+        assert same_bits(kraus.as_stack(), public.as_stack())
+        assert same_bits(kraus.operators, public.operators)
+        assert same_bits(kraus._chi, public._chi)
+        assert same_bits(kraus.completeness_defect(), public.completeness_defect())
+        assert not (kraus.operators.flags.writeable or kraus.as_stack().flags.writeable
+                    or kraus._chi.flags.writeable)
+
+
+@pytest.mark.parametrize("delays, error, message", [
+    # int() read 0.5 as delay 0 and True as delay 1
+    ((0.5,), TypeError, "^delays must be integers"),
+    ((True,), TypeError, "^delays must be integers, got a bool$"),
+    ((np.True_,), TypeError, "^delays must be integers"),
+    ((np.float64(1.0),), TypeError, "^delays must be integers"),
+    ((0, np.float64(1.0)), TypeError, "^delays must be integers"),
+    ((1, 0), ValueError, "^delays must be strictly increasing$"),
+])
+def test_public_constructor_still_checks_delays(delays, error, message):
+    with pytest.raises(error, match=message):
+        KrausSet(delays, (I2 / np.sqrt(2),) * len(delays))
     assert KrausSet((np.int64(3),), (I2,)).delays == (3,)
 
 
@@ -670,7 +742,7 @@ def test_identity_constant_is_read_only_and_never_returned(benches):
         assert not np.shares_memory(propagate(bench).operators, _IDENTITY)
     plates = np.array([waveplate_jones("half", a) for a in (0.0, 30.0)])
     assert not np.shares_memory(_transfer(BenchConfig((Waveplate("half", 0.0),)), 0, plates)[1], _IDENTITY)
-    assert same_bits(_IDENTITY, np.eye(2, dtype=complex).reshape(1, 1, 2, 2))
+    assert same_bits(_IDENTITY, np.eye(2).reshape(1, 1, 2, 2))
 
 
 def test_projector_pair_matches_stacked_outer_products():
@@ -678,7 +750,7 @@ def test_projector_pair_matches_stacked_outer_products():
     angles += np.random.default_rng(5).uniform(-360.0, 360.0, 20_000).tolist()
     for angle in angles:
         r = rotation2(angle)
-        expected = np.stack([np.outer(r[:, 0], r[:, 0]), np.outer(r[:, 1], r[:, 1])]).astype(complex)
+        expected = np.stack([np.outer(r[:, 0], r[:, 0]), np.outer(r[:, 1], r[:, 1])])
         assert same_bits(_projector_pair.__wrapped__(angle, np.copysign(1.0, angle)), expected)
 
 
@@ -800,3 +872,41 @@ def test_gather_plan_past_bin_cap_raises_before_any_step(monkeypatch):
     with pytest.raises(ValueError, match=f"more than {MAX_DELAY_BINS} delay bins"):
         _gather_plan.__wrapped__(past)
     assert steps == []
+
+
+# ---------------------------------------------------------------------------
+# benches whose paths have distinct delays: the product of per-element channels
+# ---------------------------------------------------------------------------
+
+def element_ptm(el):
+    """The Pauli transfer matrix R_ij = sum_K Tr(E_i K E_j K^dag) / 2 of one element
+    alone, by traces: Kraus set {U} for a wave plate, a crystal's fast- and slow-axis
+    projectors for a crystal, which fully dephases along its axis."""
+    if isinstance(el, Waveplate):
+        ops = [el.jones()]
+    else:
+        r = rotation2(el.fast_axis_deg)
+        ops = [np.outer(r[:, 0], r[:, 0]), np.outer(r[:, 1], r[:, 1])]
+    return np.array([[sum(np.trace(e_i @ k @ e_j @ k.conj().T) for k in ops).real / 2
+                      for e_j in PAULI_BASIS] for e_i in PAULI_BASIS])
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan_structures(), st.data())
+def test_distinct_delay_benches_compose_their_elements(case, data):
+    # when no two paths share a delay (2**k bins for k crystals), the time mode records
+    # each crystal's path apart, so the channel is the composition of its elements'
+    _, structure = case
+    n_crystals = sum(not isinstance(kind, str) for kind in structure)
+    if len(_gather_plan(structure)[0]) < 2 ** n_crystals:
+        return
+    angles = data.draw(st.lists(_ANGLES, min_size=len(structure), max_size=len(structure)))
+    bench = BenchConfig(tuple(Waveplate(kind, a) if isinstance(kind, str) else Crystal(Fraction(*kind), a)
+                              for kind, a in zip(structure, angles)))
+    product = np.eye(4)
+    for el in bench.elements:
+        product = element_ptm(el) @ product
+    r = _ptm_stack(propagate(bench)._complete_chi())[0]
+    assert np.abs(r - product).max() <= 2e-15
+    # each crystal projects the Stokes vector onto its axis: rank 1 at most
+    assert np.linalg.svd(r[1:, 1:], compute_uv=False)[1] <= 2e-15

@@ -20,6 +20,9 @@ CASES = {
     "settings_numpy_int_length": (lambda: DepolarizerSettings(0, 0, np.int64(1)).length1, Fraction(1)),
     "chi_eigenvalues_empty_stack": (lambda: chi_eigenvalues(np.zeros((0, 4, 4))).shape, (0, 4)),
     "radii_closed_form_empty": (lambda: tuple(r.shape for r in radii_closed_form([], [])), ((0,),) * 3),
+    # R2 and R3 are one object, so the arrays are read-only: a write into R2 would move R3
+    "radii_closed_form_in_place_write": (lambda: radii_closed_form([10.0, 20.0], [5.0, 7.0])[1].__iadd__(1.0),
+                                         ValueError("output array is read-only")),
     "dop_isotropic_empty": (lambda: dop_isotropic([]).shape, (0,)),
     "count_record_no_rows": (lambda: CountRecord(np.zeros((0, 6)), (), 1, 0),
                              ValueError("count table has no rows")),
