@@ -16,13 +16,15 @@ projectors and one gathered sum.  A crystal's step in the plan is one merge
 of the sorted delays with the same delays plus its shift, the integer its
 length rescales to; one integer rule on the lengths' (numerator, denominator)
 pairs gives the shifts to the plan, to ``normalize_delays`` and to
-``delay_bin_bound``.  Every product runs in the dtype of its data: the
-identity, the crystal projectors and the half-wave plates are real, so a
-bench stays in real arithmetic up to its first quarter-wave plate, where
-numpy's type promotion takes it to complex, and its transfer matrices are cast
-to complex once, at the end.  Tracing out the (unresolved) arrival time turns
-the surviving transfer matrices into the Kraus operators of the polarization
-channel.
+``delay_bin_bound``.  A product is real unless one of its factors is complex:
+the identity, the crystal projectors and the half-wave plates are real, so a
+bench's transfer matrices stay real up to its first quarter-wave plate, where
+numpy's type promotion takes them to complex.  From there a real factor still
+multiplies them as one real product on their float64 view, real and imaginary
+parts side by side; only a quarter-wave plate takes a complex product.  The
+transfer matrices are cast to complex once, at the end.  Tracing out the
+(unresolved) arrival time turns the surviving transfer matrices into the Kraus
+operators of the polarization channel.
 
 Channels are analysed through one representation, the process matrix chi,
 a fixed linear image of the Kraus operators; the Pauli transfer matrix
@@ -257,8 +259,8 @@ class KrausSet:
 
     def __post_init__(self):
         delays = tuple(self.delays)
-        # operator.index refuses floats; a bool passes it, so it is refused first
-        if bool in map(type, delays):
+        # operator.index refuses floats; a bool passes it and numpy's does not, so both are refused first
+        if any(isinstance(d, (bool, np.bool_)) for d in delays):
             raise TypeError("delays must be integers, got a bool")
         try:
             delays = tuple(map(operator.index, delays))
@@ -414,11 +416,17 @@ def _transfer(bench: BenchConfig, plate: Optional[int] = None, jones: Optional[n
     built by the scalar constructors, so every row gets the bits a one-bench
     call gives it.
 
-    Each product runs in the dtype of its data.  The identity, the projectors and
-    the half-wave plates are real, as is a ``jones`` stack whose imaginary part is
-    all zero, so the products stay real until the first complex Jones matrix, where
-    numpy's type promotion takes them to complex.  The result is cast to complex
-    once, at the end.
+    A product is real unless one of its factors is complex.  The identity, the
+    projectors and the half-wave plates are real, as is a ``jones`` stack whose
+    imaginary part is all zero, so the products stay real until the first complex
+    Jones matrix, where numpy's type promotion takes them to complex.  The loop
+    holds its stack as float64 throughout: a real stack as itself, ``(..., 2, 2)``,
+    and a complex one as its float view, ``(..., 2, 4)``, each row's real and
+    imaginary parts side by side (:func:`_complex_of`).  So a real factor
+    multiplies either kind as one real product, a (2, 2) @ (2, 4) one per bin on a
+    complex stack, and only a complex factor takes numpy's complex product, which
+    has no real rewrite with the same bits.  The result is cast to complex once,
+    at the end.
     """
     delays, steps = _gather_plan(_structure(bench))
     if jones is not None and not jones.imag.any():
@@ -427,17 +435,26 @@ def _transfer(bench: BenchConfig, plate: Optional[int] = None, jones: Optional[n
     for k, (el, step) in enumerate(zip(bench.elements, steps)):
         if step is None:
             u = jones if k == plate else waveplate_jones(el.kind, el.angle_deg)[None]
-            t = u[:, None] @ t
+            if u.dtype == complex:
+                t = (u[:, None] @ _complex_of(t)).view(float)
+            else:
+                t = u[:, None] @ t
             continue
         # keyed with the angle's sign bit, so 0.0 and -0.0 keep their own signed zeros
         pair = _projector_pair(el.fast_axis_deg, math.copysign(1.0, el.fast_axis_deg))
-        count, n = t.shape[:2]
-        slots = np.empty((count, 2 * n + 1, 2, 2), dtype=t.dtype)
-        slots[:, -1].view(float).fill(-0.0)  # every real and imaginary part
-        np.matmul(pair[None, :, None], t[:, None], out=slots[:, :-1].reshape(count, 2, n, 2, 2))
+        count, n, _, width = t.shape
+        slots = np.empty((count, 2 * n + 1, 2, width))
+        slots[:, -1].fill(-0.0)  # every real and imaginary part
+        np.matmul(pair[None, :, None], t[:, None], out=slots[:, :-1].reshape(count, 2, n, 2, width))
         parts = slots.take(step, axis=1)
         t = parts[:, 0] + parts[:, 1]
-    return delays, t.astype(complex, copy=False)
+    return delays, _complex_of(t).astype(complex, copy=False)
+
+
+def _complex_of(t: np.ndarray) -> np.ndarray:
+    """The stack a float64 ``_transfer`` stack holds: itself if real, ``(..., 2, 2)``;
+    the complex stack it is the float view of, if ``(..., 2, 4)``."""
+    return t.view(complex) if t.shape[-1] == 4 else t
 
 
 def _nonzero_bins(ops: np.ndarray) -> np.ndarray:

@@ -197,8 +197,7 @@ def degree_of_polarization(s) -> float:
 
 def rotation2(angle_deg: float) -> np.ndarray:
     """2x2 rotation of the (H, V) amplitude plane by a finite ``angle_deg``."""
-    _finite_angle(angle_deg, "rotation")
-    a = np.deg2rad(angle_deg)
+    a = np.deg2rad(_finite_angle(angle_deg, "rotation"))
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s], [s, c]])
 
@@ -216,6 +215,11 @@ def _finite_angle(value, element: str) -> float:
     return angle
 
 
+#: diag(1, i), the quarter-wave plate's retarder with its fast axis horizontal
+_QUARTER_RETARDER = np.diag([1.0, 1.0j])
+_QUARTER_RETARDER.setflags(write=False)
+
+
 def waveplate_jones(kind: str, angle_deg: float) -> np.ndarray:
     """Jones matrix of a half- or quarter-wave plate.
 
@@ -226,13 +230,13 @@ def waveplate_jones(kind: str, angle_deg: float) -> np.ndarray:
     """
     if kind not in ("half", "quarter"):
         raise ValueError(f"unknown wave-plate kind {kind!r} (expected 'half' or 'quarter')")
-    _finite_angle(angle_deg, f"{kind}-wave plate")
+    angle = _finite_angle(angle_deg, f"{kind}-wave plate")
     if kind == "half":
-        a = np.deg2rad(angle_deg)
+        a = np.deg2rad(angle)
         c2, s2 = np.cos(2 * a), np.sin(2 * a)
         return np.array([[c2, s2], [s2, -c2]])
-    r = rotation2(angle_deg).astype(complex)
-    return r @ np.diag([1.0, 1.0j]) @ r.T
+    r = rotation2(angle).astype(complex)
+    return r @ _QUARTER_RETARDER @ r.T
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

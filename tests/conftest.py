@@ -59,15 +59,19 @@ def reference_transfer(bench, jones_at=None, dtype=float):
     bin, numerically zero or not, as sorted ``(delays, transfer matrices)``.
 
     Typed as the kernel is: the identity, the crystal projectors and every Jones
-    matrix whose imaginary part is all zero are real, and each product takes the
-    dtype numpy's promotion gives it, so a bench stays real until its first
-    complex Jones matrix; every matrix is cast to complex at the end.  With
-    ``dtype=complex`` it is the loop as first written, every matrix complex from
-    the start.  ``jones_at`` maps element indices to Jones matrices that stand in
-    for those wave plates'."""
+    matrix whose imaginary part is all zero are real, so a bench stays real until
+    its first complex Jones matrix.  A real factor multiplies a complex matrix
+    through its float64 view, ``(u @ t.view(float)).view(complex)``, one real
+    product; a complex factor takes numpy's complex product.  Every matrix is cast
+    to complex at the end.  With ``dtype=complex`` it is the loop as first written,
+    every matrix complex from the start.  ``jones_at`` maps element indices to
+    Jones matrices that stand in for those wave plates'."""
     def typed(m):
         m = np.asarray(m)
         return m.real if dtype is float and not m.imag.any() else m.astype(complex)
+
+    def times(u, t):
+        return u @ t if u.dtype == complex else (u @ t.view(float)).view(t.dtype)
 
     bench = normalize_delays(bench)
     jones_at = jones_at or {}
@@ -75,7 +79,7 @@ def reference_transfer(bench, jones_at=None, dtype=float):
     for k, el in enumerate(bench.elements):
         if isinstance(el, Waveplate):
             u = typed(jones_at[k] if k in jones_at else el.jones())
-            transfer = {d: u @ t for d, t in transfer.items()}
+            transfer = {d: times(u, t) for d, t in transfer.items()}
             continue
         shift = int(el.length)
         r = rotation2(el.fast_axis_deg)
@@ -83,8 +87,8 @@ def reference_transfer(bench, jones_at=None, dtype=float):
         slow = typed(np.outer(r[:, 1], r[:, 1]))
         merged = {}
         for d, t in transfer.items():
-            merged[d] = merged[d] + fast @ t if d in merged else fast @ t
-            merged[d + shift] = merged[d + shift] + slow @ t if d + shift in merged else slow @ t
+            merged[d] = merged[d] + times(fast, t) if d in merged else times(fast, t)
+            merged[d + shift] = merged[d + shift] + times(slow, t) if d + shift in merged else times(slow, t)
         transfer = merged
     delays = sorted(transfer)
     return delays, [transfer[d].astype(complex) for d in delays]

@@ -1,5 +1,5 @@
 """Print sha256 digests of count tables and their fits, of radii, of spectra, of Kraus operators, of CLI
-output, of gather plans and of process matrices.
+output, of gather plans, of process matrices and of Kraus operators up to signed zeros.
 
     PYTHONPATH=src python tests/fit_digest.py
 
@@ -29,9 +29,14 @@ arithmetic only, so unlike the ``kraus`` line it does not depend on the BLAS
 build.  The eighth covers the channels of the fifth: the chi bytes of each
 operator set the ``kraus`` line hashes (two per sweep block, one per ``grid_sim``
 bench), so a change that moves only the signs of exactly-zero operator entries
-shows the channel itself unmoved.  A change that must leave every count, fit,
-radius, spectrum, Kraus operator, CSV byte, plan and chi as it was prints the same
-eight lines before and after.
+shows the channel itself unmoved.  The ninth, ``kraus0``, covers the operator sets
+of the fifth plus the ``propagate`` operators of ``SPECIAL_BENCHES``, benches whose
+crystals and plates, half- and quarter-wave, all sit at 0.0, -0.0, 45, 90 or 180
+degrees, where exact zeros abound; it hashes each array as ``ops + 0.0``, which reads
+every -0.0 as +0.0, so a change that moves only the signs of exactly-zero entries
+leaves it unchanged.  A change that must leave every count, fit, radius, spectrum,
+Kraus operator, CSV byte, plan and chi as it was prints the same nine lines before
+and after.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ from regen_goldens import DATA, GOLDEN_CASES  # noqa: E402
 
 from polarchan import cli  # noqa: E402
 from polarchan.bench_sim import (  # noqa: E402
+    BenchConfig,
+    Crystal,
+    Waveplate,
     _chi_stack,
     _gather_plan,
     _plate_chi,
@@ -86,6 +94,25 @@ STATES = 200
 SWEEP_THETA1 = (*isotropic_theta1_angles()[::-1], 10.0, 0.0, 22.5)
 SWEEP_LENGTHS = ((1, 1), (2, 1), (1, 2), (2, 3), (3, 7))
 SWEEP_THETA2 = [0.25 * k for k in range(181)]
+SPECIAL_ANGLES = (0.0, -0.0, 45.0, 90.0, 180.0)
+
+
+def _special_benches(count: int = 300) -> list:
+    """``count`` seeded benches of 1-4 crystals of lengths 1-3, each crystal after up to two
+    half- or quarter-wave plates, every angle drawn from SPECIAL_ANGLES."""
+    rng = np.random.default_rng(7)
+    benches = []
+    for _ in range(count):
+        elements = []
+        for _ in range(int(rng.integers(1, 5))):
+            elements += [Waveplate(str(rng.choice(["half", "quarter"])), float(rng.choice(SPECIAL_ANGLES)))
+                         for _ in range(int(rng.integers(0, 3)))]
+            elements.append(Crystal(int(rng.integers(1, 4)), float(rng.choice(SPECIAL_ANGLES))))
+        benches.append(BenchConfig(tuple(elements)))
+    return benches
+
+
+SPECIAL_BENCHES = _special_benches()
 
 
 def _fit_bytes(fit) -> bytes:
@@ -106,8 +133,13 @@ def _plan_bytes(bench) -> bytes:
     return _delay_bytes(delays) + b";".join(b"" if step is None else step.tobytes() for step in steps)
 
 
+def _unsigned_zero_bytes(ops) -> bytes:
+    # + 0.0 turns every -0.0, real or imaginary part, into +0.0 and leaves every other bit
+    return (ops + 0.0).tobytes()
+
+
 def _bench_bytes() -> tuple:
-    fields, spectra, kraus_ops, plans, chis = [], [], [], [], []
+    fields, spectra, kraus_ops, plans, chis, kraus_zero = [], [], [], [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the degenerate length ratios warn
         for theta1 in SWEEP_THETA1:
@@ -116,6 +148,7 @@ def _bench_bytes() -> tuple:
                 closed = [radii_closed_form(theta1, t2) for t2 in SWEEP_THETA2]
                 delays, ops = _transfer(bench, _CONTROL_PLATE, PAULI_STACK[1:3])
                 kraus_ops += [_delay_bytes(delays), ops.tobytes()]
+                kraus_zero += [_delay_bytes(delays), _unsigned_zero_bytes(ops)]
                 chis.append(_chi_stack(ops).tobytes())
                 plans.append(_plan_bytes(bench))
                 block = _plate_chi(_control_plate_forms(bench), SWEEP_THETA2)
@@ -127,6 +160,7 @@ def _bench_bytes() -> tuple:
             bench = build_bench(item.fig1) if item.fig1 is not None else item.bench
             kraus = propagate(bench)
             kraus_ops += [_delay_bytes(kraus.delays), kraus.operators.tobytes()]
+            kraus_zero += [_delay_bytes(kraus.delays), _unsigned_zero_bytes(kraus.operators)]
             chis.append(chi_from_kraus(kraus).tobytes())
             plans.append(_plan_bytes(bench))
             m = affine_map(kraus).matrix
@@ -134,7 +168,10 @@ def _bench_bytes() -> tuple:
             fields += [np.array(report.radii).tobytes(), report.rotation.tobytes(),
                        np.array([report.det_sign, report.axis_aligned], dtype=float).tobytes()]
             spectra.append(chi_eigenvalues(chi_from_kraus(kraus)).tobytes())
-    return b"".join(fields), b"".join(spectra), b"".join(kraus_ops), b"".join(plans), b"".join(chis)
+    for bench in SPECIAL_BENCHES:
+        kraus = propagate(bench)
+        kraus_zero += [_delay_bytes(kraus.delays), _unsigned_zero_bytes(kraus.operators)]
+    return tuple(map(b"".join, (fields, spectra, kraus_ops, plans, chis, kraus_zero)))
 
 
 def _csv_digest() -> str:
@@ -173,13 +210,14 @@ def main() -> int:
         fits.update(_fit_bytes(qst_mle(record)))
     print(f"counts {counts.hexdigest()}")
     print(f"fits   {fits.hexdigest()}")
-    radii, spectra, kraus_ops, plans, chis = _bench_bytes()
+    radii, spectra, kraus_ops, plans, chis, kraus_zero = _bench_bytes()
     print(f"radii  {hashlib.sha256(radii).hexdigest()}")
     print(f"spectra {hashlib.sha256(spectra).hexdigest()}")
     print(f"kraus  {hashlib.sha256(kraus_ops).hexdigest()}")
     print(f"csv    {_csv_digest()}")
     print(f"plans  {hashlib.sha256(plans).hexdigest()}")
     print(f"chi    {hashlib.sha256(chis).hexdigest()}")
+    print(f"kraus0 {hashlib.sha256(kraus_zero).hexdigest()}")
     return 0
 
 

@@ -10,6 +10,7 @@ import pytest
 from polarchan.bench_sim import MAX_DELAY_BINS, BenchConfig, Crystal, Waveplate, delay_bin_bound, normalize_delays
 from polarchan.channel_analysis import chi_eigenvalues
 from polarchan.depolarizer import DepolarizerSettings, dop_isotropic, radii_closed_form
+from polarchan.polar_core import rotation2, waveplate_jones
 from polarchan.tomography import CountRecord
 
 #: per probed input, the call and either the exception it raises, whose text
@@ -66,6 +67,34 @@ CASES.update({
                                  MAX_DELAY_BINS),
     "bin_bound_coprime_past_cap": (lambda: delay_bin_bound(_crystals(*(2 ** i for i in range(16)), 1)),
                                    MAX_DELAY_BINS + 1),
+})
+
+
+def _float32_against_float(fn, *args):
+    """fn's result at a float32 angle, the last argument, against its result at that angle
+    as a float: (dtype, whether the bytes are equal)."""
+    *head, angle = args
+    got, want = fn(*head, np.float32(angle)), fn(*head, float(np.float32(angle)))
+    return got.dtype, got.tobytes() == want.tobytes()
+
+
+#: the angle is read as a float before anything is computed from it
+CASES.update({
+    "rotation2_float32_angle": (lambda: _float32_against_float(rotation2, 30.0), (np.dtype(float), True)),
+    "half_plate_float32_angle": (lambda: _float32_against_float(waveplate_jones, "half", 30.0),
+                                 (np.dtype(float), True)),
+    "quarter_plate_float32_angle": (lambda: _float32_against_float(waveplate_jones, "quarter", 30.0),
+                                    (np.dtype(complex), True)),
+    "plate_kind_full": (lambda: waveplate_jones("full", 0.0),
+                        ValueError("unknown wave-plate kind 'full' (expected 'half' or 'quarter')")),
+    "plate_kind_capitalized": (lambda: waveplate_jones("Half", 0.0),
+                               ValueError("unknown wave-plate kind 'Half' (expected 'half' or 'quarter')")),
+    "rotation2_nan_angle": (lambda: rotation2(float("nan")),
+                            ValueError("rotation angle must be finite, got nan")),
+    "half_plate_inf_angle": (lambda: waveplate_jones("half", np.float32("inf")),
+                             ValueError("half-wave plate angle must be finite, got inf")),
+    "quarter_plate_negative_inf_angle": (lambda: waveplate_jones("quarter", float("-inf")),
+                                         ValueError("quarter-wave plate angle must be finite, got -inf")),
 })
 
 
